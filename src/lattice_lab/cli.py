@@ -24,6 +24,7 @@ from typing import Sequence
 
 from . import harness
 from .filtration import (
+    Filtration,
     build_dyadic,
     build_random_nested,
     build_truncation,
@@ -32,6 +33,7 @@ from .filtration import (
 from .jsonio import Instance, InstanceFormatError, dump_instance, load_instance
 from .martingales import (
     NonContractiveError,
+    VectorSequence,
     abs_seq,
     check_lattice_closure,
     classify,
@@ -44,17 +46,52 @@ from .martingales import (
 )
 from .spaces import DEFAULT_TOL, basis
 
-DEMO_NAMES = ("haar", "pairing", "harmonic", "null", "scale-head")
-GEN_BUILDERS = (
-    "truncation",
-    "pairing",
-    "dyadic",
-    "random-nested",
-    "haar",
-    "harmonic",
-    "null",
-    "scale-head",
-)
+
+def _null_example(n: int, _factor: float) -> tuple[Filtration, VectorSequence]:
+    filt = build_truncation(n)
+    return filt, null_sequence(basis(filt.space, 1), n)
+
+
+def _scale_head_example(levels: int, factor: float) -> tuple[Filtration, VectorSequence]:
+    filt, base = haar_example(levels)
+    return filt, scale_head(base, factor)
+
+
+#: name -> (default size, builder(size, scale-head factor), what the demo shows)
+EXAMPLES = {
+    "haar": (
+        3,
+        lambda n, _factor: haar_example(n),
+        "the scaled-indicator sequence is a martingale, but its absolute "
+        "sequence loses the one-step law at every index",
+    ),
+    "pairing": (
+        3,
+        lambda n, _factor: pairing_example(n),
+        "the alternating-pair sequence is a martingale, but its absolute "
+        "sequence has no eventual witness (first one-step defect 1)",
+    ),
+    "harmonic": (
+        64,
+        lambda n, _factor: harmonic_tail_example(n)[:2],
+        "the harmonic-tail sequence has no eventual witness yet its defect "
+        "profile 1/n certifies it asymptotic",
+    ),
+    "null": (
+        64,
+        _null_example,
+        "a sequence shrinking to zero is asymptotic for any contractive "
+        "filtration without ever satisfying the one-step law exactly",
+    ),
+    "scale-head": (
+        3,
+        _scale_head_example,
+        "doubling only the first term breaks the martingale law but leaves "
+        "an eventual witness at index 2",
+    ),
+}
+DEMO_NAMES = tuple(EXAMPLES)
+GEN_BUILDERS = ("truncation", "dyadic", "random-nested", *DEMO_NAMES)
 
 
 def _default_tol() -> float:
@@ -121,44 +158,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _demo_payload(name: str, size: int | None, tol: float) -> tuple[dict, list[str]]:
-    if name == "haar":
-        levels = size or 3
-        filt, seq = haar_example(levels)
-        expected = (
-            "the scaled-indicator sequence is a martingale, but its absolute "
-            "sequence loses the one-step law at every index"
-        )
-    elif name == "pairing":
-        pairs = size or 3
-        filt, seq = pairing_example(pairs)
-        expected = (
-            "the alternating-pair sequence is a martingale, but its absolute "
-            "sequence has no eventual witness (first one-step defect 1)"
-        )
-    elif name == "harmonic":
-        n = size or 64
-        filt, seq, _family = harmonic_tail_example(n)
-        expected = (
-            "the harmonic-tail sequence has no eventual witness yet its defect "
-            "profile 1/n certifies it asymptotic"
-        )
-    elif name == "null":
-        n = size or 64
-        filt = build_truncation(n)
-        seq = null_sequence(basis(filt.space, 1), n)
-        expected = (
-            "a sequence shrinking to zero is asymptotic for any contractive "
-            "filtration without ever satisfying the one-step law exactly"
-        )
-    else:  # scale-head
-        levels = size or 3
-        filt, base = haar_example(levels)
-        seq = scale_head(base, 2.0)
-        expected = (
-            "doubling only the first term breaks the martingale law but leaves "
-            "an eventual witness at index 2"
-        )
-
+    default_size, build, expected = EXAMPLES[name]
+    filt, seq = build(default_size if size is None else size, 2.0)
     closure = check_lattice_closure(seq, filt, tol)
     steps_abs = one_step_defects(abs_seq(seq), filt)
     payload = {
@@ -214,36 +215,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _gen_instance(args: argparse.Namespace) -> Instance:
-    builder = args.builder
-    size = args.size
+    builder, size = args.builder, args.size
+    if builder in EXAMPLES:
+        default_size, build, _ = EXAMPLES[builder]
+        filt, seq = build(default_size if size is None else size, args.factor)
+        return Instance(filt.space, filt, seq)
     if builder == "truncation":
-        filt = build_truncation(size or 16)
-        return Instance(filt.space, filt)
-    if builder == "pairing":
-        filt, seq = pairing_example(size or 3)
-        return Instance(filt.space, filt, seq)
-    if builder == "dyadic":
-        filt = build_dyadic(size or 3)
-        return Instance(filt.space, filt)
-    if builder == "random-nested":
-        dim = size or 16
-        depth = args.depth or dim
+        filt = build_truncation(16 if size is None else size)
+    elif builder == "dyadic":
+        filt = build_dyadic(3 if size is None else size)
+    else:  # random-nested
+        dim = 16 if size is None else size
+        depth = dim if args.depth is None else args.depth
         filt = build_random_nested(dim, depth, args.seed)
-        return Instance(filt.space, filt)
-    if builder == "haar":
-        filt, seq = haar_example(size or 3)
-        return Instance(filt.space, filt, seq)
-    if builder == "harmonic":
-        filt, seq, _ = harmonic_tail_example(size or 64)
-        return Instance(filt.space, filt, seq)
-    if builder == "null":
-        filt = build_truncation(size or 64)
-        return Instance(
-            filt.space, filt, null_sequence(basis(filt.space, 1), filt.horizon)
-        )
-    # scale-head
-    filt, base = haar_example(size or 3)
-    return Instance(filt.space, filt, scale_head(base, args.factor))
+    return Instance(filt.space, filt)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

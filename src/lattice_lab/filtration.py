@@ -21,6 +21,7 @@ statements, not proofs of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,11 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+def _worse(v: float, worst: float) -> bool:
+    """v > worst, but the first NaN is worse than anything, so NaN fails a law."""
+    return v > worst or (math.isnan(v) and not math.isnan(worst))
+
+
 def validate(
     filt: Filtration,
     require_contractive: bool = False,
@@ -102,15 +108,15 @@ def validate(
 
     worst, witness = 0.0, None
     for n, e in enumerate(filt.ops, start=1):
-        v = max(0.0, float(-np.min(e.matrix)))
-        if v > worst:
+        v = float(-np.min(e.matrix))
+        if _worse(v, worst):
             worst, witness = v, (n,)
     checks.append(LawCheck("positivity", worst <= tol, worst, witness))
 
     worst, witness = 0.0, None
     for n, e in enumerate(filt.ops, start=1):
         v = float(np.max(np.abs(e.matrix @ e.matrix - e.matrix)))
-        if v > worst:
+        if _worse(v, worst):
             worst, witness = v, (n,)
     checks.append(LawCheck("idempotence", worst <= tol, worst, witness))
 
@@ -119,15 +125,15 @@ def validate(
         for m, em in enumerate(filt.ops, start=1):
             target = filt.op(min(n, m)).matrix
             v = float(np.max(np.abs(en.matrix @ em.matrix - target)))
-            if v > worst:
+            if _worse(v, worst):
                 worst, witness = v, (n, m)
     checks.append(LawCheck("commuting-order", worst <= tol, worst, witness))
 
     if require_contractive:
         worst, witness = 0.0, None
         for n, e in enumerate(filt.ops, start=1):
-            v = max(0.0, operator_norm(e) - 1.0)
-            if v > worst:
+            v = operator_norm(e) - 1.0
+            if _worse(v, worst):
                 worst, witness = v, (n,)
         checks.append(LawCheck("contractivity", worst <= tol, worst, witness))
 

@@ -43,6 +43,7 @@ from .filtration import (
 from .martingales import (
     VectorSequence,
     Verdict,
+    _pair_table,
     abs_seq,
     classify,
     defect_profile,
@@ -209,6 +210,40 @@ def _asymptotic_bound_violation(profile: np.ndarray) -> int | None:
 # Claim checks
 # ---------------------------------------------------------------------------
 
+SEQUENCE_GENERATORS = (
+    "terminal",
+    "scaled-head",
+    "null",
+    "eventual",
+    "asymptotic",
+    "constant",
+    "abs-of-terminal",
+)
+
+
+def random_sequence(
+    filt: Filtration, gen: str, rng: np.random.Generator
+) -> VectorSequence:
+    """One sequence from the named generator of :data:`SEQUENCE_GENERATORS`."""
+    if gen == "terminal":
+        return terminal_sequence(filt, _random_vector(filt.space, rng))
+    if gen == "scaled-head":
+        return scale_head(
+            terminal_sequence(filt, _random_vector(filt.space, rng)),
+            float(rng.uniform(1.5, 3.0)),
+        )
+    if gen == "null":
+        return null_sequence(_random_vector(filt.space, rng), filt.horizon)
+    if gen == "eventual":
+        return random_eventual_martingale(filt, rng)[0]
+    if gen == "asymptotic":
+        return random_asymptotic_martingale(filt, rng)[0]
+    if gen == "constant":
+        v = _random_vector(filt.space, rng)
+        return VectorSequence(filt.space, (v,) * filt.horizon)
+    return abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
+
+
 def check_class_nesting(
     seed: int = 0, trials: int = 100, tol: float = DEFAULT_TOL
 ) -> TheoremResult:
@@ -219,39 +254,12 @@ def check_class_nesting(
     eventual martingale is additionally required not to classify NOT_X.
     """
     check_id = "nesting"
-    generators = (
-        "terminal",
-        "scaled-head",
-        "null",
-        "eventual",
-        "asymptotic",
-        "constant",
-        "abs-of-terminal",
-    )
     checked = 0
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         filt, f_desc = random_filtration(rng)
-        gen = str(rng.choice(generators))
-        if gen == "terminal":
-            seq = terminal_sequence(filt, _random_vector(filt.space, rng))
-        elif gen == "scaled-head":
-            seq = scale_head(
-                terminal_sequence(filt, _random_vector(filt.space, rng)),
-                float(rng.uniform(1.5, 3.0)),
-            )
-        elif gen == "null":
-            seq = null_sequence(_random_vector(filt.space, rng), filt.horizon)
-        elif gen == "eventual":
-            seq, _ = random_eventual_martingale(filt, rng)
-        elif gen == "asymptotic":
-            seq, _ = random_asymptotic_martingale(filt, rng)
-        elif gen == "constant":
-            v = _random_vector(filt.space, rng)
-            seq = VectorSequence(filt.space, (v,) * filt.horizon)
-        else:
-            seq = abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
-
+        gen = str(rng.choice(SEQUENCE_GENERATORS))
+        seq = random_sequence(filt, gen, rng)
         report = classify(seq, filt, tol)
         ok = (
             (not report.is_martingale or report.e_witness == 1)
@@ -291,7 +299,8 @@ def _limit_family_check(
     limit_profile = defect_profile(limit, filt)
     distances = []
     for k, member in enumerate(members, start=1):
-        verdict = tail_verdict(member, filt)
+        member_profile = defect_profile(member, filt)
+        verdict = tail_verdict(member, filt, profile=member_profile)
         if verdict is Verdict.NOT_X:
             return TheoremResult(
                 check_id,
@@ -302,7 +311,6 @@ def _limit_family_check(
             )
         dist = seq_distance(member, limit)
         distances.append(dist)
-        member_profile = defect_profile(member, filt)
         slack = limit_profile - member_profile - 2.0 * dist
         if float(slack.max()) > FLOAT_SLACK:
             n_bad = int(slack.argmax()) + 1
@@ -320,7 +328,7 @@ def _limit_family_check(
                 },
                 seed,
             )
-    limit_verdict = tail_verdict(limit, filt)
+    limit_verdict = tail_verdict(limit, filt, profile=limit_profile)
     if limit_verdict is Verdict.NOT_X:
         return TheoremResult(
             check_id,
@@ -379,6 +387,39 @@ def check_closed_under_limits_harmonic(n_terms: int = 64) -> TheoremResult:
     return _limit_family_check("closed-limits", filt, family, base, descriptor, None)
 
 
+def _convergent_asymptotic_premises(
+    check_id: str,
+    seq: VectorSequence,
+    limit_vec: LatticeVector,
+    filt: Filtration,
+    eps: float | None,
+    descriptor: dict | None,
+) -> tuple[dict, float, int, dict, TheoremResult | None]:
+    """Shared premises of limit-defect and tail-approx: A is asymptotic and
+    converges to ``limit_vec`` over the tail window.  ``early`` is the
+    INCONCLUSIVE result to return when a premise fails, else None."""
+    if descriptor is None:
+        descriptor = _filt_descriptor(filt)
+    if eps is None:
+        eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
+    start = tail_window_start(seq.horizon)
+    conv = np.array([norm(seq.term(n) - limit_vec) for n in range(1, seq.horizon + 1)])
+    premises = {
+        "asymptotic": tail_verdict(seq, filt) is Verdict.X_MARTINGALE,
+        "convergent": bool(conv[start - 1 :].max() <= eps),
+    }
+    early = None
+    if not all(premises.values()):
+        early = TheoremResult(
+            check_id,
+            descriptor,
+            CheckStatus.INCONCLUSIVE,
+            {"premises": premises, "note": "claim inapplicable on this instance"},
+            None,
+        )
+    return descriptor, eps, start, premises, early
+
+
 def check_limit_defect(
     seq: VectorSequence,
     limit_vec: LatticeVector,
@@ -389,28 +430,12 @@ def check_limit_defect(
     """For a convergent asymptotic martingale, e_n = max_{m>=n} ||E_m x - x_m||
     must decay over the tail window (x the limit vector)."""
     check_id = "limit-defect"
-    if descriptor is None:
-        descriptor = _filt_descriptor(filt)
-    if eps is None:
-        eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
+    descriptor, eps, start, premises, early = _convergent_asymptotic_premises(
+        check_id, seq, limit_vec, filt, eps, descriptor
+    )
+    if early is not None:
+        return early
     n_terms = seq.horizon
-    start = _window_start(n_terms)
-
-    conv = np.array([norm(seq.term(n) - limit_vec) for n in range(1, n_terms + 1)])
-    verdict = tail_verdict(seq, filt)
-    premises = {
-        "asymptotic": verdict is Verdict.X_MARTINGALE,
-        "convergent": bool(conv[start - 1 :].max() <= eps),
-    }
-    if not all(premises.values()):
-        return TheoremResult(
-            check_id,
-            descriptor,
-            CheckStatus.INCONCLUSIVE,
-            {"premises": premises, "note": "claim inapplicable on this instance"},
-            None,
-        )
-
     step = np.array(
         [norm(apply(filt.op(m), limit_vec) - seq.term(m)) for m in range(1, n_terms + 1)]
     )
@@ -441,27 +466,12 @@ def check_tail_modification(
     back to the original sequence (witness <= m+1, distances non-increasing
     down to eps)."""
     check_id = "tail-approx"
-    if descriptor is None:
-        descriptor = _filt_descriptor(filt)
-    if eps is None:
-        eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
+    descriptor, eps, _, premises, early = _convergent_asymptotic_premises(
+        check_id, seq, limit_vec, filt, eps, descriptor
+    )
+    if early is not None:
+        return early
     n_terms = seq.horizon
-    start = _window_start(n_terms)
-    conv = np.array([norm(seq.term(n) - limit_vec) for n in range(1, n_terms + 1)])
-    verdict = tail_verdict(seq, filt)
-    premises = {
-        "asymptotic": verdict is Verdict.X_MARTINGALE,
-        "convergent": bool(conv[start - 1 :].max() <= eps),
-    }
-    if not all(premises.values()):
-        return TheoremResult(
-            check_id,
-            descriptor,
-            CheckStatus.INCONCLUSIVE,
-            {"premises": premises, "note": "claim inapplicable on this instance"},
-            None,
-        )
-
     distances = []
     for m in range(1, n_terms):
         modified = tail_modify(seq, filt, limit_vec, m)
@@ -666,7 +676,6 @@ def check_band_projection_lattice(
             seed,
         )
 
-    n_terms = filt.horizon
     for trial in range(trials):
         rng = trial_rng(seed, trial)
 
@@ -683,7 +692,8 @@ def check_band_projection_lattice(
             )
 
         xseq, _ = random_asymptotic_martingale(filt, rng)
-        bad = _asymptotic_bound_violation(defect_profile(xseq, filt))
+        defects = _pair_table(xseq, filt)
+        bad = _asymptotic_bound_violation(defects.max(axis=1))
         if bad is not None:
             return TheoremResult(
                 check_id,
@@ -692,25 +702,22 @@ def check_band_projection_lattice(
                 {"trial": trial, "problem": "analytic defect bound failed", "n": bad},
                 seed,
             )
-        aseq = abs_seq(xseq)
-        for n in range(1, n_terms + 1):
-            en = filt.op(n)
-            for m in range(n, n_terms + 1):
-                lhs = norm(apply(en, aseq.term(m)) - aseq.term(n))
-                rhs = norm(apply(en, xseq.term(m)) - xseq.term(n))
-                if lhs > rhs + tol:
-                    return TheoremResult(
-                        check_id,
-                        descriptor,
-                        CheckStatus.VIOLATED,
-                        {
-                            "trial": trial,
-                            "pair": [n, m],
-                            "abs_defect": lhs,
-                            "defect": rhs,
-                        },
-                        seed,
-                    )
+        abs_defects = _pair_table(abs_seq(xseq), filt)
+        failing = np.argwhere(~(abs_defects <= defects + tol))  # row-major order
+        if failing.size:
+            n, k = (int(i) for i in failing[0])
+            return TheoremResult(
+                check_id,
+                descriptor,
+                CheckStatus.VIOLATED,
+                {
+                    "trial": trial,
+                    "pair": [n + 1, n + k + 1],
+                    "abs_defect": float(abs_defects[n, k]),
+                    "defect": float(defects[n, k]),
+                },
+                seed,
+            )
     return TheoremResult(
         check_id, descriptor, CheckStatus.CONFIRMED, {"trials": trials}, seed
     )
@@ -782,10 +789,6 @@ def check_abs_alignment(
         witness,
         seed,
     )
-
-
-def _window_start(n_terms: int) -> int:
-    return tail_window_start(n_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .spaces import (
     LatticeVector,
     absolute,
     norm,
+    row_norms,
     vector,
 )
 
@@ -123,16 +124,38 @@ def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
         )
 
 
+def _pair_table(
+    seq: VectorSequence, filt: Filtration, band: int | None = None
+) -> np.ndarray:
+    """The pair-defect table every law here reduces: one product per operator.
+
+    Row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band
+    (default: the whole horizon); entries past the horizon are zero, which
+    no reduction below can mistake for a defect.  Only one (band, d) block
+    of applied terms is alive at a time, never an N x N x d tensor.
+    """
+    xs = np.stack([v.coords for v in seq.vectors])
+    n_terms = len(xs)
+    band = n_terms if band is None else band
+    table = np.zeros((n_terms, band))
+    for n, e in enumerate(filt.ops):
+        block = xs[n : n + band]
+        table[n, : len(block)] = row_norms(filt.space, block @ e.matrix.T - xs[n])
+    return table
+
+
+def _witness(defects: np.ndarray, n_terms: int, tol: float) -> int | None:
+    """One past the last (1-based) index whose defect is not <= tol, or None
+    when that is N or more; a NaN defect fails, so it never certifies a witness."""
+    bad = np.flatnonzero(~(defects <= tol))
+    witness = int(bad[-1]) + 2 if bad.size else 1
+    return witness if witness <= n_terms - 1 else None
+
+
 def is_martingale(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
     """Two-index law: ||E_n x_m - x_n|| <= tol for every pair m >= n."""
     _require_matching(seq, filt)
-    for n in range(1, seq.horizon + 1):
-        en = filt.op(n)
-        xn = seq.term(n)
-        for m in range(n, seq.horizon + 1):
-            if norm(apply(en, seq.term(m)) - xn) > tol:
-                return False
-    return True
+    return bool(_pair_table(seq, filt).max() <= tol)
 
 
 def eventual_witness(
@@ -144,47 +167,27 @@ def eventual_witness(
     (no step after it) and is never reported.
     """
     _require_matching(seq, filt)
-    n_terms = seq.horizon
-    last_bad = 0
-    for m in range(1, n_terms):
-        if norm(apply(filt.op(m), seq.term(m + 1)) - seq.term(m)) > tol:
-            last_bad = m
-    witness = last_bad + 1
-    return witness if witness <= n_terms - 1 else None
+    return _witness(_pair_table(seq, filt, band=2)[:-1, 1], seq.horizon, tol)
 
 
 def eventual_witness_pairwise(
     seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL
 ) -> int | None:
-    """Brute-force two-index variant: minimal l < N with E_n x_m = x_n for m >= n >= l.
+    """Two-index variant: minimal l < N with E_n x_m = x_n for m >= n >= l.
 
-    Evaluates the full table of pair defects ||E_n x_m - x_n|| rather than
+    Reads the row maxima of the full pair-defect table rather than the
     one-step differences, so it is independent data from
     :func:`eventual_witness`; agreement of the two minimal witnesses is a
     tested property.
     """
     _require_matching(seq, filt)
-    n_terms = seq.horizon
-    last_bad = 0
-    for n in range(1, n_terms + 1):
-        en = filt.op(n)
-        xn = seq.term(n)
-        worst = max(norm(apply(en, seq.term(m)) - xn) for m in range(n, n_terms + 1))
-        if worst > tol:
-            last_bad = n
-    witness = last_bad + 1
-    return witness if witness <= n_terms - 1 else None
+    return _witness(_pair_table(seq, filt).max(axis=1), seq.horizon, tol)
 
 
 def one_step_defects(seq: VectorSequence, filt: Filtration) -> np.ndarray:
     """||E_m x_{m+1} - x_m|| for m = 1..N-1; the data behind :func:`eventual_witness`."""
     _require_matching(seq, filt)
-    return np.array(
-        [
-            norm(apply(filt.op(m), seq.term(m + 1)) - seq.term(m))
-            for m in range(1, seq.horizon)
-        ]
-    )
+    return _pair_table(seq, filt, band=2)[:-1, 1]
 
 
 def defect_profile(seq: VectorSequence, filt: Filtration) -> np.ndarray:
@@ -194,15 +197,7 @@ def defect_profile(seq: VectorSequence, filt: Filtration) -> np.ndarray:
     the last operator fixes the last term (in particular when E_N = I).
     """
     _require_matching(seq, filt)
-    n_terms = seq.horizon
-    out = np.zeros(n_terms)
-    for n in range(1, n_terms + 1):
-        en = filt.op(n)
-        xn = seq.term(n)
-        out[n - 1] = max(
-            norm(apply(en, seq.term(m)) - xn) for m in range(n, n_terms + 1)
-        )
-    return out
+    return _pair_table(seq, filt).max(axis=1)
 
 
 def default_eps(seq: VectorSequence) -> float:
@@ -303,10 +298,11 @@ def classify(
         raise ValueError("classification needs a horizon of at least 2 terms")
     if eps is None:
         eps = default_eps(seq)
-    d = defect_profile(seq, filt)
+    table = _pair_table(seq, filt)
+    d = table.max(axis=1)
     return ClassificationReport(
-        is_martingale=is_martingale(seq, filt, tol),
-        e_witness=eventual_witness(seq, filt, tol),
+        is_martingale=bool(d.max() <= tol),
+        e_witness=_witness(table[:-1, 1], seq.horizon, tol),
         x_defects=tuple(float(v) for v in d),
         x_verdict=tail_verdict(seq, filt, eps, window_fraction, profile=d),
         seq_norm=seq_norm(seq),

@@ -165,8 +165,14 @@ def leq(x: LatticeVector, y: LatticeVector) -> bool:
     return bool(np.all(x.coords <= y.coords))
 
 
+def row_norms(space: LatticeSpace, rows: np.ndarray) -> np.ndarray:
+    """Norm of each row of ``rows`` (shape (..., dim)): sup or weighted L1."""
+    a = np.abs(rows)
+    if space.norm_kind is NormKind.SUP:
+        return np.max(a, axis=-1)
+    return a @ space.weights
+
+
 def norm(x: LatticeVector) -> float:
     """Sup norm (max |x_i|) or weighted L1 norm (sum of w_i |x_i|)."""
-    if x.space.norm_kind is NormKind.SUP:
-        return float(np.max(np.abs(x.coords)))
-    return float(x.space.weights @ np.abs(x.coords))
+    return float(row_norms(x.space, x.coords))

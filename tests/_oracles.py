@@ -3,7 +3,8 @@
 These deliberately avoid the library's formulas: the norm oracle maximizes
 ||Tx|| / ||x|| over random inputs drawn from a mixture of families (uniform
 box, correlated-sign, sparse, heavy-tailed) so that near-extremal directions
-for both norm kinds are reliably sampled.
+for both norm kinds are reliably sampled, and the pair-defect oracle loops
+over index pairs with raw matrices.
 """
 
 import numpy as np
@@ -44,3 +45,20 @@ def sampled_norm_lower_bound(op, n_samples: int, rng: np.random.Generator) -> fl
         w = op.space.weights
         ratios = (w @ np.abs(txs)) / (w @ np.abs(xs))
     return float(ratios.max())
+
+
+def pair_table(seq, filt) -> np.ndarray:
+    """T[n, m] = ||E_n x_m - x_n|| (0-based, m >= n), one raw matrix-vector
+    product per pair; NaN below the diagonal."""
+    mats = [op.matrix for op in filt.ops]
+    xs = [v.coords for v in seq.vectors]
+    w = filt.space.weights
+
+    def nrm(v):
+        return float(w @ np.abs(v)) if w is not None else float(np.max(np.abs(v)))
+
+    table = np.full((len(xs), len(xs)), np.nan)
+    for n in range(len(xs)):
+        for m in range(n, len(xs)):
+            table[n, m] = nrm(mats[n] @ xs[m] - xs[n])
+    return table

@@ -118,6 +118,21 @@ def test_gen_stdout_and_seeded_determinism(capsys):
     assert out1 == out2 != out3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "truncation", "--size", "0"),
+        ("gen", "harmonic", "--size", "0"),
+        ("gen", "random-nested", "--size", "8", "--depth", "0"),
+        ("demo", "haar", "--size", "0"),
+    ],
+)
+def test_zero_size_is_rejected_not_defaulted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_env_var_overrides_default_tol(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("LATTICE_LAB_TOL", "0.5")
     path = tmp_path / "haar.json"

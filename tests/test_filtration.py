@@ -80,6 +80,20 @@ def test_validate_contractivity_failure():
     assert not by_law["contractivity"].passed
 
 
+def test_validate_fails_every_law_touched_by_nan():
+    filt = build_truncation(3)
+    poisoned = filt.op(1).matrix.copy()
+    poisoned[0, 1] = np.nan
+    ops = (PosOperator(filt.space, poisoned),) + filt.ops[1:]
+    report = validate(Filtration(filt.space, ops), require_contractive=True)
+    by_law = {c.law: c for c in report.checks}
+    assert not report.passed
+    for law in ("positivity", "idempotence", "commuting-order", "contractivity"):
+        assert not by_law[law].passed and np.isnan(by_law[law].worst)
+    assert by_law["positivity"].witness == (1,)
+    assert by_law["commuting-order"].witness == (1, 1)
+
+
 def test_is_dense():
     assert is_dense(build_truncation(6))
     assert is_dense(build_dyadic(3))  # final level resolves every cell

@@ -7,7 +7,10 @@ library functions they check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import pair_table
 from lattice_lab import (
     LatticeSpace,
     NonContractiveError,
@@ -40,21 +43,17 @@ from lattice_lab import (
     vector,
     zero,
 )
+from lattice_lab.harness import (
+    SEQUENCE_GENERATORS,
+    random_filtration,
+    random_sequence,
+    trial_rng,
+)
 
 
 def brute_defects(seq, filt):
     """Oracle: d_n = max_{m >= n} ||E_n x_m - x_n|| by raw matrix algebra."""
-    mats = [op.matrix for op in filt.ops]
-    xs = [v.coords for v in seq.vectors]
-    w = filt.space.weights
-
-    def nrm(v):
-        return float(w @ np.abs(v)) if w is not None else float(np.max(np.abs(v)))
-
-    return [
-        max(nrm(mats[n] @ xs[m] - xs[n]) for m in range(n, len(xs)))
-        for n in range(len(xs))
-    ]
+    return list(np.nanmax(pair_table(seq, filt), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,31 @@ def test_pairwise_witness_agrees_on_generated_instances():
         instances.append((filt, scale_head(terminal_sequence(filt, x), 3.0)))
     for filt, seq in instances:
         assert eventual_witness(seq, filt) == eventual_witness_pairwise(seq, filt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gen=st.sampled_from(SEQUENCE_GENERATORS))
+def test_pair_defect_reductions_match_per_pair_oracle(seed, gen):
+    # Filtrations from all four builders and both norms, sequences from the
+    # nesting-check generator mix; every reduction is re-derived from the loop.
+    rng = trial_rng(seed, 0)
+    filt, _ = random_filtration(rng)
+    seq = random_sequence(filt, gen, rng)
+    table = pair_table(seq, filt)
+    n_terms = seq.horizon
+    rows = np.nanmax(table, axis=1)
+    steps = np.array([table[m, m + 1] for m in range(n_terms - 1)])
+
+    def witness(defects):
+        bad = np.flatnonzero(defects > 1e-9)
+        w = int(bad[-1]) + 2 if bad.size else 1
+        return w if w <= n_terms - 1 else None
+
+    np.testing.assert_allclose(defect_profile(seq, filt), rows, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(one_step_defects(seq, filt), steps, rtol=0, atol=1e-12)
+    assert is_martingale(seq, filt) == bool(np.nanmax(table) <= 1e-9)
+    assert eventual_witness(seq, filt) == witness(steps)
+    assert eventual_witness_pairwise(seq, filt) == witness(rows)
 
 
 # ---------------------------------------------------------------------------
