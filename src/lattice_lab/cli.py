@@ -9,8 +9,10 @@ Subcommands:
   gen        write an instance file for any builder
 
 Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED,
-2 input error.  All randomness flows from --seed.  The environment
-variable LATTICE_LAB_TOL overrides the default exact-law tolerance.
+2 input error (including a file that cannot be written and an instance
+holding a NaN or infinity, which JSON cannot store).  All randomness flows
+from --seed.  The environment variable LATTICE_LAB_TOL overrides the
+default exact-law tolerance.
 Reports are valid JSON with --json, human-readable otherwise.
 """
 
@@ -30,7 +32,13 @@ from .filtration import (
     build_truncation,
     validate,
 )
-from .jsonio import Instance, InstanceFormatError, dump_instance, load_instance
+from .jsonio import (
+    Instance,
+    InstanceFormatError,
+    _instance_text,
+    dump_instance,
+    load_instance,
+)
 from .martingales import (
     NonContractiveError,
     VectorSequence,
@@ -234,7 +242,7 @@ def _gen_instance(args: argparse.Namespace) -> Instance:
 def cmd_gen(args: argparse.Namespace) -> int:
     instance = _gen_instance(args)
     if args.out is None:
-        print(json.dumps(instance.to_dict(), indent=2))
+        sys.stdout.writelines(_instance_text(instance))
     else:
         dump_instance(instance, args.out)
         print(f"[gen] wrote {args.builder} instance to {args.out}", file=sys.stderr)
@@ -298,10 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

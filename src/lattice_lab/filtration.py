@@ -94,6 +94,15 @@ def _worse(v: float, worst: float) -> bool:
     return v > worst or (math.isnan(v) and not math.isnan(worst))
 
 
+def _law(law: str, values, tol: float) -> LawCheck:
+    """The worst of (witness, value) pairs, first worst in the given order."""
+    worst, witness = 0.0, None
+    for where, v in values:
+        if _worse(v, worst):
+            worst, witness = v, where
+    return LawCheck(law, worst <= tol, worst, witness)
+
+
 def validate(
     filt: Filtration,
     require_contractive: bool = False,
@@ -102,41 +111,26 @@ def validate(
     """Check every filtration law; failures are reported, not raised.
 
     Each law's entry records the worst violation magnitude seen and the
-    (1-based) operator index or index pair where it occurred.
+    (1-based) operator index or index pair where it occurred.  The
+    commuting-order sweep over all pairs (n, m) includes n == m, where
+    E_n E_n = E_n is idempotence, so that law is read off its diagonal.
     """
-    checks = []
-
-    worst, witness = 0.0, None
-    for n, e in enumerate(filt.ops, start=1):
-        v = float(-np.min(e.matrix))
-        if _worse(v, worst):
-            worst, witness = v, (n,)
-    checks.append(LawCheck("positivity", worst <= tol, worst, witness))
-
-    worst, witness = 0.0, None
-    for n, e in enumerate(filt.ops, start=1):
-        v = float(np.max(np.abs(e.matrix @ e.matrix - e.matrix)))
-        if _worse(v, worst):
-            worst, witness = v, (n,)
-    checks.append(LawCheck("idempotence", worst <= tol, worst, witness))
-
-    worst, witness = 0.0, None
-    for n, en in enumerate(filt.ops, start=1):
-        for m, em in enumerate(filt.ops, start=1):
-            target = filt.op(min(n, m)).matrix
-            v = float(np.max(np.abs(en.matrix @ em.matrix - target)))
-            if _worse(v, worst):
-                worst, witness = v, (n, m)
-    checks.append(LawCheck("commuting-order", worst <= tol, worst, witness))
-
+    mats = [e.matrix for e in filt.ops]
+    order = {
+        (n, m): float(np.max(np.abs(en @ em - mats[min(n, m) - 1])))
+        for n, en in enumerate(mats, start=1)
+        for m, em in enumerate(mats, start=1)
+    }
+    positivity = (((n,), float(-np.min(e))) for n, e in enumerate(mats, start=1))
+    idempotence = (((n,), order[n, n]) for n in range(1, len(mats) + 1))
+    checks = [
+        _law("positivity", positivity, tol),
+        _law("idempotence", idempotence, tol),
+        _law("commuting-order", order.items(), tol),
+    ]
     if require_contractive:
-        worst, witness = 0.0, None
-        for n, e in enumerate(filt.ops, start=1):
-            v = operator_norm(e) - 1.0
-            if _worse(v, worst):
-                worst, witness = v, (n,)
-        checks.append(LawCheck("contractivity", worst <= tol, worst, witness))
-
+        norms = (((n,), operator_norm(e) - 1.0) for n, e in enumerate(filt.ops, start=1))
+        checks.append(_law("contractivity", norms, tol))
     return ValidationReport(tuple(checks))
 
 
@@ -233,13 +227,11 @@ def _conditional_expectation(space: LatticeSpace, labels: np.ndarray) -> PosOper
     each of its coordinates; sup spaces average uniformly.  Either way the
     operator is a positive projection of norm one.
     """
-    dim = space.dim
-    w = space.weights if space.weights is not None else np.ones(dim)
-    m = np.zeros((dim, dim))
-    for lab in np.unique(labels):
-        idx = np.flatnonzero(labels == lab)
-        m[np.ix_(idx, idx)] = w[idx] / w[idx].sum()
-    return PosOperator(space, m)
+    w = space.weights if space.weights is not None else np.ones(space.dim)
+    blocks, block_of = np.unique(labels, return_inverse=True)
+    block_weight = np.array([w[block_of == b].sum() for b in range(blocks.size)])
+    same_block = block_of[:, None] == block_of[None, :]
+    return PosOperator(space, np.where(same_block, w / block_weight[block_of][:, None], 0.0))
 
 
 def build_random_nested(

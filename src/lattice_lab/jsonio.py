@@ -10,9 +10,17 @@ Schemas:
   instance   {"space": {..}, "filtration"?: {"operators": [..]},
               "sequence"?: {"vectors": [..]}}
 
-An instance file parses iff all dimensions are mutually consistent;
-anything else raises :class:`InstanceFormatError` with a description.
-Floats round-trip exactly (``json`` emits shortest-repr doubles).
+An instance file parses iff ``dim`` is an integer, every weight, matrix
+entry and vector coordinate is a number, and all dimensions are mutually
+consistent; anything else raises :class:`InstanceFormatError` with a
+description.
+
+On disk an instance is exactly ``json.dumps(instance.to_dict(), indent=2)``
+plus a newline.  The writer lays that text out row by row straight from
+the arrays, and it holds finite floats only: a NaN or infinity raises
+``ValueError`` before anything is written.  Floats round-trip exactly
+(they are written as ``float.__repr__``, the shortest repr, as ``json``
+writes them).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,7 +45,7 @@ class InstanceFormatError(ValueError):
 def space_to_dict(space: LatticeSpace) -> dict:
     d: dict = {"dim": space.dim, "norm": space.norm_kind.value}
     if space.norm_kind is NormKind.WEIGHTED_L1:
-        d["weights"] = [float(w) for w in space.weights]
+        d["weights"] = space.weights.tolist()
     return d
 
 
@@ -44,28 +53,45 @@ def space_from_dict(d: dict) -> LatticeSpace:
     if not isinstance(d, dict):
         raise InstanceFormatError("space descriptor must be an object")
     try:
-        dim = int(d["dim"])
+        dim = d["dim"]
         kind = NormKind(d.get("norm", "sup"))
     except (KeyError, ValueError) as exc:
         raise InstanceFormatError(f"bad space descriptor: {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InstanceFormatError(f"bad space descriptor: dim must be an integer, got {dim!r}")
     weights = d.get("weights")
     try:
         if kind is NormKind.WEIGHTED_L1:
-            return LatticeSpace(dim, kind, weights)
+            return LatticeSpace(dim, kind, _numbers(weights, "weights"))
         return LatticeSpace(dim, kind)
     except ValueError as exc:
         raise InstanceFormatError(f"bad space descriptor: {exc}") from exc
 
 
+def _numbers(value, what: str) -> np.ndarray | None:
+    """``value`` as a float array if it is (nested lists of) JSON numbers.
+
+    None passes through.  Strings, booleans, objects and nulls are
+    rejected instead of being coerced the way ``np.asarray(.., dtype=float)``
+    would; ragged nesting raises ``ValueError``.
+    """
+    if value is None:
+        return None
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise InstanceFormatError(f"{what} must hold numbers only")
+    return arr.astype(float, copy=False)
+
+
 def operator_to_dict(op: PosOperator) -> dict:
-    return {"matrix": [[float(v) for v in row] for row in op.matrix]}
+    return {"matrix": op.matrix.tolist()}
 
 
 def operator_from_dict(space: LatticeSpace, d: dict) -> PosOperator:
     if not isinstance(d, dict) or "matrix" not in d:
         raise InstanceFormatError("operator must be an object with a 'matrix' field")
     try:
-        return PosOperator(space, np.asarray(d["matrix"], dtype=float))
+        return PosOperator(space, _numbers(d["matrix"], "operator matrix"))
     except ValueError as exc:
         raise InstanceFormatError(f"bad operator: {exc}") from exc
 
@@ -94,14 +120,14 @@ def filtration_from_dict(d: dict, space: LatticeSpace | None = None) -> Filtrati
 
 
 def sequence_to_dict(seq: VectorSequence) -> dict:
-    return {"vectors": [[float(v) for v in x.coords] for x in seq.vectors]}
+    return {"vectors": [x.coords.tolist() for x in seq.vectors]}
 
 
 def sequence_from_dict(space: LatticeSpace, d: dict) -> VectorSequence:
     if not isinstance(d, dict) or not isinstance(d.get("vectors"), list):
         raise InstanceFormatError("sequence must be an object with a 'vectors' list")
     try:
-        return make_sequence(space, d["vectors"])
+        return make_sequence(space, _numbers(d["vectors"], "sequence vectors"))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad sequence: {exc}") from exc
 
@@ -155,7 +181,61 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(data)
 
 
+def _float_list(row: np.ndarray, level: int) -> str:
+    """A 1-D array as ``json.dumps(indent=2)`` lays out a list at nesting ``level``."""
+    pad = "\n" + "  " * (level + 1)
+    items = ("," + pad).join(map(float.__repr__, row.tolist()))
+    return f"[{pad}{items}\n{'  ' * level}]"
+
+
+def _rows(rows: Iterable[np.ndarray], level: int) -> Iterator[str]:
+    """A nonempty list of 1-D arrays at nesting ``level``, one piece per row."""
+    lead = "[\n" + "  " * (level + 1)
+    for row in rows:
+        yield lead + _float_list(row, level + 1)
+        lead = ",\n" + "  " * (level + 1)
+    yield "\n" + "  " * level + "]"
+
+
+def _layout(instance: Instance) -> Iterator[str]:
+    """The text pieces of an instance whose values are known to be finite."""
+    space = instance.space
+    yield f'{{\n  "space": {{\n    "dim": {space.dim},\n    "norm": "{space.norm_kind.value}"'
+    if space.weights is not None:
+        yield ',\n    "weights": ' + _float_list(space.weights, 2)
+    yield "\n  }"
+    if instance.filtration is not None:
+        yield ',\n  "filtration": {\n    "operators": ['
+        for k, e in enumerate(instance.filtration.ops):
+            yield ("," if k else "") + '\n      {\n        "matrix": '
+            yield from _rows(e.matrix, 4)
+            yield "\n      }"
+        yield "\n    ]\n  }"
+    if instance.sequence is not None:
+        yield ',\n  "sequence": {\n    "vectors": '
+        yield from _rows((x.coords for x in instance.sequence.vectors), 2)
+        yield "\n  }"
+    yield "\n}\n"
+
+
+def _instance_text(instance: Instance) -> Iterator[str]:
+    """The pieces of ``json.dumps(instance.to_dict(), indent=2) + "\\n"``.
+
+    They are built from the arrays one row at a time, without the nested
+    lists of ``to_dict``.  Every value is checked first, so a non-finite one
+    raises ``ValueError`` before any piece exists: JSON has no token for it.
+    """
+    arrays = [] if instance.space.weights is None else [instance.space.weights]
+    if instance.filtration is not None:
+        arrays += [e.matrix for e in instance.filtration.ops]
+    if instance.sequence is not None:
+        arrays += [x.coords for x in instance.sequence.vectors]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("the instance holds a NaN or infinite value, which JSON cannot store")
+    return _layout(instance)
+
+
 def dump_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(instance.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    pieces = _instance_text(instance)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(pieces)

@@ -4,8 +4,12 @@ These deliberately avoid the library's formulas: the norm oracle maximizes
 ||Tx|| / ||x|| over random inputs drawn from a mixture of families (uniform
 box, correlated-sign, sparse, heavy-tailed) so that near-extremal directions
 for both norm kinds are reliably sampled, and the pair-defect oracle loops
-over index pairs with raw matrices.
+over index pairs with raw matrices.  ``dump_text`` is the instance file
+through the stdlib ``json`` encoder, and ``conditional_expectation`` fills
+the weighted block-averaging matrix one block at a time.
 """
+
+import json
 
 import numpy as np
 
@@ -62,3 +66,19 @@ def pair_table(seq, filt) -> np.ndarray:
         for m in range(n, len(xs)):
             table[n, m] = nrm(mats[n] @ xs[m] - xs[n])
     return table
+
+
+def dump_text(instance) -> str:
+    """The instance file as the stdlib encoder writes it."""
+    return json.dumps(instance.to_dict(), indent=2) + "\n"
+
+
+def conditional_expectation(space, labels) -> np.ndarray:
+    """Block-averaging matrix of a label partition, one ``np.ix_`` block at a
+    time: entry (i, j) of block b is w_j / sum_{k in b} w_k."""
+    w = space.weights if space.weights is not None else np.ones(space.dim)
+    m = np.zeros((space.dim, space.dim))
+    for lab in np.unique(labels):
+        idx = np.flatnonzero(labels == lab)
+        m[np.ix_(idx, idx)] = w[idx] / w[idx].sum()
+    return m

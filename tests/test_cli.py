@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from _oracles import dump_text
 from lattice_lab import build_truncation, classify, haar_example
-from lattice_lab.cli import main
+from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
 from lattice_lab.jsonio import Instance
 
 
@@ -171,3 +172,59 @@ def test_validate_json_output_is_json(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
+
+
+def one_line_error(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("builder", GEN_BUILDERS)
+@pytest.mark.parametrize("size", [None, "2", "5"])
+def test_gen_writes_what_the_stdlib_encoder_writes(tmp_path, capsys, builder, size):
+    argv = ["gen", builder] + ([] if size is None else ["--size", size])
+    want = dump_text(_gen_instance(build_parser().parse_args(argv)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want
+    path = tmp_path / "instance.json"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+def test_gen_refuses_non_finite_values(tmp_path, capsys, factor):
+    code, out, err = run(capsys, "gen", "scale-head", f"--factor={factor}")
+    assert code == 2 and out == "" and one_line_error(err)
+    path = tmp_path / "scaled.json"
+    code, out, err = run(capsys, "gen", "scale-head", f"--factor={factor}", "--out", str(path))
+    assert code == 2 and one_line_error(err)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out.json", "a-file/out.json"])
+def test_gen_into_unwritable_path_exits_two(tmp_path, capsys, target):
+    (tmp_path / "a-file").write_text("not a directory", encoding="utf-8")
+    code, out, err = run(capsys, "gen", "haar", "--out", str(tmp_path / target))
+    assert code == 2 and out == "" and one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", 2.7),
+        ("dim", True),
+        ("matrix", {"rows": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("matrix", [["1.0", "0.0"], ["0.0", "1.0"]]),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_malformed_instance_exits_two(tmp_path, capsys, field, value, command):
+    filt, seq = haar_example(1)
+    doc = Instance(filt.space, filt, seq).to_dict()
+    if field == "dim":
+        doc["space"]["dim"] = value
+    else:
+        doc["filtration"]["operators"][0]["matrix"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == "" and one_line_error(err)

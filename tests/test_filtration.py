@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import conditional_expectation
 from lattice_lab import (
     Filtration,
     LatticeSpace,
@@ -19,6 +22,7 @@ from lattice_lab import (
     validate,
     vector,
 )
+from lattice_lab.filtration import _conditional_expectation
 
 BUILDERS = [
     ("truncation", lambda: build_truncation(8)),
@@ -167,3 +171,19 @@ def test_report_serialization_shape():
         "commuting-order",
         "contractivity",
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 40),
+    n_labels=st.integers(1, 40),
+    norm_kind=st.sampled_from(list(NormKind)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditional_expectation_matches_per_block_loop(dim, n_labels, norm_kind, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_labels, size=dim) * int(rng.integers(1, 4))  # gaps in labels
+    weights = rng.uniform(0.25, 1.75, size=dim) if norm_kind is NormKind.WEIGHTED_L1 else None
+    space = LatticeSpace(dim, norm_kind, weights)
+    got = _conditional_expectation(space, labels).matrix
+    assert np.array_equal(got, conditional_expectation(space, labels))  # bit for bit

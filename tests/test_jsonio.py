@@ -1,11 +1,31 @@
-"""Wire-format round trips and rejection of inconsistent documents."""
+"""Wire-format round trips, the instance writer, and rejection of bad documents."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lattice_lab import LatticeSpace, NormKind, build_dyadic, build_pairing, haar_example
+from _oracles import dump_text
+from lattice_lab import (
+    Filtration,
+    LatticeSpace,
+    NormKind,
+    PosOperator,
+    VectorSequence,
+    build_dyadic,
+    build_pairing,
+    haar_example,
+    vector,
+)
+from lattice_lab import cli
 from lattice_lab.jsonio import (
     Instance,
     InstanceFormatError,
@@ -110,3 +130,118 @@ def test_load_instance_bad_json(tmp_path):
 def test_load_instance_missing_file(tmp_path):
     with pytest.raises(InstanceFormatError):
         load_instance(tmp_path / "absent.json")
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e308, 2.0, 1 / 3)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(
+    st.sampled_from([v for v in EDGE_FLOATS if v > 0]),
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def instances(draw):
+    """Filtration-only, sequence-only or full instances of any values, dims 1..12."""
+    dim = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(list(NormKind)))
+    weights = draw(arrays(float, dim, elements=POSITIVE)) if kind is NormKind.WEIGHTED_L1 else None
+    space = LatticeSpace(dim, kind, weights)
+    horizon = draw(st.integers(1, 3))
+    parts = draw(st.sampled_from(["filtration", "sequence", "both"]))
+    filt = seq = None
+    if parts != "sequence":
+        mats = draw(arrays(float, (horizon, dim, dim), elements=FINITE))
+        filt = Filtration(space, tuple(PosOperator(space, m) for m in mats))
+    if parts != "filtration":
+        rows = draw(arrays(float, (horizon, dim), elements=FINITE))
+        seq = VectorSequence(space, tuple(vector(space, r) for r in rows))
+    return Instance(space, filt, seq)
+
+
+def gen_stdout(instance) -> str:
+    """What ``gen`` prints for a builder that returns ``instance``."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_gen_instance", lambda args: instance), redirect_stdout(out):
+        assert cli.main(["gen", "truncation"]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_writers_match_the_stdlib_encoder_byte_for_byte(instance):
+    want = dump_text(instance)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        dump_instance(instance, path)
+        assert path.read_bytes() == want.encode("utf-8")
+    assert gen_stdout(instance) == want
+
+
+def test_edge_floats_are_written_as_json_writes_them(tmp_path):
+    space = LatticeSpace(5, NormKind.WEIGHTED_L1, [v for v in EDGE_FLOATS if v > 0] + [7.5])
+    row = np.array(EDGE_FLOATS)
+    instance = Instance(
+        space,
+        Filtration(space, (PosOperator(space, np.tile(row, (5, 1))),)),
+        VectorSequence(space, (vector(space, row),)),
+    )
+    dump_instance(instance, tmp_path / "edge.json")
+    text = (tmp_path / "edge.json").read_text(encoding="utf-8")
+    assert text == dump_text(instance)
+    assert "-0.0,\n" in text and "5e-324" in text and "1e+308" in text
+    again = load_instance(tmp_path / "edge.json")
+    assert np.array_equal(again.filtration.ops[0].matrix, instance.filtration.ops[0].matrix)
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [("weights", np.inf)]  # a space admits +inf weights, never NaN or negative ones
+    + [(where, bad) for where in ("matrix", "vector") for bad in (np.nan, np.inf, -np.inf)],
+)
+def test_writer_refuses_non_finite_values(tmp_path, where, bad):
+    weights, m, x = np.full(2, 0.5), np.eye(2), np.ones(2)
+    {"weights": weights, "matrix": m, "vector": x}[where].flat[1] = bad
+    space = LatticeSpace(2, NormKind.WEIGHTED_L1, weights)
+    instance = Instance(
+        space,
+        Filtration(space, (PosOperator(space, m),)),
+        VectorSequence(space, (vector(space, x),)),
+    )
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        dump_instance(instance, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None])
+def test_space_dim_must_be_an_integer(dim):
+    with pytest.raises(InstanceFormatError, match="dim must be an integer"):
+        space_from_dict({"dim": dim, "norm": "sup"})
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        {"rows": [[1.0, 0.0], [0.0, 1.0]]},
+        [["1.0", "0.0"], ["0.0", "1.0"]],
+        [[1.0, "0.0"], [0.0, 1.0]],
+        [[True, False], [False, True]],
+        [[1.0, None], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0]],
+        "identity",
+    ],
+)
+def test_operator_matrix_must_be_numbers(matrix):
+    doc = {"space": {"dim": 2, "norm": "sup"}, "operators": [{"matrix": matrix}]}
+    with pytest.raises(InstanceFormatError):
+        filtration_from_dict(doc)
+
+
+def test_weights_and_vectors_must_be_numbers():
+    with pytest.raises(InstanceFormatError):
+        space_from_dict({"dim": 2, "norm": "l1", "weights": ["0.5", "0.5"]})
+    with pytest.raises(InstanceFormatError):
+        sequence_from_dict(LatticeSpace(2), {"vectors": [["1.0", "2.0"]]})
+    with pytest.raises(InstanceFormatError):
+        sequence_from_dict(LatticeSpace(2), {"vectors": [{"x": 1.0}]})
