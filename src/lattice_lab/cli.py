@@ -9,10 +9,10 @@ Subcommands:
   gen        write an instance file for any builder
 
 Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED,
-2 input error (including a file that cannot be written and an instance
-holding a NaN or infinity, which JSON cannot store).  All randomness flows
-from --seed.  The environment variable LATTICE_LAB_TOL overrides the
-default exact-law tolerance.
+2 input error (including a numeric argument out of range, a file that
+cannot be written and an instance holding a NaN or infinity, which JSON
+cannot store).  All randomness flows from --seed.  The environment
+variable LATTICE_LAB_TOL overrides the default exact-law tolerance.
 Reports are valid JSON with --json, human-readable otherwise.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -102,15 +103,33 @@ DEMO_NAMES = tuple(EXAMPLES)
 GEN_BUILDERS = ("truncation", "dyadic", "random-nested", *DEMO_NAMES)
 
 
+#: numeric argument -> (test, requirement), checked once after parsing;
+#: a value that fails its test (NaN fails every one) exits 2
+_RANGES = {
+    "tol": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "eps_x": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "window": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "trials": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    for name, (ok, requirement) in _RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be {requirement}, got {value}")
+
+
 def _default_tol() -> float:
     raw = os.environ.get("LATTICE_LAB_TOL")
-    if raw is None:
-        return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = DEFAULT_TOL if raw is None else float(raw)
     except ValueError:
-        print(f"error: LATTICE_LAB_TOL={raw!r} is not a number", file=sys.stderr)
+        tol = math.nan
+    if not _RANGES["tol"][0](tol):
+        print(f"error: LATTICE_LAB_TOL={raw!r} must be a finite number >= 0", file=sys.stderr)
         raise SystemExit(2)
+    return tol
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -305,6 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (ValueError, OSError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from .filtration import (
 from .martingales import (
     VectorSequence,
     Verdict,
+    _applied,
     _pair_table,
     abs_seq,
     classify,
@@ -67,9 +68,9 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     NormKind,
-    absolute,
     basis,
     norm,
+    row_norms,
     vector,
     zero,
 )
@@ -172,12 +173,9 @@ def random_eventual_martingale(
     n_terms = filt.horizon
     cut = int(rng.integers(1, n_terms)) if n_terms > 1 else 1
     x = _random_vector(filt.space, rng)
-    tail = terminal_sequence(filt, x)
-    vecs = [
-        _random_vector(filt.space, rng) if n < cut else tail.term(n)
-        for n in range(1, n_terms + 1)
-    ]
-    return VectorSequence(filt.space, tuple(vecs)), cut
+    head = rng.uniform(-1.0, 1.0, size=(cut - 1, filt.space.dim))
+    tail = _applied(filt.ops[cut - 1 :], x.coords)
+    return VectorSequence(filt.space, np.vstack((head, tail))), cut
 
 
 def random_asymptotic_martingale(
@@ -190,20 +188,20 @@ def random_asymptotic_martingale(
     """
     x = _random_vector(filt.space, rng)
     z = _unit_vector(filt.space, rng)
-    base = terminal_sequence(filt, x)
-    vecs = tuple(
-        base.term(n) + z * (1.0 / n) for n in range(1, filt.horizon + 1)
-    )
-    return VectorSequence(filt.space, vecs), z
+    return _plus_null(terminal_sequence(filt, x), z), z
+
+
+def _plus_null(base: VectorSequence, z: LatticeVector, k: int = 1) -> VectorSequence:
+    """x_n + z / (k n): ``base`` plus a null perturbation of norm ||z|| / k."""
+    n = np.arange(1, base.horizon + 1)
+    return VectorSequence(base.space, base.coords + z.coords * (1.0 / (k * n))[:, None])
 
 
 def _asymptotic_bound_violation(profile: np.ndarray) -> int | None:
-    """Index (1-based) where d_n exceeds 2/n + 1/N + slack, or None."""
-    n_terms = profile.size
-    for n in range(1, n_terms + 1):
-        if profile[n - 1] > 2.0 / n + 1.0 / n_terms + FLOAT_SLACK:
-            return n
-    return None
+    """First index (1-based) where d_n exceeds 2/n + 1/N + slack, or None."""
+    n = np.arange(1, profile.size + 1)
+    bad = np.flatnonzero(profile > 2.0 / n + 1.0 / profile.size + FLOAT_SLACK)
+    return int(bad[0]) + 1 if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def random_sequence(
         return random_asymptotic_martingale(filt, rng)[0]
     if gen == "constant":
         v = _random_vector(filt.space, rng)
-        return VectorSequence(filt.space, (v,) * filt.horizon)
+        return VectorSequence(filt.space, np.tile(v.coords, (filt.horizon, 1)))
     return abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
 
 
@@ -365,12 +363,7 @@ def check_closed_under_limits(
     x = _random_vector(filt.space, rng)
     z = _unit_vector(filt.space, rng)
     limit = terminal_sequence(filt, x)
-    family = []
-    for k in range(1, members + 1):
-        vecs = tuple(
-            limit.term(n) + z * (1.0 / (k * n)) for n in range(1, filt.horizon + 1)
-        )
-        family.append(VectorSequence(filt.space, vecs))
+    family = [_plus_null(limit, z, k) for k in range(1, members + 1)]
     descriptor = {
         "family": "martingale-plus-shrinking-null",
         "members": members,
@@ -403,7 +396,7 @@ def _convergent_asymptotic_premises(
     if eps is None:
         eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
     start = tail_window_start(seq.horizon)
-    conv = np.array([norm(seq.term(n) - limit_vec) for n in range(1, seq.horizon + 1)])
+    conv = row_norms(seq.space, seq.coords - limit_vec.coords)
     premises = {
         "asymptotic": tail_verdict(seq, filt) is Verdict.X_MARTINGALE,
         "convergent": bool(conv[start - 1 :].max() <= eps),
@@ -435,11 +428,8 @@ def check_limit_defect(
     )
     if early is not None:
         return early
-    n_terms = seq.horizon
-    step = np.array(
-        [norm(apply(filt.op(m), limit_vec) - seq.term(m)) for m in range(1, n_terms + 1)]
-    )
-    tail_sup = np.array([step[n - 1 :].max() for n in range(1, n_terms + 1)])
+    step = row_norms(filt.space, _applied(filt.ops, limit_vec.coords) - seq.coords)
+    tail_sup = np.maximum.accumulate(step[::-1])[::-1]
     ok = bool(tail_sup[start - 1 :].max() <= eps)
     return TheoremResult(
         check_id,
@@ -729,12 +719,9 @@ def abs_commutation_index(
     """Minimal l such that | E_n x | = E_n |x| for every n >= l, or None."""
     if x.space != filt.space:
         raise ValueError("vector and filtration live in different spaces")
-    last_bad = 0
-    ax = absolute(x)
-    for n in range(1, filt.horizon + 1):
-        en = filt.op(n)
-        if norm(absolute(apply(en, x)) - apply(en, ax)) > tol:
-            last_bad = n
+    gaps = np.abs(_applied(filt.ops, x.coords)) - _applied(filt.ops, np.abs(x.coords))
+    bad = np.flatnonzero(row_norms(filt.space, gaps) > tol)
+    last_bad = int(bad[-1]) + 1 if bad.size else 0
     return last_bad + 1 if last_bad < filt.horizon else None
 
 
@@ -825,9 +812,7 @@ def _perturbed_nested_instance(
     rng = trial_rng(seed, 2)
     x = apply(filt.op(max(1, dim // 2)), _random_vector(filt.space, rng))
     z = _unit_vector(filt.space, rng)
-    base = terminal_sequence(filt, x)
-    vecs = tuple(base.term(n) + z * (1.0 / n) for n in range(1, dim + 1))
-    return filt, VectorSequence(filt.space, vecs), x
+    return filt, _plus_null(terminal_sequence(filt, x), z), x
 
 
 def _run_limit_defect(seed: int, trials: int) -> list[TheoremResult]:
@@ -862,9 +847,7 @@ def _run_limit_defect(seed: int, trials: int) -> list[TheoremResult]:
         )
     )
     # Non-convergent instance: premises fail, so the claim must stay silent.
-    const = VectorSequence(
-        trunc.space, (basis(trunc.space, 64),) * trunc.horizon
-    )
+    const = VectorSequence(trunc.space, np.tile(basis(trunc.space, 64).coords, (trunc.horizon, 1)))
     results.append(
         check_limit_defect(
             const,

@@ -11,9 +11,9 @@ Schemas:
               "sequence"?: {"vectors": [..]}}
 
 An instance file parses iff ``dim`` is an integer, every weight, matrix
-entry and vector coordinate is a number, and all dimensions are mutually
-consistent; anything else raises :class:`InstanceFormatError` with a
-description.
+entry and vector coordinate is a finite number (not ``NaN`` or
+``Infinity``, which ``json`` reads), and all dimensions are mutually
+consistent; anything else raises :class:`InstanceFormatError`.
 
 On disk an instance is exactly ``json.dumps(instance.to_dict(), indent=2)``
 plus a newline.  The writer lays that text out row by row straight from
@@ -69,17 +69,19 @@ def space_from_dict(d: dict) -> LatticeSpace:
 
 
 def _numbers(value, what: str) -> np.ndarray | None:
-    """``value`` as a float array if it is (nested lists of) JSON numbers.
+    """``value`` as a float array if it is (nested lists of) finite JSON numbers.
 
-    None passes through.  Strings, booleans, objects and nulls are
-    rejected instead of being coerced the way ``np.asarray(.., dtype=float)``
-    would; ragged nesting raises ``ValueError``.
+    None passes through.  Strings, booleans, objects, nulls (which
+    ``np.asarray(.., dtype=float)`` would coerce), NaN and infinities are
+    rejected; ragged nesting raises ``ValueError``.
     """
     if value is None:
         return None
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise InstanceFormatError(f"{what} must hold numbers only")
+    if not np.isfinite(arr).all():
+        raise InstanceFormatError(f"{what} must be finite, not NaN or Infinity")
     return arr.astype(float, copy=False)
 
 
@@ -120,7 +122,7 @@ def filtration_from_dict(d: dict, space: LatticeSpace | None = None) -> Filtrati
 
 
 def sequence_to_dict(seq: VectorSequence) -> dict:
-    return {"vectors": [x.coords.tolist() for x in seq.vectors]}
+    return {"vectors": seq.coords.tolist()}
 
 
 def sequence_from_dict(space: LatticeSpace, d: dict) -> VectorSequence:
@@ -213,7 +215,7 @@ def _layout(instance: Instance) -> Iterator[str]:
         yield "\n    ]\n  }"
     if instance.sequence is not None:
         yield ',\n  "sequence": {\n    "vectors": '
-        yield from _rows((x.coords for x in instance.sequence.vectors), 2)
+        yield from _rows(instance.sequence.coords, 2)
         yield "\n  }"
     yield "\n}\n"
 
@@ -229,7 +231,7 @@ def _instance_text(instance: Instance) -> Iterator[str]:
     if instance.filtration is not None:
         arrays += [e.matrix for e in instance.filtration.ops]
     if instance.sequence is not None:
-        arrays += [x.coords for x in instance.sequence.vectors]
+        arrays.append(instance.sequence.coords)
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("the instance holds a NaN or infinite value, which JSON cannot store")
     return _layout(instance)

@@ -39,15 +39,14 @@ from .filtration import (
     build_truncation,
     is_contractive_filtration,
 )
-from .operators import apply
+from .operators import PosOperator
 from .spaces import (
     DEFAULT_TOL,
     LatticeSpace,
     LatticeVector,
-    absolute,
-    norm,
+    SpaceMismatchError,
+    _readonly,
     row_norms,
-    vector,
 )
 
 DEFAULT_EPS_FRACTION = 0.05
@@ -71,47 +70,60 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class VectorSequence:
-    """A nonempty finite sequence of vectors in one space."""
+    """A nonempty finite sequence in one space, stored as one read-only
+    (N, d) array: row n-1 of ``coords`` is x_n.
+
+    ``coords`` must already be a 2-D table of N >= 1 rows of ``space.dim``
+    numbers; nothing is reshaped, so a flat or ragged list is rejected.
+    """
 
     space: LatticeSpace
-    vectors: tuple[LatticeVector, ...]
+    coords: np.ndarray
 
     def __post_init__(self) -> None:
-        vecs = tuple(self.vectors)
-        if not vecs:
+        arr = np.asarray(self.coords, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.space.dim:
+            raise ValueError(
+                f"expected rows of {self.space.dim} coordinates, got shape {arr.shape}"
+            )
+        if not len(arr):
             raise ValueError("a sequence needs at least one term")
-        for v in vecs:
-            if v.space != self.space:
-                raise ValueError("all terms must live in the sequence's space")
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "coords", _readonly(arr, arr.shape))
 
     @property
     def horizon(self) -> int:
-        return len(self.vectors)
+        return len(self.coords)
+
+    @property
+    def vectors(self) -> tuple[LatticeVector, ...]:
+        """The terms x_1..x_N as vectors, built from the rows on each call."""
+        return tuple(LatticeVector(self.space, row) for row in self.coords)
 
     def term(self, n: int) -> LatticeVector:
         if not 1 <= n <= self.horizon:
             raise IndexError(f"term index {n} out of range 1..{self.horizon}")
-        return self.vectors[n - 1]
+        return LatticeVector(self.space, self.coords[n - 1])
 
     def __repr__(self) -> str:
         return f"VectorSequence(dim={self.space.dim}, horizon={self.horizon})"
 
 
 def sequence(space: LatticeSpace, rows: TySequence[TySequence[float]]) -> VectorSequence:
-    return VectorSequence(space, tuple(vector(space, r) for r in rows))
+    return VectorSequence(space, rows)
 
 
 def seq_norm(seq: VectorSequence) -> float:
     """Sup over n of ||x_n||: the sequence-space norm."""
-    return max(norm(v) for v in seq.vectors)
+    return float(row_norms(seq.space, seq.coords).max())
 
 
 def seq_distance(a: VectorSequence, b: VectorSequence) -> float:
     """Sup over n of ||a_n - b_n|| (both sequences must share space and horizon)."""
+    if a.space != b.space:
+        raise SpaceMismatchError("sequences live in different spaces")
     if a.horizon != b.horizon:
         raise ValueError("sequences have different horizons")
-    return max(norm(x - y) for x, y in zip(a.vectors, b.vectors))
+    return float(row_norms(a.space, a.coords - b.coords).max())
 
 
 def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
@@ -134,7 +146,7 @@ def _pair_table(
     no reduction below can mistake for a defect.  Only one (band, d) block
     of applied terms is alive at a time, never an N x N x d tensor.
     """
-    xs = np.stack([v.coords for v in seq.vectors])
+    xs = seq.coords
     n_terms = len(xs)
     band = n_terms if band is None else band
     table = np.zeros((n_terms, band))
@@ -316,29 +328,33 @@ def classify(
 # Sequence constructions
 # ---------------------------------------------------------------------------
 
+def _applied(ops: TySequence[PosOperator], x: np.ndarray) -> np.ndarray:
+    """The stack of E x over ``ops``, one row per operator."""
+    return np.stack([e.matrix @ x for e in ops])
+
+
 def abs_seq(seq: VectorSequence) -> VectorSequence:
     """(|x_n|), the coordinate-wise absolute value term by term."""
-    return VectorSequence(seq.space, tuple(absolute(v) for v in seq.vectors))
+    return VectorSequence(seq.space, np.abs(seq.coords))
 
 
 def terminal_sequence(filt: Filtration, x: LatticeVector) -> VectorSequence:
     """x_n = E_n x; a martingale by the commuting-order law."""
     if x.space != filt.space:
         raise ValueError("vector and filtration live in different spaces")
-    return VectorSequence(filt.space, tuple(apply(e, x) for e in filt.ops))
+    return VectorSequence(filt.space, _applied(filt.ops, x.coords))
 
 
 def scale_head(seq: VectorSequence, factor: float) -> VectorSequence:
     """Scale the first term only; the classic eventual-but-not-martingale tweak."""
-    head = seq.term(1) * factor
-    return VectorSequence(seq.space, (head,) + seq.vectors[1:])
+    return VectorSequence(seq.space, np.vstack((seq.coords[:1] * factor, seq.coords[1:])))
 
 
 def null_sequence(x: LatticeVector, n_terms: int) -> VectorSequence:
     """x_k = x / k: converges to zero, hence asymptotic for any contractive filtration."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    return VectorSequence(x.space, tuple(x * (1.0 / k) for k in range(1, n_terms + 1)))
+    return VectorSequence(x.space, x.coords * (1.0 / np.arange(1, n_terms + 1))[:, None])
 
 
 def tail_modify(
@@ -355,10 +371,8 @@ def tail_modify(
         raise ValueError("replacement vector lives in a different space")
     if m >= seq.horizon:
         return seq
-    vecs = list(seq.vectors[:m])
-    for n in range(m + 1, seq.horizon + 1):
-        vecs.append(apply(filt.op(n), x))
-    return VectorSequence(seq.space, tuple(vecs))
+    tail = _applied(filt.ops[m:], x.coords)
+    return VectorSequence(seq.space, np.vstack((seq.coords[:m], tail)))
 
 
 @dataclass(frozen=True)
@@ -421,12 +435,9 @@ def haar_example(levels: int) -> tuple[Filtration, VectorSequence]:
     eventual martingale.
     """
     filt = build_dyadic(levels)
-    dim = filt.space.dim
-    rows = []
-    for n in range(1, levels + 1):
-        vals = np.full(dim, -1.0)
-        vals[: 2 ** (levels - n)] = 2.0**n - 1.0
-        rows.append(vals)
+    n = np.arange(1, levels + 1)[:, None]
+    cells = np.arange(filt.space.dim)
+    rows = np.where(cells < 2 ** (levels - n), 2.0**n - 1.0, -1.0)
     return filt, sequence(filt.space, rows)
 
 
@@ -440,13 +451,9 @@ def pairing_example(pairs: int) -> tuple[Filtration, VectorSequence]:
     the one-step law with sup-norm defect exactly one at every step.
     """
     filt = build_pairing(pairs)
-    dim = filt.space.dim
-    rows = []
-    for n in range(1, pairs + 1):
-        vals = np.zeros(dim)
-        vals[0 : 2 * n : 2] = -1.0
-        vals[1 : 2 * n : 2] = 1.0
-        rows.append(vals)
+    n = np.arange(1, pairs + 1)[:, None]
+    cells = np.arange(filt.space.dim)
+    rows = np.where(cells < 2 * n, np.tile([-1.0, 1.0], pairs), 0.0)
     return filt, sequence(filt.space, rows)
 
 
@@ -465,21 +472,9 @@ def harmonic_tail_example(
         raise ValueError("n_terms must be >= 2")
     filt = build_truncation(n_terms)
     space = filt.space
-    inv = 1.0 / np.arange(1, n_terms + 1)
-
-    def x_tail(n: int) -> np.ndarray:
-        vals = np.zeros(n_terms)
-        vals[n - 1 :] = inv[n - 1 :]
-        return vals
-
-    def y_head(n: int) -> np.ndarray:
-        vals = np.zeros(n_terms)
-        vals[:n] = inv[:n]
-        return vals
-
-    base = sequence(space, [x_tail(n) for n in range(1, n_terms + 1)])
-    family = []
-    for m in range(1, n_terms):
-        rows = [x_tail(n) if n <= m else y_head(n) / m for n in range(1, n_terms + 1)]
-        family.append(sequence(space, rows))
-    return filt, base, family
+    inv = np.tile(1.0 / np.arange(1, n_terms + 1), (n_terms, 1))
+    x_tail, y_head = np.triu(inv), np.tril(inv)  # row n-1 is x_n resp. sum_{i<=n} e_i / i
+    family = [
+        sequence(space, np.vstack((x_tail[:m], y_head[m:] / m))) for m in range(1, n_terms)
+    ]
+    return filt, sequence(space, x_tail), family

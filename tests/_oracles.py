@@ -7,13 +7,17 @@ for both norm kinds are reliably sampled, and the pair-defect oracle loops
 over index pairs with raw matrices.  ``dump_text`` is the instance file
 through the stdlib ``json`` encoder, and ``conditional_expectation`` fills
 the weighted block-averaging matrix one block at a time.
+
+The sequence references below work term by term through the per-vector
+API (``apply``, ``norm``, ``absolute``), one ``LatticeVector`` per term,
+where the library works on the (N, d) array of a sequence.
 """
 
 import json
 
 import numpy as np
 
-from lattice_lab import NormKind
+from lattice_lab import NormKind, absolute, apply, basis, norm
 
 
 def _mixture_samples(dim: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,3 +86,81 @@ def conditional_expectation(space, labels) -> np.ndarray:
         idx = np.flatnonzero(labels == lab)
         m[np.ix_(idx, idx)] = w[idx] / w[idx].sum()
     return m
+
+
+def terminal_rows(filt, x) -> np.ndarray:
+    """Rows E_n x, one ``apply`` per operator."""
+    return np.array([apply(e, x).coords for e in filt.ops])
+
+
+def seq_norm(seq) -> float:
+    return max(norm(v) for v in seq.vectors)
+
+
+def seq_distance(a, b) -> float:
+    return max(norm(x - y) for x, y in zip(a.vectors, b.vectors))
+
+
+def tail_modify_rows(seq, filt, x, m) -> np.ndarray:
+    """Terms 1..m kept, then E_n x for n = m+1..N, one term at a time."""
+    vecs = list(seq.vectors[:m])
+    for n in range(m + 1, seq.horizon + 1):
+        vecs.append(apply(filt.op(n), x))
+    return np.array([v.coords for v in vecs])
+
+
+def abs_commutation_index(filt, x, tol):
+    """Minimal l with || |E_n x| - E_n |x| || <= tol for every n >= l, or None."""
+    last_bad = 0
+    ax = absolute(x)
+    for n in range(1, filt.horizon + 1):
+        en = filt.op(n)
+        if norm(absolute(apply(en, x)) - apply(en, ax)) > tol:
+            last_bad = n
+    return last_bad + 1 if last_bad < filt.horizon else None
+
+
+def is_dense(filt, tol) -> bool:
+    """E_N e_i = e_i within tol for every basis vector, one apply each."""
+    e_last = filt.ops[-1]
+    for i in range(1, filt.space.dim + 1):
+        e = basis(filt.space, i)
+        if norm(apply(e_last, e) - e) > tol:
+            return False
+    return True
+
+
+def harmonic_rows(n_terms: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The harmonic tail x_n = sum_{i>=n} e_i / i and its approximants A^m
+    (terms 1..m kept, then (sum_{i<=n} e_i / i) / m), one row at a time."""
+    inv = 1.0 / np.arange(1, n_terms + 1)
+
+    def x_tail(n):
+        vals = np.zeros(n_terms)
+        vals[n - 1 :] = inv[n - 1 :]
+        return vals
+
+    def y_head(n):
+        vals = np.zeros(n_terms)
+        vals[:n] = inv[:n]
+        return vals
+
+    base = np.array([x_tail(n) for n in range(1, n_terms + 1)])
+    family = [
+        np.array([x_tail(n) if n <= m else y_head(n) / m for n in range(1, n_terms + 1)])
+        for m in range(1, n_terms)
+    ]
+    return base, family
+
+
+def eventual_rows(filt, rng) -> tuple[np.ndarray, int]:
+    """A random eventual martingale drawn term by term: the cut, x, then one
+    uniform head vector per term before the cut, then E_n x."""
+    n_terms, dim = filt.horizon, filt.space.dim
+    cut = int(rng.integers(1, n_terms)) if n_terms > 1 else 1
+    x = rng.uniform(-1.0, 1.0, size=dim)
+    rows = [
+        rng.uniform(-1.0, 1.0, size=dim) if n < cut else filt.op(n).matrix @ x
+        for n in range(1, n_terms + 1)
+    ]
+    return np.array(rows), cut

@@ -1,8 +1,14 @@
 """CLI behaviors: exit codes, JSON output, and the gen/classify round trip."""
 
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import dump_text
 from lattice_lab import build_truncation, classify, haar_example
@@ -228,3 +234,122 @@ def test_malformed_instance_exits_two(tmp_path, capsys, field, value, command):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == "" and one_line_error(err)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["weights", "matrix", "vector"])
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_non_finite_tokens_in_a_file_exit_two(tmp_path, capsys, where, value, command):
+    filt, seq = haar_example(1)
+    doc = Instance(filt.space, filt, seq).to_dict()
+    if where == "weights":
+        doc["space"]["weights"][0] = value
+    elif where == "matrix":
+        doc["filtration"]["operators"][0]["matrix"][0][1] = value
+    else:
+        doc["sequence"]["vectors"][0][0] = value
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN / Infinity tokens
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == "" and one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "{path}", "--window", "-3"),
+        ("classify", "{path}", "--window", "0"),
+        ("classify", "{path}", "--window", "1.5"),
+        ("classify", "{path}", "--window", "nan"),
+        ("classify", "{path}", "--eps-x", "-1"),
+        ("classify", "{path}", "--eps-x", "nan"),
+        ("classify", "{path}", "--eps-x", "inf"),
+        ("classify", "{path}", "--tol", "nan"),
+        ("classify", "{path}", "--tol", "-1"),
+        ("classify", "{path}", "--tol", "inf"),
+        ("validate", "{path}", "--tol", "nan"),
+        ("validate", "{path}", "--tol=-1e-9"),
+        ("demo", "haar", "--tol", "-1"),
+        ("verify", "nesting", "--trials", "0"),
+        ("verify", "abs-closure", "--trials", "-1"),
+    ],
+)
+def test_out_of_range_arguments_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "harmonic.json"
+    run(capsys, "gen", "harmonic", "--size", "16", "--out", str(path))
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2 and out == "" and one_line_error(err)
+
+
+def test_range_edges_are_accepted(tmp_path, capsys):
+    path = tmp_path / "harmonic.json"
+    run(capsys, "gen", "harmonic", "--size", "16", "--out", str(path))
+    code, out, _ = run(
+        capsys, "classify", str(path), "--window", "1", "--tol", "0", "--eps-x", "0", "--json"
+    )
+    assert code == 0 and json.loads(out)["tolerances"]["window_fraction"] == 1.0
+    code, _, _ = run(capsys, "verify", "eventual-not-closed", "--trials", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("raw", ["nan", "-1", "inf"])
+def test_env_var_out_of_range_exits_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("LATTICE_LAB_TOL", raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "haar"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_line_error(captured.err)
+
+
+INSTANCE_KEYS = ("space", "dim", "norm", "weights", "filtration", "operators", "matrix",
+                 "sequence", "vectors")
+NUMBERS = st.one_of(st.integers(-3, 3), st.floats(), st.sampled_from([1e308, -0.0, 0.5]))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, st.sampled_from(["sup", "l1"]),
+                    st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(INSTANCE_KEYS) | st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def instance_like(draw):
+    """Instance documents of consistent shape holding numbers of any size
+    (identity or arbitrary matrices), with each part sometimes swapped for
+    arbitrary JSON, so the checks past the shape tests are reached too."""
+    dim, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def part(value):
+        return draw(JSON_VALUES) if draw(st.integers(0, 5)) == 0 else value
+
+    def rows(n):
+        return draw(st.lists(st.lists(NUMBERS, min_size=dim, max_size=dim),
+                             min_size=n, max_size=n))
+
+    norm = draw(st.sampled_from(["sup", "l1"]))
+    space = {"dim": part(dim), "norm": part(norm)}
+    if norm == "l1":
+        space["weights"] = part(draw(st.sampled_from([[1.0] * dim, rows(1)[0]])))
+    identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+    operators = [
+        {"matrix": part(identity if draw(st.booleans()) else rows(dim))} for _ in range(horizon)
+    ]
+    doc = {"space": part(space), "filtration": part({"operators": part(operators)}),
+           "sequence": part({"vectors": part(rows(horizon))})}
+    return {k: v for k, v in doc.items() if k == "space" or draw(st.integers(0, 5))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(JSON_VALUES, instance_like()))
+def test_any_json_document_exits_zero_one_or_two(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("classify", "validate"):
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                assert main([command, str(path)]) in (0, 1, 2)

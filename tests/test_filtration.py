@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import conditional_expectation
+from _oracles import conditional_expectation, is_dense as is_dense_by_basis
 from lattice_lab import (
     Filtration,
     LatticeSpace,
@@ -105,6 +105,14 @@ def test_is_dense():
     assert is_dense(pairing)
     truncated = Filtration(pairing.space, pairing.ops[:-1])
     assert not is_dense(truncated)  # last stage still averages a pair
+
+
+def test_is_dense_measures_each_column_in_the_space_norm():
+    # E_N e_1 - e_1 = (0, 1) has weighted-L1 norm 1, while row 2 of E_N - I
+    # weighs only 1e-12: a row-wise reduction would call this dense.
+    space = LatticeSpace(2, NormKind.WEIGHTED_L1, [1e-12, 1.0])
+    filt = Filtration(space, (PosOperator(space, [[1.0, 0.0], [1.0, 1.0]]),))
+    assert is_dense(filt) is is_dense_by_basis(filt, 1e-9) is False
 
 
 def test_truncation_is_band_projection_chain():

@@ -78,11 +78,11 @@ def test_limit_defect_terminal_and_null():
 
 def test_limit_defect_inapplicable_without_convergence():
     filt = build_truncation(16)
-    seq_vecs = (basis(filt.space, 16),) * 16
-    from lattice_lab import VectorSequence
+    seq_rows = [basis(filt.space, 16).coords] * 16
+    from lattice_lab import sequence
 
     result = check_limit_defect(
-        VectorSequence(filt.space, seq_vecs), zero(filt.space), filt
+        sequence(filt.space, seq_rows), zero(filt.space), filt
     )
     assert result.status is CheckStatus.INCONCLUSIVE
     assert result.witness["premises"]["asymptotic"] is False
@@ -179,6 +179,20 @@ def test_eventual_generator_has_witness_at_cut():
         seq, cut = random_eventual_martingale(filt, trial_rng(8, trial))
         w = eventual_witness(seq, filt)
         assert w is not None and w <= cut
+
+
+def test_eventual_generator_draws_the_term_by_term_stream():
+    # The head is one (cut - 1, d) block drawn after x: the same numbers as
+    # one draw per head term, so seeded results do not move.
+    from _oracles import eventual_rows
+    from lattice_lab.harness import random_filtration
+
+    for trial in range(30):
+        filt, _ = random_filtration(trial_rng(4, trial))
+        seq, cut = random_eventual_martingale(filt, trial_rng(9, trial))
+        rows, want_cut = eventual_rows(filt, trial_rng(9, trial))
+        assert cut == want_cut
+        assert np.array_equal(seq.coords, rows)
 
 
 def test_run_check_unknown_id():

@@ -23,7 +23,6 @@ from lattice_lab import (
     build_dyadic,
     build_pairing,
     haar_example,
-    vector,
 )
 from lattice_lab import cli
 from lattice_lab.jsonio import (
@@ -155,7 +154,7 @@ def instances(draw):
         filt = Filtration(space, tuple(PosOperator(space, m) for m in mats))
     if parts != "filtration":
         rows = draw(arrays(float, (horizon, dim), elements=FINITE))
-        seq = VectorSequence(space, tuple(vector(space, r) for r in rows))
+        seq = VectorSequence(space, rows)
     return Instance(space, filt, seq)
 
 
@@ -184,7 +183,7 @@ def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     instance = Instance(
         space,
         Filtration(space, (PosOperator(space, np.tile(row, (5, 1))),)),
-        VectorSequence(space, (vector(space, row),)),
+        VectorSequence(space, row[None, :]),
     )
     dump_instance(instance, tmp_path / "edge.json")
     text = (tmp_path / "edge.json").read_text(encoding="utf-8")
@@ -206,7 +205,7 @@ def test_writer_refuses_non_finite_values(tmp_path, where, bad):
     instance = Instance(
         space,
         Filtration(space, (PosOperator(space, m),)),
-        VectorSequence(space, (vector(space, x),)),
+        VectorSequence(space, x[None, :]),
     )
     path = tmp_path / "bad.json"
     with pytest.raises(ValueError, match="NaN or infinite"):
@@ -245,3 +244,37 @@ def test_weights_and_vectors_must_be_numbers():
         sequence_from_dict(LatticeSpace(2), {"vectors": [["1.0", "2.0"]]})
     with pytest.raises(InstanceFormatError):
         sequence_from_dict(LatticeSpace(2), {"vectors": [{"x": 1.0}]})
+
+
+def test_flat_vectors_do_not_load():
+    with pytest.raises(InstanceFormatError):
+        sequence_from_dict(LatticeSpace(2), {"vectors": [1.0, 2.0]})
+    with pytest.raises(InstanceFormatError):
+        instance_from_dict(
+            {"space": {"dim": 2, "norm": "sup"}, "sequence": {"vectors": [1.0, 2.0]}}
+        )
+
+
+def non_finite_document(where: str, value: float) -> dict:
+    """A valid two-term weighted-L1 instance with one entry set to ``value``."""
+    doc = {
+        "space": {"dim": 2, "norm": "l1", "weights": [0.5, 0.5]},
+        "filtration": {"operators": [{"matrix": [[1.0, 0.0], [0.0, 1.0]]} for _ in range(2)]},
+        "sequence": {"vectors": [[1.0, 2.0], [1.0, 2.0]]},
+    }
+    if where == "weights":
+        doc["space"]["weights"][1] = value
+    elif where == "matrix":
+        doc["filtration"]["operators"][1]["matrix"][0][1] = value
+    else:
+        doc["sequence"]["vectors"][1][0] = value
+    return doc
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["weights", "matrix", "vector"])
+def test_reader_refuses_non_finite_tokens(where, value):
+    text = json.dumps(non_finite_document(where, value))
+    assert any(token in text for token in ("NaN", "Infinity"))
+    with pytest.raises(InstanceFormatError, match="finite"):
+        instance_from_dict(json.loads(text))

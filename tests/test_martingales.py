@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as ref
 from _oracles import pair_table
 from lattice_lab import (
     LatticeSpace,
     NonContractiveError,
+    NormKind,
     PosOperator,
     Filtration,
     VectorSequence,
@@ -43,8 +45,10 @@ from lattice_lab import (
     vector,
     zero,
 )
+from lattice_lab.filtration import is_dense
 from lattice_lab.harness import (
     SEQUENCE_GENERATORS,
+    abs_commutation_index,
     random_filtration,
     random_sequence,
     trial_rng,
@@ -67,7 +71,7 @@ def test_seq_norm_haar():
 
 def test_seq_norm_zero_and_pairing():
     space = LatticeSpace(4)
-    zeros = VectorSequence(space, (zero(space),) * 3)
+    zeros = VectorSequence(space, np.zeros((3, 4)))
     assert seq_norm(zeros) == 0.0
     _, pseq = pairing_example(3)
     assert seq_norm(pseq) == 1.0
@@ -75,10 +79,77 @@ def test_seq_norm_zero_and_pairing():
 
 def test_seq_distance_requires_equal_horizons():
     space = LatticeSpace(2)
-    a = VectorSequence(space, (zero(space),) * 2)
-    b = VectorSequence(space, (zero(space),) * 3)
+    a = VectorSequence(space, np.zeros((2, 2)))
+    b = VectorSequence(space, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         seq_distance(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Array storage: one read-only (N, d) table per sequence
+# ---------------------------------------------------------------------------
+
+def test_sequence_coords_are_a_read_only_copy():
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    seq = sequence(LatticeSpace(2), rows)
+    rows[0, 0] = 9.0
+    assert seq.coords.shape == (2, 2) and seq.coords[0, 0] == 1.0
+    assert not seq.coords.flags.writeable
+    with pytest.raises(ValueError):
+        seq.coords[0, 0] = 5.0
+    assert [v.coords.tolist() for v in seq.vectors] == [[1.0, 2.0], [3.0, 4.0]]
+    assert seq.term(2).coords.tolist() == [3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 2.0], [3.0]],  # ragged
+        [1.0, 2.0],  # flat: one row's worth, but not a table
+        [[1.0, 2.0, 3.0]],  # wrong width
+        np.zeros((0, 2)),  # zero rows
+        [],
+    ],
+)
+def test_sequence_rejects_anything_but_a_table_of_rows(rows):
+    with pytest.raises(ValueError):
+        sequence(LatticeSpace(2), rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gen=st.sampled_from(SEQUENCE_GENERATORS))
+def test_array_sequence_functions_match_term_by_term_references(seed, gen):
+    # Filtrations from all four builders and both norms, sequences from the
+    # nesting-check generator mix.  Tolerances are fixed up front: a sup norm
+    # is a maximum, exact in any order; a weighted-L1 norm is a dot product
+    # whose BLAS summation order differs between one row and a block of rows.
+    rng = trial_rng(seed, 0)
+    filt, _ = random_filtration(rng)
+    seq = random_sequence(filt, gen, rng)
+    x = vector(filt.space, rng.uniform(-1.0, 1.0, size=filt.space.dim))
+    m = int(rng.integers(0, filt.horizon + 1))
+    rel = 0.0 if filt.space.norm_kind is NormKind.SUP else 1e-15
+    other = terminal_sequence(filt, x)
+
+    assert np.array_equal(other.coords, ref.terminal_rows(filt, x))
+    modified = tail_modify(seq, filt, x, m)
+    assert np.array_equal(modified.coords, ref.tail_modify_rows(seq, filt, x, m))
+    assert seq_norm(seq) == pytest.approx(ref.seq_norm(seq), rel=rel, abs=0.0)
+    distance = seq_distance(seq, other)
+    assert distance == pytest.approx(ref.seq_distance(seq, other), rel=rel, abs=0.0)
+    for v in (x, seq.term(1), basis(filt.space, filt.space.dim)):
+        assert abs_commutation_index(filt, v) == ref.abs_commutation_index(filt, v, 1e-9)
+    assert is_dense(filt) == ref.is_dense(filt, 1e-9)
+
+
+@pytest.mark.parametrize("n_terms", [2, 3, 7, 16, 64])
+def test_harmonic_rows_match_the_row_builders(n_terms):
+    _, base, family = harmonic_tail_example(n_terms)
+    want_base, want_family = ref.harmonic_rows(n_terms)
+    assert np.array_equal(base.coords, want_base)
+    assert len(family) == len(want_family)
+    for member, want in zip(family, want_family):
+        assert np.array_equal(member.coords, want)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +199,8 @@ def test_harmonic_tail_has_no_witness():
 def test_witness_skips_vacuous_final_index():
     # One-step law broken only at the last step: the would-be witness N is vacuous.
     filt = build_truncation(3)
-    e1 = basis(filt.space, 1)
-    seq = VectorSequence(filt.space, (e1, e1, 2.0 * e1))
+    e1 = basis(filt.space, 1).coords
+    seq = sequence(filt.space, [e1, e1, 2.0 * e1])
     assert eventual_witness(seq, filt) is None
 
 
@@ -210,8 +281,8 @@ def test_harmonic_tail_defects_are_reciprocal():
 
 def test_constant_unreachable_sequence_is_not_x():
     filt = build_truncation(16)
-    last = basis(filt.space, 16)
-    seq = VectorSequence(filt.space, (last,) * 16)
+    last = basis(filt.space, 16).coords
+    seq = sequence(filt.space, [last] * 16)
     assert tail_verdict(seq, filt) is Verdict.NOT_X
 
 
@@ -219,7 +290,7 @@ def test_tail_verdict_rejects_non_contractive_filtration():
     space = LatticeSpace(2)
     doubler = PosOperator(space, 2 * np.eye(2))
     filt = Filtration(space, (doubler, doubler))
-    seq = VectorSequence(space, (zero(space), zero(space)))
+    seq = VectorSequence(space, np.zeros((2, 2)))
     with pytest.raises(NonContractiveError):
         tail_verdict(seq, filt)
 
@@ -227,9 +298,9 @@ def test_tail_verdict_rejects_non_contractive_filtration():
 def test_inconclusive_verdict_exists():
     # Defects collapse exactly at the window edge: too mixed to call either way.
     filt = build_truncation(8)
-    e8 = basis(filt.space, 8)
-    vecs = tuple(e8 if n <= 6 else zero(filt.space) for n in range(1, 9))
-    seq = VectorSequence(filt.space, vecs)
+    e8 = basis(filt.space, 8).coords
+    rows = [e8 if n <= 6 else zero(filt.space).coords for n in range(1, 9)]
+    seq = sequence(filt.space, rows)
     assert tail_verdict(seq, filt) is Verdict.INCONCLUSIVE
 
 
@@ -246,7 +317,7 @@ def test_classify_report_invariants_and_shape():
 
 def test_classify_rejects_single_term_horizon():
     filt = build_truncation(1)
-    seq = VectorSequence(filt.space, (basis(filt.space, 1),))
+    seq = sequence(filt.space, [basis(filt.space, 1).coords])
     with pytest.raises(ValueError):
         classify(seq, filt)
 
@@ -314,11 +385,11 @@ def test_band_projection_defect_domination():
     for _ in range(25):
         x = vector(filt.space, rng.normal(size=12))
         z = vector(filt.space, rng.normal(size=12))
-        vecs = tuple(
-            (lambda b, n: b + z * (1.0 / n))(tv, n)
+        rows = [
+            (tv + z * (1.0 / n)).coords
             for n, tv in enumerate(terminal_sequence(filt, x).vectors, start=1)
-        )
-        seq = VectorSequence(filt.space, vecs)
+        ]
+        seq = sequence(filt.space, rows)
         aseq = abs_seq(seq)
         mats = [op.matrix for op in filt.ops]
         for n in range(12):
