@@ -12,8 +12,9 @@ Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED,
 2 input error (including a numeric argument out of range, a file that
 cannot be written and an instance holding a NaN or infinity, which JSON
 cannot store).  All randomness flows from --seed.  The environment
-variable LATTICE_LAB_TOL overrides the default exact-law tolerance.
-Reports are valid JSON with --json, human-readable otherwise.
+variable LATTICE_LAB_TOL overrides the default exact-law tolerance of
+validate, classify and demo.  Reports are strict JSON with --json (a
+non-finite number is written as null), human-readable otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 import os
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from . import harness
 from .filtration import (
@@ -41,7 +44,6 @@ from .jsonio import (
     load_instance,
 )
 from .martingales import (
-    NonContractiveError,
     VectorSequence,
     abs_seq,
     check_lattice_closure,
@@ -56,33 +58,44 @@ from .martingales import (
 from .spaces import DEFAULT_TOL, basis
 
 
-def _null_example(n: int, _factor: float) -> tuple[Filtration, VectorSequence]:
+def _random_nested(dim: int, args: argparse.Namespace) -> tuple[Filtration, None]:
+    depth = dim if args.depth is None else args.depth
+    return build_random_nested(dim, depth, args.seed), None
+
+
+def _null_example(n: int, _args: argparse.Namespace) -> tuple[Filtration, VectorSequence]:
     filt = build_truncation(n)
     return filt, null_sequence(basis(filt.space, 1), n)
 
 
-def _scale_head_example(levels: int, factor: float) -> tuple[Filtration, VectorSequence]:
+def _scale_head_example(
+    levels: int, args: argparse.Namespace
+) -> tuple[Filtration, VectorSequence]:
     filt, base = haar_example(levels)
-    return filt, scale_head(base, factor)
+    return filt, scale_head(base, args.factor)
 
 
-#: name -> (default size, builder(size, scale-head factor), what the demo shows)
-EXAMPLES = {
+#: name -> (default size, builder(size, parsed args), what the demo shows
+#: or None for a builder that gen alone offers)
+BUILDERS = {
+    "truncation": (16, lambda n, _args: (build_truncation(n), None), None),
+    "dyadic": (3, lambda n, _args: (build_dyadic(n), None), None),
+    "random-nested": (16, _random_nested, None),
     "haar": (
         3,
-        lambda n, _factor: haar_example(n),
+        lambda n, _args: haar_example(n),
         "the scaled-indicator sequence is a martingale, but its absolute "
         "sequence loses the one-step law at every index",
     ),
     "pairing": (
         3,
-        lambda n, _factor: pairing_example(n),
+        lambda n, _args: pairing_example(n),
         "the alternating-pair sequence is a martingale, but its absolute "
         "sequence has no eventual witness (first one-step defect 1)",
     ),
     "harmonic": (
         64,
-        lambda n, _factor: harmonic_tail_example(n)[:2],
+        lambda n, _args: harmonic_tail_example(n)[:2],
         "the harmonic-tail sequence has no eventual witness yet its defect "
         "profile 1/n certifies it asymptotic",
     ),
@@ -99,8 +112,8 @@ EXAMPLES = {
         "an eventual witness at index 2",
     ),
 }
-DEMO_NAMES = tuple(EXAMPLES)
-GEN_BUILDERS = ("truncation", "dyadic", "random-nested", *DEMO_NAMES)
+GEN_BUILDERS = tuple(BUILDERS)
+DEMO_NAMES = tuple(name for name, (_, _, shows) in BUILDERS.items() if shows is not None)
 
 
 #: numeric argument -> (test, requirement), checked once after parsing;
@@ -109,7 +122,6 @@ _RANGES = {
     "tol": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "eps_x": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "window": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "trials": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -132,9 +144,20 @@ def _default_tol() -> float:
     return tol
 
 
+def _finite(value):
+    """``value`` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_finite(payload), indent=2, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -161,16 +184,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise InstanceFormatError(
             "classification needs both a filtration and a sequence in the file"
         )
-    try:
-        report = classify(
-            instance.sequence,
-            instance.filtration,
-            tol=args.tol,
-            eps=args.eps_x,
-            window_fraction=args.window,
-        )
-    except (NonContractiveError, ValueError) as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    report = classify(
+        instance.sequence,
+        instance.filtration,
+        tol=args.tol,
+        eps=args.eps_x,
+        window_fraction=args.window,
+    )
     d = report.to_dict()
     lines = [
         f"[classify] martingale: {report.is_martingale}",
@@ -184,10 +204,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_payload(name: str, size: int | None, tol: float) -> tuple[dict, list[str]]:
-    default_size, build, expected = EXAMPLES[name]
-    filt, seq = build(default_size if size is None else size, 2.0)
-    closure = check_lattice_closure(seq, filt, tol)
+def _demo_payload(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    name, size = args.name, args.size
+    default_size, build, expected = BUILDERS[name]
+    filt, seq = build(default_size if size is None else size, args)
+    closure = check_lattice_closure(seq, filt, args.tol)
     steps_abs = one_step_defects(abs_seq(seq), filt)
     payload = {
         "demo": name,
@@ -216,7 +237,7 @@ def _demo_payload(name: str, size: int | None, tol: float) -> tuple[dict, list[s
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    payload, lines = _demo_payload(args.name, args.size, args.tol)
+    payload, lines = _demo_payload(args)
     _emit(payload, args.json, lines)
     return 0
 
@@ -242,20 +263,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _gen_instance(args: argparse.Namespace) -> Instance:
-    builder, size = args.builder, args.size
-    if builder in EXAMPLES:
-        default_size, build, _ = EXAMPLES[builder]
-        filt, seq = build(default_size if size is None else size, args.factor)
-        return Instance(filt.space, filt, seq)
-    if builder == "truncation":
-        filt = build_truncation(16 if size is None else size)
-    elif builder == "dyadic":
-        filt = build_dyadic(3 if size is None else size)
-    else:  # random-nested
-        dim = 16 if size is None else size
-        depth = dim if args.depth is None else args.depth
-        filt = build_random_nested(dim, depth, args.seed)
-    return Instance(filt.space, filt)
+    default_size, build, _ = BUILDERS[args.builder]
+    filt, seq = build(default_size if args.size is None else args.size, args)
+    return Instance(filt.space, filt, seq)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -277,18 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol_default = _default_tol()
 
     p = sub.add_parser("validate", help="check filtration laws on an instance file")
     p.add_argument("path")
     p.add_argument("--contractive", action="store_true", help="also require norm <= 1")
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="classify the sequence in an instance file")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--eps-x", type=float, default=None, dest="eps_x")
     p.add_argument("--window", type=float, default=0.25)
     p.add_argument("--json", action="store_true")
@@ -297,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="reproduce a named example construction")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_demo)
+    p.set_defaults(func=cmd_demo, factor=2.0)  # scale-head doubles the head, as in gen
 
     p = sub.add_parser("verify", help="run theorem-evidence checks")
     p.add_argument("id", choices=harness.CHECK_IDS + ("all",))
@@ -321,11 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "tol", 0.0) is None:  # validate, classify and demo without --tol
+        args.tol = _default_tol()
     try:
         _check_ranges(args)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # overflow shows as inf in the report instead
+            return args.func(args)
     except (ValueError, OSError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -242,9 +242,7 @@ def random_sequence(
     return abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
 
 
-def check_class_nesting(
-    seed: int = 0, trials: int = 100, tol: float = DEFAULT_TOL
-) -> TheoremResult:
+def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
     """Martingale => eventual witness 1 => asymptotic; never the converses.
 
     Each trial draws a filtration and a sequence from the full generator
@@ -258,7 +256,7 @@ def check_class_nesting(
         filt, f_desc = random_filtration(rng)
         gen = str(rng.choice(SEQUENCE_GENERATORS))
         seq = random_sequence(filt, gen, rng)
-        report = classify(seq, filt, tol)
+        report = classify(seq, filt)
         ok = (
             (not report.is_martingale or report.e_witness == 1)
             and (report.e_witness != 1 or report.x_verdict is Verdict.X_MARTINGALE)
@@ -348,25 +346,21 @@ def _limit_family_check(
     )
 
 
-def check_closed_under_limits(
-    filt: Filtration | None = None, seed: int = 0, members: int = 8
-) -> TheoremResult:
+def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
     """A sequence-space limit of asymptotic martingales stays asymptotic.
 
     Builds A^k = A + z/(k n) around a random martingale A, so
-    ||A^k - A|| = 1/k -> 0, and checks the limit plus the proof's triangle
-    bound numerically.
+    ||A^k - A|| = 1/k -> 0 over k = 1..8, and checks the limit plus the
+    proof's triangle bound numerically.
     """
-    if filt is None:
-        filt = build_truncation(32)
     rng = trial_rng(seed, 0)
     x = _random_vector(filt.space, rng)
     z = _unit_vector(filt.space, rng)
     limit = terminal_sequence(filt, x)
-    family = [_plus_null(limit, z, k) for k in range(1, members + 1)]
+    family = [_plus_null(limit, z, k) for k in range(1, 9)]
     descriptor = {
         "family": "martingale-plus-shrinking-null",
-        "members": members,
+        "members": len(family),
         **_filt_descriptor(filt),
     }
     return _limit_family_check("closed-limits", filt, family, limit, descriptor, seed)
@@ -385,16 +379,15 @@ def _convergent_asymptotic_premises(
     seq: VectorSequence,
     limit_vec: LatticeVector,
     filt: Filtration,
-    eps: float | None,
     descriptor: dict | None,
 ) -> tuple[dict, float, int, dict, TheoremResult | None]:
     """Shared premises of limit-defect and tail-approx: A is asymptotic and
-    converges to ``limit_vec`` over the tail window.  ``early`` is the
-    INCONCLUSIVE result to return when a premise fails, else None."""
+    converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||) over
+    the tail window.  ``early`` is the INCONCLUSIVE result to return when a
+    premise fails, else None."""
     if descriptor is None:
         descriptor = _filt_descriptor(filt)
-    if eps is None:
-        eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
+    eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
     start = tail_window_start(seq.horizon)
     conv = row_norms(seq.space, seq.coords - limit_vec.coords)
     premises = {
@@ -417,14 +410,13 @@ def check_limit_defect(
     seq: VectorSequence,
     limit_vec: LatticeVector,
     filt: Filtration,
-    eps: float | None = None,
     descriptor: dict | None = None,
 ) -> TheoremResult:
     """For a convergent asymptotic martingale, e_n = max_{m>=n} ||E_m x - x_m||
     must decay over the tail window (x the limit vector)."""
     check_id = "limit-defect"
     descriptor, eps, start, premises, early = _convergent_asymptotic_premises(
-        check_id, seq, limit_vec, filt, eps, descriptor
+        check_id, seq, limit_vec, filt, descriptor
     )
     if early is not None:
         return early
@@ -445,11 +437,24 @@ def check_limit_defect(
     )
 
 
+def _late_witness(approximant: VectorSequence, filt: Filtration, m: int) -> dict | None:
+    """The evidence when approximant A^m lacks an eventual witness <= m + 1, else None.
+
+    Only m <= N - 2 is checked: from m = N - 1 on, the one-step law would
+    start at N, where a witness is vacuous by convention.
+    """
+    if m > approximant.horizon - 2:
+        return None
+    witness = eventual_witness(approximant, filt)
+    if witness is None or witness > m + 1:
+        return {"m": m, "witness": witness}
+    return None
+
+
 def check_tail_modification(
     seq: VectorSequence,
     limit_vec: LatticeVector,
     filt: Filtration,
-    eps: float | None = None,
     descriptor: dict | None = None,
 ) -> TheoremResult:
     """Replacing the tail by E_n x yields eventual martingales converging
@@ -457,30 +462,22 @@ def check_tail_modification(
     down to eps)."""
     check_id = "tail-approx"
     descriptor, eps, _, premises, early = _convergent_asymptotic_premises(
-        check_id, seq, limit_vec, filt, eps, descriptor
+        check_id, seq, limit_vec, filt, descriptor
     )
     if early is not None:
         return early
-    n_terms = seq.horizon
     distances = []
-    for m in range(1, n_terms):
+    for m in range(1, seq.horizon):
         modified = tail_modify(seq, filt, limit_vec, m)
-        # At m = N-1 the one-step law would only start at N, where a witness
-        # is vacuous by convention; the witness claim is checked below that.
-        if m <= n_terms - 2:
-            witness = eventual_witness(modified, filt)
-            if witness is None or witness > m + 1:
-                return TheoremResult(
-                    check_id,
-                    descriptor,
-                    CheckStatus.VIOLATED,
-                    {
-                        "m": m,
-                        "witness": witness,
-                        "problem": "tail modification not eventual",
-                    },
-                    None,
-                )
+        late = _late_witness(modified, filt, m)
+        if late is not None:
+            return TheoremResult(
+                check_id,
+                descriptor,
+                CheckStatus.VIOLATED,
+                {**late, "problem": "tail modification not eventual"},
+                None,
+            )
         distances.append(seq_distance(modified, seq))
     monotone = all(
         b <= a + FLOAT_SLACK for a, b in zip(distances, distances[1:])
@@ -510,12 +507,9 @@ def check_eventual_not_closed(n_terms: int = 64) -> TheoremResult:
     problems = []
 
     for m, member in enumerate(family, start=1):
-        if m <= n_terms - 2:  # witness at N would be vacuous, see tail check
-            witness = eventual_witness(member, filt)
-            if witness is None or witness > m + 1:
-                problems.append(
-                    {"m": m, "witness": witness, "problem": "missing witness"}
-                )
+        late = _late_witness(member, filt, m)
+        if late is not None:
+            problems.append({**late, "problem": "missing witness"})
         dist = seq_distance(member, base)
         if abs(dist - 1.0 / m) > FLOAT_SLACK:
             problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
@@ -540,26 +534,19 @@ def check_eventual_not_closed(n_terms: int = 64) -> TheoremResult:
     return TheoremResult(check_id, descriptor, status, witness_data, None)
 
 
-def _closure_fraction(
-    filt: Filtration, seed: int, trials: int, tol: float
-) -> tuple[float, int]:
+def _closure_fraction(filt: Filtration, seed: int, trials: int) -> tuple[float, int]:
     """Fraction of random eventual martingales whose absolute sequence is
     still an eventual martingale."""
     closed = 0
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         seq, _ = random_eventual_martingale(filt, rng)
-        if eventual_witness(abs_seq(seq), filt, tol) is not None:
+        if eventual_witness(abs_seq(seq), filt) is not None:
             closed += 1
     return closed / trials if trials else float("nan"), closed
 
 
-def check_abs_closure(
-    filt: Filtration | None = None,
-    seed: int = 0,
-    trials: int = 100,
-    tol: float = DEFAULT_TOL,
-) -> TheoremResult:
+def check_abs_closure(filt: Filtration, seed: int = 0, trials: int = 100) -> TheoremResult:
     """Closure of the eventual class under absolute value, two modes.
 
     Counterexample mode reproduces the two instances where |A| must fail
@@ -574,11 +561,11 @@ def check_abs_closure(
     problems = []
 
     p_filt, p_seq = pairing_example(3)
-    p_report = classify(p_seq, p_filt, tol)
+    p_report = classify(p_seq, p_filt)
     p_abs_steps = one_step_defects(abs_seq(p_seq), p_filt)
     if not p_report.is_martingale:
         problems.append({"instance": "pairing", "problem": "base not a martingale"})
-    if classify(abs_seq(p_seq), p_filt, tol).e_witness is not None:
+    if classify(abs_seq(p_seq), p_filt).e_witness is not None:
         problems.append({"instance": "pairing", "problem": "|A| unexpectedly eventual"})
     if abs(p_abs_steps[0] - 1.0) > FLOAT_SLACK:
         problems.append(
@@ -590,11 +577,11 @@ def check_abs_closure(
         )
 
     h_filt, h_seq = haar_example(3)
-    h_report = classify(h_seq, h_filt, tol)
+    h_report = classify(h_seq, h_filt)
     h_abs_steps = one_step_defects(abs_seq(h_seq), h_filt)
     if not h_report.is_martingale:
         problems.append({"instance": "haar", "problem": "base not a martingale"})
-    if float(h_abs_steps.min()) <= tol:
+    if float(h_abs_steps.min()) <= DEFAULT_TOL:
         problems.append(
             {"instance": "haar", "problem": "|A| satisfied a one-step equality"}
         )
@@ -608,15 +595,8 @@ def check_abs_closure(
         )
 
     closure_runs = []
-    sample_filts: list[tuple[str, Filtration]] = [
-        ("pairing-3", p_filt),
-        ("haar-3", h_filt),
-    ]
-    if filt is None:
-        filt = build_truncation(16)
-    sample_filts.insert(0, ("given", filt))
-    for label, f in sample_filts:
-        fraction, closed = _closure_fraction(f, seed, trials, tol)
+    for label, f in (("given", filt), ("pairing-3", p_filt), ("haar-3", h_filt)):
+        fraction, closed = _closure_fraction(f, seed, trials)
         band = all_band_projections(f)
         run = {
             "filtration": label,
@@ -650,14 +630,14 @@ def check_abs_closure(
 
 
 def check_band_projection_lattice(
-    filt: Filtration, seed: int = 0, trials: int = 100, tol: float = DEFAULT_TOL
+    filt: Filtration, seed: int = 0, trials: int = 100
 ) -> TheoremResult:
     """Under a band-projection filtration the classes are lattices:
     |A| keeps an eventual witness no later than A's, and the absolute
     defects are dominated pairwise: ||E_n |x_m| - |x_n||| <= ||E_n x_m - x_n||."""
     check_id = "band-lattice"
     descriptor = _filt_descriptor(filt)
-    if not all_band_projections(filt, tol):
+    if not all_band_projections(filt):
         return TheoremResult(
             check_id,
             descriptor,
@@ -670,8 +650,8 @@ def check_band_projection_lattice(
         rng = trial_rng(seed, trial)
 
         seq, _ = random_eventual_martingale(filt, rng)
-        w_base = eventual_witness(seq, filt, tol)
-        w_abs = eventual_witness(abs_seq(seq), filt, tol)
+        w_base = eventual_witness(seq, filt)
+        w_abs = eventual_witness(abs_seq(seq), filt)
         if w_base is not None and (w_abs is None or w_abs > w_base):
             return TheoremResult(
                 check_id,
@@ -693,7 +673,7 @@ def check_band_projection_lattice(
                 seed,
             )
         abs_defects = _pair_table(abs_seq(xseq), filt)
-        failing = np.argwhere(~(abs_defects <= defects + tol))  # row-major order
+        failing = np.argwhere(~(abs_defects <= defects + DEFAULT_TOL))  # row-major order
         if failing.size:
             n, k = (int(i) for i in failing[0])
             return TheoremResult(
@@ -716,21 +696,16 @@ def check_band_projection_lattice(
 def abs_commutation_index(
     filt: Filtration, x: LatticeVector, tol: float = DEFAULT_TOL
 ) -> int | None:
-    """Minimal l such that | E_n x | = E_n |x| for every n >= l, or None."""
+    """Minimal l with | E_n x | = E_n |x| for every n >= l, or None; NaN never aligns."""
     if x.space != filt.space:
         raise ValueError("vector and filtration live in different spaces")
     gaps = np.abs(_applied(filt.ops, x.coords)) - _applied(filt.ops, np.abs(x.coords))
-    bad = np.flatnonzero(row_norms(filt.space, gaps) > tol)
+    bad = np.flatnonzero(~(row_norms(filt.space, gaps) <= tol))
     last_bad = int(bad[-1]) + 1 if bad.size else 0
     return last_bad + 1 if last_bad < filt.horizon else None
 
 
-def check_abs_alignment(
-    filt: Filtration,
-    seed: int = 0,
-    trials: int = 20,
-    tol: float = DEFAULT_TOL,
-) -> TheoremResult:
+def check_abs_alignment(filt: Filtration, seed: int = 0, trials: int = 20) -> TheoremResult:
     """On a dense filtration whose eventual class is closed under absolute
     values, every vector has an index from which |E_n x| = E_n |x|.
 
@@ -740,24 +715,24 @@ def check_abs_alignment(
     """
     check_id = "abs-alignment"
     descriptor = _filt_descriptor(filt)
-    dense = is_dense(filt, tol)
+    dense = is_dense(filt)
     closure_ok = True
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         term_seq = terminal_sequence(filt, _random_vector(filt.space, rng))
-        if eventual_witness(abs_seq(term_seq), filt, tol) is None:
+        if eventual_witness(abs_seq(term_seq), filt) is None:
             closure_ok = False
             break
     premises = {"dense": dense, "abs_closure_on_samples": closure_ok}
 
     basis_indices = []
     for i in range(1, filt.space.dim + 1):
-        basis_indices.append(abs_commutation_index(filt, basis(filt.space, i), tol))
+        basis_indices.append(abs_commutation_index(filt, basis(filt.space, i)))
     random_indices = []
     for trial in range(trials):
         rng = trial_rng(seed, 10_000 + trial)
         random_indices.append(
-            abs_commutation_index(filt, _random_vector(filt.space, rng), tol)
+            abs_commutation_index(filt, _random_vector(filt.space, rng))
         )
 
     witness = {
@@ -888,7 +863,7 @@ def _run_eventual_not_closed(seed: int, trials: int) -> list[TheoremResult]:
 
 
 def _run_abs_closure(seed: int, trials: int) -> list[TheoremResult]:
-    return [check_abs_closure(None, seed, trials)]
+    return [check_abs_closure(build_truncation(16), seed, trials)]
 
 
 def _run_band_lattice(seed: int, trials: int) -> list[TheoremResult]:
@@ -922,11 +897,13 @@ CHECK_IDS = tuple(CHECK_RUNNERS)
 
 
 def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[TheoremResult]:
-    """Run one check id on its default instances."""
+    """Run one check id on its default instances; ``trials`` must be >= 1."""
     try:
         runner = CHECK_RUNNERS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     return runner(seed, trials)
 
 

@@ -12,8 +12,9 @@ Schemas:
 
 An instance file parses iff ``dim`` is an integer, every weight, matrix
 entry and vector coordinate is a finite number (not ``NaN`` or
-``Infinity``, which ``json`` reads), and all dimensions are mutually
-consistent; anything else raises :class:`InstanceFormatError`.
+``Infinity``, which ``json`` reads, and not ``true`` or ``false``), and
+all dimensions are mutually consistent; anything else raises
+:class:`InstanceFormatError`.
 
 On disk an instance is exactly ``json.dumps(instance.to_dict(), indent=2)``
 plus a newline.  The writer lays that text out row by row straight from
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -71,18 +73,30 @@ def space_from_dict(d: dict) -> LatticeSpace:
 def _numbers(value, what: str) -> np.ndarray | None:
     """``value`` as a float array if it is (nested lists of) finite JSON numbers.
 
-    None passes through.  Strings, booleans, objects, nulls (which
-    ``np.asarray(.., dtype=float)`` would coerce), NaN and infinities are
-    rejected; ragged nesting raises ``ValueError``.
+    None passes through.  Strings, booleans (also among numbers), objects,
+    nulls (which ``np.asarray(.., dtype=float)`` would coerce), NaN and
+    infinities are rejected; ragged nesting raises ``ValueError``.
     """
     if value is None:
         return None
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or _has_bool_leaf(value, arr.ndim):
         raise InstanceFormatError(f"{what} must hold numbers only")
     if not np.isfinite(arr).all():
         raise InstanceFormatError(f"{what} must be finite, not NaN or Infinity")
     return arr.astype(float, copy=False)
+
+
+def _has_bool_leaf(value, depth: int) -> bool:
+    """Whether ``value``, lists nested ``depth`` deep, holds a bool.
+
+    ``np.asarray`` reads a bool among numbers as 0 or 1, so the leaves'
+    types are collected instead, by ``map`` and ``chain`` in C.
+    """
+    leaves = value
+    for _ in range(depth - 1):
+        leaves = chain.from_iterable(leaves)
+    return depth > 0 and bool in set(map(type, leaves))
 
 
 def operator_to_dict(op: PosOperator) -> dict:

@@ -409,17 +409,10 @@ class ClosureReport:
 
 
 def check_lattice_closure(
-    seq: VectorSequence,
-    filt: Filtration,
-    tol: float = DEFAULT_TOL,
-    eps: float | None = None,
-    window_fraction: float = DEFAULT_WINDOW_FRACTION,
+    seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL
 ) -> ClosureReport:
     """Classify A and |A| and report whether taking absolute values leaves each class."""
-    return ClosureReport(
-        base=classify(seq, filt, tol, eps, window_fraction),
-        abs=classify(abs_seq(seq), filt, tol, eps, window_fraction),
-    )
+    return ClosureReport(base=classify(seq, filt, tol), abs=classify(abs_seq(seq), filt, tol))
 
 
 # ---------------------------------------------------------------------------

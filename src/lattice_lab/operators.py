@@ -96,13 +96,12 @@ def is_contractive(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_band_projection(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix is diagonal with diagonal entries in {0, 1} (within tol)."""
-    m = op.matrix
-    off = m - np.diag(np.diag(m))
-    if np.max(np.abs(off)) > tol:
-        return False
-    d = np.diag(m)
-    return bool(np.all(np.minimum(np.abs(d), np.abs(d - 1.0)) <= tol))
+    """True iff the matrix is diagonal with entries in {0, 1} within tol; NaN never is."""
+    d = np.diag(op.matrix)
+    off = op.matrix - np.diag(d)
+    return bool(
+        np.all(np.abs(off) <= tol) and np.all(np.minimum(np.abs(d), np.abs(d - 1.0)) <= tol)
+    )
 
 
 def disjoint(x: LatticeVector, y: LatticeVector, tol: float = DEFAULT_TOL) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -220,6 +221,8 @@ def test_gen_into_unwritable_path_exits_two(tmp_path, capsys, target):
         ("dim", True),
         ("matrix", {"rows": [[1.0, 0.0], [0.0, 1.0]]}),
         ("matrix", [["1.0", "0.0"], ["0.0", "1.0"]]),
+        ("matrix", [[True, 0.0], [0.0, 1.0]]),
+        ("matrix", [[1, 0], [0, False]]),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "classify"])
@@ -300,6 +303,72 @@ def test_env_var_out_of_range_exits_two(capsys, monkeypatch, raw):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and one_line_error(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "truncation", "--size", "2"),
+        ("verify", "eventual-not-closed", "--trials", "1"),
+        ("demo", "haar", "--tol", "0"),
+    ],
+)
+def test_env_var_is_read_only_when_a_tolerance_is_defaulted(capsys, monkeypatch, argv):
+    monkeypatch.setenv("LATTICE_LAB_TOL", "nan")
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+
+
+def strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# Finite entries near the largest double: the laws and the defect kernel overflow.
+HUGE_OPERATOR = {
+    "space": {"dim": 2, "norm": "sup"},
+    "filtration": {"operators": [{"matrix": [[1e308, 1e308], [0.0, 1.0]]},
+                                 {"matrix": [[1.0, 0.0], [0.0, 1.0]]}]},
+    "sequence": {"vectors": [[1e308, -1e308], [1e308, 1.0]]},
+}
+HUGE_SEQUENCE = {
+    "space": {"dim": 2, "norm": "sup"},
+    "filtration": {"operators": [{"matrix": [[1.0, 0.0], [0.0, 0.0]]},
+                                 {"matrix": [[1.0, 0.0], [0.0, 1.0]]}]},
+    "sequence": {"vectors": [[1e308, -1e308], [-1e308, 1e308]]},
+}
+
+
+def run_quietly(capsys, tmp_path, doc, *argv):
+    """``run`` on ``doc`` written to a file, with any warning raised as an error."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, argv[0], str(path), *argv[1:])
+
+
+def test_overflowing_laws_fail_quietly_with_null_in_the_report(tmp_path, capsys):
+    code, out, err = run_quietly(capsys, tmp_path, HUGE_OPERATOR, "validate", "--contractive",
+                                 "--json")
+    report = strict_json(out)
+    assert code == 1 and err == "" and report["passed"] is False
+    assert [c["worst"] for c in report["checks"] if not c["passed"]] == [None] * 3
+    code, out, err = run_quietly(capsys, tmp_path, HUGE_OPERATOR, "validate", "--contractive")
+    assert code == 1 and err == "" and "FAIL (worst inf at (1,))" in out
+
+
+def test_overflowing_defects_classify_quietly_with_null_in_the_report(tmp_path, capsys):
+    code, out, err = run_quietly(capsys, tmp_path, HUGE_SEQUENCE, "classify", "--json")
+    report = strict_json(out)
+    assert code == 0 and err == ""
+    assert report["is_martingale"] is False and report["x_defects"] == [None, 0.0]
+    code, out, err = run_quietly(capsys, tmp_path, HUGE_SEQUENCE, "classify")
+    assert code == 0 and err == "" and "defects: head inf" in out
+    code, out, err = run_quietly(capsys, tmp_path, HUGE_OPERATOR, "classify", "--json")
+    assert code == 2 and out == "" and one_line_error(err)
 
 
 INSTANCE_KEYS = ("space", "dim", "norm", "weights", "filtration", "operators", "matrix",

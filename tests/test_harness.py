@@ -152,6 +152,11 @@ def test_abs_commutation_indices_on_pairing():
     assert abs_commutation_index(filt, kept_pair) == 1
     assert abs_commutation_index(filt, straddling) == 2
     assert abs_commutation_index(filt, positive) == 1
+    # a NaN gap is never an equality: the first coordinate is kept at every stage
+    nan_head = vector(filt.space, [np.nan, 0, 0, 0, 0, 0])
+    assert abs_commutation_index(filt, nan_head) is None
+    trunc = build_truncation(3)
+    assert abs_commutation_index(trunc, vector(trunc.space, [np.nan, 0, 0])) is None
 
 
 def test_abs_commutation_index_dyadic_positive_vector():
@@ -198,6 +203,15 @@ def test_eventual_generator_draws_the_term_by_term_stream():
 def test_run_check_unknown_id():
     with pytest.raises(ValueError):
         run_check("no-such-check")
+
+
+@pytest.mark.parametrize("check_id", ["nesting", "abs-closure", "eventual-not-closed"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_check_refuses_fewer_than_one_trial(check_id, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_check(check_id, 0, trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_all(0, trials)
 
 
 def test_run_all_statuses_and_reproducibility():

@@ -226,6 +226,8 @@ def test_space_dim_must_be_an_integer(dim):
         [["1.0", "0.0"], ["0.0", "1.0"]],
         [[1.0, "0.0"], [0.0, 1.0]],
         [[True, False], [False, True]],
+        [[True, 0.5], [0.0, 1.0]],
+        [[1, 0], [False, 1]],
         [[1.0, None], [0.0, 1.0]],
         [[1.0, 0.0], [0.0]],
         "identity",
@@ -244,6 +246,12 @@ def test_weights_and_vectors_must_be_numbers():
         sequence_from_dict(LatticeSpace(2), {"vectors": [["1.0", "2.0"]]})
     with pytest.raises(InstanceFormatError):
         sequence_from_dict(LatticeSpace(2), {"vectors": [{"x": 1.0}]})
+    with pytest.raises(InstanceFormatError, match="numbers only"):
+        space_from_dict({"dim": 2, "norm": "l1", "weights": [True, 0.5]})
+    with pytest.raises(InstanceFormatError, match="numbers only"):
+        sequence_from_dict(LatticeSpace(2), {"vectors": [[True, 1.5]]})
+    with pytest.raises(InstanceFormatError, match="numbers only"):
+        sequence_from_dict(LatticeSpace(2), {"vectors": [[1.0, 2.0], [3, False]]})
 
 
 def test_flat_vectors_do_not_load():

@@ -146,6 +146,9 @@ def test_is_band_projection():
     assert is_band_projection(identity(SUP4))
     assert not is_band_projection(build_pairing(2).op(1))  # off-diagonal halves
     assert not is_band_projection(PosOperator(SUP4, np.diag([1.0, 0.5, 0, 0])))
+    sup2 = LatticeSpace(2, NormKind.SUP)
+    assert not is_band_projection(PosOperator(sup2, [[1.0, np.nan], [0.0, 1.0]]))
+    assert not is_band_projection(PosOperator(sup2, np.diag([1.0, np.nan])))
 
 
 def test_band_projection_commutes_with_abs():
