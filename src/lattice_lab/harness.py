@@ -20,7 +20,8 @@ asymptotic martingale is never required to be an eventual one).
 
 Randomized trials draw one RNG stream per (seed, trial index), so trials
 are order-independent and could run concurrently; all inputs are
-immutable.
+immutable.  Every check that takes ``trials`` raises ``ValueError`` when
+it is below 1.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ class TheoremResult:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream per (seed, trial); merging order never matters."""
     return np.random.default_rng((int(seed), int(trial)))
+
+
+def _require_trials(trials: int) -> None:
+    """A sampled check with no trial would report CONFIRMED having checked nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def _space_descriptor(space: LatticeSpace) -> dict:
@@ -249,6 +256,7 @@ def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
     mix and asserts the implication chain on its classification report; an
     eventual martingale is additionally required not to classify NOT_X.
     """
+    _require_trials(trials)
     check_id = "nesting"
     checked = 0
     for trial in range(trials):
@@ -543,7 +551,7 @@ def _closure_fraction(filt: Filtration, seed: int, trials: int) -> tuple[float, 
         seq, _ = random_eventual_martingale(filt, rng)
         if eventual_witness(abs_seq(seq), filt) is not None:
             closed += 1
-    return closed / trials if trials else float("nan"), closed
+    return closed / trials, closed
 
 
 def check_abs_closure(filt: Filtration, seed: int = 0, trials: int = 100) -> TheoremResult:
@@ -557,6 +565,7 @@ def check_abs_closure(filt: Filtration, seed: int = 0, trials: int = 100) -> The
     fraction one would be data for the open characterization question and
     is flagged, never asserted.
     """
+    _require_trials(trials)
     check_id = "abs-closure"
     problems = []
 
@@ -635,6 +644,7 @@ def check_band_projection_lattice(
     """Under a band-projection filtration the classes are lattices:
     |A| keeps an eventual witness no later than A's, and the absolute
     defects are dominated pairwise: ||E_n |x_m| - |x_n||| <= ||E_n x_m - x_n||."""
+    _require_trials(trials)
     check_id = "band-lattice"
     descriptor = _filt_descriptor(filt)
     if not all_band_projections(filt):
@@ -713,6 +723,7 @@ def check_abs_alignment(filt: Filtration, seed: int = 0, trials: int = 20) -> Th
     sequence| for random vectors); when they fail the result is
     INCONCLUSIVE but the per-vector indices are still reported as data.
     """
+    _require_trials(trials)
     check_id = "abs-alignment"
     descriptor = _filt_descriptor(filt)
     dense = is_dense(filt)
@@ -902,8 +913,7 @@ def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[TheoremRe
         runner = CHECK_RUNNERS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_trials(trials)
     return runner(seed, trials)
 
 

@@ -21,7 +21,8 @@ plus a newline.  The writer lays that text out row by row straight from
 the arrays, and it holds finite floats only: a NaN or infinity raises
 ``ValueError`` before anything is written.  Floats round-trip exactly
 (they are written as ``float.__repr__``, the shortest repr, as ``json``
-writes them).
+writes them); each distinct bit pattern of a matrix or of the sequence is
+formatted once.
 """
 
 from __future__ import annotations
@@ -197,17 +198,22 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(data)
 
 
-def _float_list(row: np.ndarray, level: int) -> str:
-    """A 1-D array as ``json.dumps(indent=2)`` lays out a list at nesting ``level``."""
+def _float_list(items: Iterable[str], level: int) -> str:
+    """Formatted floats as ``json.dumps(indent=2)`` lays out a list at nesting ``level``."""
     pad = "\n" + "  " * (level + 1)
-    items = ("," + pad).join(map(float.__repr__, row.tolist()))
-    return f"[{pad}{items}\n{'  ' * level}]"
+    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * level}]"
 
 
-def _rows(rows: Iterable[np.ndarray], level: int) -> Iterator[str]:
-    """A nonempty list of 1-D arrays at nesting ``level``, one piece per row."""
+def _rows(rows: np.ndarray, level: int) -> Iterator[str]:
+    """A nonempty 2-D array as a list of rows at nesting ``level``, one piece per row.
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, not by ``==``, so -0.0 keeps its own text.
+    """
+    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     lead = "[\n" + "  " * (level + 1)
-    for row in rows:
+    for row in texts[inverse.reshape(rows.shape)].tolist():
         yield lead + _float_list(row, level + 1)
         lead = ",\n" + "  " * (level + 1)
     yield "\n" + "  " * level + "]"
@@ -218,7 +224,7 @@ def _layout(instance: Instance) -> Iterator[str]:
     space = instance.space
     yield f'{{\n  "space": {{\n    "dim": {space.dim},\n    "norm": "{space.norm_kind.value}"'
     if space.weights is not None:
-        yield ',\n    "weights": ' + _float_list(space.weights, 2)
+        yield ',\n    "weights": ' + _float_list(map(float.__repr__, space.weights.tolist()), 2)
     yield "\n  }"
     if instance.filtration is not None:
         yield ',\n  "filtration": {\n    "operators": ['

@@ -5,8 +5,10 @@ These deliberately avoid the library's formulas: the norm oracle maximizes
 box, correlated-sign, sparse, heavy-tailed) so that near-extremal directions
 for both norm kinds are reliably sampled, and the pair-defect oracle loops
 over index pairs with raw matrices.  ``dump_text`` is the instance file
-through the stdlib ``json`` encoder, and ``conditional_expectation`` fills
-the weighted block-averaging matrix one block at a time.
+through the stdlib ``json`` encoder, ``conditional_expectation`` fills
+the weighted block-averaging matrix one block at a time, and
+``order_law_sweep`` checks the filtration laws with the commuting-order
+law on all N^2 pairs.
 
 The sequence references below work term by term through the per-vector
 API (``apply``, ``norm``, ``absolute``), one ``LatticeVector`` per term,
@@ -17,7 +19,9 @@ import json
 
 import numpy as np
 
-from lattice_lab import NormKind, absolute, apply, basis, norm
+from lattice_lab import NormKind, absolute, apply, basis, norm, operator_norm
+from lattice_lab.filtration import ValidationReport, _law
+from lattice_lab.spaces import DEFAULT_TOL
 
 
 def _mixture_samples(dim: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,6 +79,28 @@ def pair_table(seq, filt) -> np.ndarray:
 def dump_text(instance) -> str:
     """The instance file as the stdlib encoder writes it."""
     return json.dumps(instance.to_dict(), indent=2) + "\n"
+
+
+def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> ValidationReport:
+    """``validate`` with the commuting-order law on every pair (n, m) in
+    row-major order, idempotence read off its diagonal."""
+    mats = [e.matrix for e in filt.ops]
+    order = {
+        (n, m): float(np.max(np.abs(en @ em - mats[min(n, m) - 1])))
+        for n, en in enumerate(mats, start=1)
+        for m, em in enumerate(mats, start=1)
+    }
+    positivity = (((n,), float(-np.min(e))) for n, e in enumerate(mats, start=1))
+    idempotence = (((n,), order[n, n]) for n in range(1, len(mats) + 1))
+    checks = [
+        _law("positivity", positivity, tol),
+        _law("idempotence", idempotence, tol),
+        _law("commuting-order", order.items(), tol),
+    ]
+    if require_contractive:
+        norms = (((n,), operator_norm(e) - 1.0) for n, e in enumerate(filt.ops, start=1))
+        checks.append(_law("contractivity", norms, tol))
+    return ValidationReport(tuple(checks))
 
 
 def conditional_expectation(space, labels) -> np.ndarray:

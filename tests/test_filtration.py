@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import conditional_expectation, is_dense as is_dense_by_basis
+from _oracles import conditional_expectation, is_dense as is_dense_by_basis, order_law_sweep
 from lattice_lab import (
     Filtration,
     LatticeSpace,
@@ -23,6 +23,7 @@ from lattice_lab import (
     vector,
 )
 from lattice_lab.filtration import _conditional_expectation
+from lattice_lab.harness import random_filtration
 
 BUILDERS = [
     ("truncation", lambda: build_truncation(8)),
@@ -195,3 +196,79 @@ def test_conditional_expectation_matches_per_block_loop(dim, n_labels, norm_kind
     space = LatticeSpace(dim, norm_kind, weights)
     got = _conditional_expectation(space, labels).matrix
     assert np.array_equal(got, conditional_expectation(space, labels))  # bit for bit
+
+
+def _base_chain(kind: str, size: int, seed: int) -> Filtration:
+    if kind == "random-filtration":
+        return random_filtration(np.random.default_rng(seed))[0]
+    if kind == "random-nested":
+        norm_kind = list(NormKind)[seed % 2]
+        return build_random_nested(size + 1, size, seed, norm_kind)
+    if kind == "dyadic":
+        return build_dyadic(1 + size % 5)  # d = 2**levels
+    return {"truncation": build_truncation, "pairing": build_pairing}[kind](size)
+
+
+def _perturbed(filt: Filtration, how: str, scale: float, seed: int) -> Filtration:
+    """One stage of ``filt`` spoiled: entry noise, a swap with the next
+    stage, a NaN entry, or its range tilted out of the next stage's range
+    (E_k + (I - E_{k+1}) R E_k keeps E_k idempotent and E_k E_{k+1} = E_k,
+    so only the pairs (m, n) with m > n can see it)."""
+    rng = np.random.default_rng(seed)
+    mats = [e.matrix.copy() for e in filt.ops]
+    d, k = filt.space.dim, int(rng.integers(len(mats)))
+    if how in ("swap", "tilt") and k == len(mats) - 1:
+        k -= 1
+    if k < 0 or how == "none":
+        pass
+    elif how == "noise":
+        mats[k] += rng.uniform(0.0, scale, size=(d, d))
+    elif how == "swap":
+        mats[k], mats[k + 1] = mats[k + 1], mats[k]
+    elif how == "nan":
+        mats[k][tuple(rng.integers(d, size=2))] = np.nan
+    else:
+        tilt = (np.eye(d) - mats[k + 1]) @ rng.uniform(0.0, scale, size=(d, d))
+        mats[k] += tilt @ mats[k]
+    return Filtration(filt.space, tuple(PosOperator(filt.space, m) for m in mats))
+
+
+def _same_value(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["truncation", "pairing", "dyadic", "random-nested", "random-filtration"]),
+    size=st.integers(1, 12),
+    how=st.sampled_from(["none", "noise", "swap", "nan", "tilt"]),
+    log_scale=st.floats(-6.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjacent_order_law_matches_the_full_sweep(kind, size, how, log_scale, seed):
+    filt = _perturbed(_base_chain(kind, size, seed), how, 10.0**log_scale, seed)
+    got, want = validate(filt, require_contractive=True), order_law_sweep(filt, True)
+    assert got.passed == want.passed
+    assert [c.law for c in got.checks] == [c.law for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        assert g.passed == w.passed, (g, w)
+        if g.law == "commuting-order":
+            # the adjacent pairs are a subset of the sweep, each product computed alike
+            assert g.worst <= w.worst or _same_value(g.worst, w.worst)
+            assert g.witness is None or abs(g.witness[0] - g.witness[1]) <= 1
+        else:
+            assert g.witness == w.witness and _same_value(g.worst, w.worst), (g, w)
+
+
+def test_a_range_outside_the_next_range_fails_on_the_reversed_pair():
+    # E_1 x = x_1 (e_1 + e_3).  Its kernel contains ker E_2, so E_1 E_2 = E_1,
+    # but its range leaves range E_2 = span(e_1, e_2), so E_2 E_1 != E_1.
+    space = LatticeSpace(3)
+    e1 = PosOperator(space, [[1.0, 0, 0], [0, 0, 0], [1.0, 0, 0]])
+    e2 = PosOperator(space, np.diag([1.0, 1.0, 0.0]))
+    report = validate(Filtration(space, (e1, e2)))
+    by_law = {c.law: c for c in report.checks}
+    assert by_law["idempotence"].passed and by_law["positivity"].passed
+    assert not by_law["commuting-order"].passed
+    assert by_law["commuting-order"].witness == (2, 1)
+    assert by_law["commuting-order"].worst == 1.0

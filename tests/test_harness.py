@@ -214,6 +214,23 @@ def test_run_check_refuses_fewer_than_one_trial(check_id, trials):
         run_all(0, trials)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda trials: check_abs_closure(build_truncation(4), 0, trials),
+        lambda trials: check_class_nesting(0, trials),
+        lambda trials: check_band_projection_lattice(build_truncation(4), 0, trials),
+        lambda trials: check_band_projection_lattice(build_dyadic(3), 0, trials),  # premise unmet
+        lambda trials: check_abs_alignment(build_truncation(4), 0, trials),
+    ],
+    ids=["abs-closure", "nesting", "band-lattice", "band-lattice-unmet", "abs-alignment"],
+)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampled_checks_refuse_fewer_than_one_trial(check, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check(trials)
+
+
 def test_run_all_statuses_and_reproducibility():
     first = run_all(seed=11, trials=25)
     second = run_all(seed=11, trials=25)

@@ -193,6 +193,31 @@ def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     assert np.array_equal(again.filtration.ops[0].matrix, instance.filtration.ops[0].matrix)
 
 
+def test_repeated_values_and_signed_zeros_keep_their_own_text(tmp_path):
+    # The writer formats each distinct bit pattern once; 0.0 == -0.0 but
+    # they are written differently, so they must not share a text.
+    z, nz, tiny, third = 0.0, -0.0, 5e-324, 1 / 3
+    matrix = np.array(
+        [
+            [z, nz, third, z],
+            [nz, nz, tiny, third],
+            [third, tiny, z, nz],
+            [tiny, third, nz, z],
+        ]
+    )
+    space = LatticeSpace(4)
+    instance = Instance(
+        space,
+        Filtration(space, (PosOperator(space, matrix), PosOperator(space, matrix[::-1]))),
+        VectorSequence(space, matrix[:2]),
+    )
+    dump_instance(instance, tmp_path / "zeros.json")
+    text = (tmp_path / "zeros.json").read_text(encoding="utf-8")
+    assert text == dump_text(instance)
+    assert gen_stdout(instance) == text
+    assert text.count("-0.0") == 5 + 5 + 3  # five per matrix, three in the vectors
+
+
 @pytest.mark.parametrize(
     "where, bad",
     [("weights", np.inf)]  # a space admits +inf weights, never NaN or negative ones
