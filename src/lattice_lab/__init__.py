@@ -30,6 +30,7 @@ from .operators import (
     identity,
     is_band_projection,
     is_contractive,
+    is_lattice_homomorphism,
     is_positive,
     is_projection,
     operator_norm,
@@ -38,11 +39,12 @@ from .filtration import (
     Filtration,
     LawCheck,
     ValidationReport,
-    all_band_projections,
+    build_copy,
     build_dyadic,
     build_pairing,
     build_random_nested,
     build_truncation,
+    is_abs_closed,
     is_contractive_filtration,
     is_dense,
     validate,

@@ -10,11 +10,12 @@ Subcommands:
 
 Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED,
 2 input error (including a numeric argument out of range, a file that
-cannot be written and an instance holding a NaN or infinity, which JSON
-cannot store).  All randomness flows from --seed.  The environment
-variable LATTICE_LAB_TOL overrides the default exact-law tolerance of
-validate, classify and demo.  Reports are strict JSON with --json (a
-non-finite number is written as null), human-readable otherwise.
+cannot be written, an instance holding a NaN or infinity, which JSON
+cannot store, and a size too large to allocate).  All randomness flows
+from --seed.  The environment variable LATTICE_LAB_TOL overrides the
+default exact-law tolerance of validate, classify and demo.  Reports are
+strict JSON with --json (a non-finite number is written as null),
+human-readable otherwise.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_ranges(args)
         with np.errstate(all="ignore"):  # overflow shows as inf in the report instead
             return args.func(args)
-    except (ValueError, OSError) as exc:  # InstanceFormatError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

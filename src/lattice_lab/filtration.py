@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PosOperator, is_band_projection, operator_norm
+from .operators import PosOperator, is_lattice_homomorphism, operator_norm
 from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, row_norms
 
 
@@ -174,8 +174,17 @@ def is_dense(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(row_norms(filt.space, gaps.T) <= tol))
 
 
-def all_band_projections(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
-    return all(is_band_projection(e, tol) for e in filt.ops)
+def is_abs_closed(filt: Filtration) -> bool:
+    """Whether the eventual martingales on ``filt`` are closed under |.|.
+
+    A witness must lie below N, so A is an eventual martingale exactly when
+    E_{N-1} x_N = x_{N-1}, with x_N free.  Then |A| is one iff
+    E_{N-1} |x_N| = |E_{N-1} x_N|, so the class is closed iff E_{N-1} is a
+    lattice homomorphism.  At N = 1 the class is empty, hence closed.  This
+    is the finite-horizon reading of the paper's condition for the
+    E-martingales to form a vector lattice, not its infinite statement.
+    """
+    return filt.horizon < 2 or is_lattice_homomorphism(filt.ops[-2])
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +232,21 @@ def build_pairing(pairs: int) -> Filtration:
     return Filtration(space, tuple(ops))
 
 
+MAX_DYADIC_LEVELS = 12
+
+
 def build_dyadic(levels: int) -> Filtration:
     """Block-averaging filtration modelling conditional expectations on [0, 1].
 
     The space has 2**levels equal cells under the weighted L1 norm
     (weights 2**-levels, summing to one).  E_n averages coordinates within
-    each of the 2**n level-n blocks; E_levels is the identity.
+    each of the 2**n level-n blocks; E_levels is the identity.  The dense
+    stack holds levels * 4**levels floats, 1.6 GB at 12 levels and 6.9 GB
+    at 13, so more than :data:`MAX_DYADIC_LEVELS` levels are refused
+    before anything is allocated.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if not 1 <= levels <= MAX_DYADIC_LEVELS:
+        raise ValueError(f"levels must lie in 1..{MAX_DYADIC_LEVELS}, got {levels}")
     dim = 2**levels
     space = LatticeSpace(dim, NormKind.WEIGHTED_L1, np.full(dim, 2.0**-levels))
     ops = []
@@ -240,6 +255,20 @@ def build_dyadic(levels: int) -> Filtration:
         m = np.kron(np.eye(2**n), np.full((block, block), 1.0 / block))
         ops.append(PosOperator(space, m))
     return Filtration(space, tuple(ops))
+
+
+def build_copy(n: int) -> Filtration:
+    """Coordinate-copy chain on a sup-norm space of dimension n.
+
+    E_k x = (x_1, ..., x_k, x_k, ..., x_k): each row holds a single 1, so
+    every stage is a lattice homomorphism, yet no stage before the
+    identity E_n is a band projection.
+    """
+    if n < 1:
+        raise ValueError("horizon must be >= 1")
+    space = LatticeSpace(n, NormKind.SUP)
+    eye, rows = np.eye(n), np.arange(n)
+    return Filtration(space, tuple(PosOperator(space, eye[np.minimum(rows, k)]) for k in rows))
 
 
 def _conditional_expectation(space: LatticeSpace, labels: np.ndarray) -> PosOperator:
@@ -306,9 +335,10 @@ __all__ = [
     "validate",
     "is_contractive_filtration",
     "is_dense",
-    "all_band_projections",
+    "is_abs_closed",
     "build_truncation",
     "build_pairing",
     "build_dyadic",
+    "build_copy",
     "build_random_nested",
 ]

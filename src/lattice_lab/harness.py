@@ -22,11 +22,15 @@ Randomized trials draw one RNG stream per (seed, trial index), so trials
 are order-independent and could run concurrently; all inputs are
 immutable.  Every check that takes ``trials`` raises ``ValueError`` when
 it is below 1.
+
+The lattice premises are decided exactly: E_n commutes with |.| iff it is
+a lattice homomorphism, and the eventual class is closed under |.| iff
+E_{N-1} is one, so ``abs-closure`` and ``abs-alignment`` sample nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -34,11 +38,12 @@ import numpy as np
 
 from .filtration import (
     Filtration,
-    all_band_projections,
+    build_copy,
     build_dyadic,
     build_pairing,
     build_random_nested,
     build_truncation,
+    is_abs_closed,
     is_dense,
 )
 from .martingales import (
@@ -63,7 +68,7 @@ from .martingales import (
     tail_window_start,
     terminal_sequence,
 )
-from .operators import apply
+from .operators import apply, is_lattice_homomorphism
 from .spaces import (
     DEFAULT_TOL,
     LatticeSpace,
@@ -542,31 +547,17 @@ def check_eventual_not_closed(n_terms: int = 64) -> TheoremResult:
     return TheoremResult(check_id, descriptor, status, witness_data, None)
 
 
-def _closure_fraction(filt: Filtration, seed: int, trials: int) -> tuple[float, int]:
-    """Fraction of random eventual martingales whose absolute sequence is
-    still an eventual martingale."""
-    closed = 0
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        seq, _ = random_eventual_martingale(filt, rng)
-        if eventual_witness(abs_seq(seq), filt) is not None:
-            closed += 1
-    return closed / trials, closed
-
-
-def check_abs_closure(filt: Filtration, seed: int = 0, trials: int = 100) -> TheoremResult:
+def check_abs_closure(filt: Filtration) -> TheoremResult:
     """Closure of the eventual class under absolute value, two modes.
 
     Counterexample mode reproduces the two instances where |A| must fail
     (the alternating-pair martingale and the dyadic mean-zero indicator
     martingale); their failure shows the class need not be a lattice.
-    Closure mode samples random eventual martingales on a given filtration
-    and reports the closed fraction; a non-band-projection filtration with
-    fraction one would be data for the open characterization question and
-    is flagged, never asserted.
+    Closure mode decides closure exactly with :func:`is_abs_closed` (E_{N-1}
+    a lattice homomorphism, the finite-horizon reading of the paper's
+    condition) on the given filtration and on both counterexample
+    filtrations; a counterexample filtration decided closed is a violation.
     """
-    _require_trials(trials)
-    check_id = "abs-closure"
     problems = []
 
     p_filt, p_seq = pairing_example(3)
@@ -605,27 +596,10 @@ def check_abs_closure(filt: Filtration, seed: int = 0, trials: int = 100) -> The
 
     closure_runs = []
     for label, f in (("given", filt), ("pairing-3", p_filt), ("haar-3", h_filt)):
-        fraction, closed = _closure_fraction(f, seed, trials)
-        band = all_band_projections(f)
-        run = {
-            "filtration": label,
-            **_filt_descriptor(f),
-            "band_projections": band,
-            "closed_fraction": fraction,
-            "closed": closed,
-            "trials": trials,
-        }
-        if band and fraction < 1.0:
-            problems.append(
-                {
-                    "instance": label,
-                    "problem": "band-projection filtration failed closure",
-                    "fraction": fraction,
-                }
-            )
-        if not band and fraction == 1.0:
-            run["open_question_candidate"] = True
-        closure_runs.append(run)
+        closed = is_abs_closed(f)
+        closure_runs.append({"filtration": label, **_filt_descriptor(f), "closed": closed})
+        if closed and label != "given":
+            problems.append({"instance": label, "problem": "counterexample decided closed"})
 
     status = CheckStatus.CONFIRMED if not problems else CheckStatus.VIOLATED
     witness: dict = {
@@ -635,24 +609,25 @@ def check_abs_closure(filt: Filtration, seed: int = 0, trials: int = 100) -> The
     }
     if problems:
         witness["problems"] = problems
-    return TheoremResult(check_id, {"trials": trials}, status, witness, seed)
+    return TheoremResult("abs-closure", _filt_descriptor(filt), status, witness, None)
 
 
 def check_band_projection_lattice(
     filt: Filtration, seed: int = 0, trials: int = 100
 ) -> TheoremResult:
-    """Under a band-projection filtration the classes are lattices:
-    |A| keeps an eventual witness no later than A's, and the absolute
-    defects are dominated pairwise: ||E_n |x_m| - |x_n||| <= ||E_n x_m - x_n||."""
+    """When every stage is a lattice homomorphism (a band projection is one)
+    the classes are lattices: |A| keeps an eventual witness no later than
+    A's, and ||E_n |x_m| - |x_n||| <= ||E_n x_m - x_n|| pairwise.  Both need
+    only ||a| - |b|| <= |a - b| and E_n |x| = |E_n x|."""
     _require_trials(trials)
     check_id = "band-lattice"
     descriptor = _filt_descriptor(filt)
-    if not all_band_projections(filt):
+    if not all(is_lattice_homomorphism(e) for e in filt.ops):
         return TheoremResult(
             check_id,
             descriptor,
             CheckStatus.INCONCLUSIVE,
-            {"note": "premise unmet: filtration is not a chain of band projections"},
+            {"note": "premise unmet: some stage is not a lattice homomorphism"},
             seed,
         )
 
@@ -703,6 +678,12 @@ def check_band_projection_lattice(
     )
 
 
+def _after_last(bad: np.ndarray) -> int | None:
+    """One past the last stage flagged in ``bad`` (1 if none), or None if that is N."""
+    last_bad = int(np.flatnonzero(bad)[-1]) + 1 if bad.any() else 0
+    return last_bad + 1 if last_bad < bad.size else None
+
+
 def abs_commutation_index(
     filt: Filtration, x: LatticeVector, tol: float = DEFAULT_TOL
 ) -> int | None:
@@ -710,58 +691,26 @@ def abs_commutation_index(
     if x.space != filt.space:
         raise ValueError("vector and filtration live in different spaces")
     gaps = np.abs(_applied(filt.ops, x.coords)) - _applied(filt.ops, np.abs(x.coords))
-    bad = np.flatnonzero(~(row_norms(filt.space, gaps) <= tol))
-    last_bad = int(bad[-1]) + 1 if bad.size else 0
-    return last_bad + 1 if last_bad < filt.horizon else None
+    return _after_last(~(row_norms(filt.space, gaps) <= tol))
 
 
-def check_abs_alignment(filt: Filtration, seed: int = 0, trials: int = 20) -> TheoremResult:
+def check_abs_alignment(filt: Filtration) -> TheoremResult:
     """On a dense filtration whose eventual class is closed under absolute
     values, every vector has an index from which |E_n x| = E_n |x|.
 
-    Premises are sampled (density surrogate plus closure of |terminal
-    sequence| for random vectors); when they fail the result is
-    INCONCLUSIVE but the per-vector indices are still reported as data.
+    Both premises are decided exactly.  The index is one past the last
+    stage that is not a lattice homomorphism, i.e. the maximum over x of
+    :func:`abs_commutation_index`; when a premise fails the result is
+    INCONCLUSIVE but the index is still reported as data.
     """
-    _require_trials(trials)
-    check_id = "abs-alignment"
-    descriptor = _filt_descriptor(filt)
-    dense = is_dense(filt)
-    closure_ok = True
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        term_seq = terminal_sequence(filt, _random_vector(filt.space, rng))
-        if eventual_witness(abs_seq(term_seq), filt) is None:
-            closure_ok = False
-            break
-    premises = {"dense": dense, "abs_closure_on_samples": closure_ok}
-
-    basis_indices = []
-    for i in range(1, filt.space.dim + 1):
-        basis_indices.append(abs_commutation_index(filt, basis(filt.space, i)))
-    random_indices = []
-    for trial in range(trials):
-        rng = trial_rng(seed, 10_000 + trial)
-        random_indices.append(
-            abs_commutation_index(filt, _random_vector(filt.space, rng))
-        )
-
-    witness = {
-        "premises": premises,
-        "basis_indices": basis_indices,
-        "random_indices": random_indices,
-    }
-    if not all(premises.values()):
-        witness["note"] = "premises unmet; indices reported as data only"
-        return TheoremResult(check_id, descriptor, CheckStatus.INCONCLUSIVE, witness, seed)
-    ok = all(i is not None for i in basis_indices + random_indices)
-    return TheoremResult(
-        check_id,
-        descriptor,
-        CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED,
-        witness,
-        seed,
-    )
+    premises = {"dense": is_dense(filt), "abs_closed": is_abs_closed(filt)}
+    index = _after_last(np.array([not is_lattice_homomorphism(e) for e in filt.ops]))
+    witness: dict = {"premises": premises, "index": index}
+    if all(premises.values()):
+        status = CheckStatus.CONFIRMED if index is not None else CheckStatus.VIOLATED
+    else:
+        status, witness["note"] = CheckStatus.INCONCLUSIVE, "premises unmet; index is data only"
+    return TheoremResult("abs-alignment", _filt_descriptor(filt), status, witness, None)
 
 
 # ---------------------------------------------------------------------------
@@ -874,22 +823,26 @@ def _run_eventual_not_closed(seed: int, trials: int) -> list[TheoremResult]:
 
 
 def _run_abs_closure(seed: int, trials: int) -> list[TheoremResult]:
-    return [check_abs_closure(build_truncation(16), seed, trials)]
+    return [check_abs_closure(build_truncation(16))]
 
 
 def _run_band_lattice(seed: int, trials: int) -> list[TheoremResult]:
+    copy = build_copy(8)
+    copy_descriptor = _filt_descriptor(copy, "copy", size=8)
     return [
         check_band_projection_lattice(build_truncation(16), seed, trials),
-        # Premise unmet on purpose: averaging operators are not band projections.
+        # Premise unmet on purpose: averaging operators are not lattice homomorphisms.
         check_band_projection_lattice(build_dyadic(3), seed, trials),
+        # Lattice homomorphisms that are not band projections.
+        replace(check_band_projection_lattice(copy, seed, trials), descriptor=copy_descriptor),
     ]
 
 
 def _run_abs_alignment(seed: int, trials: int) -> list[TheoremResult]:
     return [
-        check_abs_alignment(build_truncation(16), seed),
-        check_abs_alignment(build_pairing(3), seed),
-        check_abs_alignment(build_dyadic(3), seed),
+        check_abs_alignment(build_truncation(16)),
+        check_abs_alignment(build_pairing(3)),
+        check_abs_alignment(build_dyadic(3)),
     ]
 
 

@@ -2,9 +2,10 @@
 
 Provides the checks a positive contractive projection must pass
 (entrywise positivity, idempotence, induced norm at most one) and the
-structural band-projection test.  Under coordinate order, bands are
-coordinate-subset subspaces, so a band projection is exactly a 0/1
-diagonal matrix; the test here is structural rather than behavioral.
+structural band-projection and lattice-homomorphism tests.  Under
+coordinate order, bands are coordinate-subset subspaces, so a band
+projection is exactly a 0/1 diagonal matrix; the tests here are
+structural rather than behavioral.
 
 Operators are immutable and all functions are pure.
 """
@@ -102,6 +103,17 @@ def is_band_projection(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
     return bool(
         np.all(np.abs(off) <= tol) and np.all(np.minimum(np.abs(d), np.abs(d - 1.0)) <= tol)
     )
+
+
+def is_lattice_homomorphism(op: PosOperator) -> bool:
+    """True iff |Tx| = T|x| for every x: each row is nonnegative with at most
+    one nonzero entry, within ``DEFAULT_TOL``; NaN never is.
+
+    A negative t_ij breaks it at e_j, two positive entries t_ij, t_ik at
+    e_j - e_k (Aliprantis and Burkinshaw, *Positive Operators*, 2006).
+    """
+    m = op.matrix
+    return bool(np.all(m >= -DEFAULT_TOL) and np.all((np.abs(m) > DEFAULT_TOL).sum(axis=1) <= 1))
 
 
 def disjoint(x: LatticeVector, y: LatticeVector, tol: float = DEFAULT_TOL) -> bool:

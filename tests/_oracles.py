@@ -8,7 +8,8 @@ over index pairs with raw matrices.  ``dump_text`` is the instance file
 through the stdlib ``json`` encoder, ``conditional_expectation`` fills
 the weighted block-averaging matrix one block at a time, and
 ``order_law_sweep`` checks the filtration laws with the commuting-order
-law on all N^2 pairs.
+law on all N^2 pairs.  ``closure_fraction`` samples the closure of the
+eventual class under |.| that ``is_abs_closed`` decides exactly.
 
 The sequence references below work term by term through the per-vector
 API (``apply``, ``norm``, ``absolute``), one ``LatticeVector`` per term,
@@ -19,8 +20,18 @@ import json
 
 import numpy as np
 
-from lattice_lab import NormKind, absolute, apply, basis, norm, operator_norm
+from lattice_lab import (
+    NormKind,
+    abs_seq,
+    absolute,
+    apply,
+    basis,
+    eventual_witness,
+    norm,
+    operator_norm,
+)
 from lattice_lab.filtration import ValidationReport, _law
+from lattice_lab.harness import random_eventual_martingale, trial_rng
 from lattice_lab.spaces import DEFAULT_TOL
 
 
@@ -101,6 +112,18 @@ def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> Validat
         norms = (((n,), operator_norm(e) - 1.0) for n, e in enumerate(filt.ops, start=1))
         checks.append(_law("contractivity", norms, tol))
     return ValidationReport(tuple(checks))
+
+
+def closure_fraction(filt, seed: int, trials: int) -> float:
+    """Fraction of random eventual martingales whose absolute sequence is
+    still an eventual martingale."""
+    closed = 0
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        seq, _ = random_eventual_martingale(filt, rng)
+        if eventual_witness(abs_seq(seq), filt) is not None:
+            closed += 1
+    return closed / trials
 
 
 def conditional_expectation(space, labels) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _oracles import dump_text
 from lattice_lab import build_truncation, classify, haar_example
+from lattice_lab import cli
 from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
 from lattice_lab.jsonio import Instance
 
@@ -205,6 +206,31 @@ def test_gen_refuses_non_finite_values(tmp_path, capsys, factor):
     code, out, err = run(capsys, "gen", "scale-head", f"--factor={factor}", "--out", str(path))
     assert code == 2 and one_line_error(err)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "dyadic", "--size", "13"),
+        ("gen", "dyadic", "--size", "64"),
+        ("gen", "haar", "--size", "30"),
+        ("demo", "haar", "--size", "30"),
+    ],
+)
+def test_level_counts_beyond_the_cap_exit_two(capsys, argv):
+    # --size counts levels here: the space has 2**size cells
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and one_line_error(err)
+    assert "levels must lie in 1..12" in err
+
+
+def test_running_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(size, args):
+        raise MemoryError("Unable to allocate 2.00 TiB for an array")
+
+    monkeypatch.setitem(cli.BUILDERS, "truncation", (16, exhausted, None))
+    code, out, err = run(capsys, "gen", "truncation")
+    assert code == 2 and out == "" and one_line_error(err)
 
 
 @pytest.mark.parametrize("target", ["missing/dir/out.json", "a-file/out.json"])

@@ -1,4 +1,4 @@
-"""Filtration laws, the density surrogate, and the four builders."""
+"""Filtration laws, the density surrogate, and the builders."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from lattice_lab import (
     NormKind,
     PosOperator,
     apply,
+    build_copy,
     build_dyadic,
     build_pairing,
     build_random_nested,
@@ -22,7 +23,8 @@ from lattice_lab import (
     validate,
     vector,
 )
-from lattice_lab.filtration import _conditional_expectation
+from lattice_lab import filtration
+from lattice_lab.filtration import MAX_DYADIC_LEVELS, _conditional_expectation
 from lattice_lab.harness import random_filtration
 
 BUILDERS = [
@@ -31,6 +33,7 @@ BUILDERS = [
     ("dyadic", lambda: build_dyadic(3)),
     ("nested-l1", lambda: build_random_nested(10, 6, seed=5)),
     ("nested-sup", lambda: build_random_nested(10, 6, seed=5, norm_kind="sup")),
+    ("copy", lambda: build_copy(8)),
 ]
 
 
@@ -127,6 +130,27 @@ def test_averaging_builders_are_not_band_projections(make):
     for op in filt.ops:
         if not np.array_equal(op.matrix, eye):
             assert not is_band_projection(op)
+
+
+def test_copy_keeps_a_head_and_repeats_its_last_coordinate():
+    filt = build_copy(5)
+    x = vector(filt.space, [1.0, -2.0, 3.0, -4.0, 5.0])
+    assert apply(filt.op(2), x).coords.tolist() == [1.0, -2.0, -2.0, -2.0, -2.0]
+    assert not any(is_band_projection(e) for e in filt.ops[:-1])
+    assert np.array_equal(filt.op(5).matrix, np.eye(5))
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the level cap was checked")
+
+
+def test_dyadic_levels_are_capped_before_anything_is_allocated(monkeypatch):
+    assert MAX_DYADIC_LEVELS == 12  # 13 levels would need a 6.9 GB dense stack
+    monkeypatch.setattr(filtration, "np", _NoNumpy())
+    for levels in (13, 30, 64):
+        with pytest.raises(ValueError, match=r"levels must lie in 1\.\.12, got"):
+            build_dyadic(levels)
 
 
 def test_random_nested_seed_determinism():

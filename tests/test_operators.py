@@ -11,6 +11,7 @@ from lattice_lab import (
     absolute,
     apply,
     basis,
+    build_copy,
     build_dyadic,
     build_pairing,
     build_truncation,
@@ -19,6 +20,7 @@ from lattice_lab import (
     identity,
     is_band_projection,
     is_contractive,
+    is_lattice_homomorphism,
     is_positive,
     is_projection,
     norm,
@@ -149,6 +151,30 @@ def test_is_band_projection():
     sup2 = LatticeSpace(2, NormKind.SUP)
     assert not is_band_projection(PosOperator(sup2, [[1.0, np.nan], [0.0, 1.0]]))
     assert not is_band_projection(PosOperator(sup2, np.diag([1.0, np.nan])))
+
+
+def test_is_lattice_homomorphism():
+    assert is_lattice_homomorphism(identity(SUP4))
+    assert all(is_lattice_homomorphism(e) for e in build_truncation(5).ops)
+    assert all(is_lattice_homomorphism(e) for e in build_copy(5).ops)
+    zero_row = [[0.0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3], [1, 0, 0, 0]]
+    assert is_lattice_homomorphism(PosOperator(SUP4, zero_row))
+    for filt in (build_pairing(3), build_dyadic(3)):
+        assert not any(is_lattice_homomorphism(e) for e in filt.ops[:-1])
+    two_positive = np.diag([1.0, 1, 1, 0])
+    two_positive[3, :2] = 0.5
+    assert not is_lattice_homomorphism(PosOperator(SUP4, two_positive))
+    negative = np.eye(4)
+    negative[2, 2] = -1.0
+    assert not is_lattice_homomorphism(PosOperator(SUP4, negative))
+
+
+@pytest.mark.parametrize("base", [np.eye(3), np.zeros((3, 3))], ids=["identity", "zero"])
+@pytest.mark.parametrize("where", [(i, j) for i in range(3) for j in range(3)])
+def test_nan_is_never_a_lattice_homomorphism(base, where):
+    m = base.copy()
+    m[where] = np.nan
+    assert not is_lattice_homomorphism(PosOperator(LatticeSpace(3, NormKind.SUP), m))
 
 
 def test_band_projection_commutes_with_abs():
