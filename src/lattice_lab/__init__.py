@@ -23,8 +23,10 @@ from .spaces import (
     zero,
 )
 from .operators import (
+    BlockOperator,
     PosOperator,
     apply,
+    apply_rows,
     compose,
     disjoint,
     identity,

@@ -32,6 +32,7 @@ import numpy as np
 from . import harness
 from .filtration import (
     Filtration,
+    build_copy,
     build_dyadic,
     build_random_nested,
     build_truncation,
@@ -82,6 +83,7 @@ BUILDERS = {
     "truncation": (16, lambda n, _args: (build_truncation(n), None), None),
     "dyadic": (3, lambda n, _args: (build_dyadic(n), None), None),
     "random-nested": (16, _random_nested, None),
+    "copy": (16, lambda n, _args: (build_copy(n), None), None),
     "haar": (
         3,
         lambda n, _args: haar_example(n),

@@ -19,6 +19,13 @@ so defective candidates can be inspected.  The builders in this module
 all produce filtrations that pass ``validate(require_contractive=True)``
 exactly up to rounding.
 
+A stage is either form of :mod:`lattice_lab.operators`: a dense
+``PosOperator`` (files, hand-built matrices) or a ``BlockOperator``, which
+every builder here emits, stored in O(d) as block labels, a row mask and
+column coefficients.  A block stage's ``matrix`` is built on each access
+and never stored, so :func:`validate` holds at most one adjacent pair of
+matrices at a time.
+
 Everything "for all n" in the underlying theory is rendered at a finite
 horizon N; reports are therefore evidence consistent with the infinite
 statements, not proofs of them.
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PosOperator, is_lattice_homomorphism, operator_norm
+from .operators import BlockOperator, Operator, is_lattice_homomorphism, operator_norm
 from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, row_norms
 
 
@@ -40,7 +47,7 @@ class Filtration:
     """Operators E_1..E_N on a common space; ``op(n)`` is 1-based access."""
 
     space: LatticeSpace
-    ops: tuple[PosOperator, ...]
+    ops: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
         ops = tuple(self.ops)
@@ -55,7 +62,7 @@ class Filtration:
     def horizon(self) -> int:
         return len(self.ops)
 
-    def op(self, n: int) -> PosOperator:
+    def op(self, n: int) -> Operator:
         if not 1 <= n <= self.horizon:
             raise IndexError(f"operator index {n} out of range 1..{self.horizon}")
         return self.ops[n - 1]
@@ -135,19 +142,17 @@ def validate(
     law's ``worst`` and ``witness`` describe the adjacent pairs only; the
     full N^2 sweep is kept as a test oracle.
     """
-    mats = [e.matrix for e in filt.ops]
-    pairs = [
-        p
-        for n in range(1, len(mats) + 1)
-        for p in ((n, n), (n, n + 1), (n + 1, n))
-        if max(p) <= len(mats)
-    ]
-    order = {
-        (n, m): float(np.max(np.abs(mats[n - 1] @ mats[m - 1] - mats[min(n, m) - 1])))
-        for n, m in pairs
-    }
-    positivity = (((n,), float(-np.min(e))) for n, e in enumerate(mats, start=1))
-    idempotence = (((n,), order[n, n]) for n in range(1, len(mats) + 1))
+    positivity, order = [], {}
+    n_ops = filt.horizon
+    nxt = filt.ops[0].matrix
+    for n in range(1, n_ops + 1):  # E_n and E_{n+1} are the only matrices alive
+        cur, nxt = nxt, (filt.ops[n].matrix if n < n_ops else None)
+        positivity.append(((n,), float(-np.min(cur))))
+        order[n, n] = float(np.max(np.abs(cur @ cur - cur)))
+        if nxt is not None:
+            order[n, n + 1] = float(np.max(np.abs(cur @ nxt - cur)))
+            order[n + 1, n] = float(np.max(np.abs(nxt @ cur - cur)))
+    idempotence = (((n,), order[n, n]) for n in range(1, n_ops + 1))
     checks = [
         _law("positivity", positivity, tol),
         _law("idempotence", idempotence, tol),
@@ -200,19 +205,15 @@ def build_truncation(n: int) -> Filtration:
     if n < 1:
         raise ValueError("horizon must be >= 1")
     space = LatticeSpace(n, NormKind.SUP)
-    ops = []
-    for k in range(1, n + 1):
-        diag = np.zeros(n)
-        diag[:k] = 1.0
-        ops.append(PosOperator(space, np.diag(diag)))
-    return Filtration(space, tuple(ops))
+    cells = np.arange(n)
+    return Filtration(space, tuple(BlockOperator(space, cells, cells < k, 1.0) for k in cells + 1))
 
 
 def build_pairing(pairs: int) -> Filtration:
     """Pair-averaging filtration on a sup-norm space of dimension 2*pairs.
 
     Stage n keeps the first 2n coordinates and averages each later
-    coordinate pair (2k-1, 2k) via a 2x2 block of one-halves.  Stages are
+    coordinate pair (2k-1, 2k) with weights one-half.  Stages are
     stored 1-based, so the fully-averaging stage with no kept coordinates
     is omitted and the final operator is the identity.
     """
@@ -220,15 +221,12 @@ def build_pairing(pairs: int) -> Filtration:
         raise ValueError("pairs must be >= 1")
     dim = 2 * pairs
     space = LatticeSpace(dim, NormKind.SUP)
+    cells = np.arange(dim)
     ops = []
-    for n in range(1, pairs + 1):
-        m = np.zeros((dim, dim))
-        kept = 2 * n
-        for i in range(kept):
-            m[i, i] = 1.0
-        for k in range(kept, dim, 2):
-            m[k : k + 2, k : k + 2] = 0.5
-        ops.append(PosOperator(space, m))
+    for kept in range(2, dim + 1, 2):
+        alone = cells < kept  # a kept coordinate is its own block; a pair is labelled by its first
+        labels = np.where(alone, cells, cells - cells % 2)
+        ops.append(BlockOperator(space, labels, True, np.where(alone, 1.0, 0.5)))
     return Filtration(space, tuple(ops))
 
 
@@ -240,21 +238,19 @@ def build_dyadic(levels: int) -> Filtration:
 
     The space has 2**levels equal cells under the weighted L1 norm
     (weights 2**-levels, summing to one).  E_n averages coordinates within
-    each of the 2**n level-n blocks; E_levels is the identity.  The dense
-    stack holds levels * 4**levels floats, 1.6 GB at 12 levels and 6.9 GB
-    at 13, so more than :data:`MAX_DYADIC_LEVELS` levels are refused
-    before anything is allocated.
+    each of the 2**n level-n blocks; E_levels is the identity.  A written
+    instance holds levels * 4**levels matrix entries, 1.6 GB at 12 levels
+    and 6.9 GB at 13, and each stage's ``matrix`` is 4**levels floats, so
+    more than :data:`MAX_DYADIC_LEVELS` levels are refused before anything
+    is allocated.
     """
     if not 1 <= levels <= MAX_DYADIC_LEVELS:
         raise ValueError(f"levels must lie in 1..{MAX_DYADIC_LEVELS}, got {levels}")
     dim = 2**levels
     space = LatticeSpace(dim, NormKind.WEIGHTED_L1, np.full(dim, 2.0**-levels))
-    ops = []
-    for n in range(1, levels + 1):
-        block = 2 ** (levels - n)
-        m = np.kron(np.eye(2**n), np.full((block, block), 1.0 / block))
-        ops.append(PosOperator(space, m))
-    return Filtration(space, tuple(ops))
+    cells = np.arange(dim)
+    sizes = (2 ** (levels - n) for n in range(1, levels + 1))
+    return Filtration(space, tuple(BlockOperator(space, cells // b, True, 1.0 / b) for b in sizes))
 
 
 def build_copy(n: int) -> Filtration:
@@ -267,22 +263,27 @@ def build_copy(n: int) -> Filtration:
     if n < 1:
         raise ValueError("horizon must be >= 1")
     space = LatticeSpace(n, NormKind.SUP)
-    eye, rows = np.eye(n), np.arange(n)
-    return Filtration(space, tuple(PosOperator(space, eye[np.minimum(rows, k)]) for k in rows))
+    cells = np.arange(n)
+    return Filtration(
+        space, tuple(BlockOperator(space, np.minimum(cells, k), True, cells <= k) for k in cells)
+    )
 
 
-def _conditional_expectation(space: LatticeSpace, labels: np.ndarray) -> PosOperator:
-    """Weighted block-averaging projection onto a partition given by labels.
+def _conditional_expectation(space: LatticeSpace, labels: np.ndarray) -> BlockOperator:
+    """Weighted block-averaging projection onto a partition given by
+    non-negative integer labels.
 
     On a weighted-L1 space, block b maps x to sum_{j in b} w_j x_j / W_b on
     each of its coordinates; sup spaces average uniformly.  Either way the
     operator is a positive projection of norm one.
     """
     w = space.weights if space.weights is not None else np.ones(space.dim)
-    blocks, block_of = np.unique(labels, return_inverse=True)
-    block_weight = np.array([w[block_of == b].sum() for b in range(blocks.size)])
-    same_block = block_of[:, None] == block_of[None, :]
-    return PosOperator(space, np.where(same_block, w / block_weight[block_of][:, None], 0.0))
+    # bincount adds in index order, which is what np.sum does below 8 terms;
+    # larger blocks take np.sum's pairwise order, so W_b is w[b].sum() exactly
+    block_weight = np.bincount(labels, w)
+    for b in np.flatnonzero(np.bincount(labels) >= 8):
+        block_weight[b] = w[labels == b].sum()
+    return BlockOperator(space, labels, True, w / block_weight[labels])
 
 
 def build_random_nested(

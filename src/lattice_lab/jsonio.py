@@ -28,6 +28,7 @@ formatted once.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -37,12 +38,17 @@ import numpy as np
 
 from .filtration import Filtration
 from .martingales import VectorSequence, sequence as make_sequence
-from .operators import PosOperator
+from .operators import Operator, PosOperator, is_finite
 from .spaces import LatticeSpace, NormKind
 
 
 class InstanceFormatError(ValueError):
     """Raised when a JSON document does not parse into a consistent instance."""
+
+
+#: False while :func:`load_instance` reads a text holding neither ``true``
+#: nor ``false``: no JSON boolean can be in it, so no leaf scan is needed.
+_bools_possible: ContextVar[bool] = ContextVar("bools_possible", default=True)
 
 
 def space_to_dict(space: LatticeSpace) -> dict:
@@ -81,7 +87,7 @@ def _numbers(value, what: str) -> np.ndarray | None:
     if value is None:
         return None
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or _has_bool_leaf(value, arr.ndim):
+    if arr.dtype.kind not in "iuf" or (_bools_possible.get() and _has_bool_leaf(value, arr.ndim)):
         raise InstanceFormatError(f"{what} must hold numbers only")
     if not np.isfinite(arr).all():
         raise InstanceFormatError(f"{what} must be finite, not NaN or Infinity")
@@ -100,7 +106,7 @@ def _has_bool_leaf(value, depth: int) -> bool:
     return depth > 0 and bool in set(map(type, leaves))
 
 
-def operator_to_dict(op: PosOperator) -> dict:
+def operator_to_dict(op: Operator) -> dict:
     return {"matrix": op.matrix.tolist()}
 
 
@@ -187,6 +193,9 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def load_instance(path: str | Path) -> Instance:
+    """Read and check an instance file; exactly what :func:`instance_from_dict`
+    accepts, with the boolean leaf scan skipped when the text holds neither
+    ``true`` nor ``false``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -195,7 +204,11 @@ def load_instance(path: str | Path) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return instance_from_dict(data)
+    token = _bools_possible.set("true" in text or "false" in text)
+    try:
+        return instance_from_dict(data)
+    finally:
+        _bools_possible.reset(token)
 
 
 def _float_list(items: Iterable[str], level: int) -> str:
@@ -244,15 +257,17 @@ def _instance_text(instance: Instance) -> Iterator[str]:
     """The pieces of ``json.dumps(instance.to_dict(), indent=2) + "\\n"``.
 
     They are built from the arrays one row at a time, without the nested
-    lists of ``to_dict``.  Every value is checked first, so a non-finite one
-    raises ``ValueError`` before any piece exists: JSON has no token for it.
+    lists of ``to_dict``, and a block stage's matrix is built only while it
+    is written, so at most one stage matrix is alive.  Every value is
+    checked first, so a non-finite one raises ``ValueError`` before any
+    piece exists: JSON has no token for it.
     """
-    arrays = [] if instance.space.weights is None else [instance.space.weights]
-    if instance.filtration is not None:
-        arrays += [e.matrix for e in instance.filtration.ops]
-    if instance.sequence is not None:
-        arrays.append(instance.sequence.coords)
-    if not all(np.isfinite(a).all() for a in arrays):
+    space, filt, seq = instance.space, instance.filtration, instance.sequence
+    if not (
+        (space.weights is None or np.isfinite(space.weights).all())
+        and (filt is None or all(is_finite(e) for e in filt.ops))
+        and (seq is None or np.isfinite(seq.coords).all())
+    ):
         raise ValueError("the instance holds a NaN or infinite value, which JSON cannot store")
     return _layout(instance)
 

@@ -39,7 +39,7 @@ from .filtration import (
     build_truncation,
     is_contractive_filtration,
 )
-from .operators import PosOperator
+from .operators import Operator, apply_rows
 from .spaces import (
     DEFAULT_TOL,
     LatticeSpace,
@@ -145,6 +145,10 @@ def _pair_table(
     (default: the whole horizon); entries past the horizon are zero, which
     no reduction below can mistake for a defect.  Only one (band, d) block
     of applied terms is alive at a time, never an N x N x d tensor.
+
+    A NaN or infinite term makes every pair it is in NaN, as ``0 * inf``
+    does in a dense product; a block stage never reads the coordinates it
+    drops, so without this such a term could pass a law.
     """
     xs = seq.coords
     n_terms = len(xs)
@@ -152,7 +156,11 @@ def _pair_table(
     table = np.zeros((n_terms, band))
     for n, e in enumerate(filt.ops):
         block = xs[n : n + band]
-        table[n, : len(block)] = row_norms(filt.space, block @ e.matrix.T - xs[n])
+        table[n, : len(block)] = row_norms(filt.space, apply_rows(e, block) - xs[n])
+    if not np.isfinite(xs).all():
+        for m in np.flatnonzero(~np.isfinite(xs).all(axis=1)):
+            n = np.arange(max(0, m - band + 1), m + 1)
+            table[n, m - n] = np.nan
     return table
 
 
@@ -328,9 +336,9 @@ def classify(
 # Sequence constructions
 # ---------------------------------------------------------------------------
 
-def _applied(ops: TySequence[PosOperator], x: np.ndarray) -> np.ndarray:
+def _applied(ops: TySequence[Operator], x: np.ndarray) -> np.ndarray:
     """The stack of E x over ``ops``, one row per operator."""
-    return np.stack([e.matrix @ x for e in ops])
+    return np.stack([apply_rows(e, x) for e in ops])
 
 
 def abs_seq(seq: VectorSequence) -> VectorSequence:

@@ -1,4 +1,14 @@
-"""Dense linear operators on a lattice space.
+"""Linear operators on a lattice space, in two stage forms.
+
+A :class:`PosOperator` holds an arbitrary dense d x d matrix; files and
+hand-built operators use it.  A :class:`BlockOperator` holds a block stage
+T_ij = mask_i * coef_j * [label_i == label_j] as three length-d arrays:
+the weighted block averages and coordinate copies of conditional-
+expectation type (Douglas, Pacific J. Math. 15, 1965) that every builder
+in :mod:`lattice_lab.filtration` makes.  Both forms expose ``matrix``; on
+a block stage it is built on each access and never stored, so no hot path
+here reads it: :func:`apply_rows`, :func:`operator_norm` and
+:func:`is_lattice_homomorphism` work on the block arrays.
 
 Provides the checks a positive contractive projection must pass
 (entrywise positivity, idempotence, induced norm at most one) and the
@@ -12,7 +22,7 @@ Operators are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,40 +61,152 @@ class PosOperator:
         return f"PosOperator(dim={self.space.dim})"
 
 
+#: Largest dimension at which a block stage keeps its block-sum matrix
+#: (at most 64 x 65 floats, 33 KB).
+KEEP_SUMS_DIM = 64
+
+
+@dataclass(frozen=True, eq=False)
+class BlockOperator:
+    """A block stage: (Tx)_i = mask_i * sum over j in i's block of coef_j x_j.
+
+    ``labels`` names each coordinate's block by an integer (labels outside
+    0..d-1 are renumbered), ``mask`` keeps or zeroes each row and ``coef``
+    weighs each column; ``mask`` and ``coef`` may be scalars.  The coef of
+    a block with no kept row never enters the matrix and is stored as 0.
+
+    Construction precomputes the kernel of :func:`apply_rows` in O(d):
+    * when no row holds two nonzero entries (truncations, copies, the
+      identity), a row of Tx is one coefficient times one coordinate, so Tx
+      is a gather and a product;
+    * otherwise each row reads its block's sum of coef_j x_j, and the rows
+      the mask drops read a zero sum.  Up to :data:`KEEP_SUMS_DIM` the stage
+      keeps the d x (B + 1) block-sum matrix S (S[j, label_j] = coef_j,
+      column B zero), and Tx is one product by S and one gather.  Above it,
+      S would make the stage O(d^2), so one ``bincount`` over the rows makes
+      the block sums instead.
+    """
+
+    space: LatticeSpace
+    labels: np.ndarray
+    mask: np.ndarray
+    coef: np.ndarray
+    _slots: int = field(init=False, repr=False)
+    _src: np.ndarray | None = field(init=False, repr=False)
+    _scale: np.ndarray | None = field(init=False, repr=False)
+    _sums: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        d = self.space.dim
+        labels = np.asarray(self.labels)
+        if labels.shape != (d,) or labels.dtype.kind not in "iu":
+            raise ValueError(f"expected {d} integer labels, got {labels.dtype} {labels.shape}")
+        top = labels.max()
+        if labels.min() < 0 or top >= d:
+            labels = np.unique(labels, return_inverse=True)[1].reshape(d)
+            top = labels.max()
+        labels, slots = labels.astype(np.intp), int(top) + 1
+        mask, coef = np.empty(d, dtype=bool), np.empty(d)
+        mask[...], coef[...] = self.mask, self.coef
+        if not mask.all():
+            coef[np.bincount(labels[mask], minlength=slots)[labels] == 0] = 0.0
+        nonzero = coef != 0.0
+        src = scale = sums = None
+        if np.bincount(labels[nonzero], minlength=slots).max() > 1:
+            src = np.where(mask, labels, slots)
+            if d <= KEEP_SUMS_DIM:
+                sums = np.zeros((d, slots + 1))
+                sums[np.arange(d), labels] = coef
+        elif slots == d and np.bincount(labels).max() == 1:  # all singletons: T is diagonal
+            scale = coef
+        else:
+            head = np.empty(slots, dtype=np.intp)  # a block's nonzero column, else any member
+            head[labels] = np.arange(d)
+            head[labels[nonzero]] = np.flatnonzero(nonzero)
+            src = head[labels]
+            scale = np.where(mask, coef[src], 0.0)
+        object.__setattr__(self, "_slots", slots)
+        for name, value in (("labels", labels), ("mask", mask), ("coef", coef),
+                            ("_src", src), ("_scale", scale), ("_sums", sums)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d matrix, built on each access and never stored."""
+        same = (self.labels[:, None] == self.labels) & self.mask[:, None]
+        m = np.where(same, self.coef, 0.0)
+        m.setflags(write=False)
+        return m
+
+    def __repr__(self) -> str:
+        return f"BlockOperator(dim={self.space.dim})"
+
+
+#: Either stage form; every function below accepts both.
+Operator = PosOperator | BlockOperator
+
+
+def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
+    """``rows @ T.T``: the operator applied to each row of ``rows`` (shape
+    (..., d)), or to ``rows`` itself when it is one vector."""
+    if isinstance(op, PosOperator):
+        return rows @ op.matrix.T
+    if op._scale is not None:
+        return (rows if op._src is None else rows[..., op._src]) * op._scale
+    if op._sums is not None:
+        return (rows @ op._sums)[..., op._src]
+    flat = rows.reshape(-1, op.space.dim)
+    width = op._slots + 1  # the last column stays zero for the rows the mask drops
+    cells = (np.arange(len(flat))[:, None] * width + op.labels).ravel()
+    sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
+    return sums.reshape(-1, width)[:, op._src].reshape(rows.shape)
+
+
 def identity(space: LatticeSpace) -> PosOperator:
     return PosOperator(space, np.eye(space.dim))
 
 
-def apply(op: PosOperator, x: LatticeVector) -> LatticeVector:
+def apply(op: Operator, x: LatticeVector) -> LatticeVector:
     if op.space != x.space:
         raise SpaceMismatchError("operator and vector live in different spaces")
-    return LatticeVector(x.space, op.matrix @ x.coords)
+    return LatticeVector(x.space, apply_rows(op, x.coords))
 
 
-def compose(op: PosOperator, other: PosOperator) -> PosOperator:
+def compose(op: Operator, other: Operator) -> PosOperator:
     """Matrix product op @ other ("apply other first")."""
     if op.space != other.space:
         raise SpaceMismatchError("operators live in different spaces")
     return PosOperator(op.space, op.matrix @ other.matrix)
 
 
-def is_positive(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
+def is_positive(op: Operator, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise nonnegativity; equivalent to cone preservation in coordinate order."""
     return bool(np.min(op.matrix) >= -tol)
 
 
-def is_projection(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
+def is_projection(op: Operator, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(op.matrix @ op.matrix - op.matrix)) <= tol)
 
 
-def operator_norm(op: PosOperator) -> float:
+def operator_norm(op: Operator) -> float:
     """Induced operator norm.
 
     Sup norm: max absolute row sum.  Weighted L1 with weights w:
     max over columns j of (sum_i w_i |T_ij|) / w_j.  Both formulas are
     exact (attained by a sign vector resp. a basis vector); the test
-    suite validates them against a random-sampling lower bound.
+    suite validates them against a random-sampling lower bound.  On a
+    block stage a row sum is its block's sum of |coef|, and column j's
+    weighted sum is |coef_j| times the weight of the kept rows of its block.
     """
+    if isinstance(op, BlockOperator):
+        a = np.abs(op.coef)
+        if op.space.norm_kind is NormKind.SUP:  # a dropped row is 0, or a kept row's twin
+            return float(np.bincount(op.labels, a).max())
+        w = op.space.weights
+        kept = np.bincount(op.labels, np.where(op.mask, w, 0.0))
+        return float(np.max(a * kept[op.labels] / w))
     a = np.abs(op.matrix)
     if op.space.norm_kind is NormKind.SUP:
         return float(np.max(a.sum(axis=1)))
@@ -92,11 +214,11 @@ def operator_norm(op: PosOperator) -> float:
     return float(np.max((w @ a) / w))
 
 
-def is_contractive(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
+def is_contractive(op: Operator, tol: float = DEFAULT_TOL) -> bool:
     return operator_norm(op) <= 1.0 + tol
 
 
-def is_band_projection(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
+def is_band_projection(op: Operator, tol: float = DEFAULT_TOL) -> bool:
     """True iff the matrix is diagonal with entries in {0, 1} within tol; NaN never is."""
     d = np.diag(op.matrix)
     off = op.matrix - np.diag(d)
@@ -105,15 +227,26 @@ def is_band_projection(op: PosOperator, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def is_lattice_homomorphism(op: PosOperator) -> bool:
+def is_lattice_homomorphism(op: Operator) -> bool:
     """True iff |Tx| = T|x| for every x: each row is nonnegative with at most
     one nonzero entry, within ``DEFAULT_TOL``; NaN never is.
 
     A negative t_ij breaks it at e_j, two positive entries t_ij, t_ik at
-    e_j - e_k (Aliprantis and Burkinshaw, *Positive Operators*, 2006).
+    e_j - e_k (Aliprantis and Burkinshaw, *Positive Operators*, 2006).  On
+    a block stage a kept row holds its block's coefs, so each block may hold
+    one nonzero coef (the coefs of blocks without kept rows are 0).
     """
+    if isinstance(op, BlockOperator):
+        c = op.coef
+        big = np.bincount(op.labels, np.abs(c) > DEFAULT_TOL)
+        return bool(np.all(c >= -DEFAULT_TOL) and np.all(big <= 1))
     m = op.matrix
     return bool(np.all(m >= -DEFAULT_TOL) and np.all((np.abs(m) > DEFAULT_TOL).sum(axis=1) <= 1))
+
+
+def is_finite(op: Operator) -> bool:
+    """Whether every matrix entry is finite, read off ``coef`` on a block stage."""
+    return bool(np.isfinite(op.coef if isinstance(op, BlockOperator) else op.matrix).all())
 
 
 def disjoint(x: LatticeVector, y: LatticeVector, tol: float = DEFAULT_TOL) -> bool:

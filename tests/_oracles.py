@@ -10,6 +10,9 @@ the weighted block-averaging matrix one block at a time, and
 ``order_law_sweep`` checks the filtration laws with the commuting-order
 law on all N^2 pairs.  ``closure_fraction`` samples the closure of the
 eventual class under |.| that ``is_abs_closed`` decides exactly.
+``dense_stages`` rebuilds a builder's stages as the dense matrices the
+builders made before they emitted block stages, and ``block_matrix`` fills
+a block stage's matrix one entry at a time.
 
 The sequence references below work term by term through the per-vector
 API (``apply``, ``norm``, ``absolute``), one ``LatticeVector`` per term,
@@ -21,6 +24,7 @@ import json
 import numpy as np
 
 from lattice_lab import (
+    LatticeSpace,
     NormKind,
     abs_seq,
     absolute,
@@ -29,6 +33,7 @@ from lattice_lab import (
     eventual_witness,
     norm,
     operator_norm,
+    vector,
 )
 from lattice_lab.filtration import ValidationReport, _law
 from lattice_lab.harness import random_eventual_martingale, trial_rng
@@ -209,7 +214,95 @@ def eventual_rows(filt, rng) -> tuple[np.ndarray, int]:
     cut = int(rng.integers(1, n_terms)) if n_terms > 1 else 1
     x = rng.uniform(-1.0, 1.0, size=dim)
     rows = [
-        rng.uniform(-1.0, 1.0, size=dim) if n < cut else filt.op(n).matrix @ x
+        rng.uniform(-1.0, 1.0, size=dim)
+        if n < cut
+        else apply(filt.op(n), vector(filt.space, x)).coords
         for n in range(1, n_terms + 1)
     ]
     return np.array(rows), cut
+
+
+# ---------------------------------------------------------------------------
+# Dense reference builders: each stage as a full d x d matrix
+# ---------------------------------------------------------------------------
+
+def truncation_stages(n: int) -> list[np.ndarray]:
+    stages = []
+    for k in range(1, n + 1):
+        diag = np.zeros(n)
+        diag[:k] = 1.0
+        stages.append(np.diag(diag))
+    return stages
+
+
+def pairing_stages(pairs: int) -> list[np.ndarray]:
+    dim = 2 * pairs
+    stages = []
+    for n in range(1, pairs + 1):
+        m = np.zeros((dim, dim))
+        kept = 2 * n
+        for i in range(kept):
+            m[i, i] = 1.0
+        for k in range(kept, dim, 2):
+            m[k : k + 2, k : k + 2] = 0.5
+        stages.append(m)
+    return stages
+
+
+def dyadic_stages(levels: int) -> list[np.ndarray]:
+    stages = []
+    for n in range(1, levels + 1):
+        block = 2 ** (levels - n)
+        stages.append(np.kron(np.eye(2**n), np.full((block, block), 1.0 / block)))
+    return stages
+
+
+def copy_stages(n: int) -> list[np.ndarray]:
+    eye, rows = np.eye(n), np.arange(n)
+    return [eye[np.minimum(rows, k)] for k in rows]
+
+
+def random_nested_stages(dim: int, depth: int, seed: int, norm_kind="l1") -> list[np.ndarray]:
+    """The same seeded chain of splits as ``build_random_nested``, each level's
+    conditional expectation filled one block at a time."""
+    rng = np.random.default_rng(seed)
+    kind = NormKind(norm_kind)
+    if kind is NormKind.WEIGHTED_L1:
+        w = rng.uniform(0.25, 1.75, size=dim)
+        space = LatticeSpace(dim, kind, w / w.sum())
+    else:
+        space = LatticeSpace(dim, kind)
+    labels = np.zeros(dim, dtype=int)
+    partitions = [labels.copy()]
+    for level in range(2, depth + 1):
+        sizes = np.bincount(labels)
+        block = int(rng.choice(np.flatnonzero(sizes >= 2)))
+        members = rng.permutation(np.flatnonzero(labels == block))
+        cut = int(rng.integers(1, members.size))
+        labels = labels.copy()
+        labels[members[:cut]] = level - 1
+        partitions.append(labels.copy())
+    return [conditional_expectation(space, p) for p in partitions]
+
+
+def dense_stages(builder: str, **params) -> list[np.ndarray]:
+    """Dense stages of a named builder; ``params`` as in ``random_filtration``'s
+    descriptor (``size``, or ``dim``, ``depth``, ``sub_seed`` and ``norm``)."""
+    if builder == "random-nested":
+        return random_nested_stages(
+            params["dim"], params["depth"], params["sub_seed"], params["norm"]
+        )
+    build = {"truncation": truncation_stages, "pairing": pairing_stages,
+             "dyadic": dyadic_stages, "copy": copy_stages}[builder]
+    return build(params["size"])
+
+
+def block_matrix(labels, mask, coef) -> np.ndarray:
+    """T_ij = mask_i * coef_j * [label_i == label_j], one entry at a time."""
+    d = len(labels)
+    m = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            if mask[i] and labels[i] == labels[j]:
+                m[i, j] = coef[j]
+    return m

@@ -7,15 +7,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import dump_text
-from lattice_lab import build_truncation, classify, haar_example
+from lattice_lab import build_copy, build_truncation, classify, haar_example
 from lattice_lab import cli
 from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
-from lattice_lab.jsonio import Instance
+from lattice_lab.jsonio import Instance, load_instance
 
 
 def run(capsys, *argv):
@@ -61,6 +62,19 @@ def test_gen_classify_round_trip_is_bit_exact(tmp_path, capsys):
     assert code == 0
     filt, seq = haar_example(3)
     assert json.loads(out) == classify(seq, filt).to_dict()
+
+
+def test_gen_copy_round_trips_and_validates(tmp_path, capsys):
+    path = tmp_path / "copy.json"
+    code, _, _ = run(capsys, "gen", "copy", "--size", "8", "--out", str(path))
+    assert code == 0
+    loaded, built = load_instance(path), build_copy(8)
+    assert loaded.sequence is None and loaded.space == built.space
+    assert len(loaded.filtration.ops) == 8
+    for a, b in zip(loaded.filtration.ops, built.ops):
+        assert np.array_equal(a.matrix, b.matrix)
+    code, out, _ = run(capsys, "validate", str(path), "--contractive", "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_classify_requires_sequence(tmp_path, capsys):

@@ -279,6 +279,39 @@ def test_weights_and_vectors_must_be_numbers():
         sequence_from_dict(LatticeSpace(2), {"vectors": [[1.0, 2.0], [3, False]]})
 
 
+def test_text_without_boolean_tokens_skips_the_leaf_scan(tmp_path):
+    doc = {"space": {"dim": 2, "norm": "sup"}, "sequence": {"vectors": [[1, 1.5], [0.5, 2]]}}
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with mock.patch("lattice_lab.jsonio._has_bool_leaf", side_effect=AssertionError("scanned")):
+        loaded = load_instance(path)
+    assert loaded.sequence.coords.tolist() == [[1.0, 1.5], [0.5, 2.0]]
+    with pytest.raises(InstanceFormatError, match="numbers only"):
+        sequence_from_dict(LatticeSpace(2), {"vectors": [[True, 1.5]]})  # the dict path still scans
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"true_to_form": 1}, {"note": "false alarm"}, {"flags": "trueish"}],
+)
+def test_true_or_false_in_a_key_or_string_still_loads(tmp_path, extra):
+    doc = {"space": {"dim": 2, "norm": "sup"}, "sequence": {"vectors": [[1, 1.5]]}, **extra}
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_instance(path).sequence.coords.tolist() == [[1.0, 1.5]]
+
+
+@pytest.mark.parametrize("vectors", ["[[true, 1.5]]", "[[1.5, false]]"])
+def test_boolean_among_numbers_in_a_file_is_refused(tmp_path, vectors):
+    path = tmp_path / "bool.json"
+    path.write_text(
+        '{"space": {"dim": 2, "norm": "sup"}, "sequence": {"vectors": ' + vectors + "}}",
+        encoding="utf-8",
+    )
+    with pytest.raises(InstanceFormatError, match="numbers only"):
+        load_instance(path)
+
+
 def test_flat_vectors_do_not_load():
     with pytest.raises(InstanceFormatError):
         sequence_from_dict(LatticeSpace(2), {"vectors": [1.0, 2.0]})

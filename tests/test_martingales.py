@@ -475,3 +475,19 @@ def test_scale_head_only_touches_first_term():
     assert np.array_equal(doubled.term(1).coords, 2.0 * seq.term(1).coords)
     for n in range(2, 4):
         assert np.array_equal(doubled.term(n).coords, seq.term(n).coords)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_term_fails_every_pair_it_is_in(bad):
+    # E_2 of truncation(3) never reads coordinate 3, so only the rule that a
+    # non-finite term poisons its pairs keeps x_3 from passing the one-step law.
+    filt = build_truncation(3)
+    rows = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0, bad]])
+    seq = sequence(filt.space, rows)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, as in a dense product
+        assert eventual_witness(seq, filt) is None
+        assert not is_martingale(seq, filt)
+        assert np.isnan(one_step_defects(seq, filt)[-1])
+        assert np.isnan(defect_profile(seq, filt)).all()
+    finite = sequence(filt.space, np.where(np.isfinite(rows), rows, 3.0))
+    assert eventual_witness(finite, filt) == 1
