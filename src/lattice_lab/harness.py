@@ -30,9 +30,10 @@ E_{N-1} is one, so ``abs-closure`` and ``abs-alignment`` sample nothing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -297,14 +298,13 @@ def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
 def _limit_family_check(
     check_id: str,
     filt: Filtration,
-    members: Iterable[VectorSequence],
+    members: Sequence[VectorSequence],
     limit: VectorSequence,
     descriptor: dict,
     seed: int | None,
 ) -> TheoremResult:
     """Shared core: members must not be NOT_X, nor the limit; replay the
     triangle bound d(limit)_n <= d(member)_n + 2 ||member - limit||."""
-    members = list(members)
     limit_profile = defect_profile(limit, filt)
     distances = []
     for k, member in enumerate(members, start=1):
@@ -351,7 +351,7 @@ def _limit_family_check(
         descriptor,
         CheckStatus.CONFIRMED,
         {
-            "members": len(members),
+            "members": len(distances),
             "distances": [float(d) for d in distances],
             "limit_verdict": limit_verdict.value,
         },

@@ -26,9 +26,9 @@ classification outcomes hold to rounding error.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence as TySequence
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class VectorSequence:
         return f"VectorSequence(dim={self.space.dim}, horizon={self.horizon})"
 
 
-def sequence(space: LatticeSpace, rows: TySequence[TySequence[float]]) -> VectorSequence:
+def sequence(space: LatticeSpace, rows: Sequence[Sequence[float]]) -> VectorSequence:
     return VectorSequence(space, rows)
 
 
@@ -336,7 +336,7 @@ def classify(
 # Sequence constructions
 # ---------------------------------------------------------------------------
 
-def _applied(ops: TySequence[Operator], x: np.ndarray) -> np.ndarray:
+def _applied(ops: Sequence[Operator], x: np.ndarray) -> np.ndarray:
     """The stack of E x over ``ops``, one row per operator."""
     return np.stack([apply_rows(e, x) for e in ops])
 
@@ -458,9 +458,29 @@ def pairing_example(pairs: int) -> tuple[Filtration, VectorSequence]:
     return filt, sequence(filt.space, rows)
 
 
+class _HarmonicFamily(Sequence):
+    """The approximants A^1..A^{N-1} of the harmonic tail, each built from
+    the two (N, d) row tables when it is read and never stored."""
+
+    def __init__(self, space: LatticeSpace, x_tail: np.ndarray, y_head: np.ndarray) -> None:
+        self._space, self._x_tail, self._y_head = space, x_tail, y_head
+
+    def __len__(self) -> int:
+        return len(self._x_tail) - 1
+
+    def __getitem__(self, k: int | slice) -> VectorSequence | list[VectorSequence]:
+        m = range(1, len(self._x_tail))[k]  # negative indices, slices and IndexError
+        if isinstance(m, range):
+            return [self._member(i) for i in m]
+        return self._member(m)
+
+    def _member(self, m: int) -> VectorSequence:
+        return sequence(self._space, np.vstack((self._x_tail[:m], self._y_head[m:] / m)))
+
+
 def harmonic_tail_example(
     n_terms: int,
-) -> tuple[Filtration, VectorSequence, list[VectorSequence]]:
+) -> tuple[Filtration, VectorSequence, Sequence[VectorSequence]]:
     """Harmonic-tail sequence and its eventual-martingale approximants.
 
     On the truncation filtration of dimension N, x_n = sum_{i=n..N} e_i / i
@@ -468,6 +488,10 @@ def harmonic_tail_example(
     kept, tail replaced by (sum_{i<=n} e_i / i) / m) all are, and
     ||A^m - A|| = 1/m.  The family witnesses that the eventual class is
     not closed under the sequence-space norm while the asymptotic class is.
+
+    ``family[m - 1]`` is A^m for m = 1..N-1.  Each member is built on each
+    access, so the example holds O(N d) floats, not the N x N x d of the
+    whole family.
     """
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
@@ -475,7 +499,4 @@ def harmonic_tail_example(
     space = filt.space
     inv = np.tile(1.0 / np.arange(1, n_terms + 1), (n_terms, 1))
     x_tail, y_head = np.triu(inv), np.tril(inv)  # row n-1 is x_n resp. sum_{i<=n} e_i / i
-    family = [
-        sequence(space, np.vstack((x_tail[:m], y_head[m:] / m))) for m in range(1, n_terms)
-    ]
-    return filt, sequence(space, x_tail), family
+    return filt, sequence(space, x_tail), _HarmonicFamily(space, x_tail, y_head)

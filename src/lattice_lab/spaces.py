@@ -169,7 +169,7 @@ def row_norms(space: LatticeSpace, rows: np.ndarray) -> np.ndarray:
     """Norm of each row of ``rows`` (shape (..., dim)): sup or weighted L1."""
     a = np.abs(rows)
     if space.norm_kind is NormKind.SUP:
-        return np.max(a, axis=-1)
+        return a.max(axis=-1)
     return a @ space.weights
 
 

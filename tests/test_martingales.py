@@ -5,6 +5,8 @@ the tests (brute-force double loops over index pairs), independent of the
 library functions they check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,9 +149,33 @@ def test_harmonic_rows_match_the_row_builders(n_terms):
     _, base, family = harmonic_tail_example(n_terms)
     want_base, want_family = ref.harmonic_rows(n_terms)
     assert np.array_equal(base.coords, want_base)
-    assert len(family) == len(want_family)
+    assert len(family) == len(want_family) == n_terms - 1
     for member, want in zip(family, want_family):
         assert np.array_equal(member.coords, want)
+    for k in range(n_terms - 1):
+        assert np.array_equal(family[k].coords, want_family[k])
+    assert np.array_equal(family[-1].coords, want_family[-1])
+    for member, want in zip(family[-2:], want_family[-2:], strict=True):
+        assert np.array_equal(member.coords, want)
+    with pytest.raises(IndexError):
+        family[n_terms - 1]
+    for again, first in zip(family, list(family)):
+        assert np.array_equal(again.coords, first.coords)
+    with pytest.raises(ValueError):
+        family[0].coords[0, 0] = 1.0
+
+
+def test_harmonic_family_is_built_on_access():
+    # Holding all 255 approximants at once peaked at 137 MB traced.
+    tracemalloc.start()
+    try:
+        _, base, family = harmonic_tail_example(256)
+        assert seq_distance(family[-1], base) == 1.0 / 255
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 255
+    assert peak < 16 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
