@@ -46,6 +46,7 @@ from .jsonio import (
     load_instance,
 )
 from .martingales import (
+    DEFAULT_WINDOW_FRACTION,
     VectorSequence,
     abs_seq,
     check_lattice_closure,
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--eps-x", type=float, default=None, dest="eps_x")
-    p.add_argument("--window", type=float, default=0.25)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_FRACTION)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 

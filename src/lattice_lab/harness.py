@@ -48,8 +48,10 @@ from .filtration import (
     is_dense,
 )
 from .martingales import (
+    DEFAULT_EPS_FRACTION,
     VectorSequence,
     Verdict,
+    _after_last,
     _applied,
     _pair_table,
     abs_seq,
@@ -58,6 +60,7 @@ from .martingales import (
     eventual_witness,
     harmonic_tail_example,
     haar_example,
+    is_martingale,
     null_sequence,
     one_step_defects,
     pairing_example,
@@ -379,11 +382,11 @@ def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
     return _limit_family_check("closed-limits", filt, family, limit, descriptor, seed)
 
 
-def check_closed_under_limits_harmonic(n_terms: int = 64) -> TheoremResult:
-    """Same claim on the harmonic-tail family, whose limit lies outside the
-    eventual class yet must (and does) stay asymptotic."""
-    filt, base, family = harmonic_tail_example(n_terms)
-    descriptor = {"family": "harmonic-tail", "size": n_terms, **_filt_descriptor(filt)}
+def check_closed_under_limits_harmonic() -> TheoremResult:
+    """Same claim on the 64-term harmonic-tail family, whose limit lies
+    outside the eventual class yet must (and does) stay asymptotic."""
+    filt, base, family = harmonic_tail_example(64)
+    descriptor = {"family": "harmonic-tail", "size": filt.horizon, **_filt_descriptor(filt)}
     return _limit_family_check("closed-limits", filt, family, base, descriptor, None)
 
 
@@ -392,15 +395,12 @@ def _convergent_asymptotic_premises(
     seq: VectorSequence,
     limit_vec: LatticeVector,
     filt: Filtration,
-    descriptor: dict | None,
-) -> tuple[dict, float, int, dict, TheoremResult | None]:
+) -> tuple[float, int, dict, TheoremResult | None]:
     """Shared premises of limit-defect and tail-approx: A is asymptotic and
     converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||) over
     the tail window.  ``early`` is the INCONCLUSIVE result to return when a
     premise fails, else None."""
-    if descriptor is None:
-        descriptor = _filt_descriptor(filt)
-    eps = 0.05 * max(1.0, seq_norm(seq), norm(limit_vec))
+    eps = DEFAULT_EPS_FRACTION * max(1.0, seq_norm(seq), norm(limit_vec))
     start = tail_window_start(seq.horizon)
     conv = row_norms(seq.space, seq.coords - limit_vec.coords)
     premises = {
@@ -411,25 +411,22 @@ def _convergent_asymptotic_premises(
     if not all(premises.values()):
         early = TheoremResult(
             check_id,
-            descriptor,
+            _filt_descriptor(filt),
             CheckStatus.INCONCLUSIVE,
             {"premises": premises, "note": "claim inapplicable on this instance"},
             None,
         )
-    return descriptor, eps, start, premises, early
+    return eps, start, premises, early
 
 
 def check_limit_defect(
-    seq: VectorSequence,
-    limit_vec: LatticeVector,
-    filt: Filtration,
-    descriptor: dict | None = None,
+    seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> TheoremResult:
     """For a convergent asymptotic martingale, e_n = max_{m>=n} ||E_m x - x_m||
     must decay over the tail window (x the limit vector)."""
     check_id = "limit-defect"
-    descriptor, eps, start, premises, early = _convergent_asymptotic_premises(
-        check_id, seq, limit_vec, filt, descriptor
+    eps, start, premises, early = _convergent_asymptotic_premises(
+        check_id, seq, limit_vec, filt
     )
     if early is not None:
         return early
@@ -438,7 +435,7 @@ def check_limit_defect(
     ok = bool(tail_sup[start - 1 :].max() <= eps)
     return TheoremResult(
         check_id,
-        descriptor,
+        _filt_descriptor(filt),
         CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED,
         {
             "premises": premises,
@@ -465,18 +462,15 @@ def _late_witness(approximant: VectorSequence, filt: Filtration, m: int) -> dict
 
 
 def check_tail_modification(
-    seq: VectorSequence,
-    limit_vec: LatticeVector,
-    filt: Filtration,
-    descriptor: dict | None = None,
+    seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> TheoremResult:
     """Replacing the tail by E_n x yields eventual martingales converging
     back to the original sequence (witness <= m+1, distances non-increasing
-    down to eps)."""
+    down to eps).  A horizon below 2 leaves no tail to replace: ValueError."""
     check_id = "tail-approx"
-    descriptor, eps, _, premises, early = _convergent_asymptotic_premises(
-        check_id, seq, limit_vec, filt, descriptor
-    )
+    if seq.horizon < 2:
+        raise ValueError("tail modification needs a horizon of at least 2 terms")
+    eps, _, premises, early = _convergent_asymptotic_premises(check_id, seq, limit_vec, filt)
     if early is not None:
         return early
     distances = []
@@ -486,19 +480,17 @@ def check_tail_modification(
         if late is not None:
             return TheoremResult(
                 check_id,
-                descriptor,
+                _filt_descriptor(filt),
                 CheckStatus.VIOLATED,
                 {**late, "problem": "tail modification not eventual"},
                 None,
             )
         distances.append(seq_distance(modified, seq))
-    monotone = all(
-        b <= a + FLOAT_SLACK for a, b in zip(distances, distances[1:])
-    )
+    monotone = all(b <= a + FLOAT_SLACK for a, b in zip(distances, distances[1:]))
     ok = monotone and distances[-1] <= eps
     return TheoremResult(
         check_id,
-        descriptor,
+        _filt_descriptor(filt),
         CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED,
         {
             "premises": premises,
@@ -510,13 +502,13 @@ def check_tail_modification(
     )
 
 
-def check_eventual_not_closed(n_terms: int = 64) -> TheoremResult:
-    """The harmonic-tail family: eventual martingales A^m with
+def check_eventual_not_closed() -> TheoremResult:
+    """The 64-term harmonic-tail family: eventual martingales A^m with
     ||A^m - A|| = 1/m whose limit A has no eventual witness, while its
     defect profile d_n = 1/n certifies it asymptotic."""
     check_id = "eventual-not-closed"
-    filt, base, family = harmonic_tail_example(n_terms)
-    descriptor = {"size": n_terms, **_filt_descriptor(filt, "truncation")}
+    filt, base, family = harmonic_tail_example(64)
+    descriptor = {"size": filt.horizon, **_filt_descriptor(filt, "truncation")}
     problems = []
 
     for m, member in enumerate(family, start=1):
@@ -530,7 +522,7 @@ def check_eventual_not_closed(n_terms: int = 64) -> TheoremResult:
     if eventual_witness(base, filt) is not None:
         problems.append({"problem": "limit unexpectedly has an eventual witness"})
     profile = defect_profile(base, filt)
-    for n in range(1, n_terms):
+    for n in range(1, filt.horizon):
         if abs(profile[n - 1] - 1.0 / n) > FLOAT_SLACK:
             problems.append(
                 {"n": n, "defect": float(profile[n - 1]), "problem": "defect != 1/n"}
@@ -559,54 +551,31 @@ def check_abs_closure(filt: Filtration) -> TheoremResult:
     filtrations; a counterexample filtration decided closed is a violation.
     """
     problems = []
-
-    p_filt, p_seq = pairing_example(3)
-    p_report = classify(p_seq, p_filt)
-    p_abs_steps = one_step_defects(abs_seq(p_seq), p_filt)
-    if not p_report.is_martingale:
-        problems.append({"instance": "pairing", "problem": "base not a martingale"})
-    if classify(abs_seq(p_seq), p_filt).e_witness is not None:
-        problems.append({"instance": "pairing", "problem": "|A| unexpectedly eventual"})
-    if abs(p_abs_steps[0] - 1.0) > FLOAT_SLACK:
-        problems.append(
-            {
-                "instance": "pairing",
-                "problem": "first one-step defect of |A| != 1",
-                "value": float(p_abs_steps[0]),
-            }
-        )
-
-    h_filt, h_seq = haar_example(3)
-    h_report = classify(h_seq, h_filt)
-    h_abs_steps = one_step_defects(abs_seq(h_seq), h_filt)
-    if not h_report.is_martingale:
-        problems.append({"instance": "haar", "problem": "base not a martingale"})
-    if float(h_abs_steps.min()) <= DEFAULT_TOL:
-        problems.append(
-            {"instance": "haar", "problem": "|A| satisfied a one-step equality"}
-        )
-    if abs(h_abs_steps[0] - 0.5) > FLOAT_SLACK:
-        problems.append(
-            {
-                "instance": "haar",
-                "problem": "first one-step defect of |A| != 1/2",
-                "value": float(h_abs_steps[0]),
-            }
-        )
-
-    closure_runs = []
-    for label, f in (("given", filt), ("pairing-3", p_filt), ("haar-3", h_filt)):
+    witness: dict = {}
+    closure_runs = [
+        {"filtration": "given", **_filt_descriptor(filt), "closed": is_abs_closed(filt)}
+    ]
+    for name, (f, seq), first in (
+        ("pairing", pairing_example(3), 1.0),
+        ("haar", haar_example(3), 0.5),
+    ):
+        abs_steps = one_step_defects(abs_seq(seq), f)
+        witness[f"{name}_first_abs_defect"] = float(abs_steps[0])
+        if not is_martingale(seq, f):
+            problems.append({"instance": name, "problem": "base not a martingale"})
+        # Every step failing leaves |A| no eventual witness.
+        if not (abs_steps > DEFAULT_TOL).all():
+            problems.append({"instance": name, "problem": "|A| satisfied a one-step equality"})
+        if abs(abs_steps[0] - first) > FLOAT_SLACK:
+            problem = f"first one-step defect of |A| != {first}"
+            problems.append({"instance": name, "problem": problem, "value": float(abs_steps[0])})
         closed = is_abs_closed(f)
-        closure_runs.append({"filtration": label, **_filt_descriptor(f), "closed": closed})
-        if closed and label != "given":
-            problems.append({"instance": label, "problem": "counterexample decided closed"})
+        closure_runs.append({"filtration": f"{name}-3", **_filt_descriptor(f), "closed": closed})
+        if closed:
+            problems.append({"instance": f"{name}-3", "problem": "counterexample decided closed"})
 
     status = CheckStatus.CONFIRMED if not problems else CheckStatus.VIOLATED
-    witness: dict = {
-        "pairing_first_abs_defect": float(p_abs_steps[0]),
-        "haar_first_abs_defect": float(h_abs_steps[0]),
-        "closure_runs": closure_runs,
-    }
+    witness["closure_runs"] = closure_runs
     if problems:
         witness["problems"] = problems
     return TheoremResult("abs-closure", _filt_descriptor(filt), status, witness, None)
@@ -678,12 +647,6 @@ def check_band_projection_lattice(
     )
 
 
-def _after_last(bad: np.ndarray) -> int | None:
-    """One past the last stage flagged in ``bad`` (1 if none), or None if that is N."""
-    last_bad = int(np.flatnonzero(bad)[-1]) + 1 if bad.any() else 0
-    return last_bad + 1 if last_bad < bad.size else None
-
-
 def abs_commutation_index(
     filt: Filtration, x: LatticeVector, tol: float = DEFAULT_TOL
 ) -> int | None:
@@ -691,7 +654,7 @@ def abs_commutation_index(
     if x.space != filt.space:
         raise ValueError("vector and filtration live in different spaces")
     gaps = np.abs(_applied(filt.ops, x.coords)) - _applied(filt.ops, np.abs(x.coords))
-    return _after_last(~(row_norms(filt.space, gaps) <= tol))
+    return _after_last(~(row_norms(filt.space, gaps) <= tol), filt.horizon)
 
 
 def check_abs_alignment(filt: Filtration) -> TheoremResult:
@@ -704,7 +667,7 @@ def check_abs_alignment(filt: Filtration) -> TheoremResult:
     INCONCLUSIVE but the index is still reported as data.
     """
     premises = {"dense": is_dense(filt), "abs_closed": is_abs_closed(filt)}
-    index = _after_last(np.array([not is_lattice_homomorphism(e) for e in filt.ops]))
+    index = _after_last(np.array([not is_lattice_homomorphism(e) for e in filt.ops]), filt.horizon)
     witness: dict = {"premises": premises, "index": index}
     if all(premises.values()):
         status = CheckStatus.CONFIRMED if index is not None else CheckStatus.VIOLATED
@@ -725,7 +688,7 @@ def _run_closed_limits(seed: int, trials: int) -> list[TheoremResult]:
     return [
         check_closed_under_limits(build_truncation(32), seed),
         check_closed_under_limits(build_dyadic(5), seed),
-        check_closed_under_limits_harmonic(64),
+        check_closed_under_limits_harmonic(),
     ]
 
 
@@ -750,76 +713,43 @@ def _perturbed_nested_instance(
     return filt, _plus_null(terminal_sequence(filt, x), z), x
 
 
+def _run_convergent(
+    check: Callable[[VectorSequence, LatticeVector, Filtration], TheoremResult],
+    instances: list[tuple],
+) -> list[TheoremResult]:
+    """``check`` on each (instance, builder, filtration, sequence, limit),
+    with the instance named in the result's descriptor."""
+    return [
+        replace(check(seq, x, filt), descriptor=_filt_descriptor(filt, builder, instance=name))
+        for name, builder, filt, seq, x in instances
+    ]
+
+
 def _run_limit_defect(seed: int, trials: int) -> list[TheoremResult]:
-    results = []
-    filt, seq, x = _harmonic_head_instance(64)
-    results.append(
-        check_limit_defect(
-            seq,
-            x,
-            filt,
-            descriptor=_filt_descriptor(filt, "truncation", instance="harmonic-head"),
-        )
-    )
-    nested, pseq, px = _perturbed_nested_instance(32, seed)
-    results.append(
-        check_limit_defect(
-            pseq,
-            px,
-            nested,
-            descriptor=_filt_descriptor(
-                nested, "random-nested", instance="perturbed-martingale"
-            ),
-        )
-    )
     trunc = build_truncation(64)
-    results.append(
-        check_limit_defect(
-            null_sequence(basis(trunc.space, 1), 64),
-            zero(trunc.space),
-            trunc,
-            descriptor=_filt_descriptor(trunc, "truncation", instance="null"),
-        )
-    )
-    # Non-convergent instance: premises fail, so the claim must stay silent.
-    const = VectorSequence(trunc.space, np.tile(basis(trunc.space, 64).coords, (trunc.horizon, 1)))
-    results.append(
-        check_limit_defect(
-            const,
-            zero(trunc.space),
-            trunc,
-            descriptor=_filt_descriptor(trunc, "truncation", instance="constant-last-basis"),
-        )
-    )
-    return results
+    origin = zero(trunc.space)
+    # Does not converge: premises fail, so the claim must stay silent.
+    const = VectorSequence(trunc.space, np.tile(basis(trunc.space, 64).coords, (64, 1)))
+    instances = [
+        ("harmonic-head", "truncation", *_harmonic_head_instance(64)),
+        ("perturbed-martingale", "random-nested", *_perturbed_nested_instance(32, seed)),
+        ("null", "truncation", trunc, null_sequence(basis(trunc.space, 1), 64), origin),
+        ("constant-last-basis", "truncation", trunc, const, origin),
+    ]
+    return _run_convergent(check_limit_defect, instances)
 
 
 def _run_tail_approx(seed: int, trials: int) -> list[TheoremResult]:
     filt, base, _ = harmonic_tail_example(64)
-    results = [
-        check_tail_modification(
-            base,
-            zero(filt.space),
-            filt,
-            descriptor=_filt_descriptor(filt, "truncation", instance="harmonic-tail"),
-        )
+    instances = [
+        ("harmonic-tail", "truncation", filt, base, zero(filt.space)),
+        ("perturbed-martingale", "random-nested", *_perturbed_nested_instance(32, seed)),
     ]
-    nested, pseq, px = _perturbed_nested_instance(32, seed)
-    results.append(
-        check_tail_modification(
-            pseq,
-            px,
-            nested,
-            descriptor=_filt_descriptor(
-                nested, "random-nested", instance="perturbed-martingale"
-            ),
-        )
-    )
-    return results
+    return _run_convergent(check_tail_modification, instances)
 
 
 def _run_eventual_not_closed(seed: int, trials: int) -> list[TheoremResult]:
-    return [check_eventual_not_closed(64)]
+    return [check_eventual_not_closed()]
 
 
 def _run_abs_closure(seed: int, trials: int) -> list[TheoremResult]:

@@ -164,12 +164,11 @@ def _pair_table(
     return table
 
 
-def _witness(defects: np.ndarray, n_terms: int, tol: float) -> int | None:
-    """One past the last (1-based) index whose defect is not <= tol, or None
-    when that is N or more; a NaN defect fails, so it never certifies a witness."""
-    bad = np.flatnonzero(~(defects <= tol))
-    witness = int(bad[-1]) + 2 if bad.size else 1
-    return witness if witness <= n_terms - 1 else None
+def _after_last(flagged: np.ndarray, cap: int) -> int | None:
+    """One past the last (1-based) flagged index (1 if none), or None when that
+    exceeds ``cap``.  Flag a defect with ``~(defect <= tol)`` so NaN is flagged."""
+    last = int(np.flatnonzero(flagged)[-1]) + 1 if flagged.any() else 0
+    return last + 1 if last < cap else None
 
 
 def is_martingale(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
@@ -187,7 +186,7 @@ def eventual_witness(
     (no step after it) and is never reported.
     """
     _require_matching(seq, filt)
-    return _witness(_pair_table(seq, filt, band=2)[:-1, 1], seq.horizon, tol)
+    return _after_last(~(_pair_table(seq, filt, band=2)[:-1, 1] <= tol), seq.horizon - 1)
 
 
 def eventual_witness_pairwise(
@@ -201,7 +200,7 @@ def eventual_witness_pairwise(
     tested property.
     """
     _require_matching(seq, filt)
-    return _witness(_pair_table(seq, filt).max(axis=1), seq.horizon, tol)
+    return _after_last(~(_pair_table(seq, filt).max(axis=1) <= tol), seq.horizon - 1)
 
 
 def one_step_defects(seq: VectorSequence, filt: Filtration) -> np.ndarray:
@@ -322,7 +321,7 @@ def classify(
     d = table.max(axis=1)
     return ClassificationReport(
         is_martingale=bool(d.max() <= tol),
-        e_witness=_witness(table[:-1, 1], seq.horizon, tol),
+        e_witness=_after_last(~(table[:-1, 1] <= tol), seq.horizon - 1),
         x_defects=tuple(float(v) for v in d),
         x_verdict=tail_verdict(seq, filt, eps, window_fraction, profile=d),
         seq_norm=seq_norm(seq),

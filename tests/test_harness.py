@@ -64,7 +64,7 @@ def test_closed_under_limits_confirmed():
 
 
 def test_closed_under_limits_harmonic_family():
-    result = check_closed_under_limits_harmonic(64)
+    result = check_closed_under_limits_harmonic()
     assert result.status is CheckStatus.CONFIRMED
     assert result.witness["limit_verdict"] == "X_MARTINGALE"
     assert result.witness["distances"][0] == pytest.approx(1.0, abs=1e-12)
@@ -109,8 +109,17 @@ def test_tail_modification_on_harmonic():
     assert result.witness["non_increasing"] is True
 
 
+def test_tail_modification_refuses_a_single_term():
+    filt = build_truncation(1)
+    x = basis(filt.space, 1)
+    from lattice_lab import terminal_sequence
+
+    with pytest.raises(ValueError, match="horizon of at least 2 terms"):
+        check_tail_modification(terminal_sequence(filt, x), x, filt)
+
+
 def test_eventual_not_closed():
-    result = check_eventual_not_closed(64)
+    result = check_eventual_not_closed()
     assert result.status is CheckStatus.CONFIRMED
     assert result.witness["limit_verdict"] == "X_MARTINGALE"
 
@@ -332,3 +341,40 @@ def test_run_all_statuses_and_reproducibility():
     for r in first:
         doc = json.loads(json.dumps(r.to_dict()))
         assert set(doc) == {"id", "descriptor", "status", "witness", "seed"}
+
+
+
+def test_run_all_descriptors_are_pinned():
+    # Key order is part of the JSON bytes, so descriptors compare as item lists.
+    def filt(horizon, dim, norm="sup"):
+        return [("horizon", horizon), ("dim", dim), ("norm", norm)]
+
+    shrinking = [("family", "martingale-plus-shrinking-null"), ("members", 8)]
+    harmonic = [("family", "harmonic-tail"), ("size", 64)]
+    trunc = filt(64, 64) + [("builder", "truncation")]
+    nested = filt(32, 32, "l1") + [("builder", "random-nested")]
+    expected = [
+        ("nesting", "CONFIRMED", 0, [("trials", 5)]),
+        ("closed-limits", "CONFIRMED", 0, shrinking + filt(32, 32)),
+        ("closed-limits", "CONFIRMED", 0, shrinking + filt(5, 32, "l1")),
+        ("closed-limits", "CONFIRMED", None, harmonic + filt(64, 64)),
+        ("limit-defect", "CONFIRMED", None, trunc + [("instance", "harmonic-head")]),
+        ("limit-defect", "CONFIRMED", None, nested + [("instance", "perturbed-martingale")]),
+        ("limit-defect", "CONFIRMED", None, trunc + [("instance", "null")]),
+        ("limit-defect", "INCONCLUSIVE", None, trunc + [("instance", "constant-last-basis")]),
+        ("tail-approx", "CONFIRMED", None, trunc + [("instance", "harmonic-tail")]),
+        ("tail-approx", "CONFIRMED", None, nested + [("instance", "perturbed-martingale")]),
+        ("eventual-not-closed", "CONFIRMED", None, [("size", 64)] + trunc),
+        ("abs-closure", "CONFIRMED", None, filt(16, 16)),
+        ("band-lattice", "CONFIRMED", 0, filt(16, 16)),
+        ("band-lattice", "INCONCLUSIVE", 0, filt(3, 8, "l1")),
+        ("band-lattice", "CONFIRMED", 0, filt(8, 8) + [("builder", "copy"), ("size", 8)]),
+        ("abs-alignment", "CONFIRMED", None, filt(16, 16)),
+        ("abs-alignment", "INCONCLUSIVE", None, filt(3, 6)),
+        ("abs-alignment", "INCONCLUSIVE", None, filt(3, 8, "l1")),
+    ]
+    got = [
+        (r.check_id, r.status.value, r.seed, list(r.descriptor.items()))
+        for r in run_all(seed=0, trials=5)
+    ]
+    assert got == expected
