@@ -258,9 +258,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({json.dumps(r.descriptor, sort_keys=True)})"
         )
     violated = sum(r.status is harness.CheckStatus.VIOLATED for r in results)
+    sampled = [check_id for check_id in ids if check_id in harness.TRIAL_IDS]
+    trials = f", trials={args.trials} for {', '.join(sampled)}" if sampled else ""
     lines.append(
-        f"[verify] {len(results)} results, {violated} violated "
-        f"(seed={args.seed}, trials={args.trials})"
+        f"[verify] {len(results)} results, {violated} violated (seed={args.seed}{trials})"
     )
     _emit({"results": [r.to_dict() for r in results]}, args.json, lines)
     return 1 if violated else 0

@@ -126,6 +126,12 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _require_horizon(what: str, horizon: int) -> None:
+    """A horizon of one term leaves a tail window of one index: no evidence of decay."""
+    if horizon < 2:
+        raise ValueError(f"{what} needs a horizon of at least 2 terms")
+
+
 def _space_descriptor(space: LatticeSpace) -> dict:
     return {"dim": space.dim, "norm": space.norm_kind.value}
 
@@ -367,8 +373,9 @@ def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
 
     Builds A^k = A + z/(k n) around a random martingale A, so
     ||A^k - A|| = 1/k -> 0 over k = 1..8, and checks the limit plus the
-    proof's triangle bound numerically.
+    proof's triangle bound numerically.  A horizon below 2: ValueError.
     """
+    _require_horizon("closed under limits", filt.horizon)
     rng = trial_rng(seed, 0)
     x = _random_vector(filt.space, rng)
     z = _unit_vector(filt.space, rng)
@@ -423,8 +430,10 @@ def check_limit_defect(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> TheoremResult:
     """For a convergent asymptotic martingale, e_n = max_{m>=n} ||E_m x - x_m||
-    must decay over the tail window (x the limit vector)."""
+    must decay over the tail window (x the limit vector).  A horizon below 2:
+    ValueError."""
     check_id = "limit-defect"
+    _require_horizon("limit defect", seq.horizon)
     eps, start, premises, early = _convergent_asymptotic_premises(
         check_id, seq, limit_vec, filt
     )
@@ -468,8 +477,7 @@ def check_tail_modification(
     back to the original sequence (witness <= m+1, distances non-increasing
     down to eps).  A horizon below 2 leaves no tail to replace: ValueError."""
     check_id = "tail-approx"
-    if seq.horizon < 2:
-        raise ValueError("tail modification needs a horizon of at least 2 terms")
+    _require_horizon("tail modification", seq.horizon)
     eps, _, premises, early = _convergent_asymptotic_premises(check_id, seq, limit_vec, filt)
     if early is not None:
         return early
@@ -788,6 +796,9 @@ CHECK_RUNNERS: dict[str, Callable[[int, int], list[TheoremResult]]] = {
 }
 
 CHECK_IDS = tuple(CHECK_RUNNERS)
+
+#: The ids whose runners draw ``trials`` random instances; the others ignore it.
+TRIAL_IDS = ("nesting", "band-lattice")
 
 
 def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[TheoremResult]:

@@ -16,13 +16,15 @@ entry and vector coordinate is a finite number (not ``NaN`` or
 all dimensions are mutually consistent; anything else raises
 :class:`InstanceFormatError`.
 
-On disk an instance is exactly ``json.dumps(instance.to_dict(), indent=2)``
-plus a newline.  The writer lays that text out row by row straight from
-the arrays, and it holds finite floats only: a NaN or infinity raises
-``ValueError`` before anything is written.  Floats round-trip exactly
-(they are written as ``float.__repr__``, the shortest repr, as ``json``
-writes them); each distinct bit pattern of a matrix or of the sequence is
-formatted once.
+On disk an instance is exactly ``json.dumps(instance.to_dict(),
+separators=(",", ":"))`` plus a newline: compact JSON, with no whitespace
+between tokens.  The reader accepts any JSON layout, so files written with
+``indent=2`` load to the same instance.  The writer lays the text out one
+matrix at a time straight from the arrays, and it holds finite floats
+only: a NaN or infinity raises ``ValueError`` before anything is written.
+Floats round-trip exactly (they are written as ``float.__repr__``, the
+shortest repr, as ``json`` writes them); each distinct bit pattern of a
+matrix or of the sequence is formatted once.
 """
 
 from __future__ import annotations
@@ -204,59 +206,52 @@ def load_instance(path: str | Path) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
-    token = _bools_possible.set("true" in text or "false" in text)
+    bools_possible = "true" in text or "false" in text
+    del text  # freed before the arrays are built, so the three are never alive together
+    token = _bools_possible.set(bools_possible)
     try:
         return instance_from_dict(data)
     finally:
         _bools_possible.reset(token)
 
 
-def _float_list(items: Iterable[str], level: int) -> str:
-    """Formatted floats as ``json.dumps(indent=2)`` lays out a list at nesting ``level``."""
-    pad = "\n" + "  " * (level + 1)
-    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * level}]"
+def _float_list(items: Iterable[str]) -> str:
+    """Formatted floats as a compact JSON list."""
+    return "[" + ",".join(items) + "]"
 
 
-def _rows(rows: np.ndarray, level: int) -> Iterator[str]:
-    """A nonempty 2-D array as a list of rows at nesting ``level``, one piece per row.
+def _rows(rows: np.ndarray) -> str:
+    """A nonempty 2-D array as a compact JSON list of rows.
 
     Each distinct value is formatted once.  Values are told apart by their
     bits, not by ``==``, so -0.0 keeps its own text.
     """
     bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
     texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    lead = "[\n" + "  " * (level + 1)
-    for row in texts[inverse.reshape(rows.shape)].tolist():
-        yield lead + _float_list(row, level + 1)
-        lead = ",\n" + "  " * (level + 1)
-    yield "\n" + "  " * level + "]"
+    return _float_list(map(_float_list, texts[inverse.reshape(rows.shape)].tolist()))
 
 
 def _layout(instance: Instance) -> Iterator[str]:
     """The text pieces of an instance whose values are known to be finite."""
     space = instance.space
-    yield f'{{\n  "space": {{\n    "dim": {space.dim},\n    "norm": "{space.norm_kind.value}"'
+    yield f'{{"space":{{"dim":{space.dim},"norm":"{space.norm_kind.value}"'
     if space.weights is not None:
-        yield ',\n    "weights": ' + _float_list(map(float.__repr__, space.weights.tolist()), 2)
-    yield "\n  }"
+        yield ',"weights":' + _float_list(map(float.__repr__, space.weights.tolist()))
+    yield "}"
     if instance.filtration is not None:
-        yield ',\n  "filtration": {\n    "operators": ['
+        yield ',"filtration":{"operators":['
         for k, e in enumerate(instance.filtration.ops):
-            yield ("," if k else "") + '\n      {\n        "matrix": '
-            yield from _rows(e.matrix, 4)
-            yield "\n      }"
-        yield "\n    ]\n  }"
+            yield ("," if k else "") + '{"matrix":' + _rows(e.matrix) + "}"
+        yield "]}"
     if instance.sequence is not None:
-        yield ',\n  "sequence": {\n    "vectors": '
-        yield from _rows(instance.sequence.coords, 2)
-        yield "\n  }"
-    yield "\n}\n"
+        yield ',"sequence":{"vectors":' + _rows(instance.sequence.coords) + "}"
+    yield "}\n"
 
 
 def _instance_text(instance: Instance) -> Iterator[str]:
-    """The pieces of ``json.dumps(instance.to_dict(), indent=2) + "\\n"``.
+    """The pieces of ``json.dumps(instance.to_dict(), separators=(",", ":")) + "\\n"``.
 
-    They are built from the arrays one row at a time, without the nested
+    They are built from the arrays one matrix at a time, without the nested
     lists of ``to_dict``, and a block stage's matrix is built only while it
     is written, so at most one stage matrix is alive.  Every value is
     checked first, so a non-finite one raises ``ValueError`` before any

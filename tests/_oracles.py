@@ -94,7 +94,7 @@ def pair_table(seq, filt) -> np.ndarray:
 
 def dump_text(instance) -> str:
     """The instance file as the stdlib encoder writes it."""
-    return json.dumps(instance.to_dict(), indent=2) + "\n"
+    return json.dumps(instance.to_dict(), separators=(",", ":")) + "\n"
 
 
 def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> ValidationReport:

@@ -123,6 +123,20 @@ def test_verify_all_exits_zero(capsys):
     assert "0 violated" in out
 
 
+@pytest.mark.parametrize(
+    "check_id, footer",
+    [
+        ("abs-closure", "(seed=0)"),
+        ("band-lattice", "(seed=0, trials=3 for band-lattice)"),
+        ("all", "(seed=0, trials=3 for nesting, band-lattice)"),
+    ],
+)
+def test_verify_footer_names_trials_only_where_they_were_read(capsys, check_id, footer):
+    code, out, _ = run(capsys, "verify", check_id, "--trials", "3")
+    assert code == 0
+    assert out.splitlines()[-1].endswith(" violated " + footer)
+
+
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
     # exit-code mapping only; a real VIOLATED would mean a library bug
     from lattice_lab import harness

@@ -27,6 +27,7 @@ from lattice_lab import (
     null_sequence,
     run_all,
     run_check,
+    terminal_sequence,
     vector,
     zero,
 )
@@ -116,6 +117,16 @@ def test_tail_modification_refuses_a_single_term():
 
     with pytest.raises(ValueError, match="horizon of at least 2 terms"):
         check_tail_modification(terminal_sequence(filt, x), x, filt)
+
+
+def test_limit_checks_refuse_a_single_term():
+    # The tail window of one term is index 1 alone: a CONFIRMED there is vacuous.
+    filt = build_truncation(1)
+    x = basis(filt.space, 1)
+    with pytest.raises(ValueError, match="limit defect needs a horizon of at least 2 terms"):
+        check_limit_defect(terminal_sequence(filt, x), x, filt)
+    with pytest.raises(ValueError, match="closed under limits needs a horizon of at least 2"):
+        check_closed_under_limits(filt)
 
 
 def test_eventual_not_closed():
@@ -329,6 +340,12 @@ def test_run_check_refuses_fewer_than_one_trial(check_id, trials):
 def test_sampled_checks_refuse_fewer_than_one_trial(check, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         check(trials)
+
+
+def test_only_the_trial_ids_read_trials():
+    for check_id in CHECK_IDS:
+        one, two = ([r.to_dict() for r in run_check(check_id, 3, t)] for t in (1, 2))
+        assert (one != two) == (check_id in harness.TRIAL_IDS), check_id
 
 
 def test_run_all_statuses_and_reproducibility():

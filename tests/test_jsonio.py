@@ -177,6 +177,34 @@ def test_writers_match_the_stdlib_encoder_byte_for_byte(instance):
     assert gen_stdout(instance) == want
 
 
+def _bits(instance) -> list:
+    """Every float of an instance as ``int64`` views, so ``-0.0`` counts."""
+    arrays = [instance.space.weights if instance.space.weights is not None else np.empty(0)]
+    if instance.filtration is not None:
+        arrays += [e.matrix for e in instance.filtration.ops]
+    if instance.sequence is not None:
+        arrays.append(instance.sequence.coords)
+    return [a.view(np.int64).tolist() for a in arrays]
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_indented_and_compact_files_load_bit_identically(instance):
+    # Every file written before the compact layout was indent=2 text.
+    layouts = [json.dumps(instance.to_dict(), indent=2) + "\n", dump_text(instance)]
+    loaded = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, text in enumerate(layouts):
+            path = Path(tmp) / f"instance-{k}.json"
+            path.write_text(text, encoding="utf-8")
+            loaded.append(load_instance(path))
+    indented, compact = loaded
+    assert indented.space == compact.space == instance.space
+    assert (indented.filtration is None) == (instance.filtration is None)
+    assert (indented.sequence is None) == (instance.sequence is None)
+    assert _bits(indented) == _bits(compact) == _bits(instance)
+
+
 def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     space = LatticeSpace(5, NormKind.WEIGHTED_L1, [v for v in EDGE_FLOATS if v > 0] + [7.5])
     row = np.array(EDGE_FLOATS)
@@ -188,7 +216,7 @@ def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     dump_instance(instance, tmp_path / "edge.json")
     text = (tmp_path / "edge.json").read_text(encoding="utf-8")
     assert text == dump_text(instance)
-    assert "-0.0,\n" in text and "5e-324" in text and "1e+308" in text
+    assert "-0.0," in text and "5e-324" in text and "1e+308" in text
     again = load_instance(tmp_path / "edge.json")
     assert np.array_equal(again.filtration.ops[0].matrix, instance.filtration.ops[0].matrix)
 
