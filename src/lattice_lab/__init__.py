@@ -16,7 +16,6 @@ from .spaces import (
     absolute,
     basis,
     join,
-    leq,
     meet,
     norm,
     vector,
@@ -27,14 +26,7 @@ from .operators import (
     PosOperator,
     apply,
     apply_rows,
-    compose,
-    disjoint,
-    identity,
-    is_band_projection,
-    is_contractive,
     is_lattice_homomorphism,
-    is_positive,
-    is_projection,
     operator_norm,
 )
 from .filtration import (

@@ -121,13 +121,6 @@ def operator_from_dict(space: LatticeSpace, d: dict) -> PosOperator:
         raise InstanceFormatError(f"bad operator: {exc}") from exc
 
 
-def filtration_to_dict(filt: Filtration) -> dict:
-    return {
-        "space": space_to_dict(filt.space),
-        "operators": [operator_to_dict(e) for e in filt.ops],
-    }
-
-
 def filtration_from_dict(d: dict, space: LatticeSpace | None = None) -> Filtration:
     if not isinstance(d, dict):
         raise InstanceFormatError("filtration must be an object")

@@ -81,14 +81,14 @@ class VectorSequence:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coords, dtype=float)
+        arr = _readonly(self.coords)
         if arr.ndim != 2 or arr.shape[1] != self.space.dim:
             raise ValueError(
                 f"expected rows of {self.space.dim} coordinates, got shape {arr.shape}"
             )
         if not len(arr):
             raise ValueError("a sequence needs at least one term")
-        object.__setattr__(self, "coords", _readonly(arr, arr.shape))
+        object.__setattr__(self, "coords", arr)
 
     @property
     def horizon(self) -> int:
@@ -371,11 +371,13 @@ def tail_modify(
 
     The result satisfies the one-step law from m+1 onward, so it is an
     eventual martingale with witness at most m+1.  With m >= N the
-    sequence is returned unchanged.
+    sequence is returned unchanged; m = 0 replaces every term.
     """
     _require_matching(seq, filt)
     if x.space != seq.space:
         raise ValueError("replacement vector lives in a different space")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if m >= seq.horizon:
         return seq
     tail = _applied(filt.ops[m:], x.coords)

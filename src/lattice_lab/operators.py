@@ -10,12 +10,10 @@ a block stage it is built on each access and never stored, so no hot path
 here reads it: :func:`apply_rows`, :func:`operator_norm` and
 :func:`is_lattice_homomorphism` work on the block arrays.
 
-Provides the checks a positive contractive projection must pass
-(entrywise positivity, idempotence, induced norm at most one) and the
-structural band-projection and lattice-homomorphism tests.  Under
-coordinate order, bands are coordinate-subset subspaces, so a band
-projection is exactly a 0/1 diagonal matrix; the tests here are
-structural rather than behavioral.
+Provides the induced norm (:func:`operator_norm`) and one structural
+test, :func:`is_lattice_homomorphism`.  Positivity, idempotence and
+contractivity are laws of a whole filtration, checked by
+:func:`lattice_lab.filtration.validate`.
 
 Operators are immutable and all functions are pure.
 """
@@ -33,9 +31,6 @@ from .spaces import (
     NormKind,
     SpaceMismatchError,
     _readonly,
-    absolute,
-    meet,
-    norm,
 )
 
 
@@ -43,19 +38,20 @@ from .spaces import (
 class PosOperator:
     """A dense square matrix acting on a space: (Tx)_i = sum_j T_ij x_j.
 
-    "Positive" is a checked property (:func:`is_positive`), never an
-    assumption; arbitrary real matrices are representable.
+    "Positive" is never assumed: arbitrary real matrices are representable,
+    and positivity and idempotence are laws that
+    :func:`lattice_lab.filtration.validate` checks.
     """
 
     space: LatticeSpace
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = _readonly(self.matrix)
         d = self.space.dim
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m, (d, d)))
+        object.__setattr__(self, "matrix", m)
 
     def __repr__(self) -> str:
         return f"PosOperator(dim={self.space.dim})"
@@ -164,30 +160,10 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
     return sums.reshape(-1, width)[:, op._src].reshape(rows.shape)
 
 
-def identity(space: LatticeSpace) -> PosOperator:
-    return PosOperator(space, np.eye(space.dim))
-
-
 def apply(op: Operator, x: LatticeVector) -> LatticeVector:
     if op.space != x.space:
         raise SpaceMismatchError("operator and vector live in different spaces")
     return LatticeVector(x.space, apply_rows(op, x.coords))
-
-
-def compose(op: Operator, other: Operator) -> PosOperator:
-    """Matrix product op @ other ("apply other first")."""
-    if op.space != other.space:
-        raise SpaceMismatchError("operators live in different spaces")
-    return PosOperator(op.space, op.matrix @ other.matrix)
-
-
-def is_positive(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise nonnegativity; equivalent to cone preservation in coordinate order."""
-    return bool(np.min(op.matrix) >= -tol)
-
-
-def is_projection(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(op.matrix @ op.matrix - op.matrix)) <= tol)
 
 
 def operator_norm(op: Operator) -> float:
@@ -214,19 +190,6 @@ def operator_norm(op: Operator) -> float:
     return float(np.max((w @ a) / w))
 
 
-def is_contractive(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    return operator_norm(op) <= 1.0 + tol
-
-
-def is_band_projection(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix is diagonal with entries in {0, 1} within tol; NaN never is."""
-    d = np.diag(op.matrix)
-    off = op.matrix - np.diag(d)
-    return bool(
-        np.all(np.abs(off) <= tol) and np.all(np.minimum(np.abs(d), np.abs(d - 1.0)) <= tol)
-    )
-
-
 def is_lattice_homomorphism(op: Operator) -> bool:
     """True iff |Tx| = T|x| for every x: each row is nonnegative with at most
     one nonzero entry, within ``DEFAULT_TOL``; NaN never is.
@@ -247,8 +210,3 @@ def is_lattice_homomorphism(op: Operator) -> bool:
 def is_finite(op: Operator) -> bool:
     """Whether every matrix entry is finite, read off ``coef`` on a block stage."""
     return bool(np.isfinite(op.coef if isinstance(op, BlockOperator) else op.matrix).all())
-
-
-def disjoint(x: LatticeVector, y: LatticeVector, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |x| and |y| have (numerically) no common support: || |x| ^ |y| || <= tol."""
-    return norm(meet(absolute(x), absolute(y))) <= tol

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 #: Library-wide absolute tolerance for norm-valued equality checks.
-#: Order comparisons (``leq``) are exact and never use it.
 DEFAULT_TOL = 1e-9
 
 
@@ -31,8 +30,9 @@ class SpaceMismatchError(ValueError):
     """Raised when an operation mixes vectors/operators from different spaces."""
 
 
-def _readonly(values: Iterable[float], shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(shape)
+def _readonly(values: Iterable[float]) -> np.ndarray:
+    """A read-only float copy of ``values``; callers check its shape."""
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -58,12 +58,12 @@ class LatticeSpace:
         if kind is NormKind.WEIGHTED_L1:
             if self.weights is None:
                 raise ValueError("weighted-L1 space requires weights")
-            w = np.asarray(self.weights, dtype=float)
+            w = _readonly(self.weights)
             if w.shape != (self.dim,):
                 raise ValueError(f"expected {self.dim} weights, got shape {w.shape}")
             if not np.all(w > 0.0):
                 raise ValueError("all weights must be strictly positive")
-            object.__setattr__(self, "weights", _readonly(w, (self.dim,)))
+            object.__setattr__(self, "weights", w)
         else:
             object.__setattr__(self, "weights", None)
 
@@ -92,12 +92,12 @@ class LatticeVector:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coords, dtype=float)
+        arr = _readonly(self.coords)
         if arr.shape != (self.space.dim,):
             raise ValueError(
                 f"expected {self.space.dim} coordinates, got shape {arr.shape}"
             )
-        object.__setattr__(self, "coords", _readonly(arr, (self.space.dim,)))
+        object.__setattr__(self, "coords", arr)
 
     # Linear structure; lattice structure lives in the module functions.
     def __add__(self, other: LatticeVector) -> LatticeVector:
@@ -157,12 +157,6 @@ def meet(x: LatticeVector, y: LatticeVector) -> LatticeVector:
 def absolute(x: LatticeVector) -> LatticeVector:
     """|x| = join(x, -x), i.e. the coordinate-wise absolute value."""
     return LatticeVector(x.space, np.abs(x.coords))
-
-
-def leq(x: LatticeVector, y: LatticeVector) -> bool:
-    """Exact coordinate-wise order comparison; no tolerance is applied."""
-    _require_same_space(x, y)
-    return bool(np.all(x.coords <= y.coords))
 
 
 def row_norms(space: LatticeSpace, rows: np.ndarray) -> np.ndarray:

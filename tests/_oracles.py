@@ -12,7 +12,9 @@ law on all N^2 pairs.  ``closure_fraction`` samples the closure of the
 eventual class under |.| that ``is_abs_closed`` decides exactly.
 ``dense_stages`` rebuilds a builder's stages as the dense matrices the
 builders made before they emitted block stages, and ``block_matrix`` fills
-a block stage's matrix one entry at a time.
+a block stage's matrix one entry at a time.  ``is_band_projection`` tells
+a 0/1 diagonal matrix (a band projection under coordinate order) from the
+raw matrix.
 
 The sequence references below work term by term through the per-vector
 API (``apply``, ``norm``, ``absolute``), one ``LatticeVector`` per term,
@@ -117,6 +119,15 @@ def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> Validat
         norms = (((n,), operator_norm(e) - 1.0) for n, e in enumerate(filt.ops, start=1))
         checks.append(_law("contractivity", norms, tol))
     return ValidationReport(tuple(checks))
+
+
+def is_band_projection(op, tol=DEFAULT_TOL) -> bool:
+    """Whether the matrix is diagonal with entries in {0, 1} within tol; NaN never is."""
+    m = op.matrix
+    d = np.diag(m)
+    off_diagonal = np.abs(m - np.diag(d)) <= tol
+    zero_or_one = np.minimum(np.abs(d), np.abs(d - 1.0)) <= tol
+    return bool(np.all(off_diagonal) and np.all(zero_or_one))
 
 
 def closure_fraction(filt, seed: int, trials: int) -> float:

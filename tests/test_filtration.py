@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import conditional_expectation, is_dense as is_dense_by_basis, order_law_sweep
+from _oracles import (
+    conditional_expectation,
+    is_band_projection,
+    is_dense as is_dense_by_basis,
+    order_law_sweep,
+)
 from lattice_lab import (
     Filtration,
     LatticeSpace,
@@ -17,8 +22,6 @@ from lattice_lab import (
     build_pairing,
     build_random_nested,
     build_truncation,
-    identity,
-    is_band_projection,
     is_dense,
     validate,
     vector,
@@ -44,7 +47,7 @@ def test_filtration_needs_operators():
 
 def test_filtration_rejects_foreign_operators():
     with pytest.raises(ValueError):
-        Filtration(LatticeSpace(2), (identity(LatticeSpace(3)),))
+        Filtration(LatticeSpace(2), (PosOperator(LatticeSpace(3), np.eye(3)),))
 
 
 @pytest.mark.parametrize("name,make", BUILDERS)

@@ -30,7 +30,6 @@ from lattice_lab.jsonio import (
     InstanceFormatError,
     dump_instance,
     filtration_from_dict,
-    filtration_to_dict,
     instance_from_dict,
     load_instance,
     sequence_from_dict,
@@ -64,9 +63,17 @@ def test_space_rejects_bad_documents():
         space_from_dict({"dim": 2, "norm": "euclidean"})
 
 
+def _filtration_doc(filt):
+    """The standalone filtration document: a space and its operators."""
+    return {
+        "space": space_to_dict(filt.space),
+        "operators": [{"matrix": e.matrix.tolist()} for e in filt.ops],
+    }
+
+
 def test_filtration_round_trip_exact():
     filt = build_dyadic(3)
-    doc = json.loads(json.dumps(filtration_to_dict(filt)))
+    doc = json.loads(json.dumps(_filtration_doc(filt)))
     again = filtration_from_dict(doc)
     assert again.space == filt.space
     for a, b in zip(again.ops, filt.ops):
@@ -75,7 +82,7 @@ def test_filtration_round_trip_exact():
 
 def test_filtration_space_disagreement_rejected():
     filt = build_pairing(2)
-    doc = filtration_to_dict(filt)
+    doc = _filtration_doc(filt)
     with pytest.raises(InstanceFormatError):
         filtration_from_dict(doc, LatticeSpace(3))
 

@@ -436,6 +436,17 @@ def test_tail_modify_identity_when_cut_beyond_horizon():
     assert tail_modify(seq, filt, zero(filt.space), 9) is seq
 
 
+def test_tail_modify_rejects_negative_cut_and_keeps_cut_zero():
+    filt = build_truncation(4)
+    seq = null_sequence(vector(filt.space, [1.0, -2.0, 3.0, -4.0]), 4)
+    x = vector(filt.space, [5.0, 6.0, 7.0, 8.0])
+    for m in (-1, -4, -9):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            tail_modify(seq, filt, x, m)
+    every_term = tail_modify(seq, filt, x, 0)  # m = 0 replaces every term by E_n x
+    assert np.array_equal(every_term.coords, ref.tail_modify_rows(seq, filt, x, 0))
+
+
 def test_tail_modify_with_zero_vector_gets_witness():
     n = 12
     filt = build_truncation(n)

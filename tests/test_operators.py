@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import is_band_projection
 from lattice_lab import (
     LatticeSpace,
     NormKind,
@@ -15,14 +16,7 @@ from lattice_lab import (
     build_dyadic,
     build_pairing,
     build_truncation,
-    compose,
-    disjoint,
-    identity,
-    is_band_projection,
-    is_contractive,
     is_lattice_homomorphism,
-    is_positive,
-    is_projection,
     norm,
     operator_norm,
     vector,
@@ -30,6 +24,7 @@ from lattice_lab import (
 )
 
 SUP4 = LatticeSpace(4, NormKind.SUP)
+EYE4 = PosOperator(SUP4, np.eye(4))
 
 
 def test_operator_requires_square_matching_matrix():
@@ -41,7 +36,7 @@ def test_operator_requires_square_matching_matrix():
 
 def test_apply_identity_and_zero():
     x = vector(SUP4, [1.0, -2.0, 3.0, 0.5])
-    assert np.array_equal(apply(identity(SUP4), x).coords, x.coords)
+    assert np.array_equal(apply(EYE4, x).coords, x.coords)
     zero_op = PosOperator(SUP4, np.zeros((4, 4)))
     assert np.array_equal(apply(zero_op, x).coords, zero(SUP4).coords)
 
@@ -54,24 +49,7 @@ def test_apply_pairing_stage_averages_unresolved_pair():
 
 def test_apply_space_mismatch():
     with pytest.raises(SpaceMismatchError):
-        apply(identity(SUP4), vector(LatticeSpace(3), [1, 2, 3]))
-
-
-def test_compose_identity_and_truncations():
-    trunc = build_truncation(4)
-    e1, e2 = trunc.op(1), trunc.op(2)
-    assert np.array_equal(compose(identity(SUP4), e1).matrix, e1.matrix)
-    # oracle: explicit diagonal products collapse to the smaller index
-    d1, d2 = np.diag([1.0, 0, 0, 0]), np.diag([1.0, 1, 0, 0])
-    assert np.array_equal(compose(e1, e2).matrix, d1 @ d2)
-    assert np.array_equal(compose(e1, e2).matrix, e1.matrix)
-    assert np.array_equal(compose(e2, e1).matrix, e1.matrix)
-
-
-def test_is_positive():
-    assert is_positive(identity(SUP4))
-    bad = PosOperator(SUP4, np.eye(4) - 0.5 * np.eye(4, k=1))
-    assert not is_positive(bad)
+        apply(EYE4, vector(LatticeSpace(3), [1, 2, 3]))
 
 
 def test_dyadic_averaging_entries_are_dyadic_and_positive():
@@ -79,21 +57,13 @@ def test_dyadic_averaging_entries_are_dyadic_and_positive():
     for n, op in enumerate(filt.ops, start=1):
         block = 2 ** (3 - n)
         assert set(np.unique(op.matrix)) <= {0.0, 1.0 / block}
-        assert is_positive(op)
-
-
-def test_is_projection():
-    assert is_projection(identity(SUP4))
-    half = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert np.array_equal(half @ half, half)  # oracle: squaring changes nothing
-    assert is_projection(PosOperator(LatticeSpace(2), half))
-    assert not is_projection(PosOperator(SUP4, 2 * np.eye(4)))
+        assert op.matrix.min() >= 0.0
 
 
 def test_operator_norm_identity_both_kinds():
-    assert operator_norm(identity(SUP4)) == 1.0
+    assert operator_norm(EYE4) == 1.0
     wspace = LatticeSpace(4, NormKind.WEIGHTED_L1, [0.1, 0.2, 0.3, 0.4])
-    assert operator_norm(identity(wspace)) == 1.0
+    assert operator_norm(PosOperator(wspace, np.eye(4))) == 1.0
 
 
 def test_operator_norm_pairing_and_dyadic_are_one():
@@ -104,11 +74,6 @@ def test_operator_norm_pairing_and_dyadic_are_one():
     w = level1.space.weights
     assert np.allclose(w @ np.abs(level1.matrix), w)  # oracle: weighted column sums
     assert operator_norm(level1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_is_contractive():
-    assert all(is_contractive(op) for op in build_truncation(5).ops)
-    assert not is_contractive(PosOperator(SUP4, 2 * np.eye(4)))
 
 
 def _extremal_value(op):
@@ -143,18 +108,8 @@ def test_operator_norm_dominates_sampling_oracle(kind):
         assert formula == pytest.approx(_extremal_value(op), abs=1e-9)
 
 
-def test_is_band_projection():
-    assert is_band_projection(PosOperator(SUP4, np.diag([1.0, 1, 0, 0])))
-    assert is_band_projection(identity(SUP4))
-    assert not is_band_projection(build_pairing(2).op(1))  # off-diagonal halves
-    assert not is_band_projection(PosOperator(SUP4, np.diag([1.0, 0.5, 0, 0])))
-    sup2 = LatticeSpace(2, NormKind.SUP)
-    assert not is_band_projection(PosOperator(sup2, [[1.0, np.nan], [0.0, 1.0]]))
-    assert not is_band_projection(PosOperator(sup2, np.diag([1.0, np.nan])))
-
-
 def test_is_lattice_homomorphism():
-    assert is_lattice_homomorphism(identity(SUP4))
+    assert is_lattice_homomorphism(EYE4)
     assert all(is_lattice_homomorphism(e) for e in build_truncation(5).ops)
     assert all(is_lattice_homomorphism(e) for e in build_copy(5).ops)
     zero_row = [[0.0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3], [1, 0, 0, 0]]
@@ -187,12 +142,3 @@ def test_band_projection_commutes_with_abs():
         assert np.array_equal(
             apply(p, absolute(x)).coords, absolute(apply(p, x)).coords
         )
-
-
-def test_disjoint():
-    assert disjoint(basis(SUP4, 1), basis(SUP4, 2))
-    x = vector(SUP4, [1.0, 1.0, 0.0, 0.0])
-    assert not disjoint(x, x)
-    assert disjoint(
-        vector(LatticeSpace(3), [1, 1, 0]), vector(LatticeSpace(3), [0, 0, 5])
-    )

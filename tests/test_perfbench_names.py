@@ -1,0 +1,51 @@
+"""Every lattice_lab name the benchmark harness reaches must exist.
+
+``perfbench/tracing.py`` looks functions up by name with ``getattr`` and
+``perfbench/workloads.py`` calls ``L.<name>`` on the package, so deleting a
+name they still use breaks the benchmark only when it runs.  This test
+loads ``tracing.py`` (definitions only, nothing is patched), reads
+``workloads.py`` as text and resolves each name.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import lattice_lab
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # definitions only; install() is never called
+    return module
+
+
+def _perfbench_names() -> list[tuple[str, str]]:
+    tracing = _tracing()
+    spanned = [(module, name) for module, names in tracing.SPANNED.items() for name in names]
+    # install() wraps these as counters, listed as ("module", "function") literals
+    counted = re.findall(r'\("(\w+)", "(\w+)"\)', inspect.getsource(tracing.install))
+    workloads = (PERFBENCH / "workloads.py").read_text(encoding="utf-8")
+    package = [("", name) for name in sorted(set(re.findall(r"\bL\.(\w+)", workloads)))]
+    return spanned + counted + package
+
+
+def test_perfbench_reaches_names_in_each_source():
+    names = _perfbench_names()
+    modules = {module for module, _ in names}
+    assert {"martingales", "operators", "spaces", "harness", ""} <= modules
+    assert ("operators", "apply") in names and ("", "classify") in names
+
+
+@pytest.mark.parametrize("module,name", _perfbench_names(),
+                         ids=lambda v: v or "lattice_lab")
+def test_perfbench_name_resolves(module, name):
+    owner = importlib.import_module(f"lattice_lab.{module}") if module else lattice_lab
+    assert callable(getattr(owner, name, None)), f"perfbench needs lattice_lab.{module}.{name}"

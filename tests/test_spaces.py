@@ -12,7 +12,6 @@ from lattice_lab import (
     absolute,
     basis,
     join,
-    leq,
     meet,
     norm,
     vector,
@@ -113,12 +112,6 @@ def test_abs_is_join_with_negation():
         assert np.array_equal(absolute(x).coords, join(x, -x).coords)
 
 
-def test_leq_examples():
-    assert leq(vector(SUP2, [0, 0]), vector(SUP2, [1, 2]))
-    assert not leq(vector(SUP2, [1, 0]), vector(SUP2, [0, 1]))  # incomparable
-    assert not leq(vector(SUP2, [1, 2]), vector(SUP2, [0, 0]))
-
-
 def test_norm_examples():
     assert norm(vector(SUP4, [-1, 1, 0, 0])) == 1.0
     half = LatticeSpace(2, NormKind.WEIGHTED_L1, [0.5, 0.5])
@@ -175,14 +168,14 @@ def test_lattice_axioms(data):
     assert np.array_equal(meet(x, meet(y, z)).coords, meet(meet(x, y), z).coords)
     assert np.array_equal(join(x, meet(x, y)).coords, x.coords)  # absorption
     assert np.array_equal(meet(x, join(x, y)).coords, x.coords)
-    assert leq(meet(x, y), join(x, y))
+    assert np.all(meet(x, y).coords <= join(x, y).coords)
 
 
 @given(space_and_rows(2, elements=nonneg))
 def test_norm_monotone_on_ordered_pairs(data):
     _, (x, gap) = data
     y = x + gap  # 0 <= x <= y by construction
-    assert leq(x, y)
+    assert np.all(x.coords <= y.coords)
     assert norm(x) <= norm(y) * (1 + 1e-12) + 1e-12
 
 
