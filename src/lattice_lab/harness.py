@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -708,12 +709,14 @@ def _harmonic_head_instance(n_terms: int) -> tuple[Filtration, VectorSequence, L
     return filt, terminal_sequence(filt, x), x
 
 
+@lru_cache(maxsize=1)
 def _perturbed_nested_instance(
     dim: int, seed: int
 ) -> tuple[Filtration, VectorSequence, LatticeVector]:
     """Martingale of an early-resolved vector plus a z/n null perturbation on a
     dense random-nested filtration: an asymptotic martingale converging to the
-    resolved vector."""
+    resolved vector.  ``limit-defect`` and ``tail-approx`` share the last one
+    built: its parts are frozen and their arrays read-only."""
     filt = build_random_nested(dim, dim, seed)
     rng = trial_rng(seed, 2)
     x = apply(filt.op(max(1, dim // 2)), _random_vector(filt.space, rng))

@@ -23,34 +23,30 @@ between tokens.  The reader accepts any JSON layout, so files written with
 matrix at a time straight from the arrays, and it holds finite floats
 only: a NaN or infinity raises ``ValueError`` before anything is written.
 Floats round-trip exactly (they are written as ``float.__repr__``, the
-shortest repr, as ``json`` writes them); each distinct bit pattern of a
-matrix or of the sequence is formatted once.
+shortest repr, as ``json`` writes them).  Each distinct row is parsed and
+formatted once: a chain of conditional expectations repeats its rows within
+and across stages (191 distinct of 9,217 rows in random-nested at 96).
 """
 
 from __future__ import annotations
 
 import json
-from contextvars import ContextVar
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .filtration import Filtration
 from .martingales import VectorSequence, sequence as make_sequence
 from .operators import Operator, PosOperator, is_finite
-from .spaces import LatticeSpace, NormKind
+from .spaces import LatticeSpace, NormKind, _frozen
 
 
 class InstanceFormatError(ValueError):
     """Raised when a JSON document does not parse into a consistent instance."""
-
-
-#: False while :func:`load_instance` reads a text holding neither ``true``
-#: nor ``false``: no JSON boolean can be in it, so no leaf scan is needed.
-_bools_possible: ContextVar[bool] = ContextVar("bools_possible", default=True)
 
 
 def space_to_dict(space: LatticeSpace) -> dict:
@@ -80,32 +76,33 @@ def space_from_dict(d: dict) -> LatticeSpace:
 
 
 def _numbers(value, what: str) -> np.ndarray | None:
-    """``value`` as a float array if it is (nested lists of) finite JSON numbers.
+    """A new read-only float array of ``value`` if it holds finite JSON numbers.
 
     None passes through.  Strings, booleans (also among numbers), objects,
-    nulls (which ``np.asarray(.., dtype=float)`` would coerce), NaN and
+    nulls (which ``np.array(.., dtype=float)`` would coerce), NaN and
     infinities are rejected; ragged nesting raises ``ValueError``.
     """
     if value is None:
         return None
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or (_bools_possible.get() and _has_bool_leaf(value, arr.ndim)):
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf" or _has_bool_leaf(value, arr.ndim):
         raise InstanceFormatError(f"{what} must hold numbers only")
     if not np.isfinite(arr).all():
         raise InstanceFormatError(f"{what} must be finite, not NaN or Infinity")
-    return arr.astype(float, copy=False)
+    return _frozen(arr.astype(float, copy=False))
 
 
 def _has_bool_leaf(value, depth: int) -> bool:
     """Whether ``value``, lists nested ``depth`` deep, holds a bool.
 
-    ``np.asarray`` reads a bool among numbers as 0 or 1, so the leaves'
-    types are collected instead, by ``map`` and ``chain`` in C.
+    ``np.array`` reads a bool among numbers as 0 or 1, so the leaves' types
+    are collected instead, by ``map`` and ``chain`` in C.  The rows that
+    :func:`load_instance` reads are not entered: a row holds numbers only.
     """
-    leaves = value
-    for _ in range(depth - 1):
-        leaves = chain.from_iterable(leaves)
-    return depth > 0 and bool in set(map(type, leaves))
+    leaves = [value]
+    for _ in range(depth):
+        leaves = chain.from_iterable(v for v in leaves if not isinstance(v, _Row))
+    return bool in set(map(type, leaves))
 
 
 def operator_to_dict(op: Operator) -> dict:
@@ -187,57 +184,99 @@ def instance_from_dict(d: dict) -> Instance:
     return Instance(space, filt, seq)
 
 
+#: A string token, escapes stepped over (an unterminated one runs to the end
+#: of the text), or a row: a list of numbers, whose body is group 1.
+_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|".*|\[([-+.,0-9eE \t\n\r]*)\]', re.DOTALL)
+
+
+def _parse(text: str):
+    """``json.loads(text)``, each distinct row parsed once: each row becomes a
+    reference ``[k]`` in a skeleton of the document, its body keyed in a dict,
+    and one ``json.loads`` parses the skeleton and one the distinct rows.  The
+    text cannot forge a reference, as a list of one integer is a row.  A
+    decode error is the one ``json.loads(text)`` raises."""
+    bodies: dict[str, int] = {}
+
+    def ref(match: re.Match) -> str:
+        return match[0] if match[1] is None else f"[{bodies.setdefault(match[1], len(bodies))}]"
+
+    try:
+        skeleton = json.loads(_TOKEN.sub(ref, text))
+        rows = "[[" + "],[".join(bodies) + "]]"
+        bodies.clear()  # each body is held once, in ``rows``, while it is parsed
+        rows = json.loads(rows)
+    except json.JSONDecodeError:
+        json.loads(text)  # raises the text's own error, with its line and column
+        raise
+    for k, row in enumerate(rows):  # in place: each list is freed once its row is made
+        rows[k] = _Row(row)
+    stack = [top := [skeleton]]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if type(node) is dict else enumerate(node):
+            if type(value) is list and len(value) == 1 and type(value[0]) is int:
+                node[key] = rows[value[0]]
+            elif type(value) in (list, dict):
+                stack.append(value)
+    return top[0]
+
+
+class _Row(list):
+    """A row as ``json.loads`` reads it, read by numpy from its one array."""
+
+    def __init__(self, values: list) -> None:
+        super().__init__(values)
+        self.array = np.asarray(values)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.array.astype(self.array.dtype if dtype is None else dtype, copy=bool(copy))
+
+
 def load_instance(path: str | Path) -> Instance:
-    """Read and check an instance file; exactly what :func:`instance_from_dict`
-    accepts, with the boolean leaf scan skipped when the text holds neither
-    ``true`` nor ``false``."""
+    """Read and check an instance file: what ``instance_from_dict`` accepts of
+    ``json.loads(text)``, each distinct row parsed once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = _parse(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
-    bools_possible = "true" in text or "false" in text
-    del text  # freed before the arrays are built, so the three are never alive together
-    token = _bools_possible.set(bools_possible)
-    try:
-        return instance_from_dict(data)
-    finally:
-        _bools_possible.reset(token)
-
-
-def _float_list(items: Iterable[str]) -> str:
-    """Formatted floats as a compact JSON list."""
-    return "[" + ",".join(items) + "]"
-
-
-def _rows(rows: np.ndarray) -> str:
-    """A nonempty 2-D array as a compact JSON list of rows.
-
-    Each distinct value is formatted once.  Values are told apart by their
-    bits, not by ``==``, so -0.0 keeps its own text.
-    """
-    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return _float_list(map(_float_list, texts[inverse.reshape(rows.shape)].tolist()))
+    del text  # freed before the arrays are built, so the two are never alive together
+    return instance_from_dict(data)
 
 
 def _layout(instance: Instance) -> Iterator[str]:
-    """The text pieces of an instance whose values are known to be finite."""
+    """The text pieces of an instance whose values are known to be finite.
+
+    ``texts`` maps each distinct row's bytes to its text, so a repeated row
+    costs one lookup, and -0.0 keeps its own text apart from 0.0.
+    """
+    texts: dict[bytes, str] = {}
+
+    def row(values: np.ndarray) -> str:
+        key = values.tobytes()
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = "[" + ",".join(map(float.__repr__, values.tolist())) + "]"
+        return text
+
+    def rows(table: np.ndarray) -> str:
+        return "[" + ",".join(map(row, table)) + "]"
+
     space = instance.space
     yield f'{{"space":{{"dim":{space.dim},"norm":"{space.norm_kind.value}"'
     if space.weights is not None:
-        yield ',"weights":' + _float_list(map(float.__repr__, space.weights.tolist()))
+        yield ',"weights":' + row(space.weights)
     yield "}"
     if instance.filtration is not None:
         yield ',"filtration":{"operators":['
         for k, e in enumerate(instance.filtration.ops):
-            yield ("," if k else "") + '{"matrix":' + _rows(e.matrix) + "}"
+            yield ("," if k else "") + '{"matrix":' + rows(e.matrix) + "}"
         yield "]}"
     if instance.sequence is not None:
-        yield ',"sequence":{"vectors":' + _rows(instance.sequence.coords) + "}"
+        yield ',"sequence":{"vectors":' + rows(instance.sequence.coords) + "}"
     yield "}\n"
 
 

@@ -45,6 +45,7 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     SpaceMismatchError,
+    _frozen,
     _readonly,
     row_norms,
 )
@@ -349,7 +350,7 @@ def terminal_sequence(filt: Filtration, x: LatticeVector) -> VectorSequence:
     """x_n = E_n x; a martingale by the commuting-order law."""
     if x.space != filt.space:
         raise ValueError("vector and filtration live in different spaces")
-    return VectorSequence(filt.space, _applied(filt.ops, x.coords))
+    return VectorSequence(filt.space, _frozen(_applied(filt.ops, x.coords)))
 
 
 def scale_head(seq: VectorSequence, factor: float) -> VectorSequence:
@@ -381,7 +382,7 @@ def tail_modify(
     if m >= seq.horizon:
         return seq
     tail = _applied(filt.ops[m:], x.coords)
-    return VectorSequence(seq.space, np.vstack((seq.coords[:m], tail)))
+    return VectorSequence(seq.space, _frozen(np.vstack((seq.coords[:m], tail))))
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,7 @@ class _HarmonicFamily(Sequence):
         return self._member(m)
 
     def _member(self, m: int) -> VectorSequence:
-        return sequence(self._space, np.vstack((self._x_tail[:m], self._y_head[m:] / m)))
+        return sequence(self._space, _frozen(np.vstack((self._x_tail[:m], self._y_head[m:] / m))))
 
 
 def harmonic_tail_example(
@@ -500,4 +501,4 @@ def harmonic_tail_example(
     space = filt.space
     inv = np.tile(1.0 / np.arange(1, n_terms + 1), (n_terms, 1))
     x_tail, y_head = np.triu(inv), np.tril(inv)  # row n-1 is x_n resp. sum_{i<=n} e_i / i
-    return filt, sequence(space, x_tail), _HarmonicFamily(space, x_tail, y_head)
+    return filt, sequence(space, _frozen(x_tail)), _HarmonicFamily(space, x_tail, y_head)

@@ -30,11 +30,21 @@ class SpaceMismatchError(ValueError):
     """Raised when an operation mixes vectors/operators from different spaces."""
 
 
-def _readonly(values: Iterable[float]) -> np.ndarray:
-    """A read-only float copy of ``values``; callers check its shape."""
-    arr = np.array(values, dtype=float)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, just built by the library, made read-only: :func:`_readonly` keeps it."""
     arr.setflags(write=False)
     return arr
+
+
+def _readonly(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a read-only float array; callers check its shape.
+
+    A read-only float array that owns its memory is kept; anything else, a
+    caller's writable array or a view of one included, is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        if values.flags.owndata and not values.flags.writeable:
+            return values
+    return _frozen(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

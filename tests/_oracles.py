@@ -5,11 +5,13 @@ These deliberately avoid the library's formulas: the norm oracle maximizes
 box, correlated-sign, sparse, heavy-tailed) so that near-extremal directions
 for both norm kinds are reliably sampled, and the pair-defect oracle loops
 over index pairs with raw matrices.  ``dump_text`` is the instance file
-through the stdlib ``json`` encoder, ``conditional_expectation`` fills
-the weighted block-averaging matrix one block at a time, and
-``order_law_sweep`` checks the filtration laws with the commuting-order
-law on all N^2 pairs.  ``closure_fraction`` samples the closure of the
-eventual class under |.| that ``is_abs_closed`` decides exactly.
+through the stdlib ``json`` encoder and ``read_instance`` reads one
+through the stdlib decoder, one Python number per entry;
+``conditional_expectation`` fills the weighted block-averaging matrix one
+block at a time, and ``order_law_sweep`` checks the filtration laws with
+the commuting-order law on all N^2 pairs.  ``closure_fraction`` samples
+the closure of the eventual class under |.| that ``is_abs_closed`` decides
+exactly.
 ``dense_stages`` rebuilds a builder's stages as the dense matrices the
 builders made before they emitted block stages, and ``block_matrix`` fills
 a block stage's matrix one entry at a time.  ``is_band_projection`` tells
@@ -22,6 +24,7 @@ where the library works on the (N, d) array of a sequence.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from lattice_lab import (
     vector,
 )
 from lattice_lab.filtration import ValidationReport, _law
+from lattice_lab.jsonio import InstanceFormatError, instance_from_dict
 from lattice_lab.harness import random_eventual_martingale, trial_rng
 from lattice_lab.spaces import DEFAULT_TOL
 
@@ -97,6 +101,17 @@ def pair_table(seq, filt) -> np.ndarray:
 def dump_text(instance) -> str:
     """The instance file as the stdlib encoder writes it."""
     return json.dumps(instance.to_dict(), separators=(",", ":")) + "\n"
+
+
+def read_instance(path):
+    """The instance file as ``json.loads`` parses it, one Python number per
+    entry, checked by ``instance_from_dict``: the plain stdlib reader."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
+    return instance_from_dict(data)
 
 
 def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> ValidationReport:

@@ -1,6 +1,7 @@
 """Theorem-evidence checks: expected statuses, reproducibility, bounds."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,6 +359,16 @@ def test_run_all_statuses_and_reproducibility():
     for r in first:
         doc = json.loads(json.dumps(r.to_dict()))
         assert set(doc) == {"id", "descriptor", "status", "witness", "seed"}
+
+
+def test_run_all_builds_the_perturbed_instance_once():
+    # limit-defect and tail-approx both check the 32-stage perturbed instance.
+    harness._perturbed_nested_instance.cache_clear()
+    with mock.patch.object(
+        harness, "build_random_nested", wraps=harness.build_random_nested
+    ) as build:
+        run_all(seed=7, trials=2)
+    assert [call.args for call in build.call_args_list].count((32, 32, 7)) == 1
 
 
 

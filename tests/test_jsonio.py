@@ -1,30 +1,37 @@
 """Wire-format round trips, the instance writer, and rejection of bad documents."""
 
+import argparse
 import io
 import json
+import re
 import tempfile
+import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import dump_text
+from _oracles import dump_text, read_instance
 from lattice_lab import (
     Filtration,
     LatticeSpace,
     NormKind,
     PosOperator,
     VectorSequence,
+    basis,
     build_dyadic,
     build_pairing,
+    build_random_nested,
     haar_example,
+    terminal_sequence,
 )
-from lattice_lab import cli
+from lattice_lab import cli, jsonio
 from lattice_lab.jsonio import (
     Instance,
     InstanceFormatError,
@@ -212,6 +219,131 @@ def test_indented_and_compact_files_load_bit_identically(instance):
     assert _bits(indented) == _bits(compact) == _bits(instance)
 
 
+def _builder_instances() -> list[Instance]:
+    """Every ``gen`` builder at a small size, as ``gen`` builds it."""
+    sizes = {"dyadic": 2, "haar": 2, "pairing": 2, "scale-head": 2}
+    built = []
+    for name, (_, build, _) in cli.BUILDERS.items():
+        args = argparse.Namespace(seed=3, depth=None, factor=2.0)
+        filt, seq = build(sizes.get(name, 5), args)
+        built.append(Instance(filt.space, filt, seq))
+    return built
+
+
+BUILT = _builder_instances()
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+#: What a number of a valid file is replaced by: tokens the reader must
+#: refuse or read as the stdlib decoder does.
+NUMBER_REPLACEMENTS = (
+    "true", "false", "null", "NaN", "Infinity", "-Infinity", '"1"', "01", "1.", "-0",
+    "1e400", "{}", '{"a": 1}', "[]", "[1]", "[[1]]", "[true]", '["1"]',
+    "100000000000000000000000000000", "18446744073709551615",
+)
+#: Members added to an object of a valid file: lists and brackets the schema
+#: does not read, escaped quotes, and keys or values shaped like a row
+#: reference (a list of one integer).
+EXTRA_MEMBERS = (
+    '"note": "[1,2]"',
+    '"extra": [[1, 2], [3]]',
+    '"\\u0000": [0]',
+    '"\\u0000": 0',
+    '"k[\\"]": "a]\\"[b\\\\"',
+    '"deep": {"a": [[[0]]], "b": [{"c": [1]}]}',
+    '"mixed": [0, [1], "[2]", {"[": "]"}]',
+    '"refs": [[0], [1], []]',
+)
+
+#: An edit's pattern and what a match of it is replaced by.
+TEXT_EDITS = {
+    "number": (NUMBER.pattern, NUMBER_REPLACEMENTS),
+    "member": (r"(?<=\{)", tuple(member + "," for member in EXTRA_MEMBERS)),
+    "ragged": (r",\s*" + NUMBER.pattern, ("",)),
+}
+
+
+@st.composite
+def instance_texts(draw):
+    """Builder files and random instances, compact or indented, maybe with
+    whole numbers written as integers (as by hand), and with up to three
+    edits: a number replaced, a member added to an object, a number dropped
+    from a row (ragged) or the text cut short."""
+    instance = draw(st.one_of(st.sampled_from(BUILT), instances()))
+    if draw(st.booleans()):
+        text = dump_text(instance)
+    else:
+        text = json.dumps(instance.to_dict(), indent=2) + "\n"
+    if draw(st.booleans()):
+        text = re.sub(r"(?<=\d)\.0(?=[,\]\s])", "", text)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["number", "member", "ragged", "cut"]))
+        if edit == "cut":
+            text = text[: draw(st.integers(0, max(len(text) - 1, 0)))]
+            continue
+        pattern, replacements = TEXT_EDITS[edit]
+        spans = [m.span() for m in re.finditer(pattern, text)]
+        if spans:
+            start, end = draw(st.sampled_from(spans))
+            text = text[:start] + draw(st.sampled_from(replacements)) + text[end:]
+    return text
+
+
+def test_strings_are_stepped_over_in_linear_time_and_memory(tmp_path):
+    # 20,000 escaped quotes after an opening one: scanning the string again
+    # from each quote would take seconds.
+    path = tmp_path / "open.json"
+    path.write_text('{"note": "' + '\\"' * 20_000, encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(InstanceFormatError, match="invalid JSON"):
+        load_instance(path)
+    assert time.perf_counter() - start < 1.0
+    # A 2 MB string: a scan that keeps a backtracking frame per character
+    # would take about 280 MB.
+    path = tmp_path / "note.json"
+    path.write_text('{"note": "' + "x" * 2**21 + '", "space": {"dim": 1}}', encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert load_instance(path).space.dim == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+
+
+def _read(read, path):
+    """What ``read`` makes of the file: the instance's bits, or its error."""
+    try:
+        instance = read(path)
+    except InstanceFormatError as exc:
+        return "refused", str(exc)
+    space = instance.space
+    return "read", (space.dim, space.norm_kind, instance.filtration is None,
+                    instance.sequence is None, _bits(instance))
+
+
+#: A dim-1 file of integer rows, each shaped like a row reference, after
+#: ``{`` and ``PREFIX``.
+ONE_BY_ONE = (
+    '{PREFIX"space": {"dim": 1, "norm": "sup"}, "filtration": {"operators": '
+    '[{"matrix": [[1]]}, {"matrix": [[0]]}]}, "sequence": {"vectors": [[0], [1]]}}'
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance_texts())
+@example(ONE_BY_ONE.replace("PREFIX", '"odd": "\\"[0]", '))  # an escaped quote, then brackets
+@example(ONE_BY_ONE.replace("PREFIX", '"[\\"": [[1], "]"], "\\u0000": [0], '))
+@example(ONE_BY_ONE.replace("PREFIX", '"k\\\\": "[0]", "n": [[0], [true]], '))
+# lists of one constant, which are no rows and no references
+@example(ONE_BY_ONE.replace("PREFIX", "").replace("[[1]]", "[[true]]"))
+@example(ONE_BY_ONE.replace("PREFIX", "").replace("[[0], [1]]", "[[NaN], [1]]"))
+def test_reader_matches_the_stdlib_reader(text):
+    # The same texts accepted, the same bits read, the same message on refusal.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        assert _read(load_instance, path) == _read(read_instance, path)
+
+
 def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     space = LatticeSpace(5, NormKind.WEIGHTED_L1, [v for v in EDGE_FLOATS if v > 0] + [7.5])
     row = np.array(EDGE_FLOATS)
@@ -229,8 +361,10 @@ def test_edge_floats_are_written_as_json_writes_them(tmp_path):
 
 
 def test_repeated_values_and_signed_zeros_keep_their_own_text(tmp_path):
-    # The writer formats each distinct bit pattern once; 0.0 == -0.0 but
-    # they are written differently, so they must not share a text.
+    # The writer formats each distinct row once, keyed by its bytes: 0.0 ==
+    # -0.0 but they are written differently, so rows that differ only in the
+    # sign of a zero must not share a text.  The second stage repeats the
+    # first one's rows and the third flips the sign of every zero.
     z, nz, tiny, third = 0.0, -0.0, 5e-324, 1 / 3
     matrix = np.array(
         [
@@ -240,17 +374,21 @@ def test_repeated_values_and_signed_zeros_keep_their_own_text(tmp_path):
             [tiny, third, nz, z],
         ]
     )
+    flipped = np.where(matrix == 0.0, -matrix, matrix)
     space = LatticeSpace(4)
+    stages = (matrix, matrix[::-1], flipped)
     instance = Instance(
         space,
-        Filtration(space, (PosOperator(space, matrix), PosOperator(space, matrix[::-1]))),
-        VectorSequence(space, matrix[:2]),
+        Filtration(space, tuple(PosOperator(space, m) for m in stages)),
+        VectorSequence(space, np.vstack((matrix[:2], flipped[:1]))),
     )
     dump_instance(instance, tmp_path / "zeros.json")
     text = (tmp_path / "zeros.json").read_text(encoding="utf-8")
     assert text == dump_text(instance)
     assert gen_stdout(instance) == text
-    assert text.count("-0.0") == 5 + 5 + 3  # five per matrix, three in the vectors
+    # five -0.0 in each of the first two stages, four in the flipped one,
+    # three plus two in the vectors
+    assert text.count("-0.0") == 5 + 5 + 4 + 3 + 2
 
 
 @pytest.mark.parametrize(
@@ -314,13 +452,25 @@ def test_weights_and_vectors_must_be_numbers():
         sequence_from_dict(LatticeSpace(2), {"vectors": [[1.0, 2.0], [3, False]]})
 
 
-def test_text_without_boolean_tokens_skips_the_leaf_scan(tmp_path):
-    doc = {"space": {"dim": 2, "norm": "sup"}, "sequence": {"vectors": [[1, 1.5], [0.5, 2]]}}
-    path = tmp_path / "plain.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with mock.patch("lattice_lab.jsonio._has_bool_leaf", side_effect=AssertionError("scanned")):
+def test_each_distinct_row_is_parsed_once_and_scanned_by_no_leaf(tmp_path):
+    filt = build_random_nested(24, 24, 5)
+    seq = terminal_sequence(filt, basis(filt.space, 1))
+    path = tmp_path / "nested.json"
+    dump_instance(Instance(filt.space, filt, seq), path)
+    tables = [filt.space.weights[None, :], *(e.matrix for e in filt.ops), seq.coords]
+    rows = [row.tobytes() for table in tables for row in table]
+    with mock.patch.object(jsonio.json, "loads", wraps=json.loads) as loads, \
+            mock.patch.object(jsonio, "_has_bool_leaf", wraps=jsonio._has_bool_leaf) as scan:
         loaded = load_instance(path)
-    assert loaded.sequence.coords.tolist() == [[1.0, 1.5], [0.5, 2.0]]
+    skeleton, distinct = (call.args[0] for call in loads.call_args_list)
+    assert len(json.loads(distinct)) == len(set(rows)) < len(rows) / 4
+    # The boolean scan gets the weights and each stage's rows as rows, which
+    # it does not enter: a row of a file holds numbers only.
+    assert scan.call_count == len(tables)
+    for call in scan.call_args_list:
+        value = call.args[0]
+        assert isinstance(value, jsonio._Row) or all(isinstance(r, jsonio._Row) for r in value)
+    assert _bits(loaded) == _bits(Instance(filt.space, filt, seq))
     with pytest.raises(InstanceFormatError, match="numbers only"):
         sequence_from_dict(LatticeSpace(2), {"vectors": [[True, 1.5]]})  # the dict path still scans
 

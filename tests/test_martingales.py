@@ -103,6 +103,45 @@ def test_sequence_coords_are_a_read_only_copy():
     assert seq.term(2).coords.tolist() == [3.0, 4.0]
 
 
+def _peak_bytes(build):
+    """The result of ``build()`` and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+TABLE_256 = 256 * 256 * 8  # one (256, 256) float table, 512 KB
+
+
+def test_a_frozen_fresh_table_is_kept_and_a_callers_array_copied():
+    fresh = np.zeros((256, 256))
+    fresh.setflags(write=False)  # as the library hands over the arrays it builds
+    seq, peak = _peak_bytes(lambda: sequence(LatticeSpace(256), fresh))
+    assert seq.coords is fresh and peak < TABLE_256 // 2, peak
+    # A writable array, or a read-only view of memory it does not own, is copied.
+    writable = np.zeros((256, 256))
+    for rows in (writable, fresh[:, :]):
+        seq, peak = _peak_bytes(lambda: sequence(LatticeSpace(256), rows))
+        assert not np.shares_memory(seq.coords, rows) and peak >= TABLE_256
+
+
+def test_library_built_tables_are_not_copied_again():
+    # Each result is one 512 KB table built from views and a row or two, so a
+    # second copy of it would take the peak to 1 MB.
+    filt, seq, family = harmonic_tail_example(256)
+    x = basis(filt.space, 256)
+    member, peak = _peak_bytes(lambda: family[-1])
+    assert np.array_equal(member.coords, ref.harmonic_rows(256)[1][-1])
+    assert peak < 1.5 * TABLE_256, peak
+    modified, peak = _peak_bytes(lambda: tail_modify(seq, filt, x, 255))
+    assert np.array_equal(modified.coords[-1], x.coords)
+    assert peak < 1.5 * TABLE_256, peak
+
+
 @pytest.mark.parametrize(
     "rows",
     [
