@@ -12,10 +12,8 @@ Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED,
 2 input error (including a numeric argument out of range, a file that
 cannot be written, an instance holding a NaN or infinity, which JSON
 cannot store, and a size too large to allocate).  All randomness flows
-from --seed.  The environment variable LATTICE_LAB_TOL overrides the
-default exact-law tolerance of validate, classify and demo.  Reports are
-strict JSON with --json (a non-finite number is written as null),
-human-readable otherwise.
+from --seed.  Reports are strict JSON with --json (a non-finite number is
+written as null), human-readable otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -41,8 +38,8 @@ from .filtration import (
 from .jsonio import (
     Instance,
     InstanceFormatError,
-    _instance_text,
     dump_instance,
+    instance_text,
     load_instance,
 )
 from .martingales import (
@@ -134,18 +131,6 @@ def _check_ranges(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             raise ValueError(f"--{name.replace('_', '-')} must be {requirement}, got {value}")
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("LATTICE_LAB_TOL")
-    try:
-        tol = DEFAULT_TOL if raw is None else float(raw)
-    except ValueError:
-        tol = math.nan
-    if not _RANGES["tol"][0](tol):
-        print(f"error: LATTICE_LAB_TOL={raw!r} must be a finite number >= 0", file=sys.stderr)
-        raise SystemExit(2)
-    return tol
 
 
 def _finite(value):
@@ -276,7 +261,7 @@ def _gen_instance(args: argparse.Namespace) -> Instance:
 def cmd_gen(args: argparse.Namespace) -> int:
     instance = _gen_instance(args)
     if args.out is None:
-        sys.stdout.writelines(_instance_text(instance))
+        sys.stdout.writelines(instance_text(instance))
     else:
         dump_instance(instance, args.out)
         print(f"[gen] wrote {args.builder} instance to {args.out}", file=sys.stderr)
@@ -296,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check filtration laws on an instance file")
     p.add_argument("path")
     p.add_argument("--contractive", action="store_true", help="also require norm <= 1")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="classify the sequence in an instance file")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--eps-x", type=float, default=None, dest="eps_x")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW_FRACTION)
     p.add_argument("--json", action="store_true")
@@ -311,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="reproduce a named example construction")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_demo, factor=2.0)  # scale-head doubles the head, as in gen
 
@@ -336,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 0.0) is None:  # validate, classify and demo without --tol
-        args.tol = _default_tol()
     try:
         _check_ranges(args)
         with np.errstate(all="ignore"):  # overflow shows as inf in the report instead

@@ -16,12 +16,15 @@ entry and vector coordinate is a finite number (not ``NaN`` or
 all dimensions are mutually consistent; anything else raises
 :class:`InstanceFormatError`.
 
-On disk an instance is exactly ``json.dumps(instance.to_dict(),
-separators=(",", ":"))`` plus a newline: compact JSON, with no whitespace
-between tokens.  The reader accepts any JSON layout, so files written with
-``indent=2`` load to the same instance.  The writer lays the text out one
-matrix at a time straight from the arrays, and it holds finite floats
-only: a NaN or infinity raises ``ValueError`` before anything is written.
+One writer makes every instance file: :func:`instance_text` yields its
+text and :func:`dump_instance` writes that text to a path.  The text is
+compact JSON (no whitespace between tokens, keys in the order above) plus a
+newline, byte for byte what ``json.dumps(doc, separators=(",", ":"))``
+writes for the instance's document.  The reader accepts any JSON layout,
+so files written with ``indent=2`` load to the same instance.  The writer
+lays the text out one matrix at a time straight from the arrays, and it
+holds finite floats only: a NaN or infinity raises ``ValueError`` before
+anything is written.
 Floats round-trip exactly (they are written as ``float.__repr__``, the
 shortest repr, as ``json`` writes them).  Each distinct row is parsed and
 formatted once: a chain of conditional expectations repeats its rows within
@@ -41,19 +44,12 @@ import numpy as np
 
 from .filtration import Filtration
 from .martingales import VectorSequence, sequence as make_sequence
-from .operators import Operator, PosOperator, is_finite
+from .operators import PosOperator, is_finite
 from .spaces import LatticeSpace, NormKind, _frozen
 
 
 class InstanceFormatError(ValueError):
     """Raised when a JSON document does not parse into a consistent instance."""
-
-
-def space_to_dict(space: LatticeSpace) -> dict:
-    d: dict = {"dim": space.dim, "norm": space.norm_kind.value}
-    if space.norm_kind is NormKind.WEIGHTED_L1:
-        d["weights"] = space.weights.tolist()
-    return d
 
 
 def space_from_dict(d: dict) -> LatticeSpace:
@@ -105,10 +101,6 @@ def _has_bool_leaf(value, depth: int) -> bool:
     return bool in set(map(type, leaves))
 
 
-def operator_to_dict(op: Operator) -> dict:
-    return {"matrix": op.matrix.tolist()}
-
-
 def operator_from_dict(space: LatticeSpace, d: dict) -> PosOperator:
     if not isinstance(d, dict) or "matrix" not in d:
         raise InstanceFormatError("operator must be an object with a 'matrix' field")
@@ -134,10 +126,6 @@ def filtration_from_dict(d: dict, space: LatticeSpace | None = None) -> Filtrati
     return Filtration(space, tuple(operator_from_dict(space, o) for o in ops))
 
 
-def sequence_to_dict(seq: VectorSequence) -> dict:
-    return {"vectors": seq.coords.tolist()}
-
-
 def sequence_from_dict(space: LatticeSpace, d: dict) -> VectorSequence:
     if not isinstance(d, dict) or not isinstance(d.get("vectors"), list):
         raise InstanceFormatError("sequence must be an object with a 'vectors' list")
@@ -154,16 +142,6 @@ class Instance:
     space: LatticeSpace
     filtration: Filtration | None = None
     sequence: VectorSequence | None = None
-
-    def to_dict(self) -> dict:
-        d: dict = {"space": space_to_dict(self.space)}
-        if self.filtration is not None:
-            d["filtration"] = {
-                "operators": [operator_to_dict(e) for e in self.filtration.ops]
-            }
-        if self.sequence is not None:
-            d["sequence"] = sequence_to_dict(self.sequence)
-        return d
 
 
 def instance_from_dict(d: dict) -> Instance:
@@ -243,6 +221,8 @@ def load_instance(path: str | Path) -> Instance:
         data = _parse(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested list or object
+        raise InstanceFormatError(f"invalid JSON in {path}: nested too deeply") from exc
     del text  # freed before the arrays are built, so the two are never alive together
     return instance_from_dict(data)
 
@@ -280,12 +260,12 @@ def _layout(instance: Instance) -> Iterator[str]:
     yield "}\n"
 
 
-def _instance_text(instance: Instance) -> Iterator[str]:
-    """The pieces of ``json.dumps(instance.to_dict(), separators=(",", ":")) + "\\n"``.
+def instance_text(instance: Instance) -> Iterator[str]:
+    """The pieces of the instance file: compact JSON plus a newline.
 
-    They are built from the arrays one matrix at a time, without the nested
-    lists of ``to_dict``, and a block stage's matrix is built only while it
-    is written, so at most one stage matrix is alive.  Every value is
+    They are built from the arrays one matrix at a time, without nested
+    lists of Python floats, and a block stage's matrix is built only while
+    it is written, so at most one stage matrix is alive.  Every value is
     checked first, so a non-finite one raises ``ValueError`` before any
     piece exists: JSON has no token for it.
     """
@@ -300,6 +280,6 @@ def _instance_text(instance: Instance) -> Iterator[str]:
 
 
 def dump_instance(instance: Instance, path: str | Path) -> None:
-    pieces = _instance_text(instance)
+    pieces = instance_text(instance)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(pieces)

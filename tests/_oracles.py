@@ -4,7 +4,8 @@ These deliberately avoid the library's formulas: the norm oracle maximizes
 ||Tx|| / ||x|| over random inputs drawn from a mixture of families (uniform
 box, correlated-sign, sparse, heavy-tailed) so that near-extremal directions
 for both norm kinds are reliably sampled, and the pair-defect oracle loops
-over index pairs with raw matrices.  ``dump_text`` is the instance file
+over index pairs with raw matrices.  ``instance_doc`` is an instance's
+document built from its raw arrays, ``dump_text`` is the instance file
 through the stdlib ``json`` encoder and ``read_instance`` reads one
 through the stdlib decoder, one Python number per entry;
 ``conditional_expectation`` fills the weighted block-averaging matrix one
@@ -98,9 +99,24 @@ def pair_table(seq, filt) -> np.ndarray:
     return table
 
 
+def instance_doc(instance) -> dict:
+    """The instance's JSON document, nested lists built from the raw arrays."""
+    space = {"dim": instance.space.dim, "norm": instance.space.norm_kind.value}
+    if instance.space.weights is not None:
+        space["weights"] = instance.space.weights.tolist()
+    doc = {"space": space}
+    if instance.filtration is not None:
+        doc["filtration"] = {
+            "operators": [{"matrix": e.matrix.tolist()} for e in instance.filtration.ops]
+        }
+    if instance.sequence is not None:
+        doc["sequence"] = {"vectors": instance.sequence.coords.tolist()}
+    return doc
+
+
 def dump_text(instance) -> str:
     """The instance file as the stdlib encoder writes it."""
-    return json.dumps(instance.to_dict(), separators=(",", ":")) + "\n"
+    return json.dumps(instance_doc(instance), separators=(",", ":")) + "\n"
 
 
 def read_instance(path):

@@ -30,7 +30,7 @@ from lattice_lab import (
     vector,
 )
 from lattice_lab.harness import random_filtration
-from lattice_lab.jsonio import Instance, _instance_text
+from lattice_lab.jsonio import Instance, instance_text
 from lattice_lab.martingales import _pair_table
 from lattice_lab.operators import KEEP_SUMS_DIM
 from lattice_lab.spaces import row_norms
@@ -168,7 +168,7 @@ def test_validate_and_the_writer_hold_one_pair_of_stage_matrices():
     tracemalloc.start()
     try:
         report = validate(filt, require_contractive=True)
-        for _ in _instance_text(Instance(filt.space, filt)):
+        for _ in instance_text(Instance(filt.space, filt)):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

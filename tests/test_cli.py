@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dump_text
+from _oracles import dump_text, instance_doc
 from lattice_lab import build_copy, build_truncation, classify, haar_example
 from lattice_lab import cli
 from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
@@ -36,7 +36,7 @@ def test_validate_passes_on_generated_dyadic(tmp_path, capsys):
 
 def test_validate_fails_on_broken_filtration(tmp_path, capsys):
     filt = build_truncation(3)
-    doc = Instance(filt.space, filt).to_dict()
+    doc = instance_doc(Instance(filt.space, filt))
     doc["filtration"]["operators"][0]["matrix"][0][0] = 2.0  # breaks idempotence
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -170,22 +170,6 @@ def test_zero_size_is_rejected_not_defaulted(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
-def test_env_var_overrides_default_tol(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("LATTICE_LAB_TOL", "0.5")
-    path = tmp_path / "haar.json"
-    run(capsys, "gen", "haar", "--out", str(path))
-    code, out, _ = run(capsys, "classify", str(path), "--json")
-    assert code == 0
-    assert json.loads(out)["tolerances"]["tol"] == 0.5
-
-
-def test_env_var_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("LATTICE_LAB_TOL", "lots")
-    with pytest.raises(SystemExit) as exc:
-        main(["demo", "haar"])
-    assert exc.value.code == 2
-
-
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -282,7 +266,7 @@ def test_gen_into_unwritable_path_exits_two(tmp_path, capsys, target):
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_malformed_instance_exits_two(tmp_path, capsys, field, value, command):
     filt, seq = haar_example(1)
-    doc = Instance(filt.space, filt, seq).to_dict()
+    doc = instance_doc(Instance(filt.space, filt, seq))
     if field == "dim":
         doc["space"]["dim"] = value
     else:
@@ -298,7 +282,7 @@ def test_malformed_instance_exits_two(tmp_path, capsys, field, value, command):
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_non_finite_tokens_in_a_file_exit_two(tmp_path, capsys, where, value, command):
     filt, seq = haar_example(1)
-    doc = Instance(filt.space, filt, seq).to_dict()
+    doc = instance_doc(Instance(filt.space, filt, seq))
     if where == "weights":
         doc["space"]["weights"][0] = value
     elif where == "matrix":
@@ -309,6 +293,23 @@ def test_non_finite_tokens_in_a_file_exit_two(tmp_path, capsys, where, value, co
     path.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN / Infinity tokens
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == "" and one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"space": ' + "[" * 200_000 + "]" * 200_000 + "}",
+        '{"space": {"dim": 1, "norm": "sup"}, "sequence": {"vectors": '
+        + "[" * 5_000 + "1" + "]" * 5_000 + "}}",
+    ],
+    ids=["space", "vectors"],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: invalid JSON in {path}: nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -347,30 +348,6 @@ def test_range_edges_are_accepted(tmp_path, capsys):
     assert code == 0 and json.loads(out)["tolerances"]["window_fraction"] == 1.0
     code, _, _ = run(capsys, "verify", "eventual-not-closed", "--trials", "1")
     assert code == 0
-
-
-@pytest.mark.parametrize("raw", ["nan", "-1", "inf"])
-def test_env_var_out_of_range_exits_two(capsys, monkeypatch, raw):
-    monkeypatch.setenv("LATTICE_LAB_TOL", raw)
-    with pytest.raises(SystemExit) as exc:
-        main(["demo", "haar"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and one_line_error(captured.err)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gen", "truncation", "--size", "2"),
-        ("verify", "eventual-not-closed", "--trials", "1"),
-        ("demo", "haar", "--tol", "0"),
-    ],
-)
-def test_env_var_is_read_only_when_a_tolerance_is_defaulted(capsys, monkeypatch, argv):
-    monkeypatch.setenv("LATTICE_LAB_TOL", "nan")
-    code, _, err = run(capsys, *argv)
-    assert code == 0 and err == ""
 
 
 def strict_json(text: str):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import dump_text, read_instance
+from _oracles import dump_text, instance_doc, read_instance
 from lattice_lab import (
     Filtration,
     LatticeSpace,
@@ -40,23 +40,30 @@ from lattice_lab.jsonio import (
     instance_from_dict,
     load_instance,
     sequence_from_dict,
-    sequence_to_dict,
     space_from_dict,
-    space_to_dict,
 )
 
 
-def test_space_round_trip_sup():
+def _round_trip(instance, tmp_path) -> tuple[Instance, str]:
+    """``instance`` through ``dump_instance`` and ``load_instance``, and the file's text."""
+    path = tmp_path / "instance.json"
+    dump_instance(instance, path)
+    return load_instance(path), path.read_text(encoding="utf-8")
+
+
+def test_space_round_trip_sup(tmp_path):
     space = LatticeSpace(4)
-    again = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
-    assert again == space
-    assert "weights" not in space_to_dict(space)
+    again, text = _round_trip(Instance(space), tmp_path)
+    assert again.space == space and again.space.weights is None
+    assert again.filtration is None and again.sequence is None
+    assert "weights" not in text
 
 
-def test_space_round_trip_weighted():
-    space = LatticeSpace(3, NormKind.WEIGHTED_L1, [0.2, 0.3, 0.5])
-    again = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
-    assert again == space
+def test_space_round_trip_weighted(tmp_path):
+    space = LatticeSpace(3, NormKind.WEIGHTED_L1, [0.2, 0.3, 5e-324])
+    again, _ = _round_trip(Instance(space), tmp_path)
+    assert again.space == space
+    assert np.array_equal(again.space.weights.view(np.int64), space.weights.view(np.int64))
 
 
 def test_space_rejects_bad_documents():
@@ -72,10 +79,8 @@ def test_space_rejects_bad_documents():
 
 def _filtration_doc(filt):
     """The standalone filtration document: a space and its operators."""
-    return {
-        "space": space_to_dict(filt.space),
-        "operators": [{"matrix": e.matrix.tolist()} for e in filt.ops],
-    }
+    doc = instance_doc(Instance(filt.space, filt))
+    return {"space": doc["space"], **doc["filtration"]}
 
 
 def test_filtration_round_trip_exact():
@@ -99,12 +104,13 @@ def test_filtration_needs_operator_list():
         filtration_from_dict({"space": {"dim": 2, "norm": "sup"}, "operators": []})
 
 
-def test_sequence_round_trip_and_errors():
+def test_sequence_round_trip_and_errors(tmp_path):
     filt, seq = haar_example(2)
-    doc = json.loads(json.dumps(sequence_to_dict(seq)))
-    again = sequence_from_dict(filt.space, doc)
-    for a, b in zip(again.vectors, seq.vectors):
-        assert np.array_equal(a.coords, b.coords)
+    rows = np.vstack((seq.coords, [-0.0, 5e-324, 1 / 3, -1e308]))
+    seq = VectorSequence(filt.space, rows)
+    again, _ = _round_trip(Instance(filt.space, sequence=seq), tmp_path)
+    assert again.space == filt.space and again.filtration is None
+    assert np.array_equal(again.sequence.coords.view(np.int64), rows.view(np.int64))
     with pytest.raises(InstanceFormatError):
         sequence_from_dict(filt.space, {"vectors": [[1.0, 2.0]]})  # wrong width
 
@@ -122,7 +128,7 @@ def test_instance_round_trip(tmp_path):
 
 def test_instance_horizon_mismatch_rejected():
     filt, seq = haar_example(3)
-    doc = Instance(filt.space, filt, seq).to_dict()
+    doc = instance_doc(Instance(filt.space, filt, seq))
     doc["sequence"]["vectors"] = doc["sequence"]["vectors"][:2]
     with pytest.raises(InstanceFormatError):
         instance_from_dict(doc)
@@ -205,7 +211,7 @@ def _bits(instance) -> list:
 @given(instances())
 def test_indented_and_compact_files_load_bit_identically(instance):
     # Every file written before the compact layout was indent=2 text.
-    layouts = [json.dumps(instance.to_dict(), indent=2) + "\n", dump_text(instance)]
+    layouts = [json.dumps(instance_doc(instance), indent=2) + "\n", dump_text(instance)]
     loaded = []
     with tempfile.TemporaryDirectory() as tmp:
         for k, text in enumerate(layouts):
@@ -271,7 +277,7 @@ def instance_texts(draw):
     if draw(st.booleans()):
         text = dump_text(instance)
     else:
-        text = json.dumps(instance.to_dict(), indent=2) + "\n"
+        text = json.dumps(instance_doc(instance), indent=2) + "\n"
     if draw(st.booleans()):
         text = re.sub(r"(?<=\d)\.0(?=[,\]\s])", "", text)
     for _ in range(draw(st.integers(0, 3))):
