@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class Filtration:
     @property
     def horizon(self) -> int:
         return len(self.ops)
+
+    @cached_property
+    def norms(self) -> tuple[float, ...]:
+        """Each stage's ``operator_norm``, computed once on first use (stages are immutable)."""
+        return tuple(operator_norm(e) for e in self.ops)
 
     def op(self, n: int) -> Operator:
         if not 1 <= n <= self.horizon:
@@ -159,13 +165,13 @@ def validate(
         _law("commuting-order", order.items(), tol),
     ]
     if require_contractive:
-        norms = (((n,), operator_norm(e) - 1.0) for n, e in enumerate(filt.ops, start=1))
+        norms = (((n,), v - 1.0) for n, v in enumerate(filt.norms, start=1))
         checks.append(_law("contractivity", norms, tol))
     return ValidationReport(tuple(checks))
 
 
 def is_contractive_filtration(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
-    return all(operator_norm(e) <= 1.0 + tol for e in filt.ops)
+    return all(v <= 1.0 + tol for v in filt.norms)
 
 
 def is_dense(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
@@ -224,8 +230,8 @@ def build_pairing(pairs: int) -> Filtration:
     cells = np.arange(dim)
     ops = []
     for kept in range(2, dim + 1, 2):
-        alone = cells < kept  # a kept coordinate is its own block; a pair is labelled by its first
-        labels = np.where(alone, cells, cells - cells % 2)
+        alone = cells < kept  # a kept coordinate is its own block; the pairs take the next labels
+        labels = np.where(alone, cells, (cells + kept) // 2)
         ops.append(BlockOperator(space, labels, True, np.where(alone, 1.0, 0.5)))
     return Filtration(space, tuple(ops))
 

@@ -165,6 +165,11 @@ def _pair_table(
     return table
 
 
+def _require_contractive(filt: Filtration) -> None:
+    if not is_contractive_filtration(filt):
+        raise NonContractiveError("asymptotic classification requires a contractive filtration")
+
+
 def _after_last(flagged: np.ndarray, cap: int) -> int | None:
     """One past the last (1-based) flagged index (1 if none), or None when that
     exceeds ``cap``.  Flag a defect with ``~(defect <= tol)`` so NaN is flagged."""
@@ -220,8 +225,8 @@ def defect_profile(seq: VectorSequence, filt: Filtration) -> np.ndarray:
     return _pair_table(seq, filt).max(axis=1)
 
 
-def default_eps(seq: VectorSequence) -> float:
-    return DEFAULT_EPS_FRACTION * max(1.0, seq_norm(seq))
+def default_eps(seq: VectorSequence, norm: float | None = None) -> float:
+    return DEFAULT_EPS_FRACTION * max(1.0, seq_norm(seq) if norm is None else norm)
 
 
 def tail_window_start(horizon: int, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> int:
@@ -252,10 +257,7 @@ def tail_verdict(
     non-contractive one is rejected.
     """
     _require_matching(seq, filt)
-    if not is_contractive_filtration(filt):
-        raise NonContractiveError(
-            "asymptotic classification requires a contractive filtration"
-        )
+    _require_contractive(filt)
     d = defect_profile(seq, filt) if profile is None else np.asarray(profile, dtype=float)
     if eps is None:
         eps = default_eps(seq)
@@ -316,8 +318,10 @@ def classify(
     _require_matching(seq, filt)
     if seq.horizon < 2:
         raise ValueError("classification needs a horizon of at least 2 terms")
+    _require_contractive(filt)  # before the O(N^2 d) table, not after it
+    norm = seq_norm(seq)
     if eps is None:
-        eps = default_eps(seq)
+        eps = default_eps(seq, norm)
     table = _pair_table(seq, filt)
     d = table.max(axis=1)
     return ClassificationReport(
@@ -325,7 +329,7 @@ def classify(
         e_witness=_after_last(~(table[:-1, 1] <= tol), seq.horizon - 1),
         x_defects=tuple(float(v) for v in d),
         x_verdict=tail_verdict(seq, filt, eps, window_fraction, profile=d),
-        seq_norm=seq_norm(seq),
+        seq_norm=norm,
         tol=tol,
         eps_x=eps,
         window_fraction=window_fraction,

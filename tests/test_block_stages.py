@@ -32,10 +32,10 @@ from lattice_lab import (
 from lattice_lab.harness import random_filtration
 from lattice_lab.jsonio import Instance, instance_text
 from lattice_lab.martingales import _pair_table
-from lattice_lab.operators import KEEP_SUMS_DIM
 from lattice_lab.spaces import row_norms
 
 REL = 1e-15
+PRODUCT_BLOCKS = 64  # apply_rows takes block sums by product below this many label slots
 
 
 def _chain(kind: str, size: int, seed: int) -> tuple[Filtration, list[np.ndarray]]:
@@ -45,16 +45,20 @@ def _chain(kind: str, size: int, seed: int) -> tuple[Filtration, list[np.ndarray
         params = dict(descriptor)
         return filt, dense_stages(params.pop("builder"), **params)
     if kind.endswith("random-nested"):
-        # the wide kinds pass KEEP_SUMS_DIM, where the block sums come from bincount
-        dim = size + 1 if kind == "random-nested" else KEEP_SUMS_DIM + 5 * size
+        # the wide kind is deeper than PRODUCT_BLOCKS: level n has n blocks, so
+        # its block sums come by product before level 64 and by bincount from it
+        depth = size if kind == "random-nested" else PRODUCT_BLOCKS + size
+        dim = depth + 1 if kind == "random-nested" else depth + size
         norm_kind = list(NormKind)[seed % 2].value
-        params = {"dim": dim, "depth": size, "sub_seed": seed, "norm": norm_kind}
-        filt = build_random_nested(dim, size, seed, norm_kind)
+        params = {"dim": dim, "depth": depth, "sub_seed": seed, "norm": norm_kind}
+        filt = build_random_nested(dim, depth, seed, norm_kind)
         return filt, dense_stages("random-nested", **params)
     if kind == "random-blocks":
         return _random_blocks(size, seed)
     if kind == "wide-pairing":
-        kind, size = "pairing", KEEP_SUMS_DIM // 2 + size
+        # stage k keeps 2k coordinates and has p + k blocks, p + 1 to 2p - 1;
+        # with p pairs in 41..52 the first stages sum by product, the last by bincount
+        kind, size = "pairing", 40 + size
     if kind == "dyadic":
         size = 1 + size % 5  # d = 2**levels
     build = {"truncation": build_truncation, "pairing": build_pairing,
@@ -133,11 +137,15 @@ def test_block_stages_match_the_dense_builders(kind, size, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_wide_block_stages_match_the_dense_builders(kind, size, seed):
-    # Past KEEP_SUMS_DIM the block sums come from bincount.  A block's row
-    # sum is then added in index order where numpy adds a dense row
-    # pairwise; over d terms the two orders part by at most d units of
-    # roundoff, so the norm is held to that.
+    # Every chain has d > 64 and block-sum stages on both sides of the
+    # PRODUCT_BLOCKS line, so both kernels of apply_rows run.  operator_norm
+    # adds a block's row sum by bincount in index order where numpy adds a
+    # dense row pairwise; over d terms the two orders part by at most d units
+    # of roundoff, so the norm is held to that.
     filt, mats = _chain(kind, size, seed)
+    slots = [e._slots for e in filt.ops if e._scale is None]  # the block-sum stages
+    assert filt.space.dim > 64
+    assert min(slots) < PRODUCT_BLOCKS <= max(slots)
     _check_against_dense(filt, mats, seed, filt.space.dim * np.finfo(float).eps / 2)
 
 

@@ -12,6 +12,8 @@ from _oracles import (
     order_law_sweep,
 )
 from lattice_lab import (
+    DEFAULT_TOL,
+    BlockOperator,
     Filtration,
     LatticeSpace,
     NormKind,
@@ -22,7 +24,11 @@ from lattice_lab import (
     build_pairing,
     build_random_nested,
     build_truncation,
+    classify,
+    is_contractive_filtration,
     is_dense,
+    operator_norm,
+    terminal_sequence,
     validate,
     vector,
 )
@@ -103,6 +109,52 @@ def test_validate_fails_every_law_touched_by_nan():
         assert not by_law[law].passed and np.isnan(by_law[law].worst)
     assert by_law["positivity"].witness == (1,)
     assert by_law["commuting-order"].witness == (1, 1)
+
+
+def test_stage_norms_are_computed_once_per_filtration(monkeypatch):
+    filt = build_random_nested(12, 12, 4)
+    seq = terminal_sequence(filt, vector(filt.space, np.linspace(-1.0, 1.0, 12)))
+    calls = []
+    norm = filtration.operator_norm
+
+    def counted(op):
+        calls.append(op)
+        return norm(op)
+
+    monkeypatch.setattr(filtration, "operator_norm", counted)
+    for _ in range(3):
+        classify(seq, filt)
+    assert is_contractive_filtration(filt)
+    assert validate(filt, require_contractive=True).passed
+    assert calls == list(filt.ops)  # one call per stage, in order, however often it is read
+    assert filt.norms == tuple(norm(e) for e in filt.ops)
+
+
+def test_a_nan_stage_norm_is_not_contractive():
+    filt = build_truncation(3)
+    e = filt.op(2)
+    poisoned = BlockOperator(filt.space, e.labels, e.mask, np.where(e.coef == 1.0, np.nan, 0.0))
+    bad = Filtration(filt.space, (filt.op(1), poisoned, filt.op(3)))
+    assert np.isnan(bad.norms[1])
+    assert not is_contractive_filtration(bad)
+    check = {c.law: c for c in validate(bad, require_contractive=True).checks}["contractivity"]
+    assert not check.passed and np.isnan(check.worst) and check.witness == (2,)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_contractivity_law_reads_the_same_norms_as_a_stage_loop(seed):
+    rng = np.random.default_rng(seed)
+    filt = build_random_nested(9, 6, seed, list(NormKind)[seed % 2])
+    ops = tuple(PosOperator(filt.space, rng.uniform(0.5, 1.5) * e.matrix) for e in filt.ops)
+    scaled = Filtration(filt.space, ops)
+    worst, witness = 0.0, None
+    for n, e in enumerate(ops, start=1):
+        v = operator_norm(e) - 1.0
+        if v > worst:
+            worst, witness = v, (n,)
+    check = {c.law: c for c in validate(scaled, require_contractive=True).checks}["contractivity"]
+    assert (check.worst, check.witness) == (worst, witness)
+    assert is_contractive_filtration(scaled) == (worst <= DEFAULT_TOL)
 
 
 def test_is_dense():

@@ -47,6 +47,7 @@ from lattice_lab import (
     vector,
     zero,
 )
+from lattice_lab import martingales
 from lattice_lab.filtration import is_dense
 from lattice_lab.harness import (
     SEQUENCE_GENERATORS,
@@ -358,6 +359,36 @@ def test_tail_verdict_rejects_non_contractive_filtration():
     seq = VectorSequence(space, np.zeros((2, 2)))
     with pytest.raises(NonContractiveError):
         tail_verdict(seq, filt)
+
+
+def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the pair table was built")
+
+    monkeypatch.setattr(martingales, "_pair_table", no_table)
+    space = LatticeSpace(2)
+    doubler = PosOperator(space, 2 * np.eye(2))
+    seq = VectorSequence(space, np.ones((2, 2)))
+    with pytest.raises(NonContractiveError, match="requires a contractive filtration"):
+        classify(seq, Filtration(space, (doubler, doubler)))
+    with pytest.raises(ValueError, match="horizon of at least 2"):  # the horizon check comes first
+        classify(VectorSequence(space, np.ones((1, 2))), Filtration(space, (doubler,)))
+
+
+def test_classify_takes_the_sequence_norm_once(monkeypatch):
+    filt, seq = pairing_example(4)
+    want = classify(seq, filt)
+    calls = []
+    row_norms = martingales.row_norms
+
+    def counted(space, rows):
+        calls.append(rows is seq.coords)  # the pair table passes differences, never the terms
+        return row_norms(space, rows)
+
+    monkeypatch.setattr(martingales, "row_norms", counted)
+    got = classify(seq, filt)
+    assert sum(calls) == 1
+    assert got == want and got.eps_x == 0.05 and got.seq_norm == 1.0
 
 
 def test_inconclusive_verdict_exists():
