@@ -138,30 +138,36 @@ def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
 
 
 def _pair_table(
-    seq: VectorSequence, filt: Filtration, band: int | None = None
+    terms: VectorSequence | np.ndarray, filt: Filtration, band: int | None = None
 ) -> np.ndarray:
     """The pair-defect table every law here reduces: one product per operator.
 
-    Row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band
-    (default: the whole horizon); entries past the horizon are zero, which
-    no reduction below can mistake for a defect.  Only one (band, d) block
-    of applied terms is alive at a time, never an N x N x d tensor.
+    ``terms`` is one sequence or a (..., N, d) stack; the table is (..., N, band).
+    Row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band (default:
+    the horizon); entries past the horizon are zero, which no reduction below
+    mistakes for a defect.  Each stage applies E_n once to the (..., band, d)
+    block, subtracts x_n and takes |.| in place (``apply_rows`` returns fresh
+    memory), then reduces it.  Stacks are bounded by ``harness.STACK_FLOATS``:
+    whole families raised the peak RSS of ``verify``.
 
-    A NaN or infinite term makes every pair it is in NaN, as ``0 * inf``
-    does in a dense product; a block stage never reads the coordinates it
-    drops, so without this such a term could pass a law.
+    A NaN or infinite term x_m makes every pair it is in non-finite, in its
+    own member only, and (n, m) NaN for each n, as ``0 * inf`` does in a
+    dense product; a block stage never reads the coordinates it drops, so
+    without this such a term could pass a law.
     """
-    xs = seq.coords
-    n_terms = len(xs)
+    xs = terms.coords if isinstance(terms, VectorSequence) else terms
+    n_terms = xs.shape[-2]
     band = n_terms if band is None else band
-    table = np.zeros((n_terms, band))
+    table = np.zeros((*xs.shape[:-2], n_terms, band))
+    w = filt.space.weights  # None on a sup space: row_norms without its temporary
     for n, e in enumerate(filt.ops):
-        block = xs[n : n + band]
-        table[n, : len(block)] = row_norms(filt.space, apply_rows(e, block) - xs[n])
-    if not np.isfinite(xs).all():
-        for m in np.flatnonzero(~np.isfinite(xs).all(axis=1)):
-            n = np.arange(max(0, m - band + 1), m + 1)
-            table[n, m - n] = np.nan
+        rows = apply_rows(e, xs[..., n : n + band, :])
+        rows -= xs[..., n, None, :]
+        np.abs(rows, out=rows)
+        table[..., n, : rows.shape[-2]] = rows.max(axis=-1) if w is None else rows @ w
+    for *member, m in np.argwhere(~np.isfinite(xs).all(axis=-1)):
+        n = np.arange(max(0, m - band + 1), m + 1)
+        table[(*member, n, m - n)] = np.nan
     return table
 
 
@@ -175,6 +181,11 @@ def _after_last(flagged: np.ndarray, cap: int) -> int | None:
     exceeds ``cap``.  Flag a defect with ``~(defect <= tol)`` so NaN is flagged."""
     last = int(np.flatnonzero(flagged)[-1]) + 1 if flagged.any() else 0
     return last + 1 if last < cap else None
+
+
+def _step_witness(table: np.ndarray, tol: float = DEFAULT_TOL) -> int | None:
+    """The minimal eventual witness read off one sequence's pair table of band >= 2."""
+    return _after_last(~(table[:-1, 1] <= tol), len(table) - 1)
 
 
 def is_martingale(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
@@ -192,7 +203,7 @@ def eventual_witness(
     (no step after it) and is never reported.
     """
     _require_matching(seq, filt)
-    return _after_last(~(_pair_table(seq, filt, band=2)[:-1, 1] <= tol), seq.horizon - 1)
+    return _step_witness(_pair_table(seq, filt, band=2), tol)
 
 
 def eventual_witness_pairwise(
@@ -326,7 +337,7 @@ def classify(
     d = table.max(axis=1)
     return ClassificationReport(
         is_martingale=bool(d.max() <= tol),
-        e_witness=_after_last(~(table[:-1, 1] <= tol), seq.horizon - 1),
+        e_witness=_step_witness(table, tol),
         x_defects=tuple(float(v) for v in d),
         x_verdict=tail_verdict(seq, filt, eps, window_fraction, profile=d),
         seq_norm=norm,

@@ -144,7 +144,8 @@ Operator = PosOperator | BlockOperator
 
 def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
     """``rows @ T.T``: the operator applied to each row of ``rows`` (shape
-    (..., d)), or to ``rows`` itself when it is one vector."""
+    (..., d)), or to ``rows`` itself when it is one vector; always a fresh,
+    writable array that shares no memory with ``rows``."""
     if isinstance(op, PosOperator):
         return rows @ op.matrix.T
     if op._scale is not None:

@@ -226,3 +226,82 @@ def test_each_kernel_applies_the_matrix(labels, coef):
     rows = np.arange(12.0).reshape(3, 4) - 5.0
     assert np.array_equal(apply_rows(e, rows), rows @ e.matrix.T)
     assert np.array_equal(apply_rows(e, rows[1]), e.matrix @ rows[1])
+
+
+def _band_scale(space: LatticeSpace, mats: list[np.ndarray], xs: np.ndarray, band: int):
+    """The pair table taken over absolute values: the size of what was added."""
+    scale = np.zeros((len(xs), band))
+    for n, m in enumerate(mats):
+        sums = np.abs(xs[n : n + band]) @ np.abs(m).T + np.abs(xs[n])
+        scale[n, : len(sums)] = row_norms(space, sums)
+    return scale
+
+
+def _stacked_case(kind, size, members, full, dense, seed):
+    """A chain (block stages or their dense matrices), a (members, N, d)
+    stack of random terms and the band: 2 or the whole horizon."""
+    filt, mats = _chain(kind, size, seed)
+    if dense:
+        filt = Filtration(filt.space, tuple(PosOperator(filt.space, m) for m in mats))
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-1.0, 1.0, size=(members, filt.horizon, filt.space.dim))
+    return filt, mats, stack, filt.horizon if full else 2
+
+
+STACKED = dict(
+    kind=st.sampled_from(
+        ["truncation", "pairing", "dyadic", "copy", "random-nested", "random-blocks",
+         "wide-random-nested", "wide-pairing"]
+    ),
+    size=st.integers(1, 8),
+    members=st.integers(1, 4),
+    full=st.booleans(),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**STACKED)
+def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, full, dense, seed):
+    filt, mats, stack, band = _stacked_case(kind, size, members, full, dense, seed)
+    got = _pair_table(stack, filt, band)
+    assert got.shape == (members, filt.horizon, band)
+    for k, xs in enumerate(stack):
+        own = _pair_table(VectorSequence(filt.space, xs), filt, band)
+        assert _within(got[k], own, _band_scale(filt.space, mats, xs, band))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**STACKED, bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 2**16))
+def test_a_non_finite_term_spoils_only_its_own_pairs(
+    kind, size, members, full, dense, seed, bad, where
+):
+    filt, _, stack, band = _stacked_case(kind, size, members, full, dense, seed)
+    clean = _pair_table(stack, filt, band)
+    n_terms, d = filt.horizon, filt.space.dim
+    k, m, c = where % members, where // members % n_terms, where % d
+    stack[k, m, c] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, as in a dense product
+        got = _pair_table(stack, filt, band)
+    # the pairs holding x_m: (n, m) for n in m - band + 1..m, and (m, m + j)
+    n, j = np.indices((n_terms, band))
+    holds = ((n + j == m) | (n == m)) & (n + j < n_terms)
+    assert np.array_equal(~np.isfinite(got[k]), holds)
+    assert np.isnan(got[k][n + j == m]).all()
+    others = np.arange(members) != k
+    assert np.array_equal(got[others], clean[others])
+    assert np.array_equal(got[k][~holds], clean[k][~holds])
+
+
+@pytest.mark.parametrize("kind", ["random-nested", "random-blocks", "wide-pairing"])
+@pytest.mark.parametrize("band", [2, None])
+@pytest.mark.parametrize("dense", [False, True])
+def test_one_sequences_pair_table_is_its_rows_norms_bit_for_bit(kind, band, dense):
+    filt, _, stack, _ = _stacked_case(kind, 6, 1, True, dense, 17)
+    xs = stack[0]
+    table = _pair_table(VectorSequence(filt.space, xs), filt, band)
+    for n, e in enumerate(filt.ops):
+        block = xs[n : n + (band or filt.horizon)]
+        want = row_norms(filt.space, apply_rows(e, block) - xs[n])
+        assert np.array_equal(table[n, : len(block)], want)

@@ -1,0 +1,48 @@
+"""``verify all --seed 0 --json`` against the fixture written before the
+evidence checks built their pair tables as stacks."""
+
+import copy
+import json
+
+from golden import FIXTURE, first_difference, main as compare
+from lattice_lab.cli import main
+
+
+def test_verify_all_seed0_matches_the_fixture(capsys, tmp_path):
+    assert main(["verify", "all", "--seed", "0", "--json"]) == 0
+    out = tmp_path / "verify.json"
+    out.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert compare([str(out)]) == 0
+
+
+def test_the_comparison_allows_rounding_and_nothing_else():
+    want = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    distances = want["results"][1]["witness"]["distances"]
+    assert first_difference(copy.deepcopy(want), want) is None
+
+    got = copy.deepcopy(want)
+    got["results"][1]["witness"]["distances"][2] = distances[2] * (1 + 1e-13)
+    assert first_difference(got, want) is None
+    got["results"][1]["witness"]["distances"][2] = distances[2] * (1 + 1e-11)
+    assert first_difference(got, want) == "$.results[1].witness.distances[2]: " + (
+        f"{distances[2] * (1 + 1e-11)!r} != {distances[2]!r}"
+    )
+
+    changes = [
+        ("status", "VIOLATED"),
+        ("seed", 1),
+        ("id", "nesting"),
+    ]
+    for key, value in changes:
+        got = copy.deepcopy(want)
+        got["results"][1][key] = value
+        assert first_difference(got, want).startswith(f"$.results[1].{key}: "), key
+    got = copy.deepcopy(want)
+    got["results"][1]["descriptor"]["members"] = 8.0  # an integer must stay one
+    assert first_difference(got, want) == "$.results[1].descriptor.members: float != int"
+    got = copy.deepcopy(want)
+    got["results"][15]["witness"]["premises"]["dense"] = 1  # a boolean must stay one
+    assert first_difference(got, want) == "$.results[15].witness.premises.dense: int != bool"
+    got = copy.deepcopy(want)
+    del got["results"][-1]
+    assert first_difference(got, want) == "$.results: length 17 != 18"

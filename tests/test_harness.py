@@ -1,6 +1,7 @@
 """Theorem-evidence checks: expected statuses, reproducibility, bounds."""
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from lattice_lab import (
     LatticeSpace,
     NormKind,
     PosOperator,
+    VectorSequence,
     abs_commutation_index,
     basis,
     build_copy,
@@ -406,3 +408,54 @@ def test_run_all_descriptors_are_pinned():
         for r in run_all(seed=0, trials=5)
     ]
     assert got == expected
+
+
+def _alternating(filt: Filtration) -> VectorSequence:
+    """x_n = (-1)^n 100 e_1: on a truncation every d_n < N is 200, so the
+    sequence is NOT_X and breaks the analytic bound 2/n + 1/N at n = 1."""
+    rows = np.zeros((filt.horizon, filt.space.dim))
+    rows[:, 0] = 100.0 * (-1.0) ** np.arange(filt.horizon)
+    return VectorSequence(filt.space, rows)
+
+
+def test_band_lattice_names_the_first_failing_trial(monkeypatch):
+    filt = build_truncation(64)  # two sequences a trial: 4 trials per stack
+    draws = []
+
+    def draw(f, rng):
+        draws.append(rng)
+        if len(draws) - 1 in (37, 38, 45):
+            return _alternating(f), None
+        return random_asymptotic_martingale(f, rng)
+
+    monkeypatch.setattr(harness, "random_asymptotic_martingale", draw)
+    result = check_band_projection_lattice(filt, seed=2, trials=100)
+    assert result.status is CheckStatus.VIOLATED
+    assert result.witness == {"trial": 37, "problem": "analytic defect bound failed", "n": 1}
+    per = harness.STACK_FLOATS // (2 * 64 * 64)
+    assert len(draws) == (37 // per + 1) * per  # no trial drawn past the failing stack
+
+
+def test_a_family_check_names_the_first_failing_member():
+    filt, base, family = harmonic_tail_example(64)  # 8 members per stack
+    members = list(family)
+    for k in (5, 7, 12):
+        members[k - 1] = _alternating(filt)
+    result = harness._limit_family_check("closed-limits", filt, members, base, {}, None)
+    assert result.status is CheckStatus.VIOLATED
+    assert result.witness == {"member": 5, "problem": "family member classified NOT_X"}
+
+
+@pytest.mark.parametrize(
+    "check_id, trials", [(check_id, 100) for check_id in CHECK_IDS] + [("band-lattice", 1000)]
+)
+def test_each_check_stays_within_a_fixed_memory_budget(check_id, trials):
+    # the pair tables of a family or of many trials are built a bounded stack at a time
+    run_check(check_id, 0, trials)  # the cached instance and lazy imports
+    tracemalloc.start()
+    try:
+        run_check(check_id, 0, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak

@@ -5,12 +5,14 @@ import pytest
 
 from _oracles import is_band_projection
 from lattice_lab import (
+    BlockOperator,
     LatticeSpace,
     NormKind,
     PosOperator,
     SpaceMismatchError,
     absolute,
     apply,
+    apply_rows,
     basis,
     build_copy,
     build_dyadic,
@@ -142,3 +144,40 @@ def test_band_projection_commutes_with_abs():
         assert np.array_equal(
             apply(p, absolute(x)).coords, absolute(apply(p, x)).coords
         )
+
+
+def _stage_paths() -> dict[str, object]:
+    """One stage per kernel of apply_rows, named by the kernel it takes."""
+    d = 130
+    space = LatticeSpace(d, NormKind.SUP)
+    labels = np.arange(d)
+    stages = {
+        "dense": PosOperator(space, np.random.default_rng(3).uniform(-1.0, 1.0, (d, d))),
+        "diagonal": BlockOperator(space, labels, labels % 3 > 0, 1.0),
+        "gather": BlockOperator(space, labels // 2, True, (labels % 2 == 0) * 1.0),
+        "product": BlockOperator(space, labels // 5, True, 0.2),  # 26 label slots
+        "bincount": BlockOperator(space, labels // 2, True, 0.5),  # 65 label slots
+    }
+    kernels = {
+        "diagonal": lambda e: e._src is None and e._scale is not None,
+        "gather": lambda e: e._src is not None and e._scale is not None,
+        "product": lambda e: e._scale is None and e._slots < 64,
+        "bincount": lambda e: e._scale is None and e._slots >= 64,
+    }
+    for name, takes in kernels.items():
+        assert takes(stages[name]), name
+    return stages
+
+
+@pytest.mark.parametrize("path", ["dense", "diagonal", "gather", "product", "bincount"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+def test_apply_rows_returns_a_fresh_writable_array(path, shape):
+    # _pair_table overwrites what apply_rows returns; that must never reach its input
+    op = _stage_paths()[path]
+    rows = np.random.default_rng(4).uniform(-1.0, 1.0, (*shape, op.space.dim))
+    rows.setflags(write=False)
+    out = apply_rows(op, rows)
+    assert out.shape == rows.shape
+    assert out.flags.writeable
+    assert not np.shares_memory(out, rows)
+    assert np.allclose(out, rows @ op.matrix.T, rtol=0.0, atol=1e-13)
