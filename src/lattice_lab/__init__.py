@@ -7,16 +7,16 @@ counterexample constructions, and a harness that checks the structural
 claims about these classes on concrete and randomized instances.
 """
 
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .spaces import (
     DEFAULT_TOL,
     LatticeSpace,
     LatticeVector,
     NormKind,
     SpaceMismatchError,
-    absolute,
     basis,
-    join,
-    meet,
     norm,
     vector,
     zero,
@@ -69,13 +69,25 @@ from .martingales import (
     tail_verdict,
     terminal_sequence,
 )
-from .harness import (
-    CHECK_IDS,
-    CheckStatus,
-    TheoremResult,
-    abs_commutation_index,
-    run_all,
-    run_check,
-)
 
+#: The evidence harness's names, imported on first use (PEP 562), so that
+#: ``import lattice_lab`` and every CLI command but ``verify`` skip it.
+_HARNESS_NAMES = (
+    "CHECK_IDS", "CheckStatus", "TheoremResult", "abs_commutation_index", "run_all", "run_check",
+)
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_HARNESS_NAMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "harness" or name in _HARNESS_NAMES:
+        harness = _import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

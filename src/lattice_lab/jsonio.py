@@ -80,7 +80,8 @@ def _numbers(value, what: str) -> np.ndarray | None:
     """
     if value is None:
         return None
-    arr = np.array(value)
+    rows = type(value) is list and all(type(row) is _Row for row in value)
+    arr = np.array([row.array for row in value] if rows else value)  # no __array__ per row
     if arr.dtype.kind not in "iuf" or _has_bool_leaf(value, arr.ndim):
         raise InstanceFormatError(f"{what} must hold numbers only")
     if not np.isfinite(arr).all():

@@ -3,7 +3,8 @@
 A :class:`LatticeSpace` fixes a dimension and one of two norms: the sup
 norm (sequence-space model) or a weighted L1 norm whose weights are the
 measures of the coordinate cells (unit-interval model).  Vectors carry a
-reference to their space; lattice operations are coordinate-wise.
+reference to their space; lattice operations are coordinate-wise numpy
+operations on ``coords`` (``np.maximum``, ``np.minimum``, ``np.abs``).
 
 All values are immutable after construction and every operation here is a
 pure function, so spaces and vectors can be shared freely between threads.
@@ -109,7 +110,7 @@ class LatticeVector:
             )
         object.__setattr__(self, "coords", arr)
 
-    # Linear structure; lattice structure lives in the module functions.
+    # Linear structure; the lattice structure is coordinate-wise on ``coords``.
     def __add__(self, other: LatticeVector) -> LatticeVector:
         _require_same_space(self, other)
         return LatticeVector(self.space, self.coords + other.coords)
@@ -150,23 +151,6 @@ def basis(space: LatticeSpace, i: int) -> LatticeVector:
     coords = np.zeros(space.dim)
     coords[i - 1] = 1.0
     return LatticeVector(space, coords)
-
-
-def join(x: LatticeVector, y: LatticeVector) -> LatticeVector:
-    """Coordinate-wise maximum (lattice supremum)."""
-    _require_same_space(x, y)
-    return LatticeVector(x.space, np.maximum(x.coords, y.coords))
-
-
-def meet(x: LatticeVector, y: LatticeVector) -> LatticeVector:
-    """Coordinate-wise minimum (lattice infimum)."""
-    _require_same_space(x, y)
-    return LatticeVector(x.space, np.minimum(x.coords, y.coords))
-
-
-def absolute(x: LatticeVector) -> LatticeVector:
-    """|x| = join(x, -x), i.e. the coordinate-wise absolute value."""
-    return LatticeVector(x.space, np.abs(x.coords))
 
 
 def row_norms(space: LatticeSpace, rows: np.ndarray) -> np.ndarray:

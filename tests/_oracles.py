@@ -20,8 +20,8 @@ a 0/1 diagonal matrix (a band projection under coordinate order) from the
 raw matrix.
 
 The sequence references below work term by term through the per-vector
-API (``apply``, ``norm``, ``absolute``), one ``LatticeVector`` per term,
-where the library works on the (N, d) array of a sequence.
+API (``apply``, ``norm``, ``np.abs`` of ``coords``), one ``LatticeVector``
+per term, where the library works on the (N, d) array of a sequence.
 """
 
 import json
@@ -33,7 +33,6 @@ from lattice_lab import (
     LatticeSpace,
     NormKind,
     abs_seq,
-    absolute,
     apply,
     basis,
     eventual_witness,
@@ -208,10 +207,10 @@ def tail_modify_rows(seq, filt, x, m) -> np.ndarray:
 def abs_commutation_index(filt, x, tol):
     """Minimal l with || |E_n x| - E_n |x| || <= tol for every n >= l, or None."""
     last_bad = 0
-    ax = absolute(x)
+    ax = vector(x.space, np.abs(x.coords))
     for n in range(1, filt.horizon + 1):
         en = filt.op(n)
-        if norm(absolute(apply(en, x)) - apply(en, ax)) > tol:
+        if norm(vector(x.space, np.abs(apply(en, x).coords)) - apply(en, ax)) > tol:
             last_bad = n
     return last_bad + 1 if last_bad < filt.horizon else None
 

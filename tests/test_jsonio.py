@@ -481,6 +481,28 @@ def test_each_distinct_row_is_parsed_once_and_scanned_by_no_leaf(tmp_path):
         sequence_from_dict(LatticeSpace(2), {"vectors": [[True, 1.5]]})  # the dict path still scans
 
 
+def _numbers_or_error(value):
+    try:
+        arr = jsonio._numbers(value, "operator matrix")
+    except ValueError as exc:  # InstanceFormatError, or numpy's message on ragged rows
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    "[[1, 2], [1.5, -0.0]]", "[[1, 2], [3, 4]]", "[[1, 2], [3]]", "[[], [1]]", "[[], []]",
+    "[[9223372036854775808], [-1]]", "[[100000000000000000000000000000], [1]]",
+    "[[1e400], [1]]",
+])
+def test_a_matrix_of_rows_is_one_array_of_the_rows_arrays(rows):
+    # Values, dtype and message as of the plain lists, ragged rows included,
+    # and no ``__array__`` call per row.
+    plain = json.loads(rows)
+    read = [jsonio._Row(row) for row in plain]
+    with mock.patch.object(jsonio._Row, "__array__", side_effect=AssertionError("per row")):
+        assert _numbers_or_error(read) == _numbers_or_error(plain)
+
+
 @pytest.mark.parametrize(
     "extra",
     [{"true_to_form": 1}, {"note": "false alarm"}, {"flags": "trueish"}],

@@ -1,4 +1,4 @@
-"""Lattice operations, norms, and their axioms."""
+"""Spaces, vectors, norms, and the norm's lattice axioms."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,7 @@ from lattice_lab import (
     LatticeSpace,
     NormKind,
     SpaceMismatchError,
-    absolute,
     basis,
-    join,
-    meet,
     norm,
     vector,
     zero,
@@ -21,6 +18,11 @@ from lattice_lab import (
 SUP2 = LatticeSpace(2, NormKind.SUP)
 SUP3 = LatticeSpace(3, NormKind.SUP)
 SUP4 = LatticeSpace(4, NormKind.SUP)
+
+
+def absolute(x):
+    """|x|: the lattice operations are coordinate-wise on ``coords``."""
+    return vector(x.space, np.abs(x.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,7 @@ def test_vector_coords_are_readonly():
 
 def test_mixed_spaces_rejected():
     with pytest.raises(SpaceMismatchError):
-        join(vector(SUP2, [1, 2]), vector(SUP3, [1, 2, 3]))
+        vector(SUP2, [1, 2]) + vector(SUP3, [1, 2, 3])
 
 
 def test_space_equality_by_contents():
@@ -78,39 +80,6 @@ def test_space_equality_by_contents():
 # ---------------------------------------------------------------------------
 # Pinned examples
 # ---------------------------------------------------------------------------
-
-def test_join_examples():
-    assert np.array_equal(join(vector(SUP2, [1, -2]), vector(SUP2, [0, 3])).coords, [1, 3])
-    x = vector(SUP3, [2, -1, 0])
-    assert np.array_equal(join(x, x).coords, x.coords)
-
-
-def test_join_against_scalar_max():
-    a, b = [-1, 1, 0, 0], [1, -1, 0, 0]
-    expected = [max(u, v) for u, v in zip(a, b)]
-    assert np.array_equal(join(vector(SUP4, a), vector(SUP4, b)).coords, expected)
-    assert expected == [1, 1, 0, 0]
-
-
-def test_meet_examples():
-    assert np.array_equal(meet(vector(SUP2, [1, -2]), vector(SUP2, [0, 3])).coords, [0, -2])
-    x = vector(SUP3, [2, -1, 0])
-    assert np.array_equal(meet(x, x).coords, x.coords)
-    disjointly = meet(absolute(vector(SUP2, [1, 0])), absolute(vector(SUP2, [0, 2])))
-    assert np.array_equal(disjointly.coords, [0, 0])
-
-
-def test_abs_examples():
-    assert np.array_equal(absolute(vector(SUP3, [-1, 1, 0])).coords, [1, 1, 0])
-    assert np.array_equal(absolute(zero(SUP3)).coords, [0, 0, 0])
-
-
-def test_abs_is_join_with_negation():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        x = vector(SUP4, rng.normal(size=4))
-        assert np.array_equal(absolute(x).coords, join(x, -x).coords)
-
 
 def test_norm_examples():
     assert norm(vector(SUP4, [-1, 1, 0, 0])) == 1.0
@@ -157,18 +126,6 @@ def space_and_rows(draw, n_rows, elements=finite):
         draw(st.lists(elements, min_size=dim, max_size=dim)) for _ in range(n_rows)
     ]
     return space, [vector(space, r) for r in rows]
-
-
-@given(space_and_rows(3))
-def test_lattice_axioms(data):
-    _, (x, y, z) = data
-    assert np.array_equal(join(x, y).coords, join(y, x).coords)
-    assert np.array_equal(meet(x, y).coords, meet(y, x).coords)
-    assert np.array_equal(join(x, join(y, z)).coords, join(join(x, y), z).coords)
-    assert np.array_equal(meet(x, meet(y, z)).coords, meet(meet(x, y), z).coords)
-    assert np.array_equal(join(x, meet(x, y)).coords, x.coords)  # absorption
-    assert np.array_equal(meet(x, join(x, y)).coords, x.coords)
-    assert np.all(meet(x, y).coords <= join(x, y).coords)
 
 
 @given(space_and_rows(2, elements=nonneg))
