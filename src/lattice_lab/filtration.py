@@ -34,21 +34,21 @@ statements, not proofs of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .operators import BlockOperator, Operator, is_lattice_homomorphism, operator_norm
-from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, row_norms
+from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, _Frozen, _Record, row_norms
 
 
-@dataclass(frozen=True, eq=False)
-class Filtration:
-    """Operators E_1..E_N on a common space; ``op(n)`` is 1-based access."""
+class Filtration(_Frozen):
+    """Operators ``ops`` = E_1..E_N on a common ``space``; ``op(n)`` is 1-based access."""
 
-    space: LatticeSpace
-    ops: tuple[Operator, ...]
+    def __init__(self, space: LatticeSpace, ops: tuple[Operator, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "ops", ops)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ops = tuple(self.ops)
@@ -77,14 +77,13 @@ class Filtration:
         return f"Filtration(dim={self.space.dim}, horizon={self.horizon})"
 
 
-@dataclass(frozen=True)
-class LawCheck:
-    """Outcome of one filtration law: worst magnitude and where it occurred."""
+class LawCheck(_Record):
+    """Outcome of one filtration ``law``: whether it ``passed``, the ``worst``
+    magnitude and the ``witness`` indices where it occurred."""
 
-    law: str
-    passed: bool
-    worst: float
-    witness: tuple[int, ...] | None
+    def __init__(self, law: str, passed: bool, worst: float,
+                 witness: tuple[int, ...] | None) -> None:
+        self._set(law=law, passed=passed, worst=worst, witness=witness)
 
     def to_dict(self) -> dict:
         return {
@@ -95,9 +94,9 @@ class LawCheck:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[LawCheck, ...]
+class ValidationReport(_Record):
+    def __init__(self, checks: tuple[LawCheck, ...]) -> None:
+        self._set(checks=checks)
 
     @property
     def passed(self) -> bool:

@@ -31,7 +31,6 @@ E_{N-1} is one, so ``abs-closure`` and ``abs-alignment`` sample nothing.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -78,6 +77,7 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     NormKind,
+    _Record,
     basis,
     norm,
     row_norms,
@@ -99,15 +99,14 @@ class CheckStatus(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class TheoremResult:
-    """Outcome of one claim check on one instance."""
+class TheoremResult(_Record):
+    """Outcome of one claim check on one instance; ``witness`` defaults to a fresh ``{}``."""
 
-    check_id: str
-    descriptor: dict
-    status: CheckStatus
-    witness: dict = field(default_factory=dict)
-    seed: int | None = None
+    def __init__(self, check_id: str, descriptor: dict, status: CheckStatus,
+                 witness: dict | None = None, seed: int | None = None) -> None:
+        witness = {} if witness is None else witness
+        self._set(check_id=check_id, descriptor=descriptor, status=status,
+                  witness=witness, seed=seed)
 
     def to_dict(self) -> dict:
         return {
@@ -168,18 +167,23 @@ def _unit_vector(space: LatticeSpace, rng: np.random.Generator) -> LatticeVector
     return v * (1.0 / n) if n > 0 else basis(space, 1)
 
 
+#: ``random_filtration``'s deterministic builders and the [low, high) range of their size draw.
+_DRAWN_SIZES = {"truncation": (4, 25), "pairing": (2, 11), "dyadic": (2, 6)}
+
+
+@lru_cache(maxsize=None)
+def _drawn_filtration(kind: str, size: int) -> Filtration:
+    """A deterministic draw of ``random_filtration``, built once per process (at most 34)."""
+    builders = {"truncation": build_truncation, "pairing": build_pairing, "dyadic": build_dyadic}
+    return builders[kind](size)
+
+
 def random_filtration(rng: np.random.Generator) -> tuple[Filtration, dict]:
     """Draw one of the four builders with random small parameters."""
-    kind = rng.choice(["truncation", "pairing", "dyadic", "random-nested"])
-    if kind == "truncation":
-        n = int(rng.integers(4, 25))
-        return build_truncation(n), {"builder": "truncation", "size": n}
-    if kind == "pairing":
-        pairs = int(rng.integers(2, 11))
-        return build_pairing(pairs), {"builder": "pairing", "size": pairs}
-    if kind == "dyadic":
-        levels = int(rng.integers(2, 6))
-        return build_dyadic(levels), {"builder": "dyadic", "size": levels}
+    kind = str(rng.choice(["truncation", "pairing", "dyadic", "random-nested"]))
+    if kind in _DRAWN_SIZES:
+        size = int(rng.integers(*_DRAWN_SIZES[kind]))
+        return _drawn_filtration(kind, size), {"builder": kind, "size": size}
     dim = int(rng.integers(4, 25))
     depth = int(rng.integers(2, dim + 1))
     sub_seed = int(rng.integers(2**63))
@@ -740,6 +744,11 @@ def _perturbed_nested_instance(
     return filt, _plus_null(terminal_sequence(filt, x), z), x
 
 
+def _described(r: TheoremResult, descriptor: dict) -> TheoremResult:
+    """``r`` with ``descriptor`` in place of its own."""
+    return TheoremResult(r.check_id, descriptor, r.status, r.witness, r.seed)
+
+
 def _run_convergent(
     check: Callable[[VectorSequence, LatticeVector, Filtration], TheoremResult],
     instances: list[tuple],
@@ -747,7 +756,7 @@ def _run_convergent(
     """``check`` on each (instance, builder, filtration, sequence, limit),
     with the instance named in the result's descriptor."""
     return [
-        replace(check(seq, x, filt), descriptor=_filt_descriptor(filt, builder, instance=name))
+        _described(check(seq, x, filt), _filt_descriptor(filt, builder, instance=name))
         for name, builder, filt, seq, x in instances
     ]
 
@@ -791,7 +800,7 @@ def _run_band_lattice(seed: int, trials: int) -> list[TheoremResult]:
         # Premise unmet on purpose: averaging operators are not lattice homomorphisms.
         check_band_projection_lattice(build_dyadic(3), seed, trials),
         # Lattice homomorphisms that are not band projections.
-        replace(check_band_projection_lattice(copy, seed, trials), descriptor=copy_descriptor),
+        _described(check_band_projection_lattice(copy, seed, trials), copy_descriptor),
     ]
 
 

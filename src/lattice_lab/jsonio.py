@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -45,7 +44,7 @@ import numpy as np
 from .filtration import Filtration
 from .martingales import VectorSequence, sequence as make_sequence
 from .operators import PosOperator, is_finite
-from .spaces import LatticeSpace, NormKind, _frozen
+from .spaces import LatticeSpace, NormKind, _Record, _frozen
 
 
 class InstanceFormatError(ValueError):
@@ -136,13 +135,12 @@ def sequence_from_dict(space: LatticeSpace, d: dict) -> VectorSequence:
         raise InstanceFormatError(f"bad sequence: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One space plus whatever a command needs: maybe operators, maybe terms."""
+class Instance(_Record):
+    """One ``space`` plus whatever a command needs: maybe operators, maybe terms."""
 
-    space: LatticeSpace
-    filtration: Filtration | None = None
-    sequence: VectorSequence | None = None
+    def __init__(self, space: LatticeSpace, filtration: Filtration | None = None,
+                 sequence: VectorSequence | None = None) -> None:
+        self._set(space=space, filtration=filtration, sequence=sequence)
 
 
 def instance_from_dict(d: dict) -> Instance:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -45,6 +44,8 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     SpaceMismatchError,
+    _Frozen,
+    _Record,
     _frozen,
     _readonly,
     row_norms,
@@ -69,8 +70,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True, eq=False)
-class VectorSequence:
+class VectorSequence(_Frozen):
     """A nonempty finite sequence in one space, stored as one read-only
     (N, d) array: row n-1 of ``coords`` is x_n.
 
@@ -78,17 +78,13 @@ class VectorSequence:
     numbers; nothing is reshaped, so a flat or ragged list is rejected.
     """
 
-    space: LatticeSpace
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _readonly(self.coords)
-        if arr.ndim != 2 or arr.shape[1] != self.space.dim:
-            raise ValueError(
-                f"expected rows of {self.space.dim} coordinates, got shape {arr.shape}"
-            )
+    def __init__(self, space: LatticeSpace, coords: np.ndarray) -> None:
+        arr = _readonly(coords)
+        if arr.ndim != 2 or arr.shape[1] != space.dim:
+            raise ValueError(f"expected rows of {space.dim} coordinates, got shape {arr.shape}")
         if not len(arr):
             raise ValueError("a sequence needs at least one term")
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", arr)
 
     @property
@@ -284,19 +280,26 @@ def tail_verdict(
     return Verdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Record):
     """Verdicts and defect data for one sequence against one filtration."""
 
-    is_martingale: bool
-    e_witness: int | None
-    x_defects: tuple[float, ...]
-    x_verdict: Verdict
-    seq_norm: float
-    tol: float
-    eps_x: float
-    window_fraction: float
-    notes: tuple[str, ...] = REPORT_NOTES
+    def __init__(
+        self,
+        is_martingale: bool,
+        e_witness: int | None,
+        x_defects: tuple[float, ...],
+        x_verdict: Verdict,
+        seq_norm: float,
+        tol: float,
+        eps_x: float,
+        window_fraction: float,
+        notes: tuple[str, ...] = REPORT_NOTES,
+    ) -> None:
+        self._set(
+            is_martingale=is_martingale, e_witness=e_witness, x_defects=x_defects,
+            x_verdict=x_verdict, seq_norm=seq_norm, tol=tol, eps_x=eps_x,
+            window_fraction=window_fraction, notes=notes,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -400,12 +403,12 @@ def tail_modify(
     return VectorSequence(seq.space, _frozen(np.vstack((seq.coords[:m], tail))))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    """Whether |A| stays in each class that A itself belongs to."""
+class ClosureReport(_Record):
+    """Whether |A| stays in each class that A itself belongs to: ``base`` classifies
+    A and ``abs`` classifies |A|."""
 
-    base: ClassificationReport
-    abs: ClassificationReport
+    def __init__(self, base: ClassificationReport, abs: ClassificationReport) -> None:
+        self._set(base=base, abs=abs)
 
     @property
     def abs_stays_martingale(self) -> bool | None:

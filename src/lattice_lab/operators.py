@@ -28,8 +28,6 @@ Operators are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .spaces import (
@@ -38,35 +36,31 @@ from .spaces import (
     LatticeVector,
     NormKind,
     SpaceMismatchError,
+    _Frozen,
     _readonly,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PosOperator:
-    """A dense square matrix acting on a space: (Tx)_i = sum_j T_ij x_j.
+class PosOperator(_Frozen):
+    """A dense square ``matrix`` acting on ``space``: (Tx)_i = sum_j T_ij x_j.
 
     "Positive" is never assumed: arbitrary real matrices are representable,
     and positivity and idempotence are laws that
     :func:`lattice_lab.filtration.validate` checks.
     """
 
-    space: LatticeSpace
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _readonly(self.matrix)
-        d = self.space.dim
+    def __init__(self, space: LatticeSpace, matrix: np.ndarray) -> None:
+        m = _readonly(matrix)
+        d = space.dim
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        self._set(space=space, matrix=m)
 
     def __repr__(self) -> str:
         return f"PosOperator(dim={self.space.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class BlockOperator:
+class BlockOperator(_Frozen):
     """A block stage: (Tx)_i = mask_i * sum over j in i's block of coef_j x_j.
 
     ``labels`` names each coordinate's block by an integer (labels outside
@@ -85,17 +79,11 @@ class BlockOperator:
       from 64 on, one ``bincount`` (the crossover is in the module docstring).
     """
 
-    space: LatticeSpace
-    labels: np.ndarray
-    mask: np.ndarray
-    coef: np.ndarray
-    _slots: int = field(init=False, repr=False)
-    _src: np.ndarray | None = field(init=False, repr=False)
-    _scale: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        d = self.space.dim
-        labels = np.asarray(self.labels)
+    def __init__(
+        self, space: LatticeSpace, labels: np.ndarray, mask: np.ndarray, coef: np.ndarray
+    ) -> None:
+        d = space.dim
+        labels = np.asarray(labels)
         if labels.shape != (d,) or labels.dtype.kind not in "iu":
             raise ValueError(f"expected {d} integer labels, got {labels.dtype} {labels.shape}")
         top = labels.max()
@@ -103,8 +91,9 @@ class BlockOperator:
             labels = np.unique(labels, return_inverse=True)[1].reshape(d)
             top = labels.max()
         labels, slots = labels.astype(np.intp), int(top) + 1
-        mask, coef = np.empty(d, dtype=bool), np.empty(d)
-        mask[...], coef[...] = self.mask, self.coef
+        kept, weights = np.empty(d, dtype=bool), np.empty(d)
+        kept[...], weights[...] = mask, coef
+        mask, coef = kept, weights
         if not mask.all():
             coef[np.bincount(labels[mask], minlength=slots)[labels] == 0] = 0.0
         nonzero = coef != 0.0
@@ -119,12 +108,11 @@ class BlockOperator:
             head[labels[nonzero]] = np.flatnonzero(nonzero)
             src = head[labels]
             scale = np.where(mask, coef[src], 0.0)
-        object.__setattr__(self, "_slots", slots)
-        for name, value in (("labels", labels), ("mask", mask), ("coef", coef),
-                            ("_src", src), ("_scale", scale)):
+        for value in (labels, mask, coef, src, scale):
             if value is not None:
                 value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        self._set(space=space, labels=labels, mask=mask, coef=coef,
+                  _slots=slots, _src=src, _scale=scale)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -8,11 +8,12 @@ operations on ``coords`` (``np.maximum``, ``np.minimum``, ``np.abs``).
 
 All values are immutable after construction and every operation here is a
 pure function, so spaces and vectors can be shared freely between threads.
+The package's value classes derive from :class:`_Frozen`, plain classes
+whose ``__init__`` is written out: no class here is generated at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -48,35 +49,67 @@ def _readonly(values: Iterable[float]) -> np.ndarray:
     return _frozen(np.array(values, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeSpace:
-    """Coordinate model of a normed lattice: dimension, norm kind, cell weights.
+class _Frozen:
+    """A value whose ``__init__`` sets each attribute once, by ``object.__setattr__``:
+    assigning or deleting one afterwards raises ``AttributeError``.
+
+    ``object.__setattr__`` keeps CPython's compact per-instance attribute
+    storage; ``vars(self).update`` would build a full dict instead (248 against
+    104 bytes for three attributes on CPython 3.11)."""
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """A report: equal to a report of its own class with equal fields, hashed and
+    shown by them.  Its fields are the attributes ``__init__`` sets, in order."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LatticeSpace(_Frozen):
+    """Coordinate model of a normed lattice: ``dim``, ``norm_kind`` and cell ``weights``.
 
     ``weights`` is required exactly when ``norm_kind`` is WEIGHTED_L1; every
     weight must be strictly positive (zero-measure cells are rejected).  Sup
     spaces ignore weights entirely.
     """
 
-    dim: int
-    norm_kind: NormKind = NormKind.SUP
-    weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        kind = NormKind(self.norm_kind)
-        object.__setattr__(self, "norm_kind", kind)
+    def __init__(
+        self, dim: int, norm_kind: NormKind = NormKind.SUP, weights: np.ndarray | None = None
+    ) -> None:
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        kind = NormKind(norm_kind)
         if kind is NormKind.WEIGHTED_L1:
-            if self.weights is None:
+            if weights is None:
                 raise ValueError("weighted-L1 space requires weights")
-            w = _readonly(self.weights)
-            if w.shape != (self.dim,):
-                raise ValueError(f"expected {self.dim} weights, got shape {w.shape}")
-            if not np.all(w > 0.0):
+            weights = _readonly(weights)
+            if weights.shape != (dim,):
+                raise ValueError(f"expected {dim} weights, got shape {weights.shape}")
+            if not np.all(weights > 0.0):
                 raise ValueError("all weights must be strictly positive")
-            object.__setattr__(self, "weights", w)
         else:
-            object.__setattr__(self, "weights", None)
+            weights = None
+        self._set(dim=dim, norm_kind=kind, weights=weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeSpace):
@@ -95,12 +128,13 @@ class LatticeSpace:
         return f"LatticeSpace(dim={self.dim}, norm_kind={self.norm_kind.value!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeVector:
-    """An element of a :class:`LatticeSpace`, stored as float64 coordinates."""
+class LatticeVector(_Frozen):
+    """An element of a :class:`LatticeSpace`, stored as float64 ``coords``."""
 
-    space: LatticeSpace
-    coords: np.ndarray
+    def __init__(self, space: LatticeSpace, coords: np.ndarray) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         arr = _readonly(self.coords)

@@ -316,6 +316,30 @@ def test_eventual_generator_draws_the_term_by_term_stream():
         assert np.array_equal(seq.coords, rows)
 
 
+def test_random_filtration_builds_each_deterministic_draw_once():
+    # Same RNG draws, descriptors and stages as building afresh on every draw;
+    # the public builders stay uncached.
+    harness._drawn_filtration.cache_clear()
+    builders = {"truncation": build_truncation, "pairing": build_pairing, "dyadic": build_dyadic}
+    sizes = {"truncation": (4, 25), "pairing": (2, 11), "dyadic": (2, 6)}
+    seen = {}
+    for trial in range(200):
+        rng, fresh = trial_rng(6, trial), trial_rng(6, trial)
+        filt, descriptor = random_filtration(rng)
+        kind = str(fresh.choice(["truncation", "pairing", "dyadic", "random-nested"]))
+        if kind == "random-nested":
+            continue
+        size = int(fresh.integers(*sizes[kind]))
+        assert descriptor == {"builder": kind, "size": size}
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        want = builders[kind](size)
+        assert want.space == filt.space and len(want.ops) == len(filt.ops)
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(filt.ops, want.ops))
+        assert seen.setdefault((kind, size), filt) is filt
+    assert harness._drawn_filtration.cache_info().currsize == len(seen) > 20
+    assert build_truncation(4) is not build_truncation(4)
+
+
 def test_run_check_unknown_id():
     with pytest.raises(ValueError):
         run_check("no-such-check")

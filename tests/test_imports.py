@@ -3,6 +3,8 @@
 Each command runs in a fresh interpreter, since a module imported once
 stays in ``sys.modules``: the harness is imported only by ``verify`` and
 the file reader and writer only by ``gen``, ``validate`` and ``classify``.
+No command imports ``dataclasses``: the value classes are plain classes,
+so no import generates and compiles methods.
 """
 
 import json
@@ -36,17 +38,19 @@ PUBLIC = (
     "vector", "zero",
 )
 
-#: Runs ``cli.main(argv)`` (or only imports the package, for no argv) and
-#: prints the ``lattice_lab`` modules then loaded, as JSON, on its last line.
+#: Runs ``cli.main(argv)`` (or only imports the CLI, for the one argument
+#: ``cli``, or only the package, for no argv) and prints the ``lattice_lab``
+#: modules then loaded, and ``dataclasses`` if loaded, as JSON on its last line.
 PROBE = """
 import json, sys
+import lattice_lab
+code = None
 if sys.argv[1:]:
     from lattice_lab import cli
-    code = cli.main(sys.argv[1:])
-else:
-    import lattice_lab
-    code = None
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lattice_lab"))]))
+    if sys.argv[1:] != ["cli"]:
+        code = cli.main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.startswith("lattice_lab") or m == "dataclasses"]
+print(json.dumps([code, sorted(loaded)]))
 """
 
 
@@ -74,6 +78,7 @@ def haar_file(tmp_path_factory):
     ("classify", False, True),
     ("demo", False, False),
     ("verify", True, False),
+    ("cli", False, False),  # only ``import lattice_lab.cli``
     (None, False, False),  # a bare ``import lattice_lab``
 ])
 def test_each_command_imports_only_what_it_runs(haar_file, tmp_path, command, harness, jsonio):
@@ -83,12 +88,14 @@ def test_each_command_imports_only_what_it_runs(haar_file, tmp_path, command, ha
         "classify": ("classify", haar_file),
         "demo": ("demo", "haar"),
         "verify": ("verify", "abs-closure", "--trials", "1"),
+        "cli": ("cli",),
         None: (),
     }[command]
     modules = _modules_after(*argv)
     assert "lattice_lab" in modules
     assert ("lattice_lab.harness" in modules) is harness
     assert ("lattice_lab.jsonio" in modules) is jsonio
+    assert "dataclasses" not in modules
 
 
 @pytest.mark.parametrize("name", PUBLIC)
