@@ -8,12 +8,13 @@ Subcommands:
   verify     run the theorem-evidence checks
   gen        write an instance file for any builder
 
-Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED,
-2 input error (including a numeric argument out of range, a file that
-cannot be written, an instance holding a NaN or infinity, which JSON
-cannot store, and a size too large to allocate).  All randomness flows
-from --seed.  Reports are strict JSON with --json (a non-finite number is
-written as null), human-readable otherwise.
+Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED
+or validate found a law failing, 2 input error (including a numeric
+argument out of range, a file that cannot be written, an instance holding
+a NaN or infinity, which JSON cannot store, and a size too large to
+allocate).  All randomness flows from --seed.  Reports are strict JSON
+with --json (a non-finite number is written as null), human-readable
+otherwise.
 """
 
 from __future__ import annotations

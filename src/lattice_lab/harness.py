@@ -141,12 +141,8 @@ def _stacks(count: int, filt: Filtration, sequences: int = 1) -> Iterator[range]
     return (range(lo, min(lo + per, count)) for lo in range(0, count, per))
 
 
-def _space_descriptor(space: LatticeSpace) -> dict:
-    return {"dim": space.dim, "norm": space.norm_kind.value}
-
-
 def _filt_descriptor(filt: Filtration, builder: str | None = None, **params) -> dict:
-    d = {"horizon": filt.horizon, **_space_descriptor(filt.space)}
+    d = {"horizon": filt.horizon, "dim": filt.space.dim, "norm": filt.space.norm_kind.value}
     if builder is not None:
         d["builder"] = builder
         d.update(params)
@@ -275,7 +271,24 @@ def random_sequence(
     if gen == "constant":
         v = _random_vector(filt.space, rng)
         return VectorSequence(filt.space, np.tile(v.coords, (filt.horizon, 1)))
-    return abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
+    if gen == "abs-of-terminal":
+        return abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
+    raise ValueError(f"unknown generator {gen!r}; known: {', '.join(SEQUENCE_GENERATORS)}")
+
+
+def _nesting_problem(seed: int, trial: int) -> dict | None:
+    """The evidence when the trial's classification report breaks the chain, else None."""
+    rng = trial_rng(seed, trial)
+    filt, f_desc = random_filtration(rng)
+    gen = str(rng.choice(SEQUENCE_GENERATORS))
+    report = classify(random_sequence(filt, gen, rng), filt)
+    if (
+        (not report.is_martingale or report.e_witness == 1)
+        and (report.e_witness != 1 or report.x_verdict is Verdict.X_MARTINGALE)
+        and (report.e_witness is None or report.x_verdict is not Verdict.NOT_X)
+    ):
+        return None
+    return {"filtration": f_desc, "generator": gen, "report": report.to_dict()}
 
 
 def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
@@ -286,36 +299,45 @@ def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
     eventual martingale is additionally required not to classify NOT_X.
     """
     _require_trials(trials)
-    check_id = "nesting"
-    checked = 0
+    status, witness = CheckStatus.CONFIRMED, {"checked": trials}
     for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        filt, f_desc = random_filtration(rng)
-        gen = str(rng.choice(SEQUENCE_GENERATORS))
-        seq = random_sequence(filt, gen, rng)
-        report = classify(seq, filt)
-        ok = (
-            (not report.is_martingale or report.e_witness == 1)
-            and (report.e_witness != 1 or report.x_verdict is Verdict.X_MARTINGALE)
-            and (report.e_witness is None or report.x_verdict is not Verdict.NOT_X)
-        )
-        if not ok:
-            return TheoremResult(
-                check_id,
-                {"trials": trials},
-                CheckStatus.VIOLATED,
-                {
-                    "trial": trial,
-                    "filtration": f_desc,
-                    "generator": gen,
-                    "report": report.to_dict(),
-                },
-                seed,
-            )
-        checked += 1
-    return TheoremResult(
-        check_id, {"trials": trials}, CheckStatus.CONFIRMED, {"checked": checked}, seed
-    )
+        problem = _nesting_problem(seed, trial)
+        if problem is not None:
+            status, witness = CheckStatus.VIOLATED, {"trial": trial, **problem}
+            break
+    return TheoremResult("nesting", {"trials": trials}, status, witness, seed)
+
+
+def _member_tables(
+    filt: Filtration, members: Sequence[VectorSequence], band: int | None = None
+) -> Iterator[tuple[VectorSequence, np.ndarray]]:
+    """Each member with its pair table, the tables built one stack at a time."""
+    for chunk in _stacks(len(members), filt):
+        batch = members[chunk.start : chunk.stop]
+        yield from zip(batch, _pair_table(np.stack([m.coords for m in batch]), filt, band=band))
+
+
+def _member_problem(
+    filt: Filtration, member: VectorSequence, profile: np.ndarray,
+    limit: VectorSequence, limit_profile: np.ndarray, distances: list[float],
+) -> dict | None:
+    """The evidence when ``member`` is NOT_X or breaks the triangle bound, else None;
+    a member that is not NOT_X appends its distance to the limit to ``distances``."""
+    if tail_verdict(member, filt, profile=profile) is Verdict.NOT_X:
+        return {"problem": "family member classified NOT_X"}
+    dist = seq_distance(member, limit)
+    distances.append(dist)
+    slack = limit_profile - profile - 2.0 * dist
+    if float(slack.max()) <= FLOAT_SLACK:
+        return None
+    n = int(slack.argmax())
+    return {
+        "problem": "triangle bound failed",
+        "at_index": n + 1,
+        "limit_defect": float(limit_profile[n]),
+        "member_defect": float(profile[n]),
+        "distance": dist,
+    }
 
 
 def _limit_family_check(
@@ -329,59 +351,20 @@ def _limit_family_check(
     """Shared core: members must not be NOT_X, nor the limit; replay the
     triangle bound d(limit)_n <= d(member)_n + 2 ||member - limit||."""
     limit_profile = defect_profile(limit, filt)
-    distances = []
-    for chunk in _stacks(len(members), filt):
-        batch = members[chunk.start : chunk.stop]
-        profiles = _pair_table(np.stack([m.coords for m in batch]), filt).max(axis=-1)
-        for k, member, member_profile in zip(chunk, batch, profiles):
-            verdict = tail_verdict(member, filt, profile=member_profile)
-            if verdict is Verdict.NOT_X:
-                return TheoremResult(
-                    check_id,
-                    descriptor,
-                    CheckStatus.VIOLATED,
-                    {"member": k + 1, "problem": "family member classified NOT_X"},
-                    seed,
-                )
-            dist = seq_distance(member, limit)
-            distances.append(dist)
-            slack = limit_profile - member_profile - 2.0 * dist
-            if float(slack.max()) > FLOAT_SLACK:
-                n_bad = int(slack.argmax()) + 1
-                return TheoremResult(
-                    check_id,
-                    descriptor,
-                    CheckStatus.VIOLATED,
-                    {
-                        "member": k + 1,
-                        "problem": "triangle bound failed",
-                        "at_index": n_bad,
-                        "limit_defect": float(limit_profile[n_bad - 1]),
-                        "member_defect": float(member_profile[n_bad - 1]),
-                        "distance": dist,
-                    },
-                    seed,
-                )
-    limit_verdict = tail_verdict(limit, filt, profile=limit_profile)
-    if limit_verdict is Verdict.NOT_X:
-        return TheoremResult(
-            check_id,
-            descriptor,
-            CheckStatus.VIOLATED,
-            {"problem": "limit of asymptotic martingales classified NOT_X"},
-            seed,
-        )
-    return TheoremResult(
-        check_id,
-        descriptor,
-        CheckStatus.CONFIRMED,
-        {
-            "members": len(distances),
-            "distances": [float(d) for d in distances],
-            "limit_verdict": limit_verdict.value,
-        },
-        seed,
-    )
+    distances: list[float] = []
+    for k, (member, table) in enumerate(_member_tables(filt, members), 1):
+        problem = _member_problem(filt, member, table.max(-1), limit, limit_profile, distances)
+        if problem is not None:
+            witness = {"member": k, **problem}
+            break
+    else:
+        verdict = tail_verdict(limit, filt, profile=limit_profile)
+        if verdict is not Verdict.NOT_X:
+            witness = {"members": len(distances), "distances": distances,
+                       "limit_verdict": verdict.value}
+            return TheoremResult(check_id, descriptor, CheckStatus.CONFIRMED, witness, seed)
+        witness = {"problem": "limit of asymptotic martingales classified NOT_X"}
+    return TheoremResult(check_id, descriptor, CheckStatus.VIOLATED, witness, seed)
 
 
 def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
@@ -483,49 +466,43 @@ def _late_witness(steps: np.ndarray, m: int) -> dict | None:
     return None
 
 
+def _tail_modifications(
+    seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
+) -> Iterator[tuple[np.ndarray, float]]:
+    """For m = 1..N-1, the band-2 pair table of A^m, which keeps terms 1..m of A and
+    takes E_n x after (as tail_modify builds it), and ||A^m - A||, one stack at a time."""
+    tail = _applied(filt.ops, limit_vec.coords)
+    for chunk in _stacks(seq.horizon - 1, filt):
+        modified = np.stack([np.vstack((seq.coords[: k + 1], tail[k + 1 :])) for k in chunk])
+        steps = _pair_table(modified, filt, band=2)
+        yield from zip(steps, row_norms(filt.space, modified - seq.coords).max(axis=-1))
+
+
 def check_tail_modification(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> TheoremResult:
     """Replacing the tail by E_n x yields eventual martingales converging
     back to the original sequence (witness <= m+1, distances non-increasing
     down to eps).  A horizon below 2 leaves no tail to replace: ValueError."""
-    check_id = "tail-approx"
     _require_horizon("tail modification", seq.horizon)
-    eps, _, premises, early = _convergent_asymptotic_premises(check_id, seq, limit_vec, filt)
+    eps, _, premises, early = _convergent_asymptotic_premises("tail-approx", seq, limit_vec, filt)
     if early is not None:
         return early
-    # A^m keeps terms 1..m and takes E_n x after, as tail_modify builds it.
-    tail = _applied(filt.ops, limit_vec.coords)
-    distances = []
-    for chunk in _stacks(seq.horizon - 1, filt):
-        modified = np.stack([np.vstack((seq.coords[: k + 1], tail[k + 1 :])) for k in chunk])
-        steps = _pair_table(modified, filt, band=2)
-        gaps = row_norms(filt.space, modified - seq.coords).max(axis=-1)
-        for m, table, gap in zip((k + 1 for k in chunk), steps, gaps):
-            late = _late_witness(table, m)
-            if late is not None:
-                return TheoremResult(
-                    check_id,
-                    _filt_descriptor(filt),
-                    CheckStatus.VIOLATED,
-                    {**late, "problem": "tail modification not eventual"},
-                    None,
-                )
-            distances.append(float(gap))
-    monotone = all(b <= a + FLOAT_SLACK for a, b in zip(distances, distances[1:]))
-    ok = monotone and distances[-1] <= eps
-    return TheoremResult(
-        check_id,
-        _filt_descriptor(filt),
-        CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED,
-        {
-            "premises": premises,
-            "eps": float(eps),
-            "distances": [float(d) for d in distances],
-            "non_increasing": monotone,
-        },
-        None,
-    )
+    distances: list[float] = []
+    for m, (table, gap) in enumerate(_tail_modifications(seq, limit_vec, filt), 1):
+        late = _late_witness(table, m)
+        if late is not None:
+            status = CheckStatus.VIOLATED
+            witness = {**late, "problem": "tail modification not eventual"}
+            break
+        distances.append(float(gap))
+    else:
+        monotone = all(b <= a + FLOAT_SLACK for a, b in zip(distances, distances[1:]))
+        ok = monotone and distances[-1] <= eps
+        status = CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED
+        witness = {"premises": premises, "eps": float(eps), "distances": distances,
+                   "non_increasing": monotone}
+    return TheoremResult("tail-approx", _filt_descriptor(filt), status, witness, None)
 
 
 def check_eventual_not_closed() -> TheoremResult:
@@ -536,16 +513,13 @@ def check_eventual_not_closed() -> TheoremResult:
     filt, base, family = harmonic_tail_example(64)
     descriptor = {"size": filt.horizon, **_filt_descriptor(filt, "truncation")}
     problems = []
-    for chunk in _stacks(len(family), filt):
-        members = family[chunk.start : chunk.stop]
-        steps = _pair_table(np.stack([s.coords for s in members]), filt, band=2)
-        for m, member, table in zip((k + 1 for k in chunk), members, steps):
-            late = _late_witness(table, m)
-            if late is not None:
-                problems.append({**late, "problem": "missing witness"})
-            dist = seq_distance(member, base)
-            if abs(dist - 1.0 / m) > FLOAT_SLACK:
-                problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
+    for m, (member, table) in enumerate(_member_tables(filt, family, band=2), 1):
+        late = _late_witness(table, m)
+        if late is not None:
+            problems.append({**late, "problem": "missing witness"})
+        dist = seq_distance(member, base)
+        if abs(dist - 1.0 / m) > FLOAT_SLACK:
+            problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
 
     table = _pair_table(base, filt)
     if _step_witness(table) is not None:
@@ -610,6 +584,41 @@ def check_abs_closure(filt: Filtration) -> TheoremResult:
     return TheoremResult("abs-closure", _filt_descriptor(filt), status, witness, None)
 
 
+def _band_tables(filt: Filtration, seed: int, trials: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per trial, the band-2 tables of an eventual martingale A and of |A|, then the
+    pair tables of an asymptotic martingale B and of |B|; one RNG stream per trial,
+    the tables built one stack at a time."""
+    for chunk in _stacks(trials, filt, sequences=2):
+        rngs = [trial_rng(seed, trial) for trial in chunk]
+        eventual = np.stack([random_eventual_martingale(filt, rng)[0].coords for rng in rngs])
+        asymptotic = np.stack([random_asymptotic_martingale(filt, rng)[0].coords for rng in rngs])
+        steps, abs_steps = (_pair_table(s, filt, band=2) for s in (eventual, np.abs(eventual)))
+        pairs, abs_pairs = (_pair_table(s, filt) for s in (asymptotic, np.abs(asymptotic)))
+        yield from zip(steps, abs_steps, pairs, abs_pairs)
+
+
+def _band_problem(
+    step: np.ndarray, abs_step: np.ndarray, defects: np.ndarray, abs_defects: np.ndarray
+) -> dict | None:
+    """The evidence when one trial's tables break a claim, else None: |A| lacks a
+    witness by A's, B breaks the analytic bound, or a pair of |B| exceeds B's."""
+    w_base, w_abs = _step_witness(step), _step_witness(abs_step)
+    if w_base is not None and (w_abs is None or w_abs > w_base):
+        return {"witness_base": w_base, "witness_abs": w_abs}
+    bad = _asymptotic_bound_violation(defects.max(axis=1))
+    if bad is not None:
+        return {"problem": "analytic defect bound failed", "n": bad}
+    failing = np.argwhere(~(abs_defects <= defects + DEFAULT_TOL))  # row-major order
+    if not failing.size:
+        return None
+    n, k = (int(i) for i in failing[0])
+    return {
+        "pair": [n + 1, n + k + 1],
+        "abs_defect": float(abs_defects[n, k]),
+        "defect": float(defects[n, k]),
+    }
+
+
 def check_band_projection_lattice(
     filt: Filtration, seed: int = 0, trials: int = 100
 ) -> TheoremResult:
@@ -618,62 +627,17 @@ def check_band_projection_lattice(
     A's, and ||E_n |x_m| - |x_n||| <= ||E_n x_m - x_n|| pairwise.  Both need
     only ||a| - |b|| <= |a - b| and E_n |x| = |E_n x|."""
     _require_trials(trials)
-    check_id = "band-lattice"
-    descriptor = _filt_descriptor(filt)
-    if not all(is_lattice_homomorphism(e) for e in filt.ops):
-        return TheoremResult(
-            check_id,
-            descriptor,
-            CheckStatus.INCONCLUSIVE,
-            {"note": "premise unmet: some stage is not a lattice homomorphism"},
-            seed,
-        )
-
-    # One stream per trial; a stack's trials are scanned in order to the first violation.
-    for chunk in _stacks(trials, filt, sequences=2):
-        rngs = [trial_rng(seed, trial) for trial in chunk]
-        eventual = np.stack([random_eventual_martingale(filt, rng)[0].coords for rng in rngs])
-        asymptotic = np.stack([random_asymptotic_martingale(filt, rng)[0].coords for rng in rngs])
-        steps, abs_steps = (_pair_table(s, filt, band=2) for s in (eventual, np.abs(eventual)))
-        pairs, abs_pairs = (_pair_table(s, filt) for s in (asymptotic, np.abs(asymptotic)))
-        tables = zip(chunk, steps, abs_steps, pairs, abs_pairs)
-        for trial, step, abs_step, defects, abs_defects in tables:
-            w_base, w_abs = _step_witness(step), _step_witness(abs_step)
-            if w_base is not None and (w_abs is None or w_abs > w_base):
-                return TheoremResult(
-                    check_id,
-                    descriptor,
-                    CheckStatus.VIOLATED,
-                    {"trial": trial, "witness_base": w_base, "witness_abs": w_abs},
-                    seed,
-                )
-            bad = _asymptotic_bound_violation(defects.max(axis=1))
-            if bad is not None:
-                return TheoremResult(
-                    check_id,
-                    descriptor,
-                    CheckStatus.VIOLATED,
-                    {"trial": trial, "problem": "analytic defect bound failed", "n": bad},
-                    seed,
-                )
-            failing = np.argwhere(~(abs_defects <= defects + DEFAULT_TOL))  # row-major order
-            if failing.size:
-                n, k = (int(i) for i in failing[0])
-                return TheoremResult(
-                    check_id,
-                    descriptor,
-                    CheckStatus.VIOLATED,
-                    {
-                        "trial": trial,
-                        "pair": [n + 1, n + k + 1],
-                        "abs_defect": float(abs_defects[n, k]),
-                        "defect": float(defects[n, k]),
-                    },
-                    seed,
-                )
-    return TheoremResult(
-        check_id, descriptor, CheckStatus.CONFIRMED, {"trials": trials}, seed
-    )
+    if all(is_lattice_homomorphism(e) for e in filt.ops):
+        status, witness = CheckStatus.CONFIRMED, {"trials": trials}
+        for trial, tables in enumerate(_band_tables(filt, seed, trials)):
+            problem = _band_problem(*tables)
+            if problem is not None:
+                status, witness = CheckStatus.VIOLATED, {"trial": trial, **problem}
+                break
+    else:
+        status = CheckStatus.INCONCLUSIVE
+        witness = {"note": "premise unmet: some stage is not a lattice homomorphism"}
+    return TheoremResult("band-lattice", _filt_descriptor(filt), status, witness, seed)
 
 
 def abs_commutation_index(

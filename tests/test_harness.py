@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from _oracles import closure_fraction
 from lattice_lab import (
     CheckStatus,
+    ClassificationReport,
     Filtration,
     LatticeSpace,
     NormKind,
     PosOperator,
     VectorSequence,
+    Verdict,
     abs_commutation_index,
     basis,
     build_copy,
@@ -340,6 +343,19 @@ def test_random_filtration_builds_each_deterministic_draw_once():
     assert build_truncation(4) is not build_truncation(4)
 
 
+def test_random_sequence_refuses_an_unknown_generator():
+    filt = build_truncation(4)
+    rng = trial_rng(0, 0)
+    known = "terminal, scaled-head, null, eventual, asymptotic, constant, abs-of-terminal"
+    with pytest.raises(ValueError, match=f"unknown generator 'no-such-generator'; known: {known}$"):
+        harness.random_sequence(filt, "no-such-generator", rng)
+    assert rng.random() == trial_rng(0, 0).random()  # nothing was drawn
+    # the last name is named now, not the fall-through: it still draws one vector
+    x = harness._random_vector(filt.space, trial_rng(0, 1))
+    got = harness.random_sequence(filt, "abs-of-terminal", trial_rng(0, 1))
+    assert np.array_equal(got.coords, np.abs(terminal_sequence(filt, x).coords))
+
+
 def test_run_check_unknown_id():
     with pytest.raises(ValueError):
         run_check("no-such-check")
@@ -483,3 +499,122 @@ def test_each_check_stays_within_a_fixed_memory_budget(check_id, trials):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6, peak
+
+
+def _spy(mp, calls: dict, name: str, inject=None) -> None:
+    """Count the calls to ``harness.<name>``; ``inject(n, out, *args)``, given the
+    1-based call number and the real output, may return something else."""
+    real = getattr(harness, name)
+
+    def spy(*args, **kwargs):
+        calls[name] = n = calls.get(name, 0) + 1
+        out = real(*args, **kwargs)
+        return out if inject is None else inject(n, out, *args)
+
+    mp.setattr(harness, name, spy)
+
+
+def _nesting_broken_chain(mp, calls):
+    # Trial 3 reports a martingale whose eventual witness is 2, not 1.
+    report = ClassificationReport(
+        True, 2, (0.0,), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25
+    )
+    _spy(mp, calls, "random_filtration")
+    _spy(mp, calls, "classify", lambda n, out, *args: report if n == 4 else out)
+    return check_class_nesting(seed=5, trials=10)
+
+
+def _limits_member_not_x(mp, calls):
+    filt, base, family = harmonic_tail_example(64)  # 8 members per stack
+    members = list(family)
+    for k in (13, 15, 20):
+        members[k - 1] = _alternating(filt)
+    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "tail_verdict")
+    return harness._limit_family_check("closed-limits", filt, members, base, {"n": 64}, 3)
+
+
+def _limits_triangle(mp, calls):
+    # Member 11 claims distance 0 to the limit, so the triangle bound cannot hold.
+    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "seq_distance", lambda n, out, *args: 0.0 if n == 11 else out)
+    return check_closed_under_limits_harmonic()
+
+
+def _limits_limit_not_x(mp, calls):
+    filt, _, family = harmonic_tail_example(16)
+    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "tail_verdict")
+    limit = _alternating(filt)
+    return harness._limit_family_check("closed-limits", filt, family, limit, {"n": 16}, None)
+
+
+def _tail_late_witness(mp, calls):
+    # A^21 loses its eventual witness; 8 modified sequences make one stack.
+    filt, base, _ = harmonic_tail_example(64)
+    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "_step_witness", lambda n, out, *args: None if n == 21 else out)
+    return check_tail_modification(base, zero(filt.space), filt)
+
+
+def _tail_not_non_increasing(mp, calls):
+    # Each stack's distances come back reversed, so they increase within it.
+    filt, base, _ = harmonic_tail_example(64)
+    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "row_norms", lambda n, out, space, rows: out[::-1] if rows.ndim == 3 else out)
+    return check_tail_modification(base, zero(filt.space), filt)
+
+
+def _band_witness_order(mp, calls):
+    # |A| of trial 70 (the second stack of 64) loses its eventual witness.
+    _spy(mp, calls, "random_eventual_martingale")
+    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "_step_witness", lambda n, out, *args: None if n == 2 * 70 + 2 else out)
+    return check_band_projection_lattice(build_truncation(16), seed=3, trials=200)
+
+
+def _band_analytic_bound(mp, calls):
+    def draw(n, out, f, rng):
+        return (_alternating(f), None) if n - 1 in (37, 38, 45) else out
+
+    _spy(mp, calls, "random_asymptotic_martingale", draw)
+    _spy(mp, calls, "_pair_table")
+    return check_band_projection_lattice(build_truncation(64), seed=2, trials=100)
+
+
+def _band_abs_pair(mp, calls):
+    def bump(n, out, *args):
+        if n == 8:  # the second stack's |A| pair table: trial 64 + 6, pair (3, 6)
+            out[6, 2, 3] += 1.0
+        return out
+
+    _spy(mp, calls, "random_eventual_martingale")
+    _spy(mp, calls, "_pair_table", bump)
+    return check_band_projection_lattice(build_truncation(16), seed=3, trials=200)
+
+
+#: Each VIOLATED exit of the scanning checks, reached by one injected failure.
+VIOLATIONS = {
+    "nesting": _nesting_broken_chain,
+    "closed-limits-member-not-x": _limits_member_not_x,
+    "closed-limits-triangle": _limits_triangle,
+    "closed-limits-limit-not-x": _limits_limit_not_x,
+    "tail-approx-late-witness": _tail_late_witness,
+    "tail-approx-not-non-increasing": _tail_not_non_increasing,
+    "band-lattice-witness-order": _band_witness_order,
+    "band-lattice-analytic-bound": _band_analytic_bound,
+    "band-lattice-abs-pair": _band_abs_pair,
+}
+
+PINNED_VIOLATIONS = Path(__file__).parent / "data" / "violated_witnesses.json"
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATIONS))
+def test_each_violated_exit_keeps_its_bytes_and_stops_at_the_first_problem(monkeypatch, case):
+    # The bytes pin the witness's key order; the call counts pin where the scan stops.
+    calls: dict = {}
+    result = VIOLATIONS[case](monkeypatch, calls)
+    pinned = json.loads(PINNED_VIOLATIONS.read_text(encoding="utf-8"))[case]
+    assert result.status is CheckStatus.VIOLATED
+    assert json.dumps(result.to_dict()) == json.dumps(pinned["result"])
+    assert calls == pinned["calls"]
