@@ -160,7 +160,11 @@ def _pair_table(
         rows = apply_rows(e, xs[..., n : n + band, :])
         rows -= xs[..., n, None, :]
         np.abs(rows, out=rows)
-        table[..., n, : rows.shape[-2]] = rows.max(axis=-1) if w is None else rows @ w
+        out = table[..., n, : rows.shape[-2]]  # each reduction writes its slice of the table
+        if w is None:
+            rows.max(axis=-1, out=out)
+        else:
+            np.matmul(rows, w, out=out)
     for *member, m in np.argwhere(~np.isfinite(xs).all(axis=-1)):
         n = np.arange(max(0, m - band + 1), m + 1)
         table[(*member, n, m - n)] = np.nan

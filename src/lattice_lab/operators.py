@@ -10,13 +10,22 @@ a block stage it is built on each access and never stored, so no hot path
 here reads it: :func:`apply_rows`, :func:`operator_norm` and
 :func:`is_lattice_homomorphism` work on the block arrays.
 
-:func:`apply_rows` has three paths on a block stage with B label slots: a
-gather when no block holds two nonzero coefs, else the block sums by one
-product with a d x (B + 1) matrix for B < 64 and by one ``bincount`` for
-B >= 64.  On the pair table of ``build_random_nested(256, 256, 5)``, with
-one BLAS thread, the 63 stages below that line take 8.9 ms by product and
-26.5 ms by ``bincount``, the 192 above it 31.7 and 20.7 ms.  The line sits
-near 64 at d = 512 too; at d = 128 the product wins up to 127 blocks.
+:func:`apply_rows` has four paths on a block stage with B label slots: a
+gather when no block holds two nonzero coefs, else block sums.  Below
+B = 64 they are one product with a d x (B + 1) matrix.  From 64 on, they
+are one product over just the c nonzero columns of the m blocks holding two
+or more, with a c x (m + 1) matrix, while its c (m + 1) multiply-adds a row
+stay within 32 per coordinate (the multi-block path; one vector, which
+would not repay the path's index plan, takes one ``bincount``), and else
+one ``bincount``.  Stage sums of pair tables, min of 7, one BLAS thread: on
+``build_random_nested(256, 256, 5)`` the 63 stages below B = 64 take
+11.2 ms by product and 20.4 by ``bincount``; the 192 above it (m <= 25)
+take 47.2 by product, 29.3 by ``bincount`` and 23.1 by the multi-block
+path.  Over random-nested tables at d = 128, 256 and 512 and pairing
+tables at d = 128 and 256, the 32 line sums to 81.7 ms, the multi-block
+path on every stage of m < 64 to 86.4 and ``bincount`` to 90.4: pairing
+stages of m > 44 at d = 128 and the densest stages at d = 512 lose by it.
+On one row the multi-block path costs about 5 us more than ``bincount``.
 
 Provides the induced norm (:func:`operator_norm`) and one structural
 test, :func:`is_lattice_homomorphism`.  Positivity, idempotence and
@@ -27,6 +36,8 @@ Operators are immutable and all functions are pure.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +79,8 @@ class BlockOperator(_Frozen):
     weighs each column; ``mask`` and ``coef`` may be scalars.  The coef of
     a block with no kept row never enters the matrix and is stored as 0.
 
-    Construction precomputes the kernel of :func:`apply_rows` in O(d):
+    Construction picks the kernel of :func:`apply_rows` in O(d) (the
+    crossovers are in the module docstring):
     * when no row holds two nonzero entries (truncations, copies, the
       identity), a row of Tx is one coefficient times one coordinate, so Tx
       is a gather and a product;
@@ -76,7 +88,13 @@ class BlockOperator(_Frozen):
       slot B zero for the rows the mask drops.  With B < 64 label slots
       (``_slots``) the sums are one product by the block-sum matrix S
       (S[j, label_j] = coef_j), built per call so the stage stays O(d);
-      from 64 on, one ``bincount`` (the crossover is in the module docstring).
+      from 64 on, one ``bincount``;
+    * except that a stage of B >= 64 slots whose m blocks of two or more
+      nonzero coefs hold c such coefs, with c (m + 1) <= 32 d, keeps no
+      ``_src``: it sums just those blocks, by one product with their
+      c x (m + 1) block-sum matrix, and every other row is a gather, as in
+      the first case.  Its index plan (``_plan``) is built on the first apply
+      to a stack of rows and is smaller than ``_src``.
     """
 
     def __init__(
@@ -97,9 +115,12 @@ class BlockOperator(_Frozen):
         if not mask.all():
             coef[np.bincount(labels[mask], minlength=slots)[labels] == 0] = 0.0
         nonzero = coef != 0.0
+        sizes = np.bincount(labels[nonzero], minlength=slots)
         src = scale = None
-        if np.bincount(labels[nonzero], minlength=slots).max() > 1:
-            src = np.where(mask, labels, slots)
+        if sizes.max() > 1:
+            multi = sizes[sizes > 1]  # a multi-block stage keeps no _src, but a _plan
+            if slots < 64 or multi.sum() * (len(multi) + 1) > 32 * d:
+                src = np.where(mask, labels, slots)
         elif slots == d and np.bincount(labels).max() == 1:  # all singletons: T is diagonal
             scale = coef
         else:
@@ -113,6 +134,28 @@ class BlockOperator(_Frozen):
                 value.setflags(write=False)
         self._set(space=space, labels=labels, mask=mask, coef=coef,
                   _slots=slots, _src=src, _scale=scale)
+
+    @cached_property
+    def _plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The index plan of the multi-block sums, built on first use: the
+        nonzero columns of the m blocks holding two or more nonzero coefs,
+        each one's flat cell (column, block slot) in the block-sum matrix, and
+        each row's source in the extended row [coef * x, the m block sums, 0];
+        in the narrowest integer types, so it holds fewer bytes than ``_src``."""
+        d, labels = self.space.dim, self.labels
+        nonzero = self.coef != 0.0
+        at = labels[nonzero]
+        multi = np.bincount(at, minlength=self._slots) > 1
+        m = int(np.count_nonzero(multi))
+        block_src = np.full(self._slots, d + m, dtype=np.min_scalar_type(d + m))  # zero coefs
+        block_src[at] = np.flatnonzero(nonzero)  # a single block's one nonzero column
+        block_src[multi] = np.arange(d, d + m)  # a multi block's sum
+        src = block_src[labels]
+        cols = np.flatnonzero(nonzero & multi[labels])
+        cells = np.arange(-d, len(cols) * (m + 1) - d, m + 1) + src[cols]
+        src[~self.mask] = d + m
+        return (cols.astype(np.min_scalar_type(d)),
+                cells.astype(np.min_scalar_type(cells.size * (m + 1))), src, m)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -138,13 +181,25 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
         return rows @ op.matrix.T
     if op._scale is not None:
         return (rows if op._src is None else rows[..., op._src]) * op._scale
-    d, width = op.space.dim, op._slots + 1  # the last column stays zero for dropped rows
+    d = op.space.dim
+    if op._src is None:
+        if rows.ndim == 1:  # one vector's block sums cost less than the plan
+            sums = np.bincount(op.labels, rows * op.coef, op._slots)
+            return np.where(op.mask, sums[op.labels], 0.0)
+        cols, cells, src, m = op._plan
+        ext = np.empty((*rows.shape[:-1], d + m + 1))
+        np.multiply(rows, op.coef, out=ext[..., :d])
+        sums = np.zeros((len(cols), m + 1))
+        sums.flat[cells] = op.coef[cols]
+        np.matmul(rows[..., cols], sums, out=ext[..., d:])
+        return ext[..., src]
+    width = op._slots + 1  # the last column stays zero for dropped rows
     if op._slots < 64:
         sums = np.zeros((d, width))
         sums[np.arange(d), op.labels] = op.coef
         return (rows @ sums)[..., op._src]
     flat = rows.reshape(-1, d)
-    cells = (np.arange(len(flat))[:, None] * width + op.labels).ravel()
+    cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
     sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
     return sums.reshape(-1, width)[:, op._src].reshape(rows.shape)
 

@@ -347,3 +347,17 @@ def block_matrix(labels, mask, coef) -> np.ndarray:
             if mask[i] and labels[i] == labels[j]:
                 m[i, j] = coef[j]
     return m
+
+
+def kernel(op) -> str:
+    """The path ``apply_rows`` takes on a stage, read off the arrays it holds:
+    "dense", "diagonal", "gather", or a block-sum kernel: "product" below 64
+    label slots, else "multi-block" below 64 blocks of two or more nonzero
+    coefs and "bincount" from 64 on."""
+    if not hasattr(op, "labels"):
+        return "dense"
+    if op._scale is not None:
+        return "diagonal" if op._src is None else "gather"
+    if op._src is None:
+        return "multi-block"
+    return "product" if op._slots < 64 else "bincount"

@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import block_matrix, dense_stages
+from _oracles import block_matrix, dense_stages, kernel
 from lattice_lab import (
     BlockOperator,
     Filtration,
@@ -36,6 +36,17 @@ from lattice_lab.spaces import row_norms
 
 REL = 1e-15
 PRODUCT_BLOCKS = 64  # apply_rows takes block sums by product below this many label slots
+# the block-sum kernels each wide chain runs: level n of the wide random-nested
+# chain has n blocks over n + size coordinates, so at most size of them sum;
+# pairing stage k averages the m = p - k pairs after its first 2k coordinates,
+# so from 64 label slots on it takes bincount while their product's 2m (m + 1)
+# multiply-adds a row exceed 32 per coordinate, as only the wider chain's first
+# stages (p = 64 + size, m >= 46) do
+WIDE_KERNELS = {
+    "wide-random-nested": {"product", "multi-block"},
+    "wide-pairing": {"product", "multi-block"},
+    "wider-pairing": {"bincount", "multi-block"},
+}
 
 
 def _chain(kind: str, size: int, seed: int) -> tuple[Filtration, list[np.ndarray]]:
@@ -57,8 +68,11 @@ def _chain(kind: str, size: int, seed: int) -> tuple[Filtration, list[np.ndarray
         return _random_blocks(size, seed)
     if kind == "wide-pairing":
         # stage k keeps 2k coordinates and has p + k blocks, p + 1 to 2p - 1;
-        # with p pairs in 41..52 the first stages sum by product, the last by bincount
+        # with p pairs in 41..52 the first stages sum by product, the last by
+        # the multi-block path
         kind, size = "pairing", 40 + size
+    if kind == "wider-pairing":
+        kind, size = "pairing", 64 + size
     if kind == "dyadic":
         size = 1 + size % 5  # d = 2**levels
     build = {"truncation": build_truncation, "pairing": build_pairing,
@@ -132,21 +146,88 @@ def test_block_stages_match_the_dense_builders(kind, size, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["wide-random-nested", "wide-pairing"]),
+    kind=st.sampled_from(sorted(WIDE_KERNELS)),
     size=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_wide_block_stages_match_the_dense_builders(kind, size, seed):
-    # Every chain has d > 64 and block-sum stages on both sides of the
-    # PRODUCT_BLOCKS line, so both kernels of apply_rows run.  operator_norm
-    # adds a block's row sum by bincount in index order where numpy adds a
-    # dense row pairwise; over d terms the two orders part by at most d units
-    # of roundoff, so the norm is held to that.
+    # Every chain has d > 64 and runs the block-sum kernels WIDE_KERNELS names.
+    # operator_norm adds a block's row sum by bincount in index order where
+    # numpy adds a dense row pairwise; over d terms the two orders part by at
+    # most d units of roundoff, so the norm is held to that.
     filt, mats = _chain(kind, size, seed)
-    slots = [e._slots for e in filt.ops if e._scale is None]  # the block-sum stages
+    kernels = {kernel(e) for e in filt.ops} - {"diagonal", "gather"}
     assert filt.space.dim > 64
-    assert min(slots) < PRODUCT_BLOCKS <= max(slots)
+    assert kernels == WIDE_KERNELS[kind]
     _check_against_dense(filt, mats, seed, filt.space.dim * np.finfo(float).eps / 2)
+    # the multi-block path ran: its plan is built on first apply
+    assert all("_plan" in vars(e) for e in filt.ops if kernel(e) == "multi-block")
+
+
+def _multi_block_stage(multi: int, singles: int, zeros: int, seed: int) -> BlockOperator:
+    """A stage of at least 64 label slots in shuffled coordinates: ``multi``
+    blocks of two or three coordinates with two nonzero coefs (a third member
+    has coef 0) and a kept first row, ``singles`` blocks of two to four
+    coordinates with one nonzero coef, ``zeros`` blocks of zero coefs and
+    singletons; any other row may be dropped."""
+    rng = np.random.default_rng(seed)
+    blocks = [(coef, True) for coef in (
+        [*rng.uniform(0.1, 1.0, 2), *[0.0] * int(rng.integers(0, 2))] for _ in range(multi))]
+    blocks += [([*rng.uniform(-1.0, 1.0, 1), *[0.0] * int(rng.integers(1, 4))], False)
+               for _ in range(singles)]
+    blocks += [([0.0] * int(rng.integers(1, 4)), False) for _ in range(zeros)]
+    blocks += [([rng.uniform(-1.0, 1.0)], False)
+               for _ in range(max(0, 64 - len(blocks)) + int(rng.integers(0, 4)))]
+    labels = np.concatenate([[b] * len(c) for b, (c, _) in enumerate(blocks)])
+    coef = np.concatenate([c for c, _ in blocks])
+    first = np.concatenate([[keep] + [False] * (len(c) - 1) for c, keep in blocks])
+    mask = first | (rng.random(len(labels)) < 0.8)
+    order = rng.permutation(len(labels))
+    space = LatticeSpace(len(labels), NormKind.SUP)
+    return BlockOperator(space, rng.permutation(len(blocks))[labels[order]], mask[order],
+                         coef[order])
+
+
+def _sums_by_path(e: BlockOperator, shape: tuple[int, ...], seed: int) -> None:
+    """apply_rows on random rows of ``shape`` within REL of the dense product."""
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (*shape, e.space.dim))
+    m = e.matrix
+    got = apply_rows(e, rows)
+    assert got.shape == rows.shape
+    assert _within(got, rows @ m.T, np.abs(rows) @ np.abs(m).T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    multi=st.one_of(st.sampled_from([63, 64]), st.integers(1, 64)),
+    singles=st.integers(0, 6),
+    zeros=st.integers(0, 3),
+    shape=st.sampled_from([(), (3,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(multi=63, singles=2, zeros=1, shape=(2, 3), seed=0)
+@example(multi=64, singles=2, zeros=1, shape=(2, 3), seed=0)
+def test_multi_block_sums_match_the_dense_product(multi, singles, zeros, shape, seed):
+    # the c = 2 * multi nonzero columns of the multi blocks take the multi-block
+    # path while their product's c * (multi + 1) multiply-adds a row stay
+    # within 32 per coordinate, and bincount above that
+    e = _multi_block_stage(multi, singles, zeros, seed)
+    cheap = 2 * multi * (multi + 1) <= 32 * e.space.dim
+    assert e._slots >= PRODUCT_BLOCKS
+    assert kernel(e) == ("multi-block" if cheap else "bincount")
+    _sums_by_path(e, shape, seed)
+
+
+@pytest.mark.parametrize("multi", [47, 63, 64])
+@pytest.mark.parametrize("short", [0, 1])
+def test_the_multi_block_path_ends_at_32_multiply_adds_a_coordinate(multi, short):
+    # multi pairs and singletons over d = multi * (multi + 1) / 16 coordinates,
+    # where the product's 2 multi (multi + 1) multiply-adds a row are 32 d
+    d = multi * (multi + 1) // 16 - short
+    labels = np.concatenate([np.arange(2 * multi) // 2, np.arange(multi, d - multi)])
+    e = BlockOperator(LatticeSpace(d), labels, True, np.where(labels < multi, 0.5, 1.0))
+    assert kernel(e) == ("bincount" if short else "multi-block")
+    _sums_by_path(e, (2, 3), multi)
 
 
 def test_block_matrix_is_built_on_each_access():
@@ -168,6 +249,20 @@ def test_builders_at_256_classify_in_a_few_megabytes():
         tracemalloc.stop()
     assert report.is_martingale
     assert peak < 16 * 2**20, peak
+
+
+def test_multi_block_plans_are_built_on_first_use_and_stay_small():
+    # a multi-block stage keeps no _src; its plan, built on first apply, holds
+    # no more bytes than the _src index of d intp a block-sum stage keeps
+    filt = build_random_nested(256, 256, 11)
+    multi = [e for e in filt.ops if kernel(e) == "multi-block"]
+    assert len(multi) > 128
+    assert not any("_plan" in vars(e) for e in filt.ops)
+    x = vector(filt.space, np.random.default_rng(11).uniform(-1.0, 1.0, 256))
+    classify(terminal_sequence(filt, x), filt)
+    for e in multi:
+        cols, cells, src, _ = vars(e)["_plan"]
+        assert cols.nbytes + cells.nbytes + src.nbytes <= 256 * np.dtype(np.intp).itemsize
 
 
 def test_validate_and_the_writer_hold_one_pair_of_stage_matrices():
@@ -251,7 +346,7 @@ def _stacked_case(kind, size, members, full, dense, seed):
 STACKED = dict(
     kind=st.sampled_from(
         ["truncation", "pairing", "dyadic", "copy", "random-nested", "random-blocks",
-         "wide-random-nested", "wide-pairing"]
+         "wide-random-nested", "wide-pairing", "wider-pairing"]
     ),
     size=st.integers(1, 8),
     members=st.integers(1, 4),
@@ -274,6 +369,12 @@ def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, full
 
 @settings(max_examples=150, deadline=None)
 @given(**STACKED, bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 2**16))
+# terms met by multi-block stages (0-based): term 64 of a wide random-nested
+# chain of 67 levels (stages 63 on), term 40 of 66 pairs (stages 20 to 64)
+@example(kind="wide-random-nested", size=3, members=2, full=True, dense=False, seed=1,
+         bad=np.inf, where=2 * 66 * 3 + 1)
+@example(kind="wider-pairing", size=2, members=1, full=False, dense=False, seed=2,
+         bad=np.nan, where=40)
 def test_a_non_finite_term_spoils_only_its_own_pairs(
     kind, size, members, full, dense, seed, bad, where
 ):

@@ -1,9 +1,11 @@
 """Operator checks and the induced-norm formulas against a sampling oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from _oracles import is_band_projection
+from _oracles import is_band_projection, kernel
 from lattice_lab import (
     BlockOperator,
     LatticeSpace,
@@ -146,29 +148,57 @@ def test_band_projection_commutes_with_abs():
 
 
 def _stage_paths() -> dict[str, object]:
-    """One stage per kernel of apply_rows, named by the kernel it takes."""
+    """One stage per path of apply_rows, named by the path it takes."""
     d = 130
     space = LatticeSpace(d, NormKind.SUP)
     labels = np.arange(d)
+    pairs_first = np.where(labels < 20, labels // 2, labels - 10)  # 10 pairs, 110 singletons
     stages = {
         "dense": PosOperator(space, np.random.default_rng(3).uniform(-1.0, 1.0, (d, d))),
         "diagonal": BlockOperator(space, labels, labels % 3 > 0, 1.0),
         "gather": BlockOperator(space, labels // 2, True, (labels % 2 == 0) * 1.0),
         "product": BlockOperator(space, labels // 5, True, 0.2),  # 26 label slots
-        "bincount": BlockOperator(space, labels // 2, True, 0.5),  # 65 label slots
+        # 120 label slots, 10 of them blocks of two nonzero coefs
+        "multi-block": BlockOperator(space, pairs_first, labels % 7 > 0,
+                                     np.where(labels < 20, 0.5, 1.0)),
+        "bincount": BlockOperator(space, labels // 2, True, 0.5),  # 65 blocks of two
     }
-    kernels = {
-        "diagonal": lambda e: e._src is None and e._scale is not None,
-        "gather": lambda e: e._src is not None and e._scale is not None,
-        "product": lambda e: e._scale is None and e._slots < 64,
-        "bincount": lambda e: e._scale is None and e._slots >= 64,
-    }
-    for name, takes in kernels.items():
-        assert takes(stages[name]), name
+    for name, stage in stages.items():
+        assert kernel(stage) == name
     return stages
 
 
-@pytest.mark.parametrize("path", ["dense", "diagonal", "gather", "product", "bincount"])
+PATHS = ["dense", "diagonal", "gather", "product", "multi-block", "bincount"]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_each_path_runs_where_named(path):
+    # the multi-block path builds its plan on first apply, the bincount path
+    # calls np.bincount, and no other path does either
+    op = _stage_paths()[path]
+    rows = np.random.default_rng(5).uniform(-1.0, 1.0, (4, op.space.dim))
+    assert "_plan" not in vars(op)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as spy:
+        apply_rows(op, rows)
+        planned = "_plan" in vars(op)
+        spy.reset_mock()
+        out = apply_rows(op, rows)
+    assert planned == (path == "multi-block")
+    assert spy.called == (path == "bincount")
+    assert np.allclose(out, rows @ op.matrix.T, rtol=0.0, atol=1e-13)
+
+
+def test_one_vector_takes_a_multi_block_stage_by_bincount_without_a_plan():
+    op = _stage_paths()["multi-block"]
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, op.space.dim)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as spy:
+        out = apply_rows(op, x)
+    assert spy.call_count == 1
+    assert "_plan" not in vars(op)
+    assert np.allclose(out, op.matrix @ x, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
 def test_apply_rows_returns_a_fresh_writable_array(path, shape):
     # _pair_table overwrites what apply_rows returns; that must never reach its input
