@@ -12,20 +12,23 @@ here reads it: :func:`apply_rows`, :func:`operator_norm` and
 
 :func:`apply_rows` has four paths on a block stage with B label slots: a
 gather when no block holds two nonzero coefs, else block sums.  Below
-B = 64 they are one product with a d x (B + 1) matrix.  From 64 on, they
-are one product over just the c nonzero columns of the m blocks holding two
-or more, with a c x (m + 1) matrix, while its c (m + 1) multiply-adds a row
-stay within 32 per coordinate (the multi-block path; one vector, which
-would not repay the path's index plan, takes one ``bincount``), and else
-one ``bincount``.  Stage sums of pair tables, min of 7, one BLAS thread: on
-``build_random_nested(256, 256, 5)`` the 63 stages below B = 64 take
-11.2 ms by product and 20.4 by ``bincount``; the 192 above it (m <= 25)
-take 47.2 by product, 29.3 by ``bincount`` and 23.1 by the multi-block
-path.  Over random-nested tables at d = 128, 256 and 512 and pairing
-tables at d = 128 and 256, the 32 line sums to 81.7 ms, the multi-block
-path on every stage of m < 64 to 86.4 and ``bincount`` to 90.4: pairing
-stages of m > 44 at d = 128 and the densest stages at d = 512 lose by it.
-On one row the multi-block path costs about 5 us more than ``bincount``.
+B = 64 every block is a column of one product with a d x (B + 1) matrix.
+From 64 on, a block sums when it holds two or more nonzero coefs or one
+that is not 1; the rows of a block whose one nonzero coef is 1 read x
+itself.  Fewer than 64 blocks to sum are the m columns of one product
+with a d x (m + 1) matrix, and each row of Tx reads the product's row
+extended by x (the multi-block path); 64 or more, and any stack of fewer
+than 8 rows, which would not repay the multi-block index, take one
+``bincount``.  Stage sums of pair tables on random rows, min of 7, one
+BLAS thread: on ``build_random_nested(256, 256, 5)`` the 63 stages below
+B = 64 take 11.9 ms by product, 28.6 by the multi-block path and 46.9 by
+``bincount``; the 192 above it (m <= 25) take 14.7 by the multi-block
+path, 26.5 by ``bincount`` and 43.1 by a product over every block.  On
+``pairing_example(128)`` the 64 stages of 64 to 127 pairs take 7.9 by
+``bincount`` and 16.5 by product, the 63 of fewer 3.1 by the multi-block
+path and 3.4 by ``bincount``.  Per multi-block stage of those tables, the
+multi-block path ties ``bincount`` at about 8 rows (16 for pairing) and
+wins from there: 40 against 58 us on 32 rows at d = 256.
 
 Provides the induced norm (:func:`operator_norm`) and one structural
 test, :func:`is_lattice_homomorphism`.  Positivity, idempotence and
@@ -89,12 +92,12 @@ class BlockOperator(_Frozen):
       (``_slots``) the sums are one product by the block-sum matrix S
       (S[j, label_j] = coef_j), built per call so the stage stays O(d);
       from 64 on, one ``bincount``;
-    * except that a stage of B >= 64 slots whose m blocks of two or more
-      nonzero coefs hold c such coefs, with c (m + 1) <= 32 d, keeps no
-      ``_src``: it sums just those blocks, by one product with their
-      c x (m + 1) block-sum matrix, and every other row is a gather, as in
-      the first case.  Its index plan (``_plan``) is built on the first apply
-      to a stack of rows and is smaller than ``_src``.
+    * except that from 64 slots on, a stack of 8 rows or more meets a stage
+      with m < 64 blocks to sum (two or more nonzero coefs, or one that is
+      not 1) by one product with a d x (m + 1) block-sum matrix, and the
+      rows of the other blocks read x itself.  Its index (``_sums``) is
+      built on that first apply, as ``Filtration.norms`` is on first use,
+      in the narrowest integer types: fewer bytes than one d-long intp index.
     """
 
     def __init__(
@@ -111,16 +114,13 @@ class BlockOperator(_Frozen):
         labels, slots = labels.astype(np.intp), int(top) + 1
         kept, weights = np.empty(d, dtype=bool), np.empty(d)
         kept[...], weights[...] = mask, coef
-        mask, coef = kept, weights
-        if not mask.all():
+        mask, coef, full = kept, weights, kept.all()
+        if not full:
             coef[np.bincount(labels[mask], minlength=slots)[labels] == 0] = 0.0
         nonzero = coef != 0.0
-        sizes = np.bincount(labels[nonzero], minlength=slots)
         src = scale = None
-        if sizes.max() > 1:
-            multi = sizes[sizes > 1]  # a multi-block stage keeps no _src, but a _plan
-            if slots < 64 or multi.sum() * (len(multi) + 1) > 32 * d:
-                src = np.where(mask, labels, slots)
+        if np.bincount(labels[nonzero], minlength=slots).max() > 1:
+            src = labels if full else np.where(mask, labels, slots)
         elif slots == d and np.bincount(labels).max() == 1:  # all singletons: T is diagonal
             scale = coef
         else:
@@ -136,26 +136,27 @@ class BlockOperator(_Frozen):
                   _slots=slots, _src=src, _scale=scale)
 
     @cached_property
-    def _plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """The index plan of the multi-block sums, built on first use: the
-        nonzero columns of the m blocks holding two or more nonzero coefs,
-        each one's flat cell (column, block slot) in the block-sum matrix, and
-        each row's source in the extended row [coef * x, the m block sums, 0];
-        in the narrowest integer types, so it holds fewer bytes than ``_src``."""
-        d, labels = self.space.dim, self.labels
-        nonzero = self.coef != 0.0
-        at = labels[nonzero]
-        multi = np.bincount(at, minlength=self._slots) > 1
-        m = int(np.count_nonzero(multi))
-        block_src = np.full(self._slots, d + m, dtype=np.min_scalar_type(d + m))  # zero coefs
-        block_src[at] = np.flatnonzero(nonzero)  # a single block's one nonzero column
-        block_src[multi] = np.arange(d, d + m)  # a multi block's sum
-        src = block_src[labels]
-        cols = np.flatnonzero(nonzero & multi[labels])
-        cells = np.arange(-d, len(cols) * (m + 1) - d, m + 1) + src[cols]
-        src[~self.mask] = d + m
-        return (cols.astype(np.min_scalar_type(d)),
-                cells.astype(np.min_scalar_type(cells.size * (m + 1))), src, m)
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """The multi-block index of a stage of 64 label slots or more, built on
+        first use: each row's source in a row of block sums extended by x, each
+        coordinate's column in the block-sum matrix and that matrix's width;
+        None when the stage has 64 blocks or more to sum."""
+        d, labels, coef, slots = self.space.dim, self.labels, self.coef, self._slots
+        # a block sums unless its one nonzero coef is 1: its rows read x itself
+        nonzero = coef != 0.0
+        summed = np.bincount(labels[nonzero], minlength=slots) > (
+            np.bincount(labels, coef, slots) == 1.0)
+        m = int(np.count_nonzero(summed))
+        if m >= 64:
+            return None
+        block_src = np.full(slots, m, dtype=np.min_scalar_type(m + 1 + d))  # column m: zero
+        block_src[labels[nonzero]] = m + 1 + np.flatnonzero(nonzero)
+        block_src[summed] = np.arange(m)
+        read = block_src[labels]
+        src, cols = np.where(self.mask, read, m), np.minimum(read, m)
+        for value in (src, cols):
+            value.setflags(write=False)
+        return src, cols, m + 1
 
     @property
     def matrix(self) -> np.ndarray:
@@ -181,27 +182,22 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
         return rows @ op.matrix.T
     if op._scale is not None:
         return (rows if op._src is None else rows[..., op._src]) * op._scale
-    d = op.space.dim
-    if op._src is None:
-        if rows.ndim == 1:  # one vector's block sums cost less than the plan
-            sums = np.bincount(op.labels, rows * op.coef, op._slots)
-            return np.where(op.mask, sums[op.labels], 0.0)
-        cols, cells, src, m = op._plan
-        ext = np.empty((*rows.shape[:-1], d + m + 1))
-        np.multiply(rows, op.coef, out=ext[..., :d])
-        sums = np.zeros((len(cols), m + 1))
-        sums.flat[cells] = op.coef[cols]
-        np.matmul(rows[..., cols], sums, out=ext[..., d:])
-        return ext[..., src]
-    width = op._slots + 1  # the last column stays zero for dropped rows
-    if op._slots < 64:
-        sums = np.zeros((d, width))
-        sums[np.arange(d), op.labels] = op.coef
-        return (rows @ sums)[..., op._src]
-    flat = rows.reshape(-1, d)
-    cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
-    sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
-    return sums.reshape(-1, width)[:, op._src].reshape(rows.shape)
+    d, slots = op.space.dim, op._slots
+    src, cols, width = op._src, op.labels, slots + 1  # below 64 label slots every block sums
+    if slots >= 64:
+        plan = op._sums if rows.size >= 8 * d else None  # fewer rows do not repay its index
+        if plan is None:  # the last column stays zero for dropped rows
+            flat = rows.reshape(-1, d)
+            cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
+            sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
+            return sums.reshape(-1, width)[:, src].reshape(rows.shape)
+        src, cols, width = plan
+    sums = np.zeros((d, width))
+    sums[np.arange(d), cols] = op.coef
+    if width > slots:  # every block sums
+        return (rows @ sums)[..., src]
+    sums[:, -1] = 0.0  # the zero column, where the coefs of 1 that rows read as x went
+    return np.concatenate((rows @ sums, rows), axis=-1)[..., src]
 
 
 def apply(op: Operator, x: LatticeVector) -> LatticeVector:

@@ -2,6 +2,7 @@
 the memory they save."""
 
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -38,10 +39,9 @@ REL = 1e-15
 PRODUCT_BLOCKS = 64  # apply_rows takes block sums by product below this many label slots
 # the block-sum kernels each wide chain runs: level n of the wide random-nested
 # chain has n blocks over n + size coordinates, so at most size of them sum;
-# pairing stage k averages the m = p - k pairs after its first 2k coordinates,
-# so from 64 label slots on it takes bincount while their product's 2m (m + 1)
-# multiply-adds a row exceed 32 per coordinate, as only the wider chain's first
-# stages (p = 64 + size, m >= 46) do
+# pairing stage k averages the p - k pairs after its first 2k coordinates, so
+# from 64 label slots on it takes bincount while 64 or more pairs are left, as
+# only the wider chain's first stages (p = 64 + size) have
 WIDE_KERNELS = {
     "wide-random-nested": {"product", "multi-block"},
     "wide-pairing": {"product", "multi-block"},
@@ -160,24 +160,41 @@ def test_wide_block_stages_match_the_dense_builders(kind, size, seed):
     assert filt.space.dim > 64
     assert kernels == WIDE_KERNELS[kind]
     _check_against_dense(filt, mats, seed, filt.space.dim * np.finfo(float).eps / 2)
-    # the multi-block path ran: its plan is built on first apply
-    assert all("_plan" in vars(e) for e in filt.ops if kernel(e) == "multi-block")
 
 
-def _multi_block_stage(multi: int, singles: int, zeros: int, seed: int) -> BlockOperator:
-    """A stage of at least 64 label slots in shuffled coordinates: ``multi``
-    blocks of two or three coordinates with two nonzero coefs (a third member
-    has coef 0) and a kept first row, ``singles`` blocks of two to four
-    coordinates with one nonzero coef, ``zeros`` blocks of zero coefs and
-    singletons; any other row may be dropped."""
+def test_the_smoke_demos_run_every_block_sum_kernel():
+    # the kernel of each stage, in runs, of the demos the CLI smoke runs above
+    # d = 64: haar at d = 256 sums 2 to 32 blocks by product and 64 and 128 by
+    # bincount; pairing at d = 80 takes the product below 64 label slots and the
+    # multi-block path above; pairing at d = 200 keeps 64 or more pairs to
+    # average, so bincount, for its first 36 stages
+    runs = {
+        f.space.dim: [(k, len(list(run))) for k, run in groupby(kernel(e) for e in f.ops)]
+        for f in (build_dyadic(8), build_pairing(40), build_pairing(100))
+    }
+    assert runs == {
+        256: [("product", 5), ("bincount", 2), ("diagonal", 1)],
+        80: [("product", 23), ("multi-block", 16), ("diagonal", 1)],
+        200: [("bincount", 36), ("multi-block", 63), ("diagonal", 1)],
+    }
+
+
+def _multi_block_stage(
+    pairs: int, scaled: int, units: int, zeros: int, seed: int
+) -> BlockOperator:
+    """A stage of at least 64 label slots in shuffled coordinates: ``pairs``
+    blocks of two nonzero coefs (a third member may have coef 0) with a kept
+    first row, ``scaled`` and ``units`` blocks of two to four coordinates
+    with one nonzero coef, not 1 resp. 1, ``zeros`` blocks of zero coefs,
+    and singletons of coef 1; any other row may be dropped.  The pairs and
+    the scaled blocks are the blocks to sum."""
     rng = np.random.default_rng(seed)
     blocks = [(coef, True) for coef in (
-        [*rng.uniform(0.1, 1.0, 2), *[0.0] * int(rng.integers(0, 2))] for _ in range(multi))]
-    blocks += [([*rng.uniform(-1.0, 1.0, 1), *[0.0] * int(rng.integers(1, 4))], False)
-               for _ in range(singles)]
+        [*rng.uniform(0.1, 1.0, 2), *[0.0] * int(rng.integers(0, 2))] for _ in range(pairs))]
+    blocks += [([one, *[0.0] * int(rng.integers(1, 4))], False)
+               for one in [*rng.uniform(-1.0, 0.9, scaled), *[1.0] * units]]
     blocks += [([0.0] * int(rng.integers(1, 4)), False) for _ in range(zeros)]
-    blocks += [([rng.uniform(-1.0, 1.0)], False)
-               for _ in range(max(0, 64 - len(blocks)) + int(rng.integers(0, 4)))]
+    blocks += [([1.0], False) for _ in range(max(0, 64 - len(blocks)) + int(rng.integers(0, 4)))]
     labels = np.concatenate([[b] * len(c) for b, (c, _) in enumerate(blocks)])
     coef = np.concatenate([c for c, _ in blocks])
     first = np.concatenate([[keep] + [False] * (len(c) - 1) for c, keep in blocks])
@@ -199,35 +216,39 @@ def _sums_by_path(e: BlockOperator, shape: tuple[int, ...], seed: int) -> None:
 
 @settings(max_examples=100, deadline=None)
 @given(
-    multi=st.one_of(st.sampled_from([63, 64]), st.integers(1, 64)),
-    singles=st.integers(0, 6),
+    pairs=st.one_of(st.sampled_from([63, 64]), st.integers(0, 64)),
+    scaled=st.integers(0, 3),
+    units=st.integers(0, 3),
     zeros=st.integers(0, 3),
-    shape=st.sampled_from([(), (3,), (2, 3)]),
+    shape=st.sampled_from([(), (3,), (8,), (2, 5)]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(multi=63, singles=2, zeros=1, shape=(2, 3), seed=0)
-@example(multi=64, singles=2, zeros=1, shape=(2, 3), seed=0)
-def test_multi_block_sums_match_the_dense_product(multi, singles, zeros, shape, seed):
-    # the c = 2 * multi nonzero columns of the multi blocks take the multi-block
-    # path while their product's c * (multi + 1) multiply-adds a row stay
-    # within 32 per coordinate, and bincount above that
-    e = _multi_block_stage(multi, singles, zeros, seed)
-    cheap = 2 * multi * (multi + 1) <= 32 * e.space.dim
+@example(pairs=63, scaled=0, units=2, zeros=1, shape=(2, 4), seed=0)
+@example(pairs=64, scaled=0, units=2, zeros=1, shape=(2, 4), seed=0)
+@example(pairs=62, scaled=1, units=1, zeros=1, shape=(), seed=1)
+@example(pairs=63, scaled=1, units=1, zeros=1, shape=(8,), seed=1)
+def test_multi_block_sums_match_the_dense_product(pairs, scaled, units, zeros, shape, seed):
+    # with a pair, fewer than 64 blocks to sum take the multi-block path on 8
+    # rows or more (fewer take bincount) and 64 or more take bincount; with no
+    # pair, no row holds two nonzero coefs: a gather
+    e = _multi_block_stage(pairs, scaled, units, zeros, seed)
     assert e._slots >= PRODUCT_BLOCKS
-    assert kernel(e) == ("multi-block" if cheap else "bincount")
+    if pairs:
+        assert kernel(e) == ("multi-block" if pairs + scaled < 64 else "bincount")
     _sums_by_path(e, shape, seed)
 
 
-@pytest.mark.parametrize("multi", [47, 63, 64])
-@pytest.mark.parametrize("short", [0, 1])
-def test_the_multi_block_path_ends_at_32_multiply_adds_a_coordinate(multi, short):
-    # multi pairs and singletons over d = multi * (multi + 1) / 16 coordinates,
-    # where the product's 2 multi (multi + 1) multiply-adds a row are 32 d
-    d = multi * (multi + 1) // 16 - short
-    labels = np.concatenate([np.arange(2 * multi) // 2, np.arange(multi, d - multi)])
-    e = BlockOperator(LatticeSpace(d), labels, True, np.where(labels < multi, 0.5, 1.0))
-    assert kernel(e) == ("bincount" if short else "multi-block")
-    _sums_by_path(e, (2, 3), multi)
+@pytest.mark.parametrize("pairs, scaled", [(63, 0), (64, 0), (62, 1), (63, 1)])
+def test_the_multi_block_path_ends_at_64_blocks_to_sum(pairs, scaled):
+    # pairs of coef 0.5, scaled singletons of coef 2 and singletons of coef 1:
+    # a singleton sums unless its coef is 1
+    d = 2 * pairs + 70
+    labels = np.concatenate([np.arange(2 * pairs) // 2, np.arange(pairs, d - pairs)])
+    coef = np.where(labels < pairs, 0.5, 1.0)
+    coef[2 * pairs : 2 * pairs + scaled] = 2.0
+    e = BlockOperator(LatticeSpace(d), labels, True, coef)
+    assert kernel(e) == ("multi-block" if pairs + scaled < 64 else "bincount")
+    _sums_by_path(e, (2, 4), pairs)
 
 
 def test_block_matrix_is_built_on_each_access():
@@ -251,18 +272,19 @@ def test_builders_at_256_classify_in_a_few_megabytes():
     assert peak < 16 * 2**20, peak
 
 
-def test_multi_block_plans_are_built_on_first_use_and_stay_small():
-    # a multi-block stage keeps no _src; its plan, built on first apply, holds
-    # no more bytes than the _src index of d intp a block-sum stage keeps
+def test_block_sum_indexes_are_built_on_first_use_and_stay_small():
+    # a stage builds its multi-block index on its first apply to 8 rows or more;
+    # its source and column indexes, in the narrowest integer types, hold fewer
+    # bytes than one d-long intp index
     filt = build_random_nested(256, 256, 11)
-    multi = [e for e in filt.ops if kernel(e) == "multi-block"]
-    assert len(multi) > 128
-    assert not any("_plan" in vars(e) for e in filt.ops)
+    assert not any("_sums" in vars(e) for e in filt.ops)
     x = vector(filt.space, np.random.default_rng(11).uniform(-1.0, 1.0, 256))
     classify(terminal_sequence(filt, x), filt)
+    multi = [e for e in filt.ops if "_sums" in vars(e) and kernel(e) == "multi-block"]
+    assert len(multi) > 128
     for e in multi:
-        cols, cells, src, _ = vars(e)["_plan"]
-        assert cols.nbytes + cells.nbytes + src.nbytes <= 256 * np.dtype(np.intp).itemsize
+        src, cols, _ = e._sums
+        assert src.nbytes + cols.nbytes < 256 * np.dtype(np.intp).itemsize
 
 
 def test_validate_and_the_writer_hold_one_pair_of_stage_matrices():
@@ -369,11 +391,12 @@ def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, full
 
 @settings(max_examples=150, deadline=None)
 @given(**STACKED, bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 2**16))
-# terms met by multi-block stages (0-based): term 64 of a wide random-nested
-# chain of 67 levels (stages 63 on), term 40 of 66 pairs (stages 20 to 64)
+# terms met by multi-block stages in stacks of 8 rows or more (0-based): term 64
+# of a wide random-nested chain of 67 levels (stage 63, on 2 x 4 rows), term 40
+# of 66 pairs (stages 2 to 40, on 26 rows or more)
 @example(kind="wide-random-nested", size=3, members=2, full=True, dense=False, seed=1,
          bad=np.inf, where=2 * 66 * 3 + 1)
-@example(kind="wider-pairing", size=2, members=1, full=False, dense=False, seed=2,
+@example(kind="wider-pairing", size=2, members=1, full=True, dense=False, seed=2,
          bad=np.nan, where=40)
 def test_a_non_finite_term_spoils_only_its_own_pairs(
     kind, size, members, full, dense, seed, bad, where

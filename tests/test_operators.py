@@ -158,7 +158,7 @@ def _stage_paths() -> dict[str, object]:
         "diagonal": BlockOperator(space, labels, labels % 3 > 0, 1.0),
         "gather": BlockOperator(space, labels // 2, True, (labels % 2 == 0) * 1.0),
         "product": BlockOperator(space, labels // 5, True, 0.2),  # 26 label slots
-        # 120 label slots, 10 of them blocks of two nonzero coefs
+        # 120 label slots: 10 blocks of two nonzero coefs, 110 singletons of coef 1
         "multi-block": BlockOperator(space, pairs_first, labels % 7 > 0,
                                      np.where(labels < 20, 0.5, 1.0)),
         "bincount": BlockOperator(space, labels // 2, True, 0.5),  # 65 blocks of two
@@ -172,34 +172,34 @@ PATHS = ["dense", "diagonal", "gather", "product", "multi-block", "bincount"]
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_each_path_runs_where_named(path):
-    # the multi-block path builds its plan on first apply, the bincount path
-    # calls np.bincount, and no other path does either
+@pytest.mark.parametrize("shape", [(8,), (2, 4)], ids=["2d", "3d"])
+def test_each_path_runs_where_named(path, shape):
+    # on a stack of 8 rows, only the bincount path calls np.bincount and only
+    # the multi-block path appends x to its block sums
     op = _stage_paths()[path]
-    rows = np.random.default_rng(5).uniform(-1.0, 1.0, (4, op.space.dim))
-    assert "_plan" not in vars(op)
-    with mock.patch.object(np, "bincount", wraps=np.bincount) as spy:
-        apply_rows(op, rows)
-        planned = "_plan" in vars(op)
-        spy.reset_mock()
+    rows = np.random.default_rng(5).uniform(-1.0, 1.0, (*shape, op.space.dim))
+    with (mock.patch.object(np, "bincount", wraps=np.bincount) as counts,
+          mock.patch.object(np, "concatenate", wraps=np.concatenate) as joins):
         out = apply_rows(op, rows)
-    assert planned == (path == "multi-block")
-    assert spy.called == (path == "bincount")
+    assert counts.called == (path == "bincount")
+    assert joins.called == (path == "multi-block")
     assert np.allclose(out, rows @ op.matrix.T, rtol=0.0, atol=1e-13)
 
 
-def test_one_vector_takes_a_multi_block_stage_by_bincount_without_a_plan():
-    op = _stage_paths()["multi-block"]
-    x = np.random.default_rng(6).uniform(-1.0, 1.0, op.space.dim)
-    with mock.patch.object(np, "bincount", wraps=np.bincount) as spy:
-        out = apply_rows(op, x)
-    assert spy.call_count == 1
-    assert "_plan" not in vars(op)
-    assert np.allclose(out, op.matrix @ x, rtol=0.0, atol=1e-13)
+@pytest.mark.parametrize("shape", [(), (7,), (1, 7)], ids=["1d", "2d", "3d"])
+def test_a_few_rows_take_a_multi_block_stage_by_bincount_without_its_index(shape):
+    named = _stage_paths()["multi-block"]  # naming it built its index: take a fresh copy
+    op = BlockOperator(named.space, named.labels, named.mask, named.coef)
+    rows = np.random.default_rng(6).uniform(-1.0, 1.0, (*shape, op.space.dim))
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as counts:
+        out = apply_rows(op, rows)
+    assert counts.call_count == 1
+    assert "_sums" not in vars(op)
+    assert np.allclose(out, rows @ op.matrix.T, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("shape", [(), (8,), (2, 4)], ids=["1d", "2d", "3d"])
 def test_apply_rows_returns_a_fresh_writable_array(path, shape):
     # _pair_table overwrites what apply_rows returns; that must never reach its input
     op = _stage_paths()[path]
