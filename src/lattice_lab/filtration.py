@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import BlockOperator, Operator, is_lattice_homomorphism, operator_norm
-from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, _Frozen, _Record, row_norms
+from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, _Frozen, _Record, _frozen, row_norms
 
 
 class Filtration(_Frozen):
@@ -68,6 +68,15 @@ class Filtration(_Frozen):
         """Each stage's ``operator_norm``, computed once on first use (stages are immutable)."""
         return tuple(operator_norm(e) for e in self.ops)
 
+    @cached_property
+    def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int] | None:
+        """The block columns of a refining chain of block stages, built on first
+        use, or None: ``(cols, entries, width)``.  Row i of stage n reads column
+        ``cols[n, i]`` of a d x ``width`` matrix B whose last column is zero; at
+        ``entries`` (n * d + j, k), B holds coef_j of the stage n where column k
+        first appears (see :func:`lattice_lab.martingales._pair_table`)."""
+        return _block_columns(self.ops, self.space.dim)
+
     def op(self, n: int) -> Operator:
         if not 1 <= n <= self.horizon:
             raise IndexError(f"operator index {n} out of range 1..{self.horizon}")
@@ -75,6 +84,36 @@ class Filtration(_Frozen):
 
     def __repr__(self) -> str:
         return f"Filtration(dim={self.space.dim}, horizon={self.horizon})"
+
+
+def _block_columns(ops: tuple[Operator, ...], d: int) -> tuple | None:
+    """``Filtration.plan`` of block stages, some summing, each refining the last and keeping
+    its kept blocks' coefs: the blocks nest, so K < 2d.  Stage n's block l is n * d + l."""
+    if not all(isinstance(e, BlockOperator) for e in ops) or all(
+            e._scale is not None for e in ops):
+        return None
+    size = len(ops) * d
+    block = np.concatenate([e.labels for e in ops]) + np.repeat(np.arange(0, size, d), d)
+    coef = np.concatenate([e.coef for e in ops])
+    up = np.arange(size)  # each block's block in the stage before
+    up[block[d:]] = block[:-d]
+    members = np.bincount(block, minlength=size)
+    live = np.zeros(size, dtype=bool)  # a dead block reads the zero column
+    live[block[coef != 0.0]] = True
+    kept = live & (members == members[up])  # the same members as its block before
+    kept[:d] = False
+    if (up[block[d:]] != block[:-d]).any() or kept[block[d:][coef[d:] != coef[:-d]]].any():
+        return None
+    new = live & ~kept
+    n_cols = int(np.count_nonzero(new))  # K; column K is the zero column
+    narrow = np.min_scalar_type(n_cols)
+    starts = new[block]  # the (stage, coordinate) cells where a column starts
+    start_col = np.where(starts, (np.cumsum(new) - 1).astype(narrow)[block], 0)  # stage order
+    cols = np.maximum.accumulate(start_col.reshape(-1, d))  # each coordinate's last start
+    read = (np.concatenate([e.mask for e in ops]) & live[block]).reshape(-1, d)
+    firsts = np.flatnonzero(starts)
+    entries = firsts.astype(np.min_scalar_type(size)), start_col[firsts]
+    return _frozen(np.where(read, cols, n_cols)), tuple(map(_frozen, entries)), n_cols + 1
 
 
 class LawCheck(_Record):

@@ -136,15 +136,24 @@ def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
 def _pair_table(
     terms: VectorSequence | np.ndarray, filt: Filtration, band: int | None = None
 ) -> np.ndarray:
-    """The pair-defect table every law here reduces: one product per operator.
+    """The pair-defect table every law here reduces.
 
     ``terms`` is one sequence or a (..., N, d) stack; the table is (..., N, band).
     Row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band (default:
     the horizon); entries past the horizon are zero, which no reduction below
     mistakes for a defect.  Each stage applies E_n once to the (..., band, d)
-    block, subtracts x_n and takes |.| in place (``apply_rows`` returns fresh
-    memory), then reduces it.  Stacks are bounded by ``harness.STACK_FLOATS``:
-    whole families raised the peak RSS of ``verify``.
+    block, subtracts x_n and takes |.| in place (on fresh memory), then
+    reduces it.  Stacks are bounded by ``harness.STACK_FLOATS``: whole
+    families raised the peak RSS of ``verify``.
+
+    A chain with a :attr:`Filtration.plan` makes one product per table.
+    Column k of its d x (K + 1) matrix B holds one block's coefs, so
+    (x @ B)_k is that block's sum of coef_j x_j.  Row i of E_n x is mask_i
+    times the sum over i's block at stage n, so it is (x @ B)[cols[n, i]],
+    the zero column K standing for a dropped row or a dead block.  A block
+    that survives to the next stage keeps its members, coefs and so its
+    column: K < 2d.  Gathered from the transposed product, one sequence's
+    rows have the layout ``apply_rows`` gives them: norms add alike.
 
     A NaN or infinite term x_m makes every pair it is in non-finite, in its
     own member only, and (n, m) NaN for each n, as ``0 * inf`` does in a
@@ -154,10 +163,18 @@ def _pair_table(
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
     n_terms = xs.shape[-2]
     band = n_terms if band is None else band
+    if (plan := filt.plan) is not None:  # B.T, built from the stages' coefs on each call
+        cols, (flat, k), width = plan
+        sums = np.zeros((width, filt.space.dim))
+        sums[k, flat % filt.space.dim] = np.concatenate([e.coef for e in filt.ops])[flat]
+        sums = sums @ np.swapaxes(xs, -1, -2)  # (xs @ B).T, and B.T is freed
     table = np.zeros((*xs.shape[:-2], n_terms, band))
     w = filt.space.weights  # None on a sup space: row_norms without its temporary
     for n, e in enumerate(filt.ops):
-        rows = apply_rows(e, xs[..., n : n + band, :])
+        if plan is not None and e._scale is None:
+            rows = np.swapaxes(sums[..., cols[n], n : n + band], -1, -2)
+        else:
+            rows = apply_rows(e, xs[..., n : n + band, :])
         rows -= xs[..., n, None, :]
         np.abs(rows, out=rows)
         out = table[..., n, : rows.shape[-2]]  # each reduction writes its slice of the table

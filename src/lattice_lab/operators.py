@@ -10,25 +10,11 @@ a block stage it is built on each access and never stored, so no hot path
 here reads it: :func:`apply_rows`, :func:`operator_norm` and
 :func:`is_lattice_homomorphism` work on the block arrays.
 
-:func:`apply_rows` has four paths on a block stage with B label slots: a
-gather when no block holds two nonzero coefs, else block sums.  Below
-B = 64 every block is a column of one product with a d x (B + 1) matrix.
-From 64 on, a block sums when it holds two or more nonzero coefs or one
-that is not 1; the rows of a block whose one nonzero coef is 1 read x
-itself.  Fewer than 64 blocks to sum are the m columns of one product
-with a d x (m + 1) matrix, and each row of Tx reads the product's row
-extended by x (the multi-block path); 64 or more, and any stack of fewer
-than 8 rows, which would not repay the multi-block index, take one
-``bincount``.  Stage sums of pair tables on random rows, min of 7, one
-BLAS thread: on ``build_random_nested(256, 256, 5)`` the 63 stages below
-B = 64 take 11.9 ms by product, 28.6 by the multi-block path and 46.9 by
-``bincount``; the 192 above it (m <= 25) take 14.7 by the multi-block
-path, 26.5 by ``bincount`` and 43.1 by a product over every block.  On
-``pairing_example(128)`` the 64 stages of 64 to 127 pairs take 7.9 by
-``bincount`` and 16.5 by product, the 63 of fewer 3.1 by the multi-block
-path and 3.4 by ``bincount``.  Per multi-block stage of those tables, the
-multi-block path ties ``bincount`` at about 8 rows (16 for pairing) and
-wins from there: 40 against 58 us on 32 rows at d = 256.
+:func:`apply_rows` has three paths on a block stage with B label slots: a
+gather when no block holds two nonzero coefs, else block sums, by one
+product with a d x (B + 1) matrix below B = 64 and by one ``bincount``
+from 64 on.  A pair table reads the summing stages of a refining chain
+off one product instead (:func:`lattice_lab.martingales._pair_table`).
 
 Provides the induced norm (:func:`operator_norm`) and one structural
 test, :func:`is_lattice_homomorphism`.  Positivity, idempotence and
@@ -39,8 +25,6 @@ Operators are immutable and all functions are pure.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -82,22 +66,12 @@ class BlockOperator(_Frozen):
     weighs each column; ``mask`` and ``coef`` may be scalars.  The coef of
     a block with no kept row never enters the matrix and is stored as 0.
 
-    Construction picks the kernel of :func:`apply_rows` in O(d) (the
-    crossovers are in the module docstring):
-    * when no row holds two nonzero entries (truncations, copies, the
-      identity), a row of Tx is one coefficient times one coordinate, so Tx
-      is a gather and a product;
-    * otherwise row i reads slot ``_src[i]`` of the block sums of coef_j x_j,
-      slot B zero for the rows the mask drops.  With B < 64 label slots
-      (``_slots``) the sums are one product by the block-sum matrix S
-      (S[j, label_j] = coef_j), built per call so the stage stays O(d);
-      from 64 on, one ``bincount``;
-    * except that from 64 slots on, a stack of 8 rows or more meets a stage
-      with m < 64 blocks to sum (two or more nonzero coefs, or one that is
-      not 1) by one product with a d x (m + 1) block-sum matrix, and the
-      rows of the other blocks read x itself.  Its index (``_sums``) is
-      built on that first apply, as ``Filtration.norms`` is on first use,
-      in the narrowest integer types: fewer bytes than one d-long intp index.
+    Construction picks the kernel of :func:`apply_rows` in O(d): when no
+    row holds two nonzero entries (truncations, copies, the identity), a
+    gather and a product; else row i reads slot ``_src[i]`` of the block
+    sums of coef_j x_j (slot B, zero, for dropped rows), summed by one
+    product with S[j, label_j] = coef_j, built per call, below B = 64 label
+    slots (``_slots``) and by one ``bincount`` from 64 on.
     """
 
     def __init__(
@@ -135,29 +109,6 @@ class BlockOperator(_Frozen):
         self._set(space=space, labels=labels, mask=mask, coef=coef,
                   _slots=slots, _src=src, _scale=scale)
 
-    @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """The multi-block index of a stage of 64 label slots or more, built on
-        first use: each row's source in a row of block sums extended by x, each
-        coordinate's column in the block-sum matrix and that matrix's width;
-        None when the stage has 64 blocks or more to sum."""
-        d, labels, coef, slots = self.space.dim, self.labels, self.coef, self._slots
-        # a block sums unless its one nonzero coef is 1: its rows read x itself
-        nonzero = coef != 0.0
-        summed = np.bincount(labels[nonzero], minlength=slots) > (
-            np.bincount(labels, coef, slots) == 1.0)
-        m = int(np.count_nonzero(summed))
-        if m >= 64:
-            return None
-        block_src = np.full(slots, m, dtype=np.min_scalar_type(m + 1 + d))  # column m: zero
-        block_src[labels[nonzero]] = m + 1 + np.flatnonzero(nonzero)
-        block_src[summed] = np.arange(m)
-        read = block_src[labels]
-        src, cols = np.where(self.mask, read, m), np.minimum(read, m)
-        for value in (src, cols):
-            value.setflags(write=False)
-        return src, cols, m + 1
-
     @property
     def matrix(self) -> np.ndarray:
         """The dense d x d matrix, built on each access and never stored."""
@@ -182,22 +133,15 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
         return rows @ op.matrix.T
     if op._scale is not None:
         return (rows if op._src is None else rows[..., op._src]) * op._scale
-    d, slots = op.space.dim, op._slots
-    src, cols, width = op._src, op.labels, slots + 1  # below 64 label slots every block sums
-    if slots >= 64:
-        plan = op._sums if rows.size >= 8 * d else None  # fewer rows do not repay its index
-        if plan is None:  # the last column stays zero for dropped rows
-            flat = rows.reshape(-1, d)
-            cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
-            sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
-            return sums.reshape(-1, width)[:, src].reshape(rows.shape)
-        src, cols, width = plan
-    sums = np.zeros((d, width))
-    sums[np.arange(d), cols] = op.coef
-    if width > slots:  # every block sums
-        return (rows @ sums)[..., src]
-    sums[:, -1] = 0.0  # the zero column, where the coefs of 1 that rows read as x went
-    return np.concatenate((rows @ sums, rows), axis=-1)[..., src]
+    d, width = op.space.dim, op._slots + 1  # the last column stays zero for dropped rows
+    if op._slots < 64:
+        sums = np.zeros((d, width))
+        sums[np.arange(d), op.labels] = op.coef
+        return (rows @ sums)[..., op._src]
+    flat = rows.reshape(-1, d)
+    cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
+    sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
+    return sums.reshape(-1, width)[:, op._src].reshape(rows.shape)
 
 
 def apply(op: Operator, x: LatticeVector) -> LatticeVector:

@@ -350,14 +350,11 @@ def block_matrix(labels, mask, coef) -> np.ndarray:
 
 
 def kernel(op) -> str:
-    """The path ``apply_rows`` takes on a stage for a stack of 8 rows or more,
-    read off the arrays it holds: "dense", "diagonal", "gather", or a
-    block-sum kernel: "product" below 64 label slots, else "multi-block"
-    below 64 blocks to sum and "bincount" from 64 on (and on fewer rows)."""
+    """The path ``apply_rows`` takes on a stage, read off the arrays it holds:
+    "dense", "diagonal", "gather", or a block-sum kernel: "product" below 64
+    label slots and "bincount" from 64 on."""
     if not hasattr(op, "labels"):
         return "dense"
     if op._scale is not None:
         return "diagonal" if op._src is None else "gather"
-    if op._slots < 64:
-        return "product"
-    return "bincount" if op._sums is None else "multi-block"
+    return "product" if op._slots < 64 else "bincount"

@@ -2,7 +2,6 @@
 the memory they save."""
 
 import tracemalloc
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -37,15 +36,14 @@ from lattice_lab.spaces import row_norms
 
 REL = 1e-15
 PRODUCT_BLOCKS = 64  # apply_rows takes block sums by product below this many label slots
-# the block-sum kernels each wide chain runs: level n of the wide random-nested
-# chain has n blocks over n + size coordinates, so at most size of them sum;
-# pairing stage k averages the p - k pairs after its first 2k coordinates, so
-# from 64 label slots on it takes bincount while 64 or more pairs are left, as
-# only the wider chain's first stages (p = 64 + size) have
+# the block-sum kernels apply_rows runs on each wide chain: level n of the wide
+# random-nested chain has n label slots, so its levels from 64 on take bincount;
+# pairing stage k has p + k label slots, so the wide chain (p = 40 + size pairs)
+# takes the product on its first stages and the wider one (p = 64 + size) never
 WIDE_KERNELS = {
-    "wide-random-nested": {"product", "multi-block"},
-    "wide-pairing": {"product", "multi-block"},
-    "wider-pairing": {"bincount", "multi-block"},
+    "wide-random-nested": {"product", "bincount"},
+    "wide-pairing": {"product", "bincount"},
+    "wider-pairing": {"bincount"},
 }
 
 
@@ -69,7 +67,7 @@ def _chain(kind: str, size: int, seed: int) -> tuple[Filtration, list[np.ndarray
     if kind == "wide-pairing":
         # stage k keeps 2k coordinates and has p + k blocks, p + 1 to 2p - 1;
         # with p pairs in 41..52 the first stages sum by product, the last by
-        # the multi-block path
+        # bincount
         kind, size = "pairing", 40 + size
     if kind == "wider-pairing":
         kind, size = "pairing", 64 + size
@@ -162,93 +160,13 @@ def test_wide_block_stages_match_the_dense_builders(kind, size, seed):
     _check_against_dense(filt, mats, seed, filt.space.dim * np.finfo(float).eps / 2)
 
 
-def test_the_smoke_demos_run_every_block_sum_kernel():
-    # the kernel of each stage, in runs, of the demos the CLI smoke runs above
-    # d = 64: haar at d = 256 sums 2 to 32 blocks by product and 64 and 128 by
-    # bincount; pairing at d = 80 takes the product below 64 label slots and the
-    # multi-block path above; pairing at d = 200 keeps 64 or more pairs to
-    # average, so bincount, for its first 36 stages
-    runs = {
-        f.space.dim: [(k, len(list(run))) for k, run in groupby(kernel(e) for e in f.ops)]
-        for f in (build_dyadic(8), build_pairing(40), build_pairing(100))
-    }
-    assert runs == {
-        256: [("product", 5), ("bincount", 2), ("diagonal", 1)],
-        80: [("product", 23), ("multi-block", 16), ("diagonal", 1)],
-        200: [("bincount", 36), ("multi-block", 63), ("diagonal", 1)],
-    }
-
-
-def _multi_block_stage(
-    pairs: int, scaled: int, units: int, zeros: int, seed: int
-) -> BlockOperator:
-    """A stage of at least 64 label slots in shuffled coordinates: ``pairs``
-    blocks of two nonzero coefs (a third member may have coef 0) with a kept
-    first row, ``scaled`` and ``units`` blocks of two to four coordinates
-    with one nonzero coef, not 1 resp. 1, ``zeros`` blocks of zero coefs,
-    and singletons of coef 1; any other row may be dropped.  The pairs and
-    the scaled blocks are the blocks to sum."""
-    rng = np.random.default_rng(seed)
-    blocks = [(coef, True) for coef in (
-        [*rng.uniform(0.1, 1.0, 2), *[0.0] * int(rng.integers(0, 2))] for _ in range(pairs))]
-    blocks += [([one, *[0.0] * int(rng.integers(1, 4))], False)
-               for one in [*rng.uniform(-1.0, 0.9, scaled), *[1.0] * units]]
-    blocks += [([0.0] * int(rng.integers(1, 4)), False) for _ in range(zeros)]
-    blocks += [([1.0], False) for _ in range(max(0, 64 - len(blocks)) + int(rng.integers(0, 4)))]
-    labels = np.concatenate([[b] * len(c) for b, (c, _) in enumerate(blocks)])
-    coef = np.concatenate([c for c, _ in blocks])
-    first = np.concatenate([[keep] + [False] * (len(c) - 1) for c, keep in blocks])
-    mask = first | (rng.random(len(labels)) < 0.8)
-    order = rng.permutation(len(labels))
-    space = LatticeSpace(len(labels), NormKind.SUP)
-    return BlockOperator(space, rng.permutation(len(blocks))[labels[order]], mask[order],
-                         coef[order])
-
-
-def _sums_by_path(e: BlockOperator, shape: tuple[int, ...], seed: int) -> None:
-    """apply_rows on random rows of ``shape`` within REL of the dense product."""
-    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (*shape, e.space.dim))
-    m = e.matrix
-    got = apply_rows(e, rows)
-    assert got.shape == rows.shape
-    assert _within(got, rows @ m.T, np.abs(rows) @ np.abs(m).T)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    pairs=st.one_of(st.sampled_from([63, 64]), st.integers(0, 64)),
-    scaled=st.integers(0, 3),
-    units=st.integers(0, 3),
-    zeros=st.integers(0, 3),
-    shape=st.sampled_from([(), (3,), (8,), (2, 5)]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(pairs=63, scaled=0, units=2, zeros=1, shape=(2, 4), seed=0)
-@example(pairs=64, scaled=0, units=2, zeros=1, shape=(2, 4), seed=0)
-@example(pairs=62, scaled=1, units=1, zeros=1, shape=(), seed=1)
-@example(pairs=63, scaled=1, units=1, zeros=1, shape=(8,), seed=1)
-def test_multi_block_sums_match_the_dense_product(pairs, scaled, units, zeros, shape, seed):
-    # with a pair, fewer than 64 blocks to sum take the multi-block path on 8
-    # rows or more (fewer take bincount) and 64 or more take bincount; with no
-    # pair, no row holds two nonzero coefs: a gather
-    e = _multi_block_stage(pairs, scaled, units, zeros, seed)
-    assert e._slots >= PRODUCT_BLOCKS
-    if pairs:
-        assert kernel(e) == ("multi-block" if pairs + scaled < 64 else "bincount")
-    _sums_by_path(e, shape, seed)
-
-
-@pytest.mark.parametrize("pairs, scaled", [(63, 0), (64, 0), (62, 1), (63, 1)])
-def test_the_multi_block_path_ends_at_64_blocks_to_sum(pairs, scaled):
-    # pairs of coef 0.5, scaled singletons of coef 2 and singletons of coef 1:
-    # a singleton sums unless its coef is 1
-    d = 2 * pairs + 70
-    labels = np.concatenate([np.arange(2 * pairs) // 2, np.arange(pairs, d - pairs)])
-    coef = np.where(labels < pairs, 0.5, 1.0)
-    coef[2 * pairs : 2 * pairs + scaled] = 2.0
-    e = BlockOperator(LatticeSpace(d), labels, True, coef)
-    assert kernel(e) == ("multi-block" if pairs + scaled < 64 else "bincount")
-    _sums_by_path(e, (2, 4), pairs)
+def test_the_smoke_demo_chains_have_plans_of_at_most_2d_columns():
+    # the demos the CLI smoke runs above d = 64 read every summing stage off one
+    # product: haar at d = 256 holds 2d - 2 distinct blocks, pairing 3p - 1
+    for f, k in ((build_dyadic(8), 510), (build_pairing(40), 119), (build_pairing(100), 299)):
+        cols, _, width = f.plan
+        assert width - 1 == k <= 2 * f.space.dim
+        assert cols.shape == (f.horizon, f.space.dim)
 
 
 def test_block_matrix_is_built_on_each_access():
@@ -270,21 +188,6 @@ def test_builders_at_256_classify_in_a_few_megabytes():
         tracemalloc.stop()
     assert report.is_martingale
     assert peak < 16 * 2**20, peak
-
-
-def test_block_sum_indexes_are_built_on_first_use_and_stay_small():
-    # a stage builds its multi-block index on its first apply to 8 rows or more;
-    # its source and column indexes, in the narrowest integer types, hold fewer
-    # bytes than one d-long intp index
-    filt = build_random_nested(256, 256, 11)
-    assert not any("_sums" in vars(e) for e in filt.ops)
-    x = vector(filt.space, np.random.default_rng(11).uniform(-1.0, 1.0, 256))
-    classify(terminal_sequence(filt, x), filt)
-    multi = [e for e in filt.ops if "_sums" in vars(e) and kernel(e) == "multi-block"]
-    assert len(multi) > 128
-    for e in multi:
-        src, cols, _ = e._sums
-        assert src.nbytes + cols.nbytes < 256 * np.dtype(np.intp).itemsize
 
 
 def test_validate_and_the_writer_hold_one_pair_of_stage_matrices():
@@ -391,9 +294,9 @@ def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, full
 
 @settings(max_examples=150, deadline=None)
 @given(**STACKED, bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 2**16))
-# terms met by multi-block stages in stacks of 8 rows or more (0-based): term 64
-# of a wide random-nested chain of 67 levels (stage 63, on 2 x 4 rows), term 40
-# of 66 pairs (stages 2 to 40, on 26 rows or more)
+# terms met by wide planned stages (0-based): term 64 of a wide random-nested
+# chain of 67 levels (stage 63, on 2 x 4 rows), term 40 of 66 pairs (stages 2
+# to 40, on 26 rows or more)
 @example(kind="wide-random-nested", size=3, members=2, full=True, dense=False, seed=1,
          bad=np.inf, where=2 * 66 * 3 + 1)
 @example(kind="wider-pairing", size=2, members=1, full=True, dense=False, seed=2,
@@ -429,3 +332,171 @@ def test_one_sequences_pair_table_is_its_rows_norms_bit_for_bit(kind, band, dens
         block = xs[n : n + (band or filt.horizon)]
         want = row_norms(filt.space, apply_rows(e, block) - xs[n])
         assert np.array_equal(table[n, : len(block)], want)
+
+
+# ---------------------------------------------------------------------------
+# Block-column plans: a refining chain's summing stages read off one product
+# ---------------------------------------------------------------------------
+
+def _refining_chain(size: int, seed: int, change: bool):
+    """``size`` block stages on d <= 12 coordinates, each refining the one
+    before: blocks split at random, rows are dropped and coefs may be 0 or
+    negative.  A block that keeps its members keeps its stored coefs, except
+    that with ``change`` one such block with a kept row gets a new coef.
+    Returns the chain, its dense matrices and whether that change was made."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 13))
+    weights = rng.uniform(0.25, 1.75, d) if rng.random() < 0.5 else None
+    space = LatticeSpace(d, NormKind.SUP if weights is None else NormKind.WEIGHTED_L1, weights)
+    labels = rng.integers(0, int(rng.integers(1, d + 1)), d)
+    ops, mats, changed = [], [], False
+    for _ in range(size):
+        coef = np.where(rng.random(d) < 0.25, 0.0, rng.uniform(-1.0, 1.0, d))
+        mask = rng.random(d) < 0.75
+        if ops:
+            prev = ops[-1]
+            split = rng.integers(0, 3, d) * (rng.random(d) < 0.3)
+            labels = np.unique(prev.labels * 3 + split, return_inverse=True)[1].reshape(d)
+            kept = np.bincount(labels)[labels] == np.bincount(prev.labels)[prev.labels]
+            coef = np.where(kept, prev.coef, coef)
+            live = kept & (np.bincount(labels, mask)[labels] > 0)
+            if change and not changed and live.any():
+                coef[rng.choice(np.flatnonzero(live))] = 2.0  # stored coefs lie in [-1, 1]
+                changed = True
+        ops.append(BlockOperator(space, labels, mask, coef))
+        mats.append(block_matrix(labels, mask, coef))
+    return Filtration(space, tuple(ops)), mats, changed
+
+
+def _plan_case(kind: str, size: int, seed: int):
+    """A chain, its dense matrices and whether it must get no plan: a builder,
+    a random_filtration draw, random stages, or a random refining chain."""
+    if kind.startswith("refining"):
+        filt, mats, changed = _refining_chain(size, seed, kind == "refining-changed")
+    else:
+        (filt, mats), changed = _chain(kind, size, seed), kind == "random-blocks"
+    summing = any(e._scale is None for e in filt.ops)
+    return filt, mats, changed or not summing
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["truncation", "pairing", "dyadic", "copy", "random-nested",
+                          "random-filtration", "random-blocks", "refining", "refining-changed"]),
+    size=st.integers(1, 8),
+    members=st.integers(0, 3),  # 0: one sequence, else a stack of that many
+    band=st.sampled_from([1, 2, None]),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    where=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_planned_pair_table_matches_the_table_of_its_stages(
+    kind, size, members, band, bad, where, seed
+):
+    filt, mats, unplannable = _plan_case(kind, size, seed)
+    if kind != "random-blocks":  # random stages may refine by chance
+        assert (filt.plan is None) == unplannable
+    staged = Filtration(filt.space, filt.ops)
+    vars(staged)["plan"] = None  # every stage by apply_rows
+    stack = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (max(members, 1), filt.horizon, filt.space.dim))
+    if bad is not None:
+        stack.flat[where % stack.size] = bad
+    xs = stack if members else stack[0]
+    band = filt.horizon if band is None else band
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf
+        got, want = _pair_table(xs, filt, band), _pair_table(xs, staged, band)
+        scale = np.stack([_band_scale(filt.space, mats, m, band) for m in stack])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(got)
+    assert _within(got[finite], want[finite], scale.reshape(got.shape)[finite])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["pairing", "dyadic", "random-nested", "random-filtration",
+                          "refining"]),
+    size=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_plan_holds_each_distinct_live_block_once(kind, size, seed):
+    # K is the number of distinct (members, coefs) blocks with a nonzero coef,
+    # and row i of stage n reads its block's coefs, or zeros where the stage
+    # drops the row or the block is dead
+    filt, _, unplannable = _plan_case(kind, size, seed)
+    if unplannable:
+        return
+    d = filt.space.dim
+    cols, (flat, k), width = filt.plan
+    blocks = set()
+    for e in filt.ops:
+        for label in np.unique(e.labels):
+            members = np.flatnonzero(e.labels == label)
+            if e.coef[members].any():
+                blocks.add((tuple(members), tuple(e.coef[members])))
+    assert width - 1 == len(blocks) <= 2 * d
+    b = np.zeros((d, width))
+    b[flat % d, k] = np.concatenate([e.coef for e in filt.ops])[flat]
+    for n, e in enumerate(filt.ops):
+        for i in range(d):
+            block = e.labels == e.labels[i]
+            read = e.mask[i] and e.coef[block].any()
+            assert np.array_equal(b[:, cols[n, i]], np.where(block & read, e.coef, 0.0))
+
+
+def _unplannable(name: str) -> Filtration:
+    """A chain that gets no plan: two block stages of which neither refines
+    the other ({1, 2} meets both pairs), a dense stage, or no summing stage."""
+    if name in ("truncation", "copy"):
+        return {"truncation": build_truncation, "copy": build_copy}[name](6)
+    space = LatticeSpace(4)
+    pairs = BlockOperator(space, np.array([0, 0, 1, 1]), True, 0.5)
+    middle = BlockOperator(space, np.array([0, 1, 1, 2]), True, [1.0, 0.5, 0.5, 1.0])
+    dense = PosOperator(space, pairs.matrix)
+    stages = {"pairs-then-middle": (pairs, middle), "middle-then-pairs": (middle, pairs),
+              "dense-first": (dense, pairs), "dense-last": (pairs, dense)}[name]
+    assert Filtration(space, (pairs, pairs)).plan is not None
+    return Filtration(space, stages)
+
+
+@pytest.mark.parametrize("name", ["pairs-then-middle", "middle-then-pairs", "dense-first",
+                                  "dense-last", "truncation", "copy"])
+def test_a_chain_gets_no_plan(name):
+    assert _unplannable(name).plan is None
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [
+        (lambda: build_random_nested(64, 64, 1), 2 * 64 - 1),  # one block, then two per split
+        (lambda: build_random_nested(100, 40, 2, "sup"), 2 * 40 - 1),
+        (lambda: build_pairing(3), 3 * 3 - 1),  # 2p singletons and p - 1 pairs
+        (lambda: build_pairing(64), 3 * 64 - 1),
+        (lambda: build_dyadic(2), 2 * 4 - 2),  # 2 + 4 + ... + d blocks
+        (lambda: build_dyadic(6), 2 * 64 - 2),
+    ],
+    ids=["random-nested-64", "random-nested-100-depth-40", "pairing-3", "pairing-64",
+         "dyadic-2", "dyadic-6"],
+)
+def test_a_builders_plan_has_its_count_of_columns(build, k):
+    filt = build()
+    cols, _, width = filt.plan
+    assert width - 1 == k <= 2 * filt.space.dim
+    assert int(cols.max()) <= k
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_a_plan_is_built_on_first_use_in_narrow_integers(seed):
+    # like Filtration.norms, built by the first table that needs it and kept;
+    # its indexes take fewer bytes than 4 N d, half of one (N, d) float table
+    filt = build_random_nested(256, 256, seed)
+    assert "plan" not in vars(filt)
+    x = vector(filt.space, np.random.default_rng(seed).uniform(-1.0, 1.0, 256))
+    assert classify(terminal_sequence(filt, x), filt).is_martingale
+    cols, entries, width = vars(filt)["plan"]
+    assert filt.plan is vars(filt)["plan"]
+    assert width - 1 == 2 * 256 - 1
+    assert cols.dtype == np.uint16
+    assert not any(a.flags.writeable for a in (cols, *entries))
+    assert cols.nbytes + sum(a.nbytes for a in entries) < 4 * 256 * 256

@@ -152,49 +152,31 @@ def _stage_paths() -> dict[str, object]:
     d = 130
     space = LatticeSpace(d, NormKind.SUP)
     labels = np.arange(d)
-    pairs_first = np.where(labels < 20, labels // 2, labels - 10)  # 10 pairs, 110 singletons
     stages = {
         "dense": PosOperator(space, np.random.default_rng(3).uniform(-1.0, 1.0, (d, d))),
         "diagonal": BlockOperator(space, labels, labels % 3 > 0, 1.0),
         "gather": BlockOperator(space, labels // 2, True, (labels % 2 == 0) * 1.0),
         "product": BlockOperator(space, labels // 5, True, 0.2),  # 26 label slots
-        # 120 label slots: 10 blocks of two nonzero coefs, 110 singletons of coef 1
-        "multi-block": BlockOperator(space, pairs_first, labels % 7 > 0,
-                                     np.where(labels < 20, 0.5, 1.0)),
-        "bincount": BlockOperator(space, labels // 2, True, 0.5),  # 65 blocks of two
+        # 65 blocks of two, rows dropped, coefs zero and negative among them
+        "bincount": BlockOperator(space, labels // 2, labels % 7 > 0, (labels % 5 - 2) / 4),
     }
     for name, stage in stages.items():
         assert kernel(stage) == name
     return stages
 
 
-PATHS = ["dense", "diagonal", "gather", "product", "multi-block", "bincount"]
+PATHS = ["dense", "diagonal", "gather", "product", "bincount"]
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("shape", [(8,), (2, 4)], ids=["2d", "3d"])
 def test_each_path_runs_where_named(path, shape):
-    # on a stack of 8 rows, only the bincount path calls np.bincount and only
-    # the multi-block path appends x to its block sums
+    # only the bincount path calls np.bincount
     op = _stage_paths()[path]
     rows = np.random.default_rng(5).uniform(-1.0, 1.0, (*shape, op.space.dim))
-    with (mock.patch.object(np, "bincount", wraps=np.bincount) as counts,
-          mock.patch.object(np, "concatenate", wraps=np.concatenate) as joins):
-        out = apply_rows(op, rows)
-    assert counts.called == (path == "bincount")
-    assert joins.called == (path == "multi-block")
-    assert np.allclose(out, rows @ op.matrix.T, rtol=0.0, atol=1e-13)
-
-
-@pytest.mark.parametrize("shape", [(), (7,), (1, 7)], ids=["1d", "2d", "3d"])
-def test_a_few_rows_take_a_multi_block_stage_by_bincount_without_its_index(shape):
-    named = _stage_paths()["multi-block"]  # naming it built its index: take a fresh copy
-    op = BlockOperator(named.space, named.labels, named.mask, named.coef)
-    rows = np.random.default_rng(6).uniform(-1.0, 1.0, (*shape, op.space.dim))
     with mock.patch.object(np, "bincount", wraps=np.bincount) as counts:
         out = apply_rows(op, rows)
-    assert counts.call_count == 1
-    assert "_sums" not in vars(op)
+    assert counts.called == (path == "bincount")
     assert np.allclose(out, rows @ op.matrix.T, rtol=0.0, atol=1e-13)
 
 

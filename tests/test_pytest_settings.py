@@ -1,0 +1,40 @@
+"""The repository's pytest settings report every test, a failing property included."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+PROBE = '''
+from hypothesis import given, settings, strategies as st
+
+
+def test_before():
+    pass
+
+
+@settings(database=None)
+@given(st.integers())
+def test_a_failing_property(n):
+    assert n != n
+
+
+def test_after():
+    pass
+'''
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # Hypothesis reports a failure through a hook that imports modules raising
+    # DeprecationWarning; under filterwarnings = "error" alone that ended the
+    # session with INTERNALERROR and the tests after it never ran.
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", str(tmp_path / "test_probe.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 2 passed" in run.stdout
+    assert run.returncode == 1
