@@ -313,23 +313,6 @@ def build_copy(n: int) -> Filtration:
     )
 
 
-def _conditional_expectation(space: LatticeSpace, labels: np.ndarray) -> BlockOperator:
-    """Weighted block-averaging projection onto a partition given by
-    non-negative integer labels.
-
-    On a weighted-L1 space, block b maps x to sum_{j in b} w_j x_j / W_b on
-    each of its coordinates; sup spaces average uniformly.  Either way the
-    operator is a positive projection of norm one.
-    """
-    w = space.weights if space.weights is not None else np.ones(space.dim)
-    # bincount adds in index order, which is what np.sum does below 8 terms;
-    # larger blocks take np.sum's pairwise order, so W_b is w[b].sum() exactly
-    block_weight = np.bincount(labels, w)
-    for b in np.flatnonzero(np.bincount(labels) >= 8):
-        block_weight[b] = w[labels == b].sum()
-    return BlockOperator(space, labels, True, w / block_weight[labels])
-
-
 def build_random_nested(
     dim: int,
     depth: int,
@@ -341,8 +324,16 @@ def build_random_nested(
     Level n has exactly n blocks (level 1 averages everything; when
     depth == dim every final block is a singleton, so the last operator is
     the identity).  E_n is the conditional expectation onto level n's
-    partition, weighted by the space's cell weights.  Deterministic per
-    seed; weighted-L1 spaces get random weights normalized to sum to one.
+    partition, weighted by the space's cell weights: coordinate j of block
+    b gets w_j / W_b, with W_b the weight of b.  Deterministic per seed;
+    weighted-L1 spaces get random weights normalized to sum to one.
+
+    A running table holds each block's size and weight W_b.  A split
+    changes only the block it cuts and the block it makes, so each level
+    sums those two parts and every other block carries its weight over.
+    Each part is summed as ``w[np.sort(part)].sum()``, in index order, the
+    reduction ``w[labels == b].sum()`` performs, so every W_b is bit for
+    bit the weight summed afresh from the level's labels.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -355,22 +346,22 @@ def build_random_nested(
         space = LatticeSpace(dim, kind, w / w.sum())
     else:
         space = LatticeSpace(dim, kind)
+    w = space.weights if space.weights is not None else np.ones(dim)
 
     labels = np.zeros(dim, dtype=int)
-    partitions = [labels.copy()]
-    for level in range(2, depth + 1):
-        sizes = np.bincount(labels)
-        splittable = np.flatnonzero(sizes >= 2)
-        block = int(rng.choice(splittable))
-        members = np.flatnonzero(labels == block)
-        members = rng.permutation(members)
+    size, weight = np.zeros(depth, dtype=int), np.zeros(depth)  # by block label
+    size[0], weight[0] = dim, w.sum()
+    ops = [BlockOperator(space, labels, True, w / weight[labels])]
+    for level in range(1, depth):  # level + 1 blocks after this split
+        block = int(rng.choice(np.flatnonzero(size[:level] >= 2)))
+        members = rng.permutation(np.flatnonzero(labels == block))
         cut = int(rng.integers(1, members.size))
         labels = labels.copy()
-        labels[members[:cut]] = level - 1
-        partitions.append(labels.copy())
-
-    ops = tuple(_conditional_expectation(space, p) for p in partitions)
-    return Filtration(space, ops)
+        labels[members[:cut]] = level
+        for b, part in ((level, members[:cut]), (block, members[cut:])):
+            size[b], weight[b] = part.size, w[np.sort(part)].sum()
+        ops.append(BlockOperator(space, labels, True, w / weight[labels]))
+    return Filtration(space, tuple(ops))
 
 
 __all__ = [

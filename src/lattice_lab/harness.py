@@ -482,8 +482,9 @@ def check_tail_modification(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> TheoremResult:
     """Replacing the tail by E_n x yields eventual martingales converging
-    back to the original sequence (witness <= m+1, distances non-increasing
-    down to eps).  A horizon below 2 leaves no tail to replace: ValueError."""
+    back to the original sequence (witness <= m+1, the last distance within
+    eps).  ||A^m - A|| is the largest of the same rows over n > m, so the
+    distances cannot increase.  A horizon below 2 leaves no tail: ValueError."""
     _require_horizon("tail modification", seq.horizon)
     eps, _, premises, early = _convergent_asymptotic_premises("tail-approx", seq, limit_vec, filt)
     if early is not None:
@@ -497,11 +498,8 @@ def check_tail_modification(
             break
         distances.append(float(gap))
     else:
-        monotone = all(b <= a + FLOAT_SLACK for a, b in zip(distances, distances[1:]))
-        ok = monotone and distances[-1] <= eps
-        status = CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED
-        witness = {"premises": premises, "eps": float(eps), "distances": distances,
-                   "non_increasing": monotone}
+        status = CheckStatus.CONFIRMED if distances[-1] <= eps else CheckStatus.VIOLATED
+        witness = {"premises": premises, "eps": float(eps), "distances": distances}
     return TheoremResult("tail-approx", _filt_descriptor(filt), status, witness, None)
 
 

@@ -33,7 +33,7 @@ from lattice_lab import (
     vector,
 )
 from lattice_lab import filtration
-from lattice_lab.filtration import MAX_DYADIC_LEVELS, _conditional_expectation
+from lattice_lab.filtration import MAX_DYADIC_LEVELS
 from lattice_lab.harness import random_filtration
 
 BUILDERS = [
@@ -261,20 +261,31 @@ def test_report_serialization_shape():
     ]
 
 
-@settings(max_examples=80, deadline=None)
+def _assert_stages_are_conditional_expectations(filt: Filtration) -> None:
+    for stage in filt.ops:  # bit for bit: each block weight summed afresh, in index order
+        assert np.array_equal(stage.matrix, conditional_expectation(filt.space, stage.labels))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    dim=st.integers(1, 40),
-    n_labels=st.integers(1, 40),
+    data=st.data(),
+    dim=st.integers(1, 64),
     norm_kind=st.sampled_from(list(NormKind)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_conditional_expectation_matches_per_block_loop(dim, n_labels, norm_kind, seed):
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, n_labels, size=dim) * int(rng.integers(1, 4))  # gaps in labels
-    weights = rng.uniform(0.25, 1.75, size=dim) if norm_kind is NormKind.WEIGHTED_L1 else None
-    space = LatticeSpace(dim, norm_kind, weights)
-    got = _conditional_expectation(space, labels).matrix
-    assert np.array_equal(got, conditional_expectation(space, labels))  # bit for bit
+def test_random_nested_stages_are_conditional_expectations(data, dim, norm_kind, seed):
+    depth = data.draw(st.integers(1, dim), label="depth")
+    _assert_stages_are_conditional_expectations(build_random_nested(dim, depth, seed, norm_kind))
+
+
+@pytest.mark.parametrize("norm_kind", list(NormKind))
+@pytest.mark.parametrize("dim,depth,seed", [(260, 6, 0), (300, 6, 1), (512, 4, 7)])
+def test_random_nested_sums_blocks_past_the_pairwise_block(dim, depth, seed, norm_kind):
+    # np.sum adds more than 128 terms in halves, and the first split of d >= 258
+    # coordinates leaves a part of more than 128, so these sums check that order too
+    filt = build_random_nested(dim, depth, seed, norm_kind)
+    assert np.bincount(filt.ops[1].labels).max() > 128
+    _assert_stages_are_conditional_expectations(filt)
 
 
 def _base_chain(kind: str, size: int, seed: int) -> Filtration:

@@ -113,7 +113,8 @@ def test_tail_modification_on_harmonic():
     assert result.status is CheckStatus.CONFIRMED
     dist = result.witness["distances"]
     assert dist[0] == pytest.approx(1.0 / 2, abs=1e-12)  # max tail norm beyond m=1
-    assert result.witness["non_increasing"] is True
+    assert all(b <= a for a, b in zip(dist, dist[1:]))  # a max over fewer of the same rows
+    assert list(result.witness) == ["premises", "eps", "distances"]
 
 
 def test_tail_modification_refuses_a_single_term():
@@ -557,14 +558,6 @@ def _tail_late_witness(mp, calls):
     return check_tail_modification(base, zero(filt.space), filt)
 
 
-def _tail_not_non_increasing(mp, calls):
-    # Each stack's distances come back reversed, so they increase within it.
-    filt, base, _ = harmonic_tail_example(64)
-    _spy(mp, calls, "_pair_table")
-    _spy(mp, calls, "row_norms", lambda n, out, space, rows: out[::-1] if rows.ndim == 3 else out)
-    return check_tail_modification(base, zero(filt.space), filt)
-
-
 def _band_witness_order(mp, calls):
     # |A| of trial 70 (the second stack of 64) loses its eventual witness.
     _spy(mp, calls, "random_eventual_martingale")
@@ -600,7 +593,6 @@ VIOLATIONS = {
     "closed-limits-triangle": _limits_triangle,
     "closed-limits-limit-not-x": _limits_limit_not_x,
     "tail-approx-late-witness": _tail_late_witness,
-    "tail-approx-not-non-increasing": _tail_not_non_increasing,
     "band-lattice-witness-order": _band_witness_order,
     "band-lattice-analytic-bound": _band_analytic_bound,
     "band-lattice-abs-pair": _band_abs_pair,
