@@ -69,13 +69,57 @@ class Filtration(_Frozen):
         return tuple(operator_norm(e) for e in self.ops)
 
     @cached_property
-    def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int] | None:
-        """The block columns of a refining chain of block stages, built on first
-        use, or None: ``(cols, entries, width)``.  Row i of stage n reads column
-        ``cols[n, i]`` of a d x ``width`` matrix B whose last column is zero; at
-        ``entries`` (n * d + j, k), B holds coef_j of the stage n where column k
-        first appears (see :func:`lattice_lab.martingales._pair_table`)."""
-        return _block_columns(self.ops, self.space.dim)
+    def plan(self) -> tuple | None:
+        """How a pair table reads every stage of a chain of block stages, each refining the
+        last, off one source; built on first use, or None.  ``(cols, entries, width, ends)``:
+        row i of stage n reads row ``cols[n, i]`` of a ``width``-row source, coordinate r of
+        the terms for r < d, zeros at d, then B.T x with c at each ``entries`` (p, j, c) of
+        B.T; ``ends[n]`` is one past stage n's last row in a live block (a block with a
+        nonzero coef; a dead one reads zeros).  Stage n's block l is n * d + l.  A live block
+        starts a column unless its block before had its members and was live, and then keeps
+        its coefs: the blocks nest, so K < 2d.  A column whose one nonzero coef is 1 reads its
+        coordinate.  See :func:`lattice_lab.martingales._pair_table`.
+        """
+        ops, d = self.ops, self.space.dim
+        if not all(isinstance(e, BlockOperator) for e in ops):
+            return None
+        size = len(ops) * d
+        ids = np.int32 if size < 2**31 else np.intp
+        block = np.concatenate([e.labels for e in ops], dtype=ids)
+        grid = block.reshape(-1, d)
+        grid += np.arange(0, size, d, dtype=ids)[:, None]
+        up = np.arange(size, dtype=ids)  # each block's block in the stage before
+        up[block[d:]] = block[:-d]
+        if (up[block[d:]] != block[:-d]).any():
+            return None
+        kept = np.bincount(block, minlength=size).astype(ids)  # member counts, then whether
+        kept = kept == kept[up]  # a block has the members of its block before
+        coef = np.concatenate([e.coef for e in ops])
+        live = np.zeros(size, dtype=bool)
+        live[block[coef != 0.0]] = True
+        kept &= live & live[up]
+        kept[:d] = False
+        new = live & ~kept
+        n_cols = int(np.count_nonzero(new))  # K, at least 2d only if rows come and go
+        if kept[block[d:][coef[d:] != coef[:-d]]].any() or n_cols >= 2 * d:
+            return None
+        narrow = np.min_scalar_type(d + n_cols)
+        start = np.zeros(size, dtype=narrow)  # each new block's 1-based column, 0 for none
+        start[new] = np.arange(1, n_cols + 1)
+        start = start[block]
+        firsts = np.flatnonzero((coef != 0.0) & (start > 0))  # B's entries, by cell
+        k, j, coef = start[firsts], (firsts % d).astype(narrow), coef[firsts]
+        unit = (np.bincount(k)[k] == 1) & (coef == 1.0)
+        row = np.ones(n_cols + 1, dtype=narrow)  # each 1-based column's source row, 0: none
+        row[k[unit]] = 0
+        row = np.cumsum(row, dtype=narrow) + (d - 1)
+        width = int(row[-1]) + 1
+        row[k[unit]] = j[unit]
+        read = np.concatenate([e.mask for e in ops]).reshape(-1, d) & live[grid]
+        cols = row[np.where(read, np.maximum.accumulate(start.reshape(-1, d)), 0)]
+        ends = (read * np.arange(1, d + 1, dtype=narrow)).max(axis=1)
+        entries = row[k[~unit]] - (d + 1), j[~unit], coef[~unit]
+        return _frozen(cols), tuple(map(_frozen, entries)), width, _frozen(ends)
 
     def op(self, n: int) -> Operator:
         if not 1 <= n <= self.horizon:
@@ -84,36 +128,6 @@ class Filtration(_Frozen):
 
     def __repr__(self) -> str:
         return f"Filtration(dim={self.space.dim}, horizon={self.horizon})"
-
-
-def _block_columns(ops: tuple[Operator, ...], d: int) -> tuple | None:
-    """``Filtration.plan`` of block stages, some summing, each refining the last and keeping
-    its kept blocks' coefs: the blocks nest, so K < 2d.  Stage n's block l is n * d + l."""
-    if not all(isinstance(e, BlockOperator) for e in ops) or all(
-            e._scale is not None for e in ops):
-        return None
-    size = len(ops) * d
-    block = np.concatenate([e.labels for e in ops]) + np.repeat(np.arange(0, size, d), d)
-    coef = np.concatenate([e.coef for e in ops])
-    up = np.arange(size)  # each block's block in the stage before
-    up[block[d:]] = block[:-d]
-    members = np.bincount(block, minlength=size)
-    live = np.zeros(size, dtype=bool)  # a dead block reads the zero column
-    live[block[coef != 0.0]] = True
-    kept = live & (members == members[up])  # the same members as its block before
-    kept[:d] = False
-    if (up[block[d:]] != block[:-d]).any() or kept[block[d:][coef[d:] != coef[:-d]]].any():
-        return None
-    new = live & ~kept
-    n_cols = int(np.count_nonzero(new))  # K; column K is the zero column
-    narrow = np.min_scalar_type(n_cols)
-    starts = new[block]  # the (stage, coordinate) cells where a column starts
-    start_col = np.where(starts, (np.cumsum(new) - 1).astype(narrow)[block], 0)  # stage order
-    cols = np.maximum.accumulate(start_col.reshape(-1, d))  # each coordinate's last start
-    read = (np.concatenate([e.mask for e in ops]) & live[block]).reshape(-1, d)
-    firsts = np.flatnonzero(starts)
-    entries = firsts.astype(np.min_scalar_type(size)), start_col[firsts]
-    return _frozen(np.where(read, cols, n_cols)), tuple(map(_frozen, entries)), n_cols + 1
 
 
 class LawCheck(_Record):

@@ -38,7 +38,7 @@ from .filtration import (
     build_truncation,
     is_contractive_filtration,
 )
-from .operators import Operator, apply_rows
+from .operators import BlockOperator, Operator, apply_rows
 from .spaces import (
     DEFAULT_TOL,
     LatticeSpace,
@@ -53,6 +53,7 @@ from .spaces import (
 
 DEFAULT_EPS_FRACTION = 0.05
 DEFAULT_WINDOW_FRACTION = 0.25
+_PLAN_ROWS = 128  # rows per stage (members times band) from which a table reads a plan
 
 REPORT_NOTES = (
     "defect entry n is the max over terms m = n..N; the final entry uses only the final term",
@@ -141,19 +142,25 @@ def _pair_table(
     ``terms`` is one sequence or a (..., N, d) stack; the table is (..., N, band).
     Row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band (default:
     the horizon); entries past the horizon are zero, which no reduction below
-    mistakes for a defect.  Each stage applies E_n once to the (..., band, d)
-    block, subtracts x_n and takes |.| in place (on fresh memory), then
-    reduces it.  Stacks are bounded by ``harness.STACK_FLOATS``: whole
-    families raised the peak RSS of ``verify``.
+    mistakes for a defect.  Each stage gets E_n of the (..., band, d) block of
+    terms, subtracts x_n and takes |.| in place (on fresh memory), then reduces
+    it.  Stacks are bounded by ``harness.STACK_FLOATS``: whole families raised
+    the peak RSS of ``verify``.
 
-    A chain with a :attr:`Filtration.plan` makes one product per table.
-    Column k of its d x (K + 1) matrix B holds one block's coefs, so
-    (x @ B)_k is that block's sum of coef_j x_j.  Row i of E_n x is mask_i
-    times the sum over i's block at stage n, so it is (x @ B)[cols[n, i]],
-    the zero column K standing for a dropped row or a dead block.  A block
-    that survives to the next stage keeps its members, coefs and so its
-    column: K < 2d.  Gathered from the transposed product, one sequence's
-    rows have the layout ``apply_rows`` gives them: norms add alike.
+    A chain with a :attr:`Filtration.plan` reads every stage off one source: the
+    terms' coordinates, a zero row and the rows of B.T x, one per block that sums.
+    Row i of E_n x is mask_i times the sum over i's block at stage n, so it is
+    source row ``cols[n, i]``.  Stage n gathers only its rows up to ``ends[n]``;
+    each later row reads zero and adds |x_n,i| whatever m is, one norm per stage,
+    joined to every pair after the loop (a maximum on a sup space, so the table
+    is the per-stage one bit for bit when no block sums two coefs).  One rule
+    picks the plan, from what its set-up costs (measured on a 2-core Xeon): a
+    table of at least ``_PLAN_ROWS`` (128) rows per stage, members times band,
+    reads it, and so does a chain with a summing stage from d = 32, whose one
+    product replaces a block sum per stage.  Below that per-stage gathers cost
+    less (a truncation table of one sequence at band < 32 took 1.1-1.7x as long
+    through the plan, band-2 stacks of 8 at d = 64 1.4x), and a summing chain
+    of d < 32 tabled once does not earn back its build (70-110 us at d <= 24).
 
     A NaN or infinite term x_m makes every pair it is in non-finite, in its
     own member only, and (n, m) NaN for each n, as ``0 * inf`` does in a
@@ -161,27 +168,43 @@ def _pair_table(
     without this such a term could pass a law.
     """
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
-    n_terms = xs.shape[-2]
+    n_terms, d = xs.shape[-2:]
     band = n_terms if band is None else band
-    if (plan := filt.plan) is not None:  # B.T, built from the stages' coefs on each call
-        cols, (flat, k), width = plan
-        sums = np.zeros((width, filt.space.dim))
-        sums[k, flat % filt.space.dim] = np.concatenate([e.coef for e in filt.ops])[flat]
-        sums = sums @ np.swapaxes(xs, -1, -2)  # (xs @ B).T, and B.T is freed
-    table = np.zeros((*xs.shape[:-2], n_terms, band))
     w = filt.space.weights  # None on a sup space: row_norms without its temporary
+    sums = d >= 32 and any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
+    plan = filt.plan if sums or math.prod(xs.shape[:-2]) * band >= _PLAN_ROWS else None
+    tails = None
+    if plan is not None:
+        cols, (p, j, coef), width, ends = plan
+        src = np.empty((width, *xs.shape[-2::-1]))  # (width, N, ...)
+        src[:d], src[d] = xs.T, 0.0
+        if width > d + 1:  # B.T, built on each call
+            bt = np.zeros((width - d - 1, d))
+            bt[p, j] = coef
+            np.matmul(bt, src[:d].reshape(d, -1), out=src[d + 1 :].reshape(len(bt), -1))
+            del bt
+        if ends.min() < d:  # each stage's norm of |x_n| on its rows from ends[n] on
+            tails = (np.maximum if w is None else np.add).reduce(
+                np.abs(xs) if w is None else np.abs(xs) * w, axis=-1,
+                where=np.arange(d) >= ends[:, None], initial=0.0)
+        ends = ends.tolist()
+    table = np.zeros((*xs.shape[:-2], n_terms, band))
     for n, e in enumerate(filt.ops):
-        if plan is not None and e._scale is None:
-            rows = np.swapaxes(sums[..., cols[n], n : n + band], -1, -2)
-        else:
-            rows = apply_rows(e, xs[..., n : n + band, :])
-        rows -= xs[..., n, None, :]
+        if plan is None:
+            end, rows = d, apply_rows(e, xs[..., n : n + band, :])
+        else:  # (..., band, end), as apply_rows lays rows out
+            end = ends[n]
+            rows = src[cols[n, :end], n : n + band].swapaxes(0, -1)
+        rows -= xs[..., n, None, :end]
         np.abs(rows, out=rows)
         out = table[..., n, : rows.shape[-2]]  # each reduction writes its slice of the table
         if w is None:
-            rows.max(axis=-1, out=out)
+            rows.max(axis=-1, out=out, initial=0.0)
         else:
-            np.matmul(rows, w, out=out)
+            np.matmul(rows, w[:end], out=out)
+    if tails is not None:  # the rows from ends[n] on, in every pair below the horizon
+        within = np.tri(n_terms, band, dtype=bool)[::-1]
+        (np.maximum if w is None else np.add)(table, tails[..., None], out=table, where=within)
     for *member, m in np.argwhere(~np.isfinite(xs).all(axis=-1)):
         n = np.arange(max(0, m - band + 1), m + 1)
         table[(*member, n, m - n)] = np.nan

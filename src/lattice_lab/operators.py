@@ -13,8 +13,8 @@ here reads it: :func:`apply_rows`, :func:`operator_norm` and
 :func:`apply_rows` has three paths on a block stage with B label slots: a
 gather when no block holds two nonzero coefs, else block sums, by one
 product with a d x (B + 1) matrix below B = 64 and by one ``bincount``
-from 64 on.  A pair table reads the summing stages of a refining chain
-off one product instead (:func:`lattice_lab.martingales._pair_table`).
+from 64 on.  A pair table reads every stage of a refining chain off one
+source instead, by the rule :func:`lattice_lab.martingales._pair_table` states.
 
 Provides the induced norm (:func:`operator_norm`) and one structural
 test, :func:`is_lattice_homomorphism`.  Positivity, idempotence and

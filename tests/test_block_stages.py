@@ -2,6 +2,7 @@
 the memory they save."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,12 +24,14 @@ from lattice_lab import (
     build_random_nested,
     build_truncation,
     classify,
+    harmonic_tail_example,
     is_lattice_homomorphism,
     operator_norm,
     terminal_sequence,
     validate,
     vector,
 )
+from lattice_lab import martingales
 from lattice_lab.harness import random_filtration
 from lattice_lab.jsonio import Instance, instance_text
 from lattice_lab.martingales import _pair_table
@@ -161,12 +164,14 @@ def test_wide_block_stages_match_the_dense_builders(kind, size, seed):
 
 
 def test_the_smoke_demo_chains_have_plans_of_at_most_2d_columns():
-    # the demos the CLI smoke runs above d = 64 read every summing stage off one
-    # product: haar at d = 256 holds 2d - 2 distinct blocks, pairing 3p - 1
-    for f, k in ((build_dyadic(8), 510), (build_pairing(40), 119), (build_pairing(100), 299)):
-        cols, _, width = f.plan
-        assert width - 1 == k <= 2 * f.space.dim
-        assert cols.shape == (f.horizon, f.space.dim)
+    # the demos the CLI smoke runs above d = 64 read every stage off one plan:
+    # haar at d = 256 holds 2d - 2 distinct blocks, pairing 3p - 1, and the
+    # truncation chain of ``demo null`` its d coordinates, with no product
+    for f, k, p in ((build_dyadic(8), 510, 254), (build_pairing(40), 119, 39),
+                    (build_pairing(100), 299, 99), (build_truncation(256), 256, 0)):
+        assert _columns(f) == (k, p)
+        assert k <= 2 * f.space.dim
+        assert f.plan[0].shape == (f.horizon, f.space.dim)
 
 
 def test_block_matrix_is_built_on_each_access():
@@ -335,56 +340,122 @@ def test_one_sequences_pair_table_is_its_rows_norms_bit_for_bit(kind, band, dens
 
 
 # ---------------------------------------------------------------------------
-# Block-column plans: a refining chain's summing stages read off one product
+# Block-column plans: every stage of a refining chain read off one source
 # ---------------------------------------------------------------------------
 
-def _refining_chain(size: int, seed: int, change: bool):
+def _refining_chain(size: int, seed: int, variant: str = ""):
     """``size`` block stages on d <= 12 coordinates, each refining the one
     before: blocks split at random, rows are dropped and coefs may be 0 or
     negative.  A block that keeps its members keeps its stored coefs, except
-    that with ``change`` one such block with a kept row gets a new coef.
-    Returns the chain, its dense matrices and whether that change was made."""
+    that one such block with a kept row gets a new coef 2.0 (stored coefs lie
+    in [-1, 1]): if ``variant`` holds "changed", one that was live at the stage
+    before, if it holds "revived", one that was dead there.  With "suffix"
+    every stage keeps a random prefix of its rows, possibly none, and with
+    "gathers" a new block keeps only its first member's coef, so no block sums
+    two.  Returns the chain and its dense matrices."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 13))
     weights = rng.uniform(0.25, 1.75, d) if rng.random() < 0.5 else None
     space = LatticeSpace(d, NormKind.SUP if weights is None else NormKind.WEIGHTED_L1, weights)
     labels = rng.integers(0, int(rng.integers(1, d + 1)), d)
-    ops, mats, changed = [], [], False
+    edit = "changed" if "changed" in variant else "revived" if "revived" in variant else None
+    ops, mats, edited = [], [], False
     for _ in range(size):
         coef = np.where(rng.random(d) < 0.25, 0.0, rng.uniform(-1.0, 1.0, d))
-        mask = rng.random(d) < 0.75
+        if "suffix" in variant:
+            mask = np.arange(d) < rng.integers(0, d + 1)
+        else:
+            mask = rng.random(d) < 0.75
         if ops:
             prev = ops[-1]
             split = rng.integers(0, 3, d) * (rng.random(d) < 0.3)
             labels = np.unique(prev.labels * 3 + split, return_inverse=True)[1].reshape(d)
+        if "gathers" in variant:  # a new block's coef sits on its first member
+            first = np.zeros(d, dtype=bool)
+            first[np.unique(labels, return_index=True)[1]] = True
+            coef = np.where(first, coef, 0.0)
+        if ops:
             kept = np.bincount(labels)[labels] == np.bincount(prev.labels)[prev.labels]
             coef = np.where(kept, prev.coef, coef)
-            live = kept & (np.bincount(labels, mask)[labels] > 0)
-            if change and not changed and live.any():
-                coef[rng.choice(np.flatnonzero(live))] = 2.0  # stored coefs lie in [-1, 1]
-                changed = True
+            alive = kept & (np.bincount(labels, mask)[labels] > 0)
+            was = np.bincount(prev.labels, prev.coef != 0.0)[prev.labels] > 0
+            pick = alive & (was if edit == "changed" else ~was)
+            if edit is not None and not edited and pick.any():
+                at = rng.choice(np.flatnonzero(pick))
+                if "gathers" in variant:  # the block's one nonzero coef moves to ``at``
+                    coef[labels == labels[at]] = 0.0
+                coef[at] = 2.0
+                edited = True
         ops.append(BlockOperator(space, labels, mask, coef))
         mats.append(block_matrix(labels, mask, coef))
-    return Filtration(space, tuple(ops)), mats, changed
+    return Filtration(space, tuple(ops)), mats
+
+
+def _plan_oracle(filt: Filtration) -> dict:
+    """A plan's counts by brute force over each stage's blocks.  A column is a
+    maximal run of stages in which one (members, coefs) block is live (holds a
+    nonzero coef); ``unit`` counts the columns whose one nonzero coef is 1,
+    ``product`` the others.  ``ends[n]`` is one past stage n's last kept row
+    in a live block, and ``changed`` whether a block live at two stages in a
+    row changed its coefs there."""
+    prev, unit, product, ends, changed = {}, 0, 0, [], False
+    for e in filt.ops:
+        live = {}
+        for label in np.unique(e.labels):
+            members = tuple(np.flatnonzero(e.labels == label).tolist())
+            coefs = tuple(e.coef[list(members)].tolist())
+            if not any(coefs):
+                continue
+            live[members] = coefs
+            if members in prev:
+                changed |= prev[members] != coefs
+            elif [c for c in coefs if c] == [1.0]:
+                unit += 1
+            else:
+                product += 1
+        read = [i for i in range(filt.space.dim)
+                if e.mask[i] and tuple(np.flatnonzero(e.labels == e.labels[i])) in live]
+        ends.append(read[-1] + 1 if read else 0)
+        prev = live
+    return {"unit": unit, "product": product, "ends": ends, "changed": changed}
 
 
 def _plan_case(kind: str, size: int, seed: int):
     """A chain, its dense matrices and whether it must get no plan: a builder,
-    a random_filtration draw, random stages, or a random refining chain."""
+    a random_filtration draw, random stages (None: they may refine by chance),
+    or a random refining chain."""
     if kind.startswith("refining"):
-        filt, mats, changed = _refining_chain(size, seed, kind == "refining-changed")
+        filt, mats = _refining_chain(size, seed, kind.partition("-")[2])
     else:
-        (filt, mats), changed = _chain(kind, size, seed), kind == "random-blocks"
-    summing = any(e._scale is None for e in filt.ops)
-    return filt, mats, changed or not summing
+        filt, mats = _chain(kind, size, seed)
+    if kind == "random-blocks":
+        return filt, mats, None
+    oracle = _plan_oracle(filt)
+    too_many = oracle["unit"] + oracle["product"] >= 2 * filt.space.dim
+    return filt, mats, oracle["changed"] or too_many
 
 
-@settings(max_examples=300, deadline=None)
+def _source(plan, d: int) -> np.ndarray:
+    """The d x width matrix whose column r a row reading source row r applies:
+    e_r for r < d, zero at d, then B's columns."""
+    cols, (p, j, coef), width, ends = plan
+    m = np.zeros((d, width))
+    m[np.arange(d), np.arange(d)] = 1.0
+    m[j, d + 1 + p] = coef
+    return m
+
+
+PLAN_KINDS = ["truncation", "pairing", "dyadic", "copy", "random-nested", "random-filtration",
+              "random-blocks", "refining", "refining-changed", "refining-revived",
+              "refining-suffix", "refining-gathers-suffix", "refining-gathers-revived",
+              "refining-gathers-changed"]
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    kind=st.sampled_from(["truncation", "pairing", "dyadic", "copy", "random-nested",
-                          "random-filtration", "random-blocks", "refining", "refining-changed"]),
+    kind=st.sampled_from(PLAN_KINDS),
     size=st.integers(1, 8),
-    members=st.integers(0, 3),  # 0: one sequence, else a stack of that many
+    members=st.sampled_from([0, 1, 3]),  # 0: one sequence, else a stack of that many
     band=st.sampled_from([1, 2, None]),
     bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
     where=st.integers(0, 2**16),
@@ -393,8 +464,12 @@ def _plan_case(kind: str, size: int, seed: int):
 def test_a_planned_pair_table_matches_the_table_of_its_stages(
     kind, size, members, band, bad, where, seed
 ):
+    # every chain with a plan reads it here, so gather chains take the planned
+    # path too.  On a sup space a chain of gathers (no block sums two coefs)
+    # gives the per-stage table bit for bit: the rows past each stage's end
+    # add one exact maximum.  Block sums add in another order than apply_rows.
     filt, mats, unplannable = _plan_case(kind, size, seed)
-    if kind != "random-blocks":  # random stages may refine by chance
+    if unplannable is not None:
         assert (filt.plan is None) == unplannable
     staged = Filtration(filt.space, filt.ops)
     vars(staged)["plan"] = None  # every stage by apply_rows
@@ -404,52 +479,63 @@ def test_a_planned_pair_table_matches_the_table_of_its_stages(
         stack.flat[where % stack.size] = bad
     xs = stack if members else stack[0]
     band = filt.horizon if band is None else band
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf
+    with mock.patch.object(martingales, "_PLAN_ROWS", 0), np.errstate(invalid="ignore",
+                                                                      over="ignore"):
         got, want = _pair_table(xs, filt, band), _pair_table(xs, staged, band)
         scale = np.stack([_band_scale(filt.space, mats, m, band) for m in stack])
+    if filt.space.norm_kind is NormKind.SUP and all(e._scale is not None for e in filt.ops):
+        assert np.array_equal(got, want, equal_nan=True)
+        return
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(got)
     assert _within(got[finite], want[finite], scale.reshape(got.shape)[finite])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(["pairing", "dyadic", "random-nested", "random-filtration",
-                          "refining"]),
+    kind=st.sampled_from([k for k in PLAN_KINDS if k != "random-blocks"]),
     size=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_a_plan_holds_each_distinct_live_block_once(kind, size, seed):
-    # K is the number of distinct (members, coefs) blocks with a nonzero coef,
-    # and row i of stage n reads its block's coefs, or zeros where the stage
-    # drops the row or the block is dead
+    # the plan against the brute-force oracle: its product rows are the
+    # columns that are not one coordinate with coef 1, every stage ends where
+    # its kept rows in live blocks end, and row i of stage n reads its block's
+    # coefs, or zeros where the stage drops the row or the block is dead
     filt, _, unplannable = _plan_case(kind, size, seed)
     if unplannable:
         return
-    d = filt.space.dim
-    cols, (flat, k), width = filt.plan
-    blocks = set()
-    for e in filt.ops:
-        for label in np.unique(e.labels):
-            members = np.flatnonzero(e.labels == label)
-            if e.coef[members].any():
-                blocks.add((tuple(members), tuple(e.coef[members])))
-    assert width - 1 == len(blocks) <= 2 * d
-    b = np.zeros((d, width))
-    b[flat % d, k] = np.concatenate([e.coef for e in filt.ops])[flat]
+    d, oracle = filt.space.dim, _plan_oracle(filt)
+    cols, _, width, ends = filt.plan
+    assert width - d - 1 == oracle["product"]
+    assert ends.tolist() == oracle["ends"]
+    source = _source(filt.plan, d)
     for n, e in enumerate(filt.ops):
         for i in range(d):
             block = e.labels == e.labels[i]
             read = e.mask[i] and e.coef[block].any()
-            assert np.array_equal(b[:, cols[n, i]], np.where(block & read, e.coef, 0.0))
+            assert np.array_equal(source[:, cols[n, i]], np.where(block & read, e.coef, 0.0))
+
+
+def test_a_stage_that_keeps_no_row_ends_at_zero():
+    space = LatticeSpace(4)
+    stages = [BlockOperator(space, np.array([0, 0, 1, 1]), False, 0.5),
+              BlockOperator(space, np.array([0, 1, 2, 2]), [True, False, False, False], 0.5),
+              BlockOperator(space, np.array([0, 1, 2, 3]), [True, True, True, False],
+                            [0.5, 1.0, 1.0, 1.0])]
+    filt = Filtration(space, tuple(stages))
+    assert filt.plan[3].tolist() == [0, 1, 3] == _plan_oracle(filt)["ends"]
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 4))
+    staged = Filtration(space, filt.ops)
+    vars(staged)["plan"] = None
+    with mock.patch.object(martingales, "_PLAN_ROWS", 0):
+        assert np.array_equal(_pair_table(xs, filt), _pair_table(xs, staged))
 
 
 def _unplannable(name: str) -> Filtration:
     """A chain that gets no plan: two block stages of which neither refines
-    the other ({1, 2} meets both pairs), a dense stage, or no summing stage."""
-    if name in ("truncation", "copy"):
-        return {"truncation": build_truncation, "copy": build_copy}[name](6)
+    the other ({1, 2} meets both pairs), or a dense stage."""
     space = LatticeSpace(4)
     pairs = BlockOperator(space, np.array([0, 0, 1, 1]), True, 0.5)
     middle = BlockOperator(space, np.array([0, 1, 1, 2]), True, [1.0, 0.5, 0.5, 1.0])
@@ -461,29 +547,50 @@ def _unplannable(name: str) -> Filtration:
 
 
 @pytest.mark.parametrize("name", ["pairs-then-middle", "middle-then-pairs", "dense-first",
-                                  "dense-last", "truncation", "copy"])
+                                  "dense-last"])
 def test_a_chain_gets_no_plan(name):
     assert _unplannable(name).plan is None
 
 
+@pytest.mark.parametrize("name", ["truncation", "copy"])
+def test_a_chain_of_gathers_gets_a_plan_that_builds_no_product(name):
+    # every column reads one coordinate with coef 1: K = d rows of the terms
+    # and no B.T; truncation stage n ends after its n + 1 kept rows
+    filt = {"truncation": build_truncation, "copy": build_copy}[name](6)
+    cols, (p, j, coef), width, ends = filt.plan
+    assert width == 6 + 1 and p.size == j.size == coef.size == 0
+    assert np.unique(cols).tolist() == list(range(6 + (name == "truncation")))
+    want = [1, 2, 3, 4, 5, 6] if name == "truncation" else [6] * 6
+    assert ends.tolist() == want == _plan_oracle(filt)["ends"]
+
+
+def _columns(filt: Filtration) -> tuple[int, int]:
+    """K, the distinct source rows a plan reads (the zero row aside), and P, its rows of B.T x."""
+    cols, _, width, _ = filt.plan
+    d = filt.space.dim
+    return int(np.count_nonzero(np.unique(cols) != d)), width - d - 1
+
+
 @pytest.mark.parametrize(
-    "build, k",
+    "build, k, p",
     [
-        (lambda: build_random_nested(64, 64, 1), 2 * 64 - 1),  # one block, then two per split
-        (lambda: build_random_nested(100, 40, 2, "sup"), 2 * 40 - 1),
-        (lambda: build_pairing(3), 3 * 3 - 1),  # 2p singletons and p - 1 pairs
-        (lambda: build_pairing(64), 3 * 64 - 1),
-        (lambda: build_dyadic(2), 2 * 4 - 2),  # 2 + 4 + ... + d blocks
-        (lambda: build_dyadic(6), 2 * 64 - 2),
+        (lambda: build_random_nested(64, 64, 1), 2 * 64 - 1, 64 - 1),  # one block, two per split
+        (lambda: build_random_nested(100, 40, 2, "sup"), 2 * 40 - 1, None),  # P: its singletons
+        (lambda: build_pairing(3), 3 * 3 - 1, 3 - 1),  # 2p singletons and p - 1 pairs
+        (lambda: build_pairing(64), 3 * 64 - 1, 64 - 1),
+        (lambda: build_dyadic(2), 2 * 4 - 2, 4 - 2),  # 2 + 4 + ... + d blocks
+        (lambda: build_dyadic(6), 2 * 64 - 2, 64 - 2),
+        (lambda: build_truncation(40), 40, 0),  # every column one coordinate with coef 1
+        (lambda: build_copy(40), 40, 0),
     ],
     ids=["random-nested-64", "random-nested-100-depth-40", "pairing-3", "pairing-64",
-         "dyadic-2", "dyadic-6"],
+         "dyadic-2", "dyadic-6", "truncation-40", "copy-40"],
 )
-def test_a_builders_plan_has_its_count_of_columns(build, k):
+def test_a_builders_plan_has_its_count_of_columns(build, k, p):
+    # a singleton's coef is 1, so it reads its coordinate and adds no product row
     filt = build()
-    cols, _, width = filt.plan
-    assert width - 1 == k <= 2 * filt.space.dim
-    assert int(cols.max()) <= k
+    assert _columns(filt) == (k, _plan_oracle(filt)["product"] if p is None else p)
+    assert k <= 2 * filt.space.dim
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -494,9 +601,38 @@ def test_a_plan_is_built_on_first_use_in_narrow_integers(seed):
     assert "plan" not in vars(filt)
     x = vector(filt.space, np.random.default_rng(seed).uniform(-1.0, 1.0, 256))
     assert classify(terminal_sequence(filt, x), filt).is_martingale
-    cols, entries, width = vars(filt)["plan"]
+    cols, entries, width, ends = vars(filt)["plan"]
     assert filt.plan is vars(filt)["plan"]
-    assert width - 1 == 2 * 256 - 1
+    assert _columns(filt) == (2 * 256 - 1, 256 - 1)
     assert cols.dtype == np.uint16
-    assert not any(a.flags.writeable for a in (cols, *entries))
-    assert cols.nbytes + sum(a.nbytes for a in entries) < 4 * 256 * 256
+    assert not any(a.flags.writeable for a in (cols, *entries, ends))
+    assert cols.nbytes + sum(a.nbytes for a in (*entries, ends)) < 4 * 256 * 256
+
+
+def test_building_a_plan_holds_few_bytes_per_cell():
+    # int32 block ids, coefs compared once, each intermediate freed after use:
+    # at N = d = 256 the build peaks under 28 bytes per (stage, coordinate) cell
+    filts = [build_random_nested(256, 256, 3), harmonic_tail_example(256)[0]]
+    for filt in filts:
+        tracemalloc.start()
+        try:
+            assert filt.plan is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 256 * 256, peak
+
+
+def test_only_wide_tables_or_wide_summing_chains_read_a_plan():
+    # the rule of _pair_table: a table of _PLAN_ROWS rows per stage (members
+    # times band) reads its chain's plan, and so does a chain of d >= 32 with a
+    # stage that sums; a table that does not never builds it
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64))
+    gathers, sums, small = build_truncation(64), build_pairing(32), build_pairing(12)
+    _pair_table(xs, gathers, band=2)
+    _pair_table(xs[:32], sums, band=2)
+    _pair_table(xs[:12, :24], small)
+    assert "plan" not in vars(gathers) and "plan" in vars(sums) and "plan" not in vars(small)
+    _pair_table(np.stack([xs] * 2), gathers)
+    _pair_table(np.stack([xs[:12, :24]] * 11), small)
+    assert "plan" in vars(gathers) and "plan" in vars(small)
