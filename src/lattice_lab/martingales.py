@@ -157,10 +157,13 @@ def _pair_table(
     picks the plan, from what its set-up costs (measured on a 2-core Xeon): a
     table of at least ``_PLAN_ROWS`` (128) rows per stage, members times band,
     reads it, and so does a chain with a summing stage from d = 32, whose one
-    product replaces a block sum per stage.  Below that per-stage gathers cost
-    less (a truncation table of one sequence at band < 32 took 1.1-1.7x as long
-    through the plan, band-2 stacks of 8 at d = 64 1.4x), and a summing chain
-    of d < 32 tabled once does not earn back its build (70-110 us at d <= 24).
+    product replaces a ``bincount`` block sum per stage.  Below that per-stage
+    gathers cost less (a truncation table of one sequence at band < 32 took
+    1.1-1.7x as long through the plan, band-2 stacks of 8 at d = 64 1.4x), and
+    a summing chain of d < 32 tabled once does not earn back its build (70-110
+    us at d <= 24).  Re-measured with ``bincount`` as the per-stage block sum,
+    planning summing chains below d = 32 too made the evidence checks 4-9 %
+    slower.
 
     A NaN or infinite term x_m makes every pair it is in non-finite, in its
     own member only, and (n, m) NaN for each n, as ``0 * inf`` does in a

@@ -10,11 +10,11 @@ a block stage it is built on each access and never stored, so no hot path
 here reads it: :func:`apply_rows`, :func:`operator_norm` and
 :func:`is_lattice_homomorphism` work on the block arrays.
 
-:func:`apply_rows` has three paths on a block stage with B label slots: a
-gather when no block holds two nonzero coefs, else block sums, by one
-product with a d x (B + 1) matrix below B = 64 and by one ``bincount``
-from 64 on.  A pair table reads every stage of a refining chain off one
-source instead, by the rule :func:`lattice_lab.martingales._pair_table` states.
+:func:`apply_rows` has two paths on a block stage: a gather when no block
+holds two nonzero coefs, else block sums by one ``bincount``, which adds
+each block in index order.  A pair table reads every stage of a refining
+chain off one source instead, by the rule
+:func:`lattice_lab.martingales._pair_table` states.
 
 Provides the induced norm (:func:`operator_norm`) and one structural
 test, :func:`is_lattice_homomorphism`.  Positivity, idempotence and
@@ -68,10 +68,9 @@ class BlockOperator(_Frozen):
 
     Construction picks the kernel of :func:`apply_rows` in O(d): when no
     row holds two nonzero entries (truncations, copies, the identity), a
-    gather and a product; else row i reads slot ``_src[i]`` of the block
-    sums of coef_j x_j (slot B, zero, for dropped rows), summed by one
-    product with S[j, label_j] = coef_j, built per call, below B = 64 label
-    slots (``_slots``) and by one ``bincount`` from 64 on.
+    gather and a product; else row i reads slot ``_src[i]`` of the d + 1
+    block sums of coef_j x_j (slot d, zero, for dropped rows), summed by
+    one ``bincount``.
     """
 
     def __init__(
@@ -81,24 +80,22 @@ class BlockOperator(_Frozen):
         labels = np.asarray(labels)
         if labels.shape != (d,) or labels.dtype.kind not in "iu":
             raise ValueError(f"expected {d} integer labels, got {labels.dtype} {labels.shape}")
-        top = labels.max()
-        if labels.min() < 0 or top >= d:
+        if labels.min() < 0 or labels.max() >= d:
             labels = np.unique(labels, return_inverse=True)[1].reshape(d)
-            top = labels.max()
-        labels, slots = labels.astype(np.intp), int(top) + 1
+        labels = labels.astype(np.intp)
         kept, weights = np.empty(d, dtype=bool), np.empty(d)
         kept[...], weights[...] = mask, coef
         mask, coef, full = kept, weights, kept.all()
         if not full:
-            coef[np.bincount(labels[mask], minlength=slots)[labels] == 0] = 0.0
+            coef[np.bincount(labels[mask], minlength=d)[labels] == 0] = 0.0
         nonzero = coef != 0.0
         src = scale = None
-        if np.bincount(labels[nonzero], minlength=slots).max() > 1:
-            src = labels if full else np.where(mask, labels, slots)
-        elif slots == d and np.bincount(labels).max() == 1:  # all singletons: T is diagonal
+        if np.bincount(labels[nonzero], minlength=d).max() > 1:
+            src = labels if full else np.where(mask, labels, d)
+        elif np.bincount(labels).max() == 1:  # all singletons: T is diagonal
             scale = coef
         else:
-            head = np.empty(slots, dtype=np.intp)  # a block's nonzero column, else any member
+            head = np.empty(d, dtype=np.intp)  # a block's nonzero column, else any member
             head[labels] = np.arange(d)
             head[labels[nonzero]] = np.flatnonzero(nonzero)
             src = head[labels]
@@ -106,8 +103,7 @@ class BlockOperator(_Frozen):
         for value in (labels, mask, coef, src, scale):
             if value is not None:
                 value.setflags(write=False)
-        self._set(space=space, labels=labels, mask=mask, coef=coef,
-                  _slots=slots, _src=src, _scale=scale)
+        self._set(space=space, labels=labels, mask=mask, coef=coef, _src=src, _scale=scale)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -133,11 +129,8 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
         return rows @ op.matrix.T
     if op._scale is not None:
         return (rows if op._src is None else rows[..., op._src]) * op._scale
-    d, width = op.space.dim, op._slots + 1  # the last column stays zero for dropped rows
-    if op._slots < 64:
-        sums = np.zeros((d, width))
-        sums[np.arange(d), op.labels] = op.coef
-        return (rows @ sums)[..., op._src]
+    d = op.space.dim
+    width = d + 1  # the last column stays zero for dropped rows
     flat = rows.reshape(-1, d)
     cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
     sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)

@@ -351,10 +351,9 @@ def block_matrix(labels, mask, coef) -> np.ndarray:
 
 def kernel(op) -> str:
     """The path ``apply_rows`` takes on a stage, read off the arrays it holds:
-    "dense", "diagonal", "gather", or a block-sum kernel: "product" below 64
-    label slots and "bincount" from 64 on."""
+    "dense", "diagonal", "gather", or "bincount", the one block-sum kernel."""
     if not hasattr(op, "labels"):
         return "dense"
     if op._scale is not None:
         return "diagonal" if op._src is None else "gather"
-    return "product" if op._slots < 64 else "bincount"
+    return "bincount"
