@@ -54,6 +54,7 @@ from .spaces import (
 DEFAULT_EPS_FRACTION = 0.05
 DEFAULT_WINDOW_FRACTION = 0.25
 _PLAN_ROWS = 128  # rows per stage (members times band) from which a table reads a plan
+_CHUNK_FLOATS = 2**15  # floats one planned gather and its reduction hold (256 KB)
 
 REPORT_NOTES = (
     "defect entry n is the max over terms m = n..N; the final entry uses only the final term",
@@ -147,23 +148,29 @@ def _pair_table(
     it.  Stacks are bounded by ``harness.STACK_FLOATS``: whole families raised
     the peak RSS of ``verify``.
 
-    A chain with a :attr:`Filtration.plan` reads every stage off one source: the
-    terms' coordinates, a zero row and the rows of B.T x, one per block that sums.
-    Row i of E_n x is mask_i times the sum over i's block at stage n, so it is
-    source row ``cols[n, i]``.  Stage n gathers only its rows up to ``ends[n]``;
-    each later row reads zero and adds |x_n,i| whatever m is, one norm per stage,
-    joined to every pair after the loop (a maximum on a sup space, so the table
-    is the per-stage one bit for bit when no block sums two coefs).  One rule
-    picks the plan, from what its set-up costs (measured on a 2-core Xeon): a
-    table of at least ``_PLAN_ROWS`` (128) rows per stage, members times band,
-    reads it, and so does a chain with a summing stage from d = 32, whose one
-    product replaces a ``bincount`` block sum per stage.  Below that per-stage
-    gathers cost less (a truncation table of one sequence at band < 32 took
-    1.1-1.7x as long through the plan, band-2 stacks of 8 at d = 64 1.4x), and
-    a summing chain of d < 32 tabled once does not earn back its build (70-110
-    us at d <= 24).  Re-measured with ``bincount`` as the per-stage block sum,
-    planning summing chains below d = 32 too made the evidence checks 4-9 %
-    slower.
+    A chain with a :attr:`Filtration.plan` reads every stage off one source of
+    (width, members, N), the stack's leading axes flattened into members: the
+    terms' coordinates, a zero row and the rows of B.T x, one per block that
+    sums.  Row i of E_n x is mask_i times the sum over i's block at stage n, so
+    it is source row ``cols[n, i]``.  The loop takes consecutive stages as one
+    chunk: one gather of its rows up to the largest ``ends[n]`` over its widest
+    band window of terms, one subtraction, |.| and reduction over rows (a max,
+    or one product with the weights), off whose diagonal each stage reads its
+    band.  A chunk's gather, with one row more for its reduction, holds at most
+    ``_CHUNK_FLOATS`` (2^15) floats, or one stage: 2^14 and 2^16 took up to 1.2x
+    as long on the classify ladder's median tables (N = 128).  A stage's rows
+    past its own end read the zero row; each row past its chunk's end adds
+    |x_n,i| whatever m is, one norm per stage, joined to every pair after the
+    loop (a maximum on a sup space, so the table is the per-stage one bit for
+    bit when no block sums two coefs).  One rule picks the plan, from what its
+    set-up costs (measured on a 2-core Xeon): a table of at least
+    ``_PLAN_ROWS`` (128) rows per stage, members times band, reads it, and so
+    does a chain with a summing stage from d = 32, whose one product replaces
+    a ``bincount`` block sum per stage.  Below that per-stage gathers cost
+    less, and a summing chain of d < 32 tabled once does not earn back its
+    build (70-110 us at d <= 24).  Re-measured with chunks, planning every
+    table made the evidence checks 9-15 % slower (band-2 stacks up to 1.7x);
+    64 or 96 rows, or planning summing chains below d = 32, -2 to +12 %.
 
     A NaN or infinite term x_m makes every pair it is in non-finite, in its
     own member only, and (n, m) NaN for each n, as ``0 * inf`` does in a
@@ -171,43 +178,61 @@ def _pair_table(
     without this such a term could pass a law.
     """
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
-    n_terms, d = xs.shape[-2:]
+    *lead, n_terms, d = xs.shape
+    members = math.prod(lead)
     band = n_terms if band is None else band
     w = filt.space.weights  # None on a sup space: row_norms without its temporary
     sums = d >= 32 and any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
-    plan = filt.plan if sums or math.prod(xs.shape[:-2]) * band >= _PLAN_ROWS else None
-    tails = None
-    if plan is not None:
+    plan = filt.plan if sums or members * band >= _PLAN_ROWS else None
+    table = np.zeros((*lead, n_terms, band))
+    if plan is None:
+        for n, e in enumerate(filt.ops):
+            rows = apply_rows(e, xs[..., n : n + band, :])  # (..., band, d)
+            rows -= xs[..., n, None, :]
+            np.abs(rows, out=rows)
+            out = table[..., n, : rows.shape[-2]]  # each reduction writes its slice of the table
+            if w is None:
+                rows.max(axis=-1, out=out, initial=0.0)
+            else:
+                np.matmul(rows, w, out=out)
+    else:
         cols, (p, j, coef), width, ends = plan
-        src = np.empty((width, *xs.shape[-2::-1]))  # (width, N, ...)
-        src[:d], src[d] = xs.T, 0.0
+        xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
+        src = np.empty((width, members, n_terms))  # each member's terms contiguous
+        src[:d], src[d] = xn.transpose(1, 2, 0), 0.0
         if width > d + 1:  # B.T, built on each call
             bt = np.zeros((width - d - 1, d))
             bt[p, j] = coef
-            np.matmul(bt, src[:d].reshape(d, -1), out=src[d + 1 :].reshape(len(bt), -1))
+            np.matmul(bt, src[:d].reshape(d, members * n_terms),
+                      out=src[d + 1 :].reshape(len(bt), members * n_terms))
             del bt
-        if ends.min() < d:  # each stage's norm of |x_n| on its rows from ends[n] on
+        flat, stop, ends = table.reshape(members, n_terms, band), [], ends.tolist()
+        while (lo := len(stop)) < n_terms:  # stages lo..hi-1, up to the largest end among them
+            hi, end = lo + 1, ends[lo]
+            # stages, members, term columns and rows (one more for the reduction) with stage hi
+            while hi < n_terms and (hi + 1 - lo) * members * (min(hi + band, n_terms) - lo) * (
+                    max(end, ends[hi]) + 1) <= _CHUNK_FLOATS:
+                hi, end = hi + 1, max(end, ends[hi])
+            c, top, b = hi - lo, min(hi - 1 + band, n_terms), min(band, n_terms - lo)
+            rows = src[cols[lo:hi, :end], :, lo:top]  # (c, end, members, top - lo)
+            rows -= xn[lo:hi, :end, :, None]
+            np.abs(rows, out=rows)
+            # stage lo + k's band starts at column k; one stage's is the whole result
+            out = np.zeros((c, members, c - 1 + b)) if c > 1 else flat[:, lo:hi].swapaxes(0, 1)
+            if w is None:
+                rows.max(axis=1, out=out[..., : top - lo], initial=0.0)
+            else:
+                np.matmul(rows.transpose(0, 2, 3, 1), w[:end], out=out[..., : top - lo])
+            if c > 1:
+                s0, s1, s2 = out.strides
+                flat[:, lo:hi, :b] = np.ndarray((members, c, b), float, out, 0, (s1, s0 + s2, s2))
+            stop += [end] * c
+        if min(stop) < d:  # each stage's norm of |x_n| on its rows from its chunk's end on
             tails = (np.maximum if w is None else np.add).reduce(
                 np.abs(xs) if w is None else np.abs(xs) * w, axis=-1,
-                where=np.arange(d) >= ends[:, None], initial=0.0)
-        ends = ends.tolist()
-    table = np.zeros((*xs.shape[:-2], n_terms, band))
-    for n, e in enumerate(filt.ops):
-        if plan is None:
-            end, rows = d, apply_rows(e, xs[..., n : n + band, :])
-        else:  # (..., band, end), as apply_rows lays rows out
-            end = ends[n]
-            rows = src[cols[n, :end], n : n + band].swapaxes(0, -1)
-        rows -= xs[..., n, None, :end]
-        np.abs(rows, out=rows)
-        out = table[..., n, : rows.shape[-2]]  # each reduction writes its slice of the table
-        if w is None:
-            rows.max(axis=-1, out=out, initial=0.0)
-        else:
-            np.matmul(rows, w[:end], out=out)
-    if tails is not None:  # the rows from ends[n] on, in every pair below the horizon
-        within = np.tri(n_terms, band, dtype=bool)[::-1]
-        (np.maximum if w is None else np.add)(table, tails[..., None], out=table, where=within)
+                where=np.arange(d) >= np.array(stop)[:, None], initial=0.0)
+            within = np.tri(n_terms, band, dtype=bool)[::-1]  # every pair below the horizon
+            (np.maximum if w is None else np.add)(table, tails[..., None], out=table, where=within)
     for *member, m in np.argwhere(~np.isfinite(xs).all(axis=-1)):
         n = np.arange(max(0, m - band + 1), m + 1)
         table[(*member, n, m - n)] = np.nan

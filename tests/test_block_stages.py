@@ -441,45 +441,89 @@ PLAN_KINDS = ["truncation", "pairing", "dyadic", "copy", "random-nested", "rando
               "refining-gathers-changed"]
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    kind=st.sampled_from(PLAN_KINDS),
-    size=st.integers(1, 8),
-    members=st.sampled_from([0, 1, 3]),  # 0: one sequence, else a stack of that many
-    band=st.sampled_from([1, 2, None]),
-    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
-    where=st.integers(0, 2**16),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_a_planned_pair_table_matches_the_table_of_its_stages(
-    kind, size, members, band, bad, where, seed
-):
-    # every chain with a plan reads it here, so gather chains take the planned
-    # path too.  On a sup space a chain of gathers (no block sums two coefs)
-    # gives the per-stage table bit for bit: the rows past each stage's end
-    # add one exact maximum.  Block sums add in another order than apply_rows.
+def _planned_case(kind, size, lead, band, bad, where, seed):
+    """A chain, its dense matrices, a (*lead, N, d) stack of random terms with
+    ``bad`` at flat index ``where`` (None: all finite), its band and the pair
+    table over absolute values, one (N, band) table per member."""
     filt, mats, unplannable = _plan_case(kind, size, seed)
     if unplannable is not None:
         assert (filt.plan is None) == unplannable
-    staged = Filtration(filt.space, filt.ops)
-    vars(staged)["plan"] = None  # every stage by apply_rows
-    stack = np.random.default_rng(seed).uniform(
-        -1.0, 1.0, (max(members, 1), filt.horizon, filt.space.dim))
+    n_terms, d = filt.horizon, filt.space.dim
+    xs = np.random.default_rng(seed).uniform(-1.0, 1.0, (*lead, n_terms, d))
     if bad is not None:
-        stack.flat[where % stack.size] = bad
-    xs = stack if members else stack[0]
-    band = filt.horizon if band is None else band
-    with mock.patch.object(martingales, "_PLAN_ROWS", 0), np.errstate(invalid="ignore",
-                                                                      over="ignore"):
-        got, want = _pair_table(xs, filt, band), _pair_table(xs, staged, band)
-        scale = np.stack([_band_scale(filt.space, mats, m, band) for m in stack])
+        xs.flat[where % xs.size] = bad
+    band = n_terms if band is None else band
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = [_band_scale(filt.space, mats, m, band) for m in xs.reshape(-1, n_terms, d)]
+    return filt, xs, band, np.reshape(scale, (*lead, n_terms, band))
+
+
+def _same_table(filt: Filtration, got: np.ndarray, want: np.ndarray, scale: np.ndarray):
+    """Bit for bit on a sup chain of gathers (no block sums two coefs), else
+    NaN and inf in the same places and the finite entries within REL of scale."""
     if filt.space.norm_kind is NormKind.SUP and all(e._scale is not None for e in filt.ops):
         assert np.array_equal(got, want, equal_nan=True)
         return
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(got)
-    assert _within(got[finite], want[finite], scale.reshape(got.shape)[finite])
+    assert _within(got[finite], want[finite], scale[finite])
+
+
+PLANNED = dict(
+    kind=st.sampled_from(PLAN_KINDS),
+    size=st.integers(1, 8),
+    lead=st.sampled_from([(), (1,), (3,), (2, 3)]),  # (): one sequence, else a stack
+    band=st.sampled_from([1, 2, None]),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    where=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(**PLANNED)
+# a builder's chain on a stack with two leading axes
+@example(kind="pairing", size=8, lead=(2, 3), band=None, bad=None, where=0, seed=3)
+def test_a_planned_pair_table_matches_the_table_of_its_stages(
+    kind, size, lead, band, bad, where, seed
+):
+    # every chain with a plan reads it here, so gather chains take the planned
+    # path too.  On a sup space a chain of gathers (no block sums two coefs)
+    # gives the per-stage table bit for bit: the rows past each stage's end
+    # add one exact maximum.  Block sums add in another order than apply_rows.
+    filt, xs, band, scale = _planned_case(kind, size, lead, band, bad, where, seed)
+    staged = Filtration(filt.space, filt.ops)
+    vars(staged)["plan"] = None  # every stage by apply_rows
+    with mock.patch.object(martingales, "_PLAN_ROWS", 0), np.errstate(invalid="ignore",
+                                                                      over="ignore"):
+        got, want = _pair_table(xs, filt, band), _pair_table(xs, staged, band)
+    _same_table(filt, got, want, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**PLANNED)
+# one stage that keeps no row: its chunk gathers no rows
+@example(kind="refining", size=1, lead=(), band=1, bad=None, where=0, seed=23)
+# a weighted-L1 chain whose stages end at rows 1, 1, 9, 0 and 3 of 10
+@example(kind="refining-suffix", size=5, lead=(2, 3), band=None, bad=np.inf, where=77, seed=10)
+@example(kind="refining-suffix", size=5, lead=(), band=2, bad=np.nan, where=12, seed=10)
+def test_a_planned_pair_table_is_the_same_whatever_its_chunks(
+    kind, size, lead, band, bad, where, seed
+):
+    # one stage per chunk (a bound of one float) against every stage in one
+    # chunk (no bound): rows past a stage's own end join its tail norm in the
+    # one and read the zero row in the other, up to the chunk's largest end
+    filt, xs, band, scale = _planned_case(kind, size, lead, band, bad, where, seed)
+    if filt.plan is None:
+        return
+    tables = []
+    for bound in (1, 2**62):
+        with mock.patch.object(martingales, "_PLAN_ROWS", 0), mock.patch.object(
+            martingales, "_CHUNK_FLOATS", bound
+        ), np.errstate(invalid="ignore", over="ignore"):
+            tables.append(_pair_table(xs, filt, band))
+    _same_table(filt, *tables, scale)
 
 
 @settings(max_examples=200, deadline=None)
