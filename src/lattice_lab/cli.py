@@ -8,13 +8,11 @@ Subcommands:
   verify     run the theorem-evidence checks
   gen        write an instance file for any builder
 
-Exit codes: 0 success (or confirmed), 1 a verify check reported VIOLATED
-or validate found a law failing, 2 input error (including a numeric
-argument out of range, a file that cannot be written, an instance holding
-a NaN or infinity, which JSON cannot store, and a size too large to
-allocate).  All randomness flows from --seed.  Reports are strict JSON
-with --json (a non-finite number is written as null), human-readable
-otherwise.
+Exit codes, as README states them: 0 ok, 1 a VIOLATED check or a failed law,
+2 bad input or arguments (one ``error:`` line), 3 an internal error (one
+``internal error: <type>: <message>`` line).  All randomness flows from --seed.
+Reports are strict JSON with --json (a non-finite number is written as null),
+human-readable otherwise.
 """
 
 from __future__ import annotations
@@ -174,13 +172,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise InstanceFormatError(
             "classification needs both a filtration and a sequence in the file"
         )
-    report = classify(
-        instance.sequence,
-        instance.filtration,
-        tol=args.tol,
-        eps=args.eps_x,
-        window_fraction=args.window,
-    )
+    report = classify(instance.sequence, instance.filtration, tol=args.tol, eps=args.eps_x,
+                      window_fraction=args.window)
     d = report.to_dict()
     lines = [
         f"[classify] martingale: {report.is_martingale}",
@@ -332,6 +325,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input or arguments
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ from .martingales import (
     _after_last,
     _applied,
     _pair_table,
+    _profiles,
     _step_witness,
     abs_seq,
     classify,
@@ -308,13 +309,11 @@ def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
     return TheoremResult("nesting", {"trials": trials}, status, witness, seed)
 
 
-def _member_tables(
-    filt: Filtration, members: Sequence[VectorSequence], band: int | None = None
-) -> Iterator[tuple[VectorSequence, np.ndarray]]:
-    """Each member with its pair table, the tables built one stack at a time."""
+def _member_profiles(filt: Filtration, members: Sequence[VectorSequence]) -> Iterator[tuple]:
+    """Each member with its defect profile, the profiles built one stack at a time."""
     for chunk in _stacks(len(members), filt):
         batch = members[chunk.start : chunk.stop]
-        yield from zip(batch, _pair_table(np.stack([m.coords for m in batch]), filt, band=band))
+        yield from zip(batch, _profiles(np.stack([m.coords for m in batch]), filt)[0])
 
 
 def _member_problem(
@@ -352,8 +351,8 @@ def _limit_family_check(
     triangle bound d(limit)_n <= d(member)_n + 2 ||member - limit||."""
     limit_profile = defect_profile(limit, filt)
     distances: list[float] = []
-    for k, (member, table) in enumerate(_member_tables(filt, members), 1):
-        problem = _member_problem(filt, member, table.max(-1), limit, limit_profile, distances)
+    for k, (member, profile) in enumerate(_member_profiles(filt, members), 1):
+        problem = _member_problem(filt, member, profile, limit, limit_profile, distances)
         if problem is not None:
             witness = {"member": k, **problem}
             break
@@ -456,9 +455,9 @@ def check_limit_defect(
 
 
 def _late_witness(steps: np.ndarray, m: int) -> dict | None:
-    """The evidence when A^m, given by its band-2 pair table, lacks an eventual
+    """The evidence when A^m, given by its one-step defects, lacks an eventual
     witness <= m + 1, else None; m = N - 1 is skipped, as a witness at N is vacuous."""
-    if m > len(steps) - 2:
+    if m > len(steps) - 1:
         return None
     witness = _step_witness(steps)
     if witness is None or witness > m + 1:
@@ -469,12 +468,12 @@ def _late_witness(steps: np.ndarray, m: int) -> dict | None:
 def _tail_modifications(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> Iterator[tuple[np.ndarray, float]]:
-    """For m = 1..N-1, the band-2 pair table of A^m, which keeps terms 1..m of A and
+    """For m = 1..N-1, the one-step defects of A^m, which keeps terms 1..m of A and
     takes E_n x after (as tail_modify builds it), and ||A^m - A||, one stack at a time."""
     tail = _applied(filt.ops, limit_vec.coords)
     for chunk in _stacks(seq.horizon - 1, filt):
         modified = np.stack([np.vstack((seq.coords[: k + 1], tail[k + 1 :])) for k in chunk])
-        steps = _pair_table(modified, filt, band=2)
+        steps = _pair_table(modified, filt, band=2)[:, :-1, 1]
         yield from zip(steps, row_norms(filt.space, modified - seq.coords).max(axis=-1))
 
 
@@ -511,23 +510,23 @@ def check_eventual_not_closed() -> TheoremResult:
     filt, base, family = harmonic_tail_example(64)
     descriptor = {"size": filt.horizon, **_filt_descriptor(filt, "truncation")}
     problems = []
-    for m, (member, table) in enumerate(_member_tables(filt, family, band=2), 1):
-        late = _late_witness(table, m)
-        if late is not None:
-            problems.append({**late, "problem": "missing witness"})
-        dist = seq_distance(member, base)
-        if abs(dist - 1.0 / m) > FLOAT_SLACK:
-            problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
+    for chunk in _stacks(len(family), filt):  # only steps: band-2 tables, not profiles
+        members = family[chunk.start : chunk.stop]
+        steps = _pair_table(np.stack([a.coords for a in members]), filt, band=2)[:, :-1, 1]
+        for m, member, step in zip(range(chunk.start + 1, chunk.stop + 1), members, steps):
+            late = _late_witness(step, m)
+            if late is not None:
+                problems.append({**late, "problem": "missing witness"})
+            dist = seq_distance(member, base)
+            if abs(dist - 1.0 / m) > FLOAT_SLACK:
+                problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
 
-    table = _pair_table(base, filt)
-    if _step_witness(table) is not None:
+    profile, steps = _profiles(base, filt)
+    if _step_witness(steps) is not None:
         problems.append({"problem": "limit unexpectedly has an eventual witness"})
-    profile = table.max(axis=1)
     for n in range(1, filt.horizon):
         if abs(profile[n - 1] - 1.0 / n) > FLOAT_SLACK:
-            problems.append(
-                {"n": n, "defect": float(profile[n - 1]), "problem": "defect != 1/n"}
-            )
+            problems.append({"n": n, "defect": float(profile[n - 1]), "problem": "defect != 1/n"})
             break
     verdict = tail_verdict(base, filt, profile=profile)
     if verdict is not Verdict.X_MARTINGALE:
@@ -583,14 +582,15 @@ def check_abs_closure(filt: Filtration) -> TheoremResult:
 
 
 def _band_tables(filt: Filtration, seed: int, trials: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Per trial, the band-2 tables of an eventual martingale A and of |A|, then the
+    """Per trial, the one-step defects of an eventual martingale A and of |A|, then the
     pair tables of an asymptotic martingale B and of |B|; one RNG stream per trial,
     the tables built one stack at a time."""
     for chunk in _stacks(trials, filt, sequences=2):
         rngs = [trial_rng(seed, trial) for trial in chunk]
         eventual = np.stack([random_eventual_martingale(filt, rng)[0].coords for rng in rngs])
         asymptotic = np.stack([random_asymptotic_martingale(filt, rng)[0].coords for rng in rngs])
-        steps, abs_steps = (_pair_table(s, filt, band=2) for s in (eventual, np.abs(eventual)))
+        steps, abs_steps = (_pair_table(s, filt, band=2)[:, :-1, 1]
+                            for s in (eventual, np.abs(eventual)))
         pairs, abs_pairs = (_pair_table(s, filt) for s in (asymptotic, np.abs(asymptotic)))
         yield from zip(steps, abs_steps, pairs, abs_pairs)
 

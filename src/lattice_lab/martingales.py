@@ -138,54 +138,36 @@ def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
 def _pair_table(
     terms: VectorSequence | np.ndarray, filt: Filtration, band: int | None = None
 ) -> np.ndarray:
-    """The pair-defect table every law here reduces.
+    """The pair-defect table: the full band for the laws that read pairs, band 2 for the
+    one-step defects (a sup chain's profile with a plan is a scan, :func:`_profiles`).
 
-    ``terms`` is one sequence or a (..., N, d) stack; the table is (..., N, band).
-    Row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band (default:
-    the horizon); entries past the horizon are zero, which no reduction below
-    mistakes for a defect.  Each stage gets E_n of the (..., band, d) block of
-    terms, subtracts x_n and takes |.| in place (on fresh memory), then reduces
-    it.  Stacks are bounded by ``harness.STACK_FLOATS``: whole families raised
-    the peak RSS of ``verify``.
+    ``terms`` is one sequence or a (..., N, d) stack; the table is (..., N, band) and
+    row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band (default: the
+    horizon), zero past the horizon.  Each stage applies E_n to its (..., band, d) block
+    of terms, subtracts x_n and takes |.| in place (on fresh memory), then reduces it.
 
-    A chain with a :attr:`Filtration.plan` reads every stage off one source of
-    (width, members, N), the stack's leading axes flattened into members: the
-    terms' coordinates, a zero row and the rows of B.T x, one per block that
-    sums.  Row i of E_n x is mask_i times the sum over i's block at stage n, so
-    it is source row ``cols[n, i]``.  The loop takes consecutive stages as one
-    chunk: one gather of its rows up to the largest ``ends[n]`` over its widest
-    band window of terms, one subtraction, |.| and reduction over rows (a max,
-    or one product with the weights), off whose diagonal each stage reads its
-    band.  A chunk's gather, with one row more for its reduction, holds at most
-    ``_CHUNK_FLOATS`` (2^15) floats, or one stage: 2^14 and 2^16 took up to 1.2x
-    as long on the classify ladder's median tables (N = 128).  A stage's rows
-    past its own end read the zero row; each row past its chunk's end adds
-    |x_n,i| whatever m is, one norm per stage, joined to every pair after the
-    loop (a maximum on a sup space, so the table is the per-stage one bit for
-    bit when no block sums two coefs).  One rule picks the plan, from what its
-    set-up costs (measured on a 2-core Xeon): a table of at least
-    ``_PLAN_ROWS`` (128) rows per stage, members times band, reads it, and so
-    does a chain with a summing stage from d = 32, whose one product replaces
-    a ``bincount`` block sum per stage.  Below that per-stage gathers cost
-    less, and a summing chain of d < 32 tabled once does not earn back its
-    build (70-110 us at d <= 24).  Re-measured with chunks, planning every
-    table made the evidence checks 9-15 % slower (band-2 stacks up to 1.7x);
-    64 or 96 rows, or planning summing chains below d = 32, -2 to +12 %.
+    A table of at least ``_PLAN_ROWS`` rows per stage (members times band), or of a chain
+    with a summing stage from d = 32, reads the chain's plan instead (:func:`_plan_source`;
+    below that, per-stage gathers cost less than the plan's set-up).  Each chunk of
+    consecutive stages is one gather of rows up to its largest ``ends[n]`` over its widest
+    band window (at most ``_CHUNK_FLOATS`` floats with one row more, or one stage), one
+    subtraction, |.| and reduction, off whose diagonal each stage reads its band.  Rows
+    past a stage's end read the zero row, rows past its chunk's end add |x_n,i| after the
+    loop: one exact maximum on a sup space, where a chain of gathers gives the per-stage
+    table bit for bit.
 
-    A NaN or infinite term x_m makes every pair it is in non-finite, in its
-    own member only, and (n, m) NaN for each n, as ``0 * inf`` does in a
-    dense product; a block stage never reads the coordinates it drops, so
-    without this such a term could pass a law.
+    A non-finite term x_m makes each pair (n, m) NaN, in its own member only, as ``0 * inf``
+    does in a dense product: a block stage never reads the coordinates it drops, so such a
+    term could otherwise pass a law.
     """
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
     *lead, n_terms, d = xs.shape
     members = math.prod(lead)
     band = n_terms if band is None else band
     w = filt.space.weights  # None on a sup space: row_norms without its temporary
-    sums = d >= 32 and any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
-    plan = filt.plan if sums or members * band >= _PLAN_ROWS else None
+    planned = _plan_source(xs, filt, members * band)
     table = np.zeros((*lead, n_terms, band))
-    if plan is None:
+    if planned is None:
         for n, e in enumerate(filt.ops):
             rows = apply_rows(e, xs[..., n : n + band, :])  # (..., band, d)
             rows -= xs[..., n, None, :]
@@ -196,16 +178,8 @@ def _pair_table(
             else:
                 np.matmul(rows, w, out=out)
     else:
-        cols, (p, j, coef), width, ends = plan
+        (cols, _, _, ends), src = planned
         xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
-        src = np.empty((width, members, n_terms))  # each member's terms contiguous
-        src[:d], src[d] = xn.transpose(1, 2, 0), 0.0
-        if width > d + 1:  # B.T, built on each call
-            bt = np.zeros((width - d - 1, d))
-            bt[p, j] = coef
-            np.matmul(bt, src[:d].reshape(d, members * n_terms),
-                      out=src[d + 1 :].reshape(len(bt), members * n_terms))
-            del bt
         flat, stop, ends = table.reshape(members, n_terms, band), [], ends.tolist()
         while (lo := len(stop)) < n_terms:  # stages lo..hi-1, up to the largest end among them
             hi, end = lo + 1, ends[lo]
@@ -239,6 +213,63 @@ def _pair_table(
     return table
 
 
+def _plan_source(xs: np.ndarray, filt: Filtration, rows: int) -> tuple | None:
+    """The plan that a table of ``rows`` rows per stage reads by :func:`_pair_table`'s rule,
+    and the (width, members, N) source it reads for a (..., N, d) stack of terms: their
+    coordinates, a zero row and B.T x (B.T built on each call); None without a plan."""
+    *_, n_terms, d = xs.shape
+    sums = d >= 32 and any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
+    plan = filt.plan if sums or rows >= _PLAN_ROWS else None
+    if plan is None:
+        return None
+    _, (p, j, coef), width, _ = plan
+    src = np.empty((width, xs.size // (n_terms * d), n_terms))
+    src[:d], src[d] = xs.reshape(-1, n_terms, d).transpose(2, 0, 1), 0.0
+    if width > d + 1:
+        bt = np.zeros((width - d - 1, d))
+        bt[p, j] = coef
+        np.matmul(bt, src[:d].reshape(d, -1), out=src[d + 1 :].reshape(len(bt), -1))
+    return plan, src
+
+
+def _profiles(terms: VectorSequence | np.ndarray, filt: Filtration) -> tuple[np.ndarray, ...]:
+    """The defect profile d_n = max_k T[n, k] and the one-step defects T[n, 1], n < N - 1,
+    of one sequence or a (..., N, d) stack, bit for bit those of :func:`_pair_table`.
+
+    A sup chain whose full table reads a plan takes no table: row i of E_n x_m is source row
+    ``cols[n, i]`` at term m and rounding is monotone, so d_n = max_i max(|S+ - x_n,i|,
+    |x_n,i - S-|) (the |.| moves no maximum, and keeps -0 out) for the maximum S+ and minimum
+    S- of that row over m >= n: a suffix scan (Blelloch, CMU-CS-90-190, 1990) by one reversed
+    ``np.maximum.accumulate`` of the source and one of its negation, -S- (x - S- is x + (-S-)
+    bit for bit).  Weighted L1 does not split (a max over m of a sum over blocks): a table.
+    """
+    xs = terms.coords if isinstance(terms, VectorSequence) else terms
+    *lead, n_terms, d = xs.shape
+    members = math.prod(lead)
+    planned = None if filt.space.weights is not None else _plan_source(xs, filt, members * n_terms)
+    if planned is None:
+        table = _pair_table(xs, filt, max(n_terms, 2))  # band 2 at least: a step column
+        return table.max(-1), table[..., :-1, 1]
+    (cols, *_), src = planned
+    xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
+    out = np.empty((3, members, n_terms))  # the steps, max |S+ - x| and max |x - S-|
+    top, per = np.empty_like(src), max(1, _CHUNK_FLOATS // (d * members))
+    for k, (combine, step) in enumerate(((np.subtract, 1), (np.subtract, 0), (np.add, 0))):
+        if k:  # S+ off the terms, then -S- off their negation
+            np.maximum.accumulate((np.negative(src, out=src) if k > 1 else src)[..., ::-1],
+                                  axis=-1, out=top[..., ::-1])
+        for lo in range(0, n_terms - step, per):  # (c, d, members) rows of c stages
+            hi = min(lo + per, n_terms - step)
+            rows = (top if k else src)[cols[lo:hi], :, np.arange(lo + step, hi + step)[:, None]]
+            np.abs(combine(rows, xn[lo:hi], out=rows), out=rows)
+            rows.max(axis=1, out=out[k, :, lo:hi].T)
+    profile, steps = np.maximum(out[1], out[2]), out[0, :, :-1]
+    bad = ~np.isfinite(xs).all(axis=-1).reshape(members, n_terms)
+    profile[np.logical_or.accumulate(bad[:, ::-1], axis=-1)[:, ::-1]] = np.nan
+    steps[bad[:, 1:]] = np.nan
+    return profile.reshape(*lead, n_terms), steps.reshape(*lead, n_terms - 1)
+
+
 def _require_contractive(filt: Filtration) -> None:
     if not is_contractive_filtration(filt):
         raise NonContractiveError("asymptotic classification requires a contractive filtration")
@@ -251,15 +282,14 @@ def _after_last(flagged: np.ndarray, cap: int) -> int | None:
     return last + 1 if last < cap else None
 
 
-def _step_witness(table: np.ndarray, tol: float = DEFAULT_TOL) -> int | None:
-    """The minimal eventual witness read off one sequence's pair table of band >= 2."""
-    return _after_last(~(table[:-1, 1] <= tol), len(table) - 1)
+def _step_witness(steps: np.ndarray, tol: float = DEFAULT_TOL) -> int | None:
+    """The minimal eventual witness read off one sequence's one-step defects."""
+    return _after_last(~(steps <= tol), len(steps))
 
 
 def is_martingale(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
     """Two-index law: ||E_n x_m - x_n|| <= tol for every pair m >= n."""
-    _require_matching(seq, filt)
-    return bool(_pair_table(seq, filt).max() <= tol)
+    return bool(defect_profile(seq, filt).max() <= tol)
 
 
 def eventual_witness(
@@ -270,22 +300,16 @@ def eventual_witness(
     Returns None when no such l exists; a witness equal to N is vacuous
     (no step after it) and is never reported.
     """
-    _require_matching(seq, filt)
-    return _step_witness(_pair_table(seq, filt, band=2), tol)
+    return _step_witness(one_step_defects(seq, filt), tol)
 
 
 def eventual_witness_pairwise(
     seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL
 ) -> int | None:
-    """Two-index variant: minimal l < N with E_n x_m = x_n for m >= n >= l.
-
-    Reads the row maxima of the full pair-defect table rather than the
-    one-step differences, so it is independent data from
-    :func:`eventual_witness`; agreement of the two minimal witnesses is a
-    tested property.
-    """
-    _require_matching(seq, filt)
-    return _after_last(~(_pair_table(seq, filt).max(axis=1) <= tol), seq.horizon - 1)
+    """Two-index variant: minimal l < N with E_n x_m = x_n for m >= n >= l, read off the
+    defect profile, data independent of :func:`eventual_witness`'s one-step defects; that
+    the two minimal witnesses agree is a tested property."""
+    return _after_last(~(defect_profile(seq, filt) <= tol), seq.horizon - 1)
 
 
 def one_step_defects(seq: VectorSequence, filt: Filtration) -> np.ndarray:
@@ -301,7 +325,7 @@ def defect_profile(seq: VectorSequence, filt: Filtration) -> np.ndarray:
     the last operator fixes the last term (in particular when E_N = I).
     """
     _require_matching(seq, filt)
-    return _pair_table(seq, filt).max(axis=1)
+    return _profiles(seq, filt)[0]
 
 
 def default_eps(seq: VectorSequence, norm: float | None = None) -> float:
@@ -404,15 +428,14 @@ def classify(
     _require_matching(seq, filt)
     if seq.horizon < 2:
         raise ValueError("classification needs a horizon of at least 2 terms")
-    _require_contractive(filt)  # before the O(N^2 d) table, not after it
+    _require_contractive(filt)  # before the profiles, not after them
     norm = seq_norm(seq)
     if eps is None:
         eps = default_eps(seq, norm)
-    table = _pair_table(seq, filt)
-    d = table.max(axis=1)
+    d, steps = _profiles(seq, filt)
     return ClassificationReport(
         is_martingale=bool(d.max() <= tol),
-        e_witness=_step_witness(table, tol),
+        e_witness=_step_witness(steps, tol),
         x_defects=tuple(float(v) for v in d),
         x_verdict=tail_verdict(seq, filt, eps, window_fraction, profile=d),
         seq_norm=norm,

@@ -526,6 +526,57 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(
     _same_table(filt, *tables, scale)
 
 
+@settings(max_examples=1000, deadline=None)
+@given(**{name: PLANNED[name] for name in ("kind", "size", "lead", "bad", "where", "seed")},
+       form=st.sampled_from(["blocks", "dense", "unplanned"]),
+       rule=st.sampled_from(["every plan", "as built"]), zeros=st.booleans())
+# the same chain at d = 64 as the wide-chain test: planned by its summing stages
+@example(kind="wide-pairing", size=1, lead=(), bad=None, where=0, seed=0, form="blocks",
+         rule="as built", zeros=False)
+@example(kind="pairing", size=8, lead=(2, 3), bad=np.inf, where=500, seed=3, form="blocks",
+         rule="every plan", zeros=True)
+def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
+    kind, size, lead, bad, where, seed, form, rule, zeros
+):
+    # a sup chain that reads its plan for the full band is scanned, not tabled, and must
+    # give the table's profile and steps bit for bit, NaN and inf included; every other
+    # chain (weighted L1, dense or unplanned stages, small tables as built) reduces its
+    # table.  Terms set to -0.0 must not make a profile entry -0.0.
+    filt, xs, _, _ = _planned_case(kind, size, lead, None, bad, where, seed)
+    if zeros:
+        xs[np.abs(xs) < 0.5] = -0.0
+    if form == "dense":
+        filt = Filtration(filt.space, tuple(PosOperator(filt.space, e.matrix) for e in filt.ops))
+    elif form == "unplanned":
+        filt = Filtration(filt.space, filt.ops)
+        vars(filt)["plan"] = None
+    n_terms = filt.horizon
+    plan_rows = 0 if rule == "every plan" else martingales._PLAN_ROWS
+    with mock.patch.object(martingales, "_PLAN_ROWS", plan_rows), np.errstate(
+            invalid="ignore", over="ignore"):
+        with mock.patch.object(martingales, "_pair_table", wraps=_pair_table) as tabled:
+            profile, steps = martingales._profiles(xs, filt)
+        table = _pair_table(xs, filt)
+        planned = martingales._plan_source(xs, filt, xs.size // xs.shape[-1])
+    scanned = filt.space.norm_kind is NormKind.SUP and planned is not None
+    assert tabled.called != scanned
+    assert np.array_equal(profile, table.max(-1), equal_nan=True)
+    want = table[..., :-1, 1] if n_terms > 1 else np.empty((*lead, 0))
+    assert np.array_equal(steps, want, equal_nan=True)
+    assert not np.signbit(profile[~np.isnan(profile)]).any()
+
+
+def test_a_scanned_profile_of_negative_zeros_is_plus_zero():
+    # a dropped row reads the zero row: |+0 - (-0)| and |-0 - (+0)| are the two halves,
+    # +0 and -0 before their |.|, and the maximum of the two keeps whichever comes last
+    space = LatticeSpace(1)
+    filt = Filtration(space, (BlockOperator(space, np.zeros(1, int), False, 1.0),) * 128)
+    seq = VectorSequence(space, np.full((128, 1), -0.0))
+    profile, steps = martingales._profiles(seq, filt)
+    assert filt.plan is not None and not np.signbit(profile).any()
+    assert not np.signbit(steps).any() and not np.signbit(classify(seq, filt).x_defects).any()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from([k for k in PLAN_KINDS if k != "random-blocks"]),

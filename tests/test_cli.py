@@ -147,6 +147,24 @@ def test_verify_exit_code_on_violation(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("fault", [
+    RuntimeError("boom"), KeyError("missing"), ZeroDivisionError("a message\nover two lines"),
+])
+def test_an_internal_error_exits_three_with_one_line(capsys, monkeypatch, fault):
+    # a fault of the program (not a ValueError, OSError or MemoryError) is neither a
+    # violated check (1) nor bad input (2), and prints no traceback
+    from lattice_lab import harness
+
+    def crash(seed, trials):
+        raise fault
+
+    monkeypatch.setitem(harness.CHECK_RUNNERS, "nesting", crash)
+    code, out, err = run(capsys, "verify", "nesting")
+    message = " ".join(str(fault).split())
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {type(fault).__name__}: {message}\n"
+
+
 def test_gen_stdout_and_seeded_determinism(capsys):
     code, out1, _ = run(capsys, "gen", "random-nested", "--size", "8", "--seed", "9")
     assert code == 0

@@ -1,8 +1,13 @@
 """``verify all --seed 0 --json`` against the fixture written before the
-evidence checks built their pair tables as stacks."""
+evidence checks built their pair tables as stacks, and three demos on
+planned sup chains against the bytes they printed when their defect
+profiles were the row maxima of a pair table."""
 
 import copy
 import json
+from pathlib import Path
+
+import pytest
 
 from golden import FIXTURE, first_difference, main as compare
 from lattice_lab.cli import main
@@ -13,6 +18,14 @@ def test_verify_all_seed0_matches_the_fixture(capsys, tmp_path):
     out = tmp_path / "verify.json"
     out.write_text(capsys.readouterr().out, encoding="utf-8")
     assert compare([str(out)]) == 0
+
+
+@pytest.mark.parametrize("name, size", [("pairing", 100), ("null", 256), ("harmonic", 256)])
+def test_a_scanned_demo_prints_its_golden_bytes(capsys, name, size):
+    # each profile comes from the suffix scan, bit for bit the table's row maxima
+    assert main(["demo", name, "--size", str(size), "--json"]) == 0
+    golden = Path(__file__).parent / "data" / f"demo_{name}_{size}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_the_comparison_allows_rounding_and_nothing_else():

@@ -530,21 +530,21 @@ def _limits_member_not_x(mp, calls):
     members = list(family)
     for k in (13, 15, 20):
         members[k - 1] = _alternating(filt)
-    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "_profiles")
     _spy(mp, calls, "tail_verdict")
     return harness._limit_family_check("closed-limits", filt, members, base, {"n": 64}, 3)
 
 
 def _limits_triangle(mp, calls):
     # Member 11 claims distance 0 to the limit, so the triangle bound cannot hold.
-    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "_profiles")
     _spy(mp, calls, "seq_distance", lambda n, out, *args: 0.0 if n == 11 else out)
     return check_closed_under_limits_harmonic()
 
 
 def _limits_limit_not_x(mp, calls):
     filt, _, family = harmonic_tail_example(16)
-    _spy(mp, calls, "_pair_table")
+    _spy(mp, calls, "_profiles")
     _spy(mp, calls, "tail_verdict")
     limit = _alternating(filt)
     return harness._limit_family_check("closed-limits", filt, family, limit, {"n": 16}, None)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import _oracles as ref
 from _oracles import pair_table
 from lattice_lab import (
+    BlockOperator,
     LatticeSpace,
     NonContractiveError,
     NormKind,
@@ -362,15 +363,23 @@ def test_tail_verdict_rejects_non_contractive_filtration():
 
 
 def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("the pair table was built")
+    # neither the table nor the profiles' suffix scan (nor the source it reads) may
+    # be built first; the sup chain of pair sums at d = 32 would take the scan
+    space, wide = LatticeSpace(2), LatticeSpace(32)
+    pair_sums = BlockOperator(wide, np.arange(32) // 2, True, 1.0)  # norm 2
+    summing = Filtration(wide, (pair_sums, BlockOperator(wide, np.arange(32), True, 1.0)))
+    assert martingales._plan_source(np.ones((2, 32)), summing, 2) is not None
+    for name in ("_pair_table", "_profiles", "_plan_source"):
+        def no_table(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran")
 
-    monkeypatch.setattr(martingales, "_pair_table", no_table)
-    space = LatticeSpace(2)
+        monkeypatch.setattr(martingales, name, no_table)
     doubler = PosOperator(space, 2 * np.eye(2))
     seq = VectorSequence(space, np.ones((2, 2)))
     with pytest.raises(NonContractiveError, match="requires a contractive filtration"):
         classify(seq, Filtration(space, (doubler, doubler)))
+    with pytest.raises(NonContractiveError, match="requires a contractive filtration"):
+        classify(VectorSequence(wide, np.ones((2, 32))), summing)
     with pytest.raises(ValueError, match="horizon of at least 2"):  # the horizon check comes first
         classify(VectorSequence(space, np.ones((1, 2))), Filtration(space, (doubler,)))
 
