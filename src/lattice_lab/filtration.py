@@ -70,15 +70,15 @@ class Filtration(_Frozen):
 
     @cached_property
     def plan(self) -> tuple | None:
-        """How a pair table reads every stage of a chain of block stages, each refining the
-        last, off one source; built on first use, or None.  ``(cols, entries, width, ends)``:
-        row i of stage n reads row ``cols[n, i]`` of a ``width``-row source, coordinate r of
-        the terms for r < d, zeros at d, then B.T x with c at each ``entries`` (p, j, c) of
-        B.T; ``ends[n]`` is one past stage n's last row in a live block (a block with a
-        nonzero coef; a dead one reads zeros).  Stage n's block l is n * d + l.  A live block
-        starts a column unless its block before had its members and was live, and then keeps
-        its coefs: the blocks nest, so K < 2d.  A column whose one nonzero coef is 1 reads its
-        coordinate.  See :func:`lattice_lab.martingales._pair_table`.
+        """How a pair table or a sup profile reads every stage of a chain of block stages, each
+        refining the last, off one source; built on first use, or None.  ``(cols, entries,
+        width)``: row i of stage n reads row ``cols[n, i]`` of a ``width``-row source,
+        coordinate r of the terms for r < d, zeros at d (a dropped row, or a row of a dead
+        block, one with no nonzero coef), then B.T x with c at each ``entries`` (p, j, c) of
+        B.T.  Stage n's block l is n * d + l.  A live block starts a column unless its block
+        before had its members and was live, and then keeps its coefs: the blocks nest, so
+        K < 2d.  A column whose one nonzero coef is 1 reads its coordinate.  See
+        :func:`lattice_lab.martingales._pair_table`.
         """
         ops, d = self.ops, self.space.dim
         if not all(isinstance(e, BlockOperator) for e in ops):
@@ -117,9 +117,8 @@ class Filtration(_Frozen):
         row[k[unit]] = j[unit]
         read = np.concatenate([e.mask for e in ops]).reshape(-1, d) & live[grid]
         cols = row[np.where(read, np.maximum.accumulate(start.reshape(-1, d)), 0)]
-        ends = (read * np.arange(1, d + 1, dtype=narrow)).max(axis=1)
         entries = row[k[~unit]] - (d + 1), j[~unit], coef[~unit]
-        return _frozen(cols), tuple(map(_frozen, entries)), width, _frozen(ends)
+        return _frozen(cols), tuple(map(_frozen, entries)), width
 
     def op(self, n: int) -> Operator:
         if not 1 <= n <= self.horizon:

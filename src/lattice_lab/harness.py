@@ -56,6 +56,7 @@ from .martingales import (
     _pair_table,
     _profiles,
     _step_witness,
+    _steps,
     abs_seq,
     classify,
     defect_profile,
@@ -89,8 +90,8 @@ from .spaces import (
 #: Slack added to analytically exact inequalities to absorb rounding.
 FLOAT_SLACK = 1e-9
 
-#: Floats of terms per stack in one ``_pair_table`` call (256 KB), so memory stays flat for
-#: any ``trials``: stacking whole families raised ``verify closed-limits`` from 39 to 43 MB RSS.
+#: Floats of terms per stack in one table, step or profile call (256 KB), so memory stays flat
+#: for any ``trials``: stacking whole families raised ``verify closed-limits`` from 39 to 43 MB.
 STACK_FLOATS = 2**15
 
 
@@ -473,7 +474,7 @@ def _tail_modifications(
     tail = _applied(filt.ops, limit_vec.coords)
     for chunk in _stacks(seq.horizon - 1, filt):
         modified = np.stack([np.vstack((seq.coords[: k + 1], tail[k + 1 :])) for k in chunk])
-        steps = _pair_table(modified, filt, band=2)[:, :-1, 1]
+        steps = _steps(modified, filt)
         yield from zip(steps, row_norms(filt.space, modified - seq.coords).max(axis=-1))
 
 
@@ -510,9 +511,9 @@ def check_eventual_not_closed() -> TheoremResult:
     filt, base, family = harmonic_tail_example(64)
     descriptor = {"size": filt.horizon, **_filt_descriptor(filt, "truncation")}
     problems = []
-    for chunk in _stacks(len(family), filt):  # only steps: band-2 tables, not profiles
+    for chunk in _stacks(len(family), filt):  # only steps, not profiles
         members = family[chunk.start : chunk.stop]
-        steps = _pair_table(np.stack([a.coords for a in members]), filt, band=2)[:, :-1, 1]
+        steps = _steps(np.stack([a.coords for a in members]), filt)
         for m, member, step in zip(range(chunk.start + 1, chunk.stop + 1), members, steps):
             late = _late_witness(step, m)
             if late is not None:
@@ -589,8 +590,7 @@ def _band_tables(filt: Filtration, seed: int, trials: int) -> Iterator[tuple[np.
         rngs = [trial_rng(seed, trial) for trial in chunk]
         eventual = np.stack([random_eventual_martingale(filt, rng)[0].coords for rng in rngs])
         asymptotic = np.stack([random_asymptotic_martingale(filt, rng)[0].coords for rng in rngs])
-        steps, abs_steps = (_pair_table(s, filt, band=2)[:, :-1, 1]
-                            for s in (eventual, np.abs(eventual)))
+        steps, abs_steps = (_steps(s, filt) for s in (eventual, np.abs(eventual)))
         pairs, abs_pairs = (_pair_table(s, filt) for s in (asymptotic, np.abs(asymptotic)))
         yield from zip(steps, abs_steps, pairs, abs_pairs)
 

@@ -53,7 +53,7 @@ from .spaces import (
 
 DEFAULT_EPS_FRACTION = 0.05
 DEFAULT_WINDOW_FRACTION = 0.25
-_PLAN_ROWS = 128  # rows per stage (members times band) from which a table reads a plan
+_PLAN_ROWS = 128  # rows per stage (members times N) from which a table reads a plan
 _CHUNK_FLOATS = 2**15  # floats one planned gather and its reduction hold (256 KB)
 
 REPORT_NOTES = (
@@ -135,26 +135,18 @@ def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
         )
 
 
-def _pair_table(
-    terms: VectorSequence | np.ndarray, filt: Filtration, band: int | None = None
-) -> np.ndarray:
-    """The pair-defect table: the full band for the laws that read pairs, band 2 for the
-    one-step defects (a sup chain's profile with a plan is a scan, :func:`_profiles`).
+def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
+    """The pair-defect table T[n, k] = ||E_n x_{n+k} - x_n||, zero past the horizon, of one
+    sequence or a (..., N, d) stack, for the laws that read pairs (``band-lattice``).
 
-    ``terms`` is one sequence or a (..., N, d) stack; the table is (..., N, band) and
-    row n (0-based) holds T[n, k] = ||E_n x_{n+k} - x_n|| for k < band (default: the
-    horizon), zero past the horizon.  Each stage applies E_n to its (..., band, d) block
-    of terms, subtracts x_n and takes |.| in place (on fresh memory), then reduces it.
-
-    A table of at least ``_PLAN_ROWS`` rows per stage (members times band), or of a chain
-    with a summing stage from d = 32, reads the chain's plan instead (:func:`_plan_source`;
-    below that, per-stage gathers cost less than the plan's set-up).  Each chunk of
-    consecutive stages is one gather of rows up to its largest ``ends[n]`` over its widest
-    band window (at most ``_CHUNK_FLOATS`` floats with one row more, or one stage), one
-    subtraction, |.| and reduction, off whose diagonal each stage reads its band.  Rows
-    past a stage's end read the zero row, rows past its chunk's end add |x_n,i| after the
-    loop: one exact maximum on a sup space, where a chain of gathers gives the per-stage
-    table bit for bit.
+    Each stage applies E_n to its (..., N - n, d) block of terms, subtracts x_n and takes |.|
+    in place (on fresh memory), then reduces it.  A table of at least ``_PLAN_ROWS`` rows per
+    stage (members times N), or of a chain with a summing stage from d = 32, reads the chain's
+    plan instead (:func:`_plan_source`; below that, per-stage gathers cost less than the
+    plan's set-up): each chunk of consecutive stages (at most ``_CHUNK_FLOATS`` floats with
+    one row more, or one stage) is one gather of their d rows, one subtraction, |.| and
+    reduction, off whose diagonal each stage reads its row.  A dropped row reads the zero
+    row, |x_n,i|, so on a sup space a chain of gathers gives the per-stage table bit for bit.
 
     A non-finite term x_m makes each pair (n, m) NaN, in its own member only, as ``0 * inf``
     does in a dense product: a block stage never reads the coordinates it drops, so such a
@@ -163,66 +155,70 @@ def _pair_table(
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
     *lead, n_terms, d = xs.shape
     members = math.prod(lead)
-    band = n_terms if band is None else band
     w = filt.space.weights  # None on a sup space: row_norms without its temporary
-    planned = _plan_source(xs, filt, members * band)
-    table = np.zeros((*lead, n_terms, band))
+    planned = _plan_source(xs, filt)
+    table = np.zeros((*lead, n_terms, n_terms))
     if planned is None:
         for n, e in enumerate(filt.ops):
-            rows = apply_rows(e, xs[..., n : n + band, :])  # (..., band, d)
+            rows = apply_rows(e, xs[..., n:, :])  # (..., N - n, d)
             rows -= xs[..., n, None, :]
             np.abs(rows, out=rows)
-            out = table[..., n, : rows.shape[-2]]  # each reduction writes its slice of the table
+            out = table[..., n, : n_terms - n]  # each reduction writes its slice of the table
             if w is None:
                 rows.max(axis=-1, out=out, initial=0.0)
             else:
                 np.matmul(rows, w, out=out)
     else:
-        (cols, _, _, ends), src = planned
+        (cols, *_), src = planned
         xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
-        flat, stop, ends = table.reshape(members, n_terms, band), [], ends.tolist()
-        while (lo := len(stop)) < n_terms:  # stages lo..hi-1, up to the largest end among them
-            hi, end = lo + 1, ends[lo]
-            # stages, members, term columns and rows (one more for the reduction) with stage hi
-            while hi < n_terms and (hi + 1 - lo) * members * (min(hi + band, n_terms) - lo) * (
-                    max(end, ends[hi]) + 1) <= _CHUNK_FLOATS:
-                hi, end = hi + 1, max(end, ends[hi])
-            c, top, b = hi - lo, min(hi - 1 + band, n_terms), min(band, n_terms - lo)
-            rows = src[cols[lo:hi, :end], :, lo:top]  # (c, end, members, top - lo)
-            rows -= xn[lo:hi, :end, :, None]
+        flat, lo = table.reshape(members, n_terms, n_terms), 0
+        while lo < n_terms:  # stages lo..hi-1: stages, rows (one more), members, term columns
+            b = n_terms - lo
+            hi = lo + min(b, max(1, _CHUNK_FLOATS // ((d + 1) * members * b)))
+            c = hi - lo
+            rows = src[cols[lo:hi], :, lo:]  # (c, d, members, b)
+            rows -= xn[lo:hi, :, :, None]
             np.abs(rows, out=rows)
-            # stage lo + k's band starts at column k; one stage's is the whole result
+            # stage lo + k's row starts at column k; one stage's is the whole result
             out = np.zeros((c, members, c - 1 + b)) if c > 1 else flat[:, lo:hi].swapaxes(0, 1)
             if w is None:
-                rows.max(axis=1, out=out[..., : top - lo], initial=0.0)
+                rows.max(axis=1, out=out[..., :b], initial=0.0)
             else:
-                np.matmul(rows.transpose(0, 2, 3, 1), w[:end], out=out[..., : top - lo])
+                np.matmul(rows.transpose(0, 2, 3, 1), w, out=out[..., :b])
             if c > 1:
                 s0, s1, s2 = out.strides
                 flat[:, lo:hi, :b] = np.ndarray((members, c, b), float, out, 0, (s1, s0 + s2, s2))
-            stop += [end] * c
-        if min(stop) < d:  # each stage's norm of |x_n| on its rows from its chunk's end on
-            tails = (np.maximum if w is None else np.add).reduce(
-                np.abs(xs) if w is None else np.abs(xs) * w, axis=-1,
-                where=np.arange(d) >= np.array(stop)[:, None], initial=0.0)
-            within = np.tri(n_terms, band, dtype=bool)[::-1]  # every pair below the horizon
-            (np.maximum if w is None else np.add)(table, tails[..., None], out=table, where=within)
+            lo = hi
     for *member, m in np.argwhere(~np.isfinite(xs).all(axis=-1)):
-        n = np.arange(max(0, m - band + 1), m + 1)
+        n = np.arange(m + 1)
         table[(*member, n, m - n)] = np.nan
     return table
 
 
-def _plan_source(xs: np.ndarray, filt: Filtration, rows: int) -> tuple | None:
-    """The plan that a table of ``rows`` rows per stage reads by :func:`_pair_table`'s rule,
-    and the (width, members, N) source it reads for a (..., N, d) stack of terms: their
-    coordinates, a zero row and B.T x (B.T built on each call); None without a plan."""
+def _steps(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
+    """The one-step defects ||E_n x_{n+1} - x_n||, n < N - 1, of one sequence or a
+    (..., N, d) stack: each stage applied to the next term only, then one ``row_norms``.
+    Step n is NaN when x_{n+1} is not finite, the rule of :func:`_pair_table`'s (n, n + 1)."""
+    xs = terms.coords if isinstance(terms, VectorSequence) else terms
+    diffs = np.empty(xs[..., 1:, :].shape)
+    for n, e in enumerate(filt.ops[:-1]):
+        diffs[..., n, :] = apply_rows(e, xs[..., n + 1, :])
+    diffs -= xs[..., :-1, :]
+    steps = row_norms(filt.space, diffs)
+    steps[~np.isfinite(xs[..., 1:, :]).all(axis=-1)] = np.nan
+    return steps
+
+
+def _plan_source(xs: np.ndarray, filt: Filtration) -> tuple | None:
+    """The plan that a table of a (..., N, d) stack of terms reads by :func:`_pair_table`'s
+    rule (members times N rows per stage), and the (width, members, N) source it reads:
+    their coordinates, a zero row and B.T x (B.T built on each call); None without a plan."""
     *_, n_terms, d = xs.shape
     sums = d >= 32 and any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
-    plan = filt.plan if sums or rows >= _PLAN_ROWS else None
+    plan = filt.plan if sums or xs.size // d >= _PLAN_ROWS else None
     if plan is None:
         return None
-    _, (p, j, coef), width, _ = plan
+    _, (p, j, coef), width = plan
     src = np.empty((width, xs.size // (n_terms * d), n_terms))
     src[:d], src[d] = xs.reshape(-1, n_terms, d).transpose(2, 0, 1), 0.0
     if width > d + 1:
@@ -234,7 +230,7 @@ def _plan_source(xs: np.ndarray, filt: Filtration, rows: int) -> tuple | None:
 
 def _profiles(terms: VectorSequence | np.ndarray, filt: Filtration) -> tuple[np.ndarray, ...]:
     """The defect profile d_n = max_k T[n, k] and the one-step defects T[n, 1], n < N - 1,
-    of one sequence or a (..., N, d) stack, bit for bit those of :func:`_pair_table`.
+    of one sequence or a (..., N, d) stack, bit for bit those of the full :func:`_pair_table`.
 
     A sup chain whose full table reads a plan takes no table: row i of E_n x_m is source row
     ``cols[n, i]`` at term m and rounding is monotone, so d_n = max_i max(|S+ - x_n,i|,
@@ -246,10 +242,10 @@ def _profiles(terms: VectorSequence | np.ndarray, filt: Filtration) -> tuple[np.
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
     *lead, n_terms, d = xs.shape
     members = math.prod(lead)
-    planned = None if filt.space.weights is not None else _plan_source(xs, filt, members * n_terms)
+    planned = None if filt.space.weights is not None else _plan_source(xs, filt)
     if planned is None:
-        table = _pair_table(xs, filt, max(n_terms, 2))  # band 2 at least: a step column
-        return table.max(-1), table[..., :-1, 1]
+        table = _pair_table(xs, filt)
+        return table.max(-1), table[..., :-1, 1:2].reshape(*lead, n_terms - 1)  # N = 1: empty
     (cols, *_), src = planned
     xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
     out = np.empty((3, members, n_terms))  # the steps, max |S+ - x| and max |x - S-|
@@ -315,7 +311,7 @@ def eventual_witness_pairwise(
 def one_step_defects(seq: VectorSequence, filt: Filtration) -> np.ndarray:
     """||E_m x_{m+1} - x_m|| for m = 1..N-1; the data behind :func:`eventual_witness`."""
     _require_matching(seq, filt)
-    return _pair_table(seq, filt, band=2)[:-1, 1]
+    return _steps(seq, filt)
 
 
 def defect_profile(seq: VectorSequence, filt: Filtration) -> np.ndarray:

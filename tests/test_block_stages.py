@@ -34,7 +34,7 @@ from lattice_lab import (
 from lattice_lab import martingales
 from lattice_lab.harness import random_filtration
 from lattice_lab.jsonio import Instance, instance_text
-from lattice_lab.martingales import _pair_table
+from lattice_lab.martingales import _pair_table, _steps
 from lattice_lab.spaces import row_norms
 
 REL = 1e-15
@@ -243,24 +243,24 @@ def test_each_kernel_applies_the_matrix(labels, coef):
     assert np.array_equal(apply_rows(e, rows[1]), e.matrix @ rows[1])
 
 
-def _band_scale(space: LatticeSpace, mats: list[np.ndarray], xs: np.ndarray, band: int):
+def _band_scale(space: LatticeSpace, mats: list[np.ndarray], xs: np.ndarray):
     """The pair table taken over absolute values: the size of what was added."""
-    scale = np.zeros((len(xs), band))
+    scale = np.zeros((len(xs), len(xs)))
     for n, m in enumerate(mats):
-        sums = np.abs(xs[n : n + band]) @ np.abs(m).T + np.abs(xs[n])
+        sums = np.abs(xs[n:]) @ np.abs(m).T + np.abs(xs[n])
         scale[n, : len(sums)] = row_norms(space, sums)
     return scale
 
 
-def _stacked_case(kind, size, members, full, dense, seed):
-    """A chain (block stages or their dense matrices), a (members, N, d)
-    stack of random terms and the band: 2 or the whole horizon."""
+def _stacked_case(kind, size, members, dense, seed):
+    """A chain (block stages or their dense matrices) and a (members, N, d)
+    stack of random terms."""
     filt, mats = _chain(kind, size, seed)
     if dense:
         filt = Filtration(filt.space, tuple(PosOperator(filt.space, m) for m in mats))
     rng = np.random.default_rng(seed)
     stack = rng.uniform(-1.0, 1.0, size=(members, filt.horizon, filt.space.dim))
-    return filt, mats, stack, filt.horizon if full else 2
+    return filt, mats, stack
 
 
 STACKED = dict(
@@ -270,7 +270,6 @@ STACKED = dict(
     ),
     size=st.integers(1, 8),
     members=st.integers(1, 4),
-    full=st.booleans(),
     dense=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -278,13 +277,14 @@ STACKED = dict(
 
 @settings(max_examples=150, deadline=None)
 @given(**STACKED)
-def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, full, dense, seed):
-    filt, mats, stack, band = _stacked_case(kind, size, members, full, dense, seed)
-    got = _pair_table(stack, filt, band)
-    assert got.shape == (members, filt.horizon, band)
+def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, dense, seed):
+    filt, mats, stack = _stacked_case(kind, size, members, dense, seed)
+    n_terms = filt.horizon
+    got = _pair_table(stack, filt)
+    assert got.shape == (members, n_terms, n_terms)
     for k, xs in enumerate(stack):
-        own = _pair_table(VectorSequence(filt.space, xs), filt, band)
-        assert _within(got[k], own, _band_scale(filt.space, mats, xs, band))
+        own = _pair_table(VectorSequence(filt.space, xs), filt)
+        assert _within(got[k], own, _band_scale(filt.space, mats, xs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,22 +292,19 @@ def test_a_stacked_pair_table_matches_each_members_own(kind, size, members, full
 # terms met by wide planned stages (0-based): term 64 of a wide random-nested
 # chain of 67 levels (stage 63, on 2 x 4 rows), term 40 of 66 pairs (stages 2
 # to 40, on 26 rows or more)
-@example(kind="wide-random-nested", size=3, members=2, full=True, dense=False, seed=1,
+@example(kind="wide-random-nested", size=3, members=2, dense=False, seed=1,
          bad=np.inf, where=2 * 66 * 3 + 1)
-@example(kind="wider-pairing", size=2, members=1, full=True, dense=False, seed=2,
-         bad=np.nan, where=40)
-def test_a_non_finite_term_spoils_only_its_own_pairs(
-    kind, size, members, full, dense, seed, bad, where
-):
-    filt, _, stack, band = _stacked_case(kind, size, members, full, dense, seed)
-    clean = _pair_table(stack, filt, band)
+@example(kind="wider-pairing", size=2, members=1, dense=False, seed=2, bad=np.nan, where=40)
+def test_a_non_finite_term_spoils_only_its_own_pairs(kind, size, members, dense, seed, bad, where):
+    filt, _, stack = _stacked_case(kind, size, members, dense, seed)
+    clean = _pair_table(stack, filt)
     n_terms, d = filt.horizon, filt.space.dim
     k, m, c = where % members, where // members % n_terms, where % d
     stack[k, m, c] = bad
     with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, as in a dense product
-        got = _pair_table(stack, filt, band)
-    # the pairs holding x_m: (n, m) for n in m - band + 1..m, and (m, m + j)
-    n, j = np.indices((n_terms, band))
+        got = _pair_table(stack, filt)
+    # the pairs holding x_m: (n, m) for n <= m, and (m, m + j)
+    n, j = np.indices((n_terms, n_terms))
     holds = ((n + j == m) | (n == m)) & (n + j < n_terms)
     assert np.array_equal(~np.isfinite(got[k]), holds)
     assert np.isnan(got[k][n + j == m]).all()
@@ -317,14 +314,19 @@ def test_a_non_finite_term_spoils_only_its_own_pairs(
 
 
 @pytest.mark.parametrize("kind", ["random-nested", "random-blocks", "wide-pairing"])
-@pytest.mark.parametrize("band", [2, None])
+@pytest.mark.parametrize("terms", [2, None])  # 2: x_n and x_n+1 (the steps), None: x_n..x_N
 @pytest.mark.parametrize("dense", [False, True])
-def test_one_sequences_pair_table_is_its_rows_norms_bit_for_bit(kind, band, dense):
-    filt, _, stack, _ = _stacked_case(kind, 6, 1, True, dense, 17)
+def test_one_sequences_pair_table_is_its_rows_norms_bit_for_bit(kind, terms, dense):
+    filt, _, stack = _stacked_case(kind, 6, 1, dense, 17)
     xs = stack[0]
-    table = _pair_table(VectorSequence(filt.space, xs), filt, band)
+    seq = VectorSequence(filt.space, xs)
+    if terms == 2:  # each stage applied to the next term, then one row_norms
+        nxt = np.array([apply_rows(e, x) for e, x in zip(filt.ops, xs[1:])])
+        assert np.array_equal(_steps(seq, filt), row_norms(filt.space, nxt - xs[:-1]))
+        return
+    table = _pair_table(seq, filt)
     for n, e in enumerate(filt.ops):
-        block = xs[n : n + (band or filt.horizon)]
+        block = xs[n:]
         want = row_norms(filt.space, apply_rows(e, block) - xs[n])
         assert np.array_equal(table[n, : len(block)], want)
 
@@ -385,10 +387,9 @@ def _plan_oracle(filt: Filtration) -> dict:
     """A plan's counts by brute force over each stage's blocks.  A column is a
     maximal run of stages in which one (members, coefs) block is live (holds a
     nonzero coef); ``unit`` counts the columns whose one nonzero coef is 1,
-    ``product`` the others.  ``ends[n]`` is one past stage n's last kept row
-    in a live block, and ``changed`` whether a block live at two stages in a
-    row changed its coefs there."""
-    prev, unit, product, ends, changed = {}, 0, 0, [], False
+    ``product`` the others, and ``changed`` is whether a block live at two
+    stages in a row changed its coefs there."""
+    prev, unit, product, changed = {}, 0, 0, False
     for e in filt.ops:
         live = {}
         for label in np.unique(e.labels):
@@ -403,11 +404,8 @@ def _plan_oracle(filt: Filtration) -> dict:
                 unit += 1
             else:
                 product += 1
-        read = [i for i in range(filt.space.dim)
-                if e.mask[i] and tuple(np.flatnonzero(e.labels == e.labels[i])) in live]
-        ends.append(read[-1] + 1 if read else 0)
         prev = live
-    return {"unit": unit, "product": product, "ends": ends, "changed": changed}
+    return {"unit": unit, "product": product, "changed": changed}
 
 
 def _plan_case(kind: str, size: int, seed: int):
@@ -428,7 +426,7 @@ def _plan_case(kind: str, size: int, seed: int):
 def _source(plan, d: int) -> np.ndarray:
     """The d x width matrix whose column r a row reading source row r applies:
     e_r for r < d, zero at d, then B's columns."""
-    cols, (p, j, coef), width, ends = plan
+    cols, (p, j, coef), width = plan
     m = np.zeros((d, width))
     m[np.arange(d), np.arange(d)] = 1.0
     m[j, d + 1 + p] = coef
@@ -441,10 +439,10 @@ PLAN_KINDS = ["truncation", "pairing", "dyadic", "copy", "random-nested", "rando
               "refining-gathers-changed"]
 
 
-def _planned_case(kind, size, lead, band, bad, where, seed):
-    """A chain, its dense matrices, a (*lead, N, d) stack of random terms with
-    ``bad`` at flat index ``where`` (None: all finite), its band and the pair
-    table over absolute values, one (N, band) table per member."""
+def _planned_case(kind, size, lead, bad, where, seed):
+    """A chain, a (*lead, N, d) stack of random terms with ``bad`` at flat
+    index ``where`` (None: all finite) and the pair table over absolute
+    values, one (N, N) table per member."""
     filt, mats, unplannable = _plan_case(kind, size, seed)
     if unplannable is not None:
         assert (filt.plan is None) == unplannable
@@ -452,16 +450,20 @@ def _planned_case(kind, size, lead, band, bad, where, seed):
     xs = np.random.default_rng(seed).uniform(-1.0, 1.0, (*lead, n_terms, d))
     if bad is not None:
         xs.flat[where % xs.size] = bad
-    band = n_terms if band is None else band
     with np.errstate(invalid="ignore", over="ignore"):
-        scale = [_band_scale(filt.space, mats, m, band) for m in xs.reshape(-1, n_terms, d)]
-    return filt, xs, band, np.reshape(scale, (*lead, n_terms, band))
+        scale = [_band_scale(filt.space, mats, m) for m in xs.reshape(-1, n_terms, d)]
+    return filt, xs, np.reshape(scale, (*lead, n_terms, n_terms))
 
 
-def _same_table(filt: Filtration, got: np.ndarray, want: np.ndarray, scale: np.ndarray):
-    """Bit for bit on a sup chain of gathers (no block sums two coefs), else
-    NaN and inf in the same places and the finite entries within REL of scale."""
-    if filt.space.norm_kind is NormKind.SUP and all(e._scale is not None for e in filt.ops):
+def _sup_gathers(filt: Filtration) -> bool:
+    """A sup chain of gathers: no block sums two coefs."""
+    return filt.space.norm_kind is NormKind.SUP and all(e._scale is not None for e in filt.ops)
+
+
+def _same_table(got: np.ndarray, want: np.ndarray, scale: np.ndarray, exact: bool):
+    """Bit for bit when ``exact``, else NaN and inf in the same places and the
+    finite entries within REL of scale."""
+    if exact:
         assert np.array_equal(got, want, equal_nan=True)
         return
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -474,7 +476,6 @@ PLANNED = dict(
     kind=st.sampled_from(PLAN_KINDS),
     size=st.integers(1, 8),
     lead=st.sampled_from([(), (1,), (3,), (2, 3)]),  # (): one sequence, else a stack
-    band=st.sampled_from([1, 2, None]),
     bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
     where=st.integers(0, 2**16),
     seed=st.integers(0, 2**32 - 1),
@@ -484,37 +485,34 @@ PLANNED = dict(
 @settings(max_examples=400, deadline=None)
 @given(**PLANNED)
 # a builder's chain on a stack with two leading axes
-@example(kind="pairing", size=8, lead=(2, 3), band=None, bad=None, where=0, seed=3)
-def test_a_planned_pair_table_matches_the_table_of_its_stages(
-    kind, size, lead, band, bad, where, seed
-):
+@example(kind="pairing", size=8, lead=(2, 3), bad=None, where=0, seed=3)
+def test_a_planned_pair_table_matches_the_table_of_its_stages(kind, size, lead, bad, where, seed):
     # every chain with a plan reads it here, so gather chains take the planned
     # path too.  On a sup space a chain of gathers (no block sums two coefs)
-    # gives the per-stage table bit for bit: the rows past each stage's end
-    # add one exact maximum.  Block sums add in another order than apply_rows.
-    filt, xs, band, scale = _planned_case(kind, size, lead, band, bad, where, seed)
+    # gives the per-stage table bit for bit: a dropped row reads the zero row,
+    # |0 - x_n,i| = |x_n,i|.  Block sums add in another order than apply_rows.
+    filt, xs, scale = _planned_case(kind, size, lead, bad, where, seed)
     staged = Filtration(filt.space, filt.ops)
     vars(staged)["plan"] = None  # every stage by apply_rows
     with mock.patch.object(martingales, "_PLAN_ROWS", 0), np.errstate(invalid="ignore",
                                                                       over="ignore"):
-        got, want = _pair_table(xs, filt, band), _pair_table(xs, staged, band)
-    _same_table(filt, got, want, scale)
+        got, want = _pair_table(xs, filt), _pair_table(xs, staged)
+    _same_table(got, want, scale, _sup_gathers(filt))
 
 
 @settings(max_examples=300, deadline=None)
 @given(**PLANNED)
-# one stage that keeps no row: its chunk gathers no rows
-@example(kind="refining", size=1, lead=(), band=1, bad=None, where=0, seed=23)
-# a weighted-L1 chain whose stages end at rows 1, 1, 9, 0 and 3 of 10
-@example(kind="refining-suffix", size=5, lead=(2, 3), band=None, bad=np.inf, where=77, seed=10)
-@example(kind="refining-suffix", size=5, lead=(), band=2, bad=np.nan, where=12, seed=10)
-def test_a_planned_pair_table_is_the_same_whatever_its_chunks(
-    kind, size, lead, band, bad, where, seed
-):
+# one stage that keeps no row: its chunk reads only the zero row
+@example(kind="refining", size=1, lead=(), bad=None, where=0, seed=23)
+# a weighted-L1 chain whose stages keep rows up to 1, 1, 9, 0 and 3 of 10: the
+# dropped rows read the zero row
+@example(kind="refining-suffix", size=5, lead=(2, 3), bad=np.inf, where=77, seed=10)
+@example(kind="refining-suffix", size=5, lead=(), bad=np.nan, where=12, seed=10)
+def test_a_planned_pair_table_is_the_same_whatever_its_chunks(kind, size, lead, bad, where, seed):
     # one stage per chunk (a bound of one float) against every stage in one
-    # chunk (no bound): rows past a stage's own end join its tail norm in the
-    # one and read the zero row in the other, up to the chunk's largest end
-    filt, xs, band, scale = _planned_case(kind, size, lead, band, bad, where, seed)
+    # chunk (no bound): the one reduces into the table, the other reads each
+    # stage's row off the diagonal of its chunk's result
+    filt, xs, scale = _planned_case(kind, size, lead, bad, where, seed)
     if filt.plan is None:
         return
     tables = []
@@ -522,8 +520,8 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(
         with mock.patch.object(martingales, "_PLAN_ROWS", 0), mock.patch.object(
             martingales, "_CHUNK_FLOATS", bound
         ), np.errstate(invalid="ignore", over="ignore"):
-            tables.append(_pair_table(xs, filt, band))
-    _same_table(filt, *tables, scale)
+            tables.append(_pair_table(xs, filt))
+    _same_table(*tables, scale, _sup_gathers(filt))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -538,11 +536,11 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(
 def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
     kind, size, lead, bad, where, seed, form, rule, zeros
 ):
-    # a sup chain that reads its plan for the full band is scanned, not tabled, and must
+    # a sup chain that reads its plan for the full table is scanned, not tabled, and must
     # give the table's profile and steps bit for bit, NaN and inf included; every other
     # chain (weighted L1, dense or unplanned stages, small tables as built) reduces its
     # table.  Terms set to -0.0 must not make a profile entry -0.0.
-    filt, xs, _, _ = _planned_case(kind, size, lead, None, bad, where, seed)
+    filt, xs, _ = _planned_case(kind, size, lead, bad, where, seed)
     if zeros:
         xs[np.abs(xs) < 0.5] = -0.0
     if form == "dense":
@@ -557,13 +555,45 @@ def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
         with mock.patch.object(martingales, "_pair_table", wraps=_pair_table) as tabled:
             profile, steps = martingales._profiles(xs, filt)
         table = _pair_table(xs, filt)
-        planned = martingales._plan_source(xs, filt, xs.size // xs.shape[-1])
+        planned = martingales._plan_source(xs, filt)
     scanned = filt.space.norm_kind is NormKind.SUP and planned is not None
     assert tabled.called != scanned
     assert np.array_equal(profile, table.max(-1), equal_nan=True)
     want = table[..., :-1, 1] if n_terms > 1 else np.empty((*lead, 0))
     assert np.array_equal(steps, want, equal_nan=True)
     assert not np.signbit(profile[~np.isnan(profile)]).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(**{name: PLANNED[name] for name in ("kind", "size", "lead", "bad", "where", "seed")},
+       form=st.sampled_from(["blocks", "dense", "unplanned"]))
+@example(kind="refining-suffix", size=5, lead=(2, 3), bad=np.inf, where=77, seed=10,
+         form="blocks")
+def test_steps_are_the_staged_tables_step_column(kind, size, lead, bad, where, seed, form):
+    # each stage applied to the next term only: bit for bit the staged full table's
+    # column T[n, 1] on a sup chain of block stages, within the scale of what was added
+    # on weighted-L1 and dense chains; on block stages each member of a stack gets its
+    # own steps bit for bit, whether or not the stack's table would read a plan
+    filt, xs, scale = _planned_case(kind, size, lead, bad, where, seed)
+    if form == "dense":
+        filt = Filtration(filt.space, tuple(PosOperator(filt.space, e.matrix) for e in filt.ops))
+    elif form == "unplanned":
+        filt = Filtration(filt.space, filt.ops)
+        vars(filt)["plan"] = None
+    staged = Filtration(filt.space, filt.ops)
+    vars(staged)["plan"] = None  # every stage by apply_rows
+    n_terms, d = filt.horizon, filt.space.dim
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps = _steps(xs, filt)
+        table = _pair_table(xs, staged)
+        own = [_steps(m, filt) for m in xs.reshape(-1, n_terms, d)]
+    assert steps.shape == (*lead, n_terms - 1)
+    want = table[..., :-1, 1] if n_terms > 1 else np.empty((*lead, 0))
+    sup = filt.space.norm_kind is NormKind.SUP
+    _same_table(steps, want, scale[..., :-1, 1:2].reshape(want.shape), sup and form != "dense")
+    if form != "dense":
+        shape = (len(own), n_terms - 1)
+        assert np.array_equal(steps.reshape(shape), np.reshape(own, shape), equal_nan=True)
 
 
 def test_a_scanned_profile_of_negative_zeros_is_plus_zero():
@@ -585,16 +615,15 @@ def test_a_scanned_profile_of_negative_zeros_is_plus_zero():
 )
 def test_a_plan_holds_each_distinct_live_block_once(kind, size, seed):
     # the plan against the brute-force oracle: its product rows are the
-    # columns that are not one coordinate with coef 1, every stage ends where
-    # its kept rows in live blocks end, and row i of stage n reads its block's
-    # coefs, or zeros where the stage drops the row or the block is dead
+    # columns that are not one coordinate with coef 1, and row i of stage n
+    # reads its block's coefs, or zeros where the stage drops the row or the
+    # block is dead
     filt, _, unplannable = _plan_case(kind, size, seed)
     if unplannable:
         return
     d, oracle = filt.space.dim, _plan_oracle(filt)
-    cols, _, width, ends = filt.plan
+    cols, _, width = filt.plan
     assert width - d - 1 == oracle["product"]
-    assert ends.tolist() == oracle["ends"]
     source = _source(filt.plan, d)
     for n, e in enumerate(filt.ops):
         for i in range(d):
@@ -603,14 +632,14 @@ def test_a_plan_holds_each_distinct_live_block_once(kind, size, seed):
             assert np.array_equal(source[:, cols[n, i]], np.where(block & read, e.coef, 0.0))
 
 
-def test_a_stage_that_keeps_no_row_ends_at_zero():
+def test_a_stage_that_keeps_no_row_reads_only_the_zero_row():
     space = LatticeSpace(4)
     stages = [BlockOperator(space, np.array([0, 0, 1, 1]), False, 0.5),
               BlockOperator(space, np.array([0, 1, 2, 2]), [True, False, False, False], 0.5),
               BlockOperator(space, np.array([0, 1, 2, 3]), [True, True, True, False],
                             [0.5, 1.0, 1.0, 1.0])]
     filt = Filtration(space, tuple(stages))
-    assert filt.plan[3].tolist() == [0, 1, 3] == _plan_oracle(filt)["ends"]
+    assert filt.plan[0][0].tolist() == [4] * 4  # row d of the source, zeros
     xs = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 4))
     staged = Filtration(space, filt.ops)
     vars(staged)["plan"] = None
@@ -640,18 +669,18 @@ def test_a_chain_gets_no_plan(name):
 @pytest.mark.parametrize("name", ["truncation", "copy"])
 def test_a_chain_of_gathers_gets_a_plan_that_builds_no_product(name):
     # every column reads one coordinate with coef 1: K = d rows of the terms
-    # and no B.T; truncation stage n ends after its n + 1 kept rows
+    # and no B.T; truncation stage n reads the zero row past its n + 1 kept rows
     filt = {"truncation": build_truncation, "copy": build_copy}[name](6)
-    cols, (p, j, coef), width, ends = filt.plan
+    cols, (p, j, coef), width = filt.plan
     assert width == 6 + 1 and p.size == j.size == coef.size == 0
     assert np.unique(cols).tolist() == list(range(6 + (name == "truncation")))
-    want = [1, 2, 3, 4, 5, 6] if name == "truncation" else [6] * 6
-    assert ends.tolist() == want == _plan_oracle(filt)["ends"]
+    zeros = np.tri(6, k=-1, dtype=bool).T if name == "truncation" else np.zeros((6, 6), bool)
+    assert np.array_equal(cols == 6, zeros)
 
 
 def _columns(filt: Filtration) -> tuple[int, int]:
     """K, the distinct source rows a plan reads (the zero row aside), and P, its rows of B.T x."""
-    cols, _, width, _ = filt.plan
+    cols, _, width = filt.plan
     d = filt.space.dim
     return int(np.count_nonzero(np.unique(cols) != d)), width - d - 1
 
@@ -686,12 +715,12 @@ def test_a_plan_is_built_on_first_use_in_narrow_integers(seed):
     assert "plan" not in vars(filt)
     x = vector(filt.space, np.random.default_rng(seed).uniform(-1.0, 1.0, 256))
     assert classify(terminal_sequence(filt, x), filt).is_martingale
-    cols, entries, width, ends = vars(filt)["plan"]
+    cols, entries, width = vars(filt)["plan"]
     assert filt.plan is vars(filt)["plan"]
     assert _columns(filt) == (2 * 256 - 1, 256 - 1)
     assert cols.dtype == np.uint16
-    assert not any(a.flags.writeable for a in (cols, *entries, ends))
-    assert cols.nbytes + sum(a.nbytes for a in (*entries, ends)) < 4 * 256 * 256
+    assert not any(a.flags.writeable for a in (cols, *entries))
+    assert cols.nbytes + sum(a.nbytes for a in entries) < 4 * 256 * 256
 
 
 def test_building_a_plan_holds_few_bytes_per_cell():
@@ -710,13 +739,13 @@ def test_building_a_plan_holds_few_bytes_per_cell():
 
 def test_only_wide_tables_or_wide_summing_chains_read_a_plan():
     # the rule of _pair_table: a table of _PLAN_ROWS rows per stage (members
-    # times band) reads its chain's plan, and so does a chain of d >= 32 with a
+    # times N) reads its chain's plan, and so does a chain of d >= 32 with a
     # stage that sums; a table that does not never builds it
     xs = np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64))
     gathers, sums, small = build_truncation(64), build_pairing(32), build_pairing(12)
-    _pair_table(xs, gathers, band=2)
-    _pair_table(xs[:32], sums, band=2)
-    _pair_table(xs[:12, :24], small)
+    _pair_table(xs, gathers)  # 64 rows
+    _pair_table(xs[:32], sums)  # 32
+    _pair_table(xs[:12, :24], small)  # 12
     assert "plan" not in vars(gathers) and "plan" in vars(sums) and "plan" not in vars(small)
     _pair_table(np.stack([xs] * 2), gathers)
     _pair_table(np.stack([xs[:12, :24]] * 11), small)

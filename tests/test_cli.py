@@ -4,6 +4,7 @@ import json
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache, reduce
 from io import StringIO
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from _oracles import dump_text, instance_doc
 from lattice_lab import build_copy, build_truncation, classify, haar_example
 from lattice_lab import cli
 from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
-from lattice_lab.jsonio import Instance, load_instance
+from lattice_lab.jsonio import Instance, instance_text, load_instance
 
 
 def run(capsys, *argv):
@@ -471,3 +472,118 @@ def test_any_json_document_exits_zero_one_or_two(doc):
         for command in ("classify", "validate"):
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 assert main([command, str(path)]) in (0, 1, 2)
+
+
+@cache
+def gen_text(builder: str, size: int) -> str:
+    """What ``gen <builder> --size <size>`` writes."""
+    return "".join(instance_text(_gen_instance(build_parser().parse_args(
+        ["gen", builder, "--size", str(size)]))))
+
+
+def paths(value, path=()):
+    """The path of every key and index below ``value``, in document order."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, inner in items:
+        yield path + (key,)
+        yield from paths(inner, path + (key,))
+
+
+DEEP = "deeply nested here"
+RETYPED = st.sampled_from(['null', 'true', '"1.0"', '"sup"', '[]', '{}', '2', '0.5', '[[1.0]]',
+                           '{"matrix": []}']).map(json.loads)  # a fresh value each time
+
+
+@st.composite
+def mutated_gen_document(draw):
+    """A document that ``gen`` writes (any builder, size 2 to 4: at most 20 KB) with up to
+    three mutations: a key or element dropped, a value retyped or set to another number, a
+    row made ragged, a number made non-finite, a wrong ``dim``, or a value nested a few
+    thousand lists deep."""
+    doc = json.loads(gen_text(draw(st.sampled_from(GEN_BUILDERS)), draw(st.integers(2, 4))))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "number", "ragged", "non-finite", "dim",
+                                     "deep"]))
+        found = list(paths(doc))
+        if kind == "ragged":
+            found = [p for p in found if isinstance(reduce(lambda v, k: v[k], p, doc), list)
+                     and len(p) > 1 and isinstance(p[-1], int)]
+        if kind == "dim" and isinstance(doc.get("space"), dict):
+            dim = doc["space"].get("dim")
+            wrong = [0, -1, 1.5, "2"] + ([dim - 1, dim + 1, 2 * dim] if type(dim) is int else [])
+            doc["space"]["dim"] = draw(st.sampled_from(wrong))
+            continue
+        if not found:
+            continue
+        depth = draw(st.integers(1, max(len(p) for p in found)))  # shallow keys as often as deep
+        *above, key = draw(st.sampled_from([p for p in found if len(p) == depth] or found))
+        parent = reduce(lambda v, k: v[k], above, doc)
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(RETYPED)
+        elif kind == "number":
+            parent[key] = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 1e308]))
+        elif kind == "ragged" and isinstance(parent[key], list):
+            parent[key] = parent[key][:-1] if draw(st.booleans()) else parent[key] + [0.0]
+        elif kind == "non-finite":
+            parent[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        elif kind == "deep":
+            parent[key] = DEEP
+    depth = draw(st.integers(1_000, 5_000))
+    return json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "1" + "]" * depth)
+
+
+NUMBER_ARGS = st.sampled_from(["0", "1e-9", "0.5", "1", "3", "-1", "nan", "inf", "1e400", "x",
+                               ""])
+FILE_OPTIONS = {"classify": ["--tol", "--eps-x", "--window", "--json"],
+                "validate": ["--tol", "--contractive", "--json"],
+                "gen": ["--size", "--depth", "--factor", "--seed"]}
+
+
+@st.composite
+def mutated_arguments(draw, path: str, out: str):
+    """``classify`` or ``validate`` of ``path``, or ``gen`` of a builder into ``out``, with
+    up to three options (some another command's, or unknown) taking any number or text,
+    then perhaps one argument dropped or repeated."""
+    command = draw(st.sampled_from(sorted(FILE_OPTIONS)))
+    argv = [command] + (["--out", out, draw(st.sampled_from(GEN_BUILDERS)), "--size", "3"]
+                        if command == "gen" else [path])
+    known = [flag for flags in FILE_OPTIONS.values() for flag in flags] + ["--frob", "-h"]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(FILE_OPTIONS[command] * 3 + known))
+        if flag == "-h":
+            continue  # help exits 0 by design; it is no mutation
+        argv.append(flag)
+        if flag not in ("--json", "--contractive", "--frob"):
+            argv.append(draw(NUMBER_ARGS))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(argv) - 1))
+        argv[at:at + 1] = [] if draw(st.booleans()) else [argv[at]] * 2
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_gen_document(), data=st.data())
+def test_mutated_gen_documents_and_arguments_exit_zero_one_or_two(text, data):
+    # the exit-code contract: 0, 1 or 2, never 3 or a traceback; an error past argument
+    # parsing is one ``error:`` line, and one that argparse itself rejects is its usage
+    # (pinned in tests/data/cli_help.json), then one ``<prog>: error:`` line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        argv = data.draw(mutated_arguments(str(path), str(Path(tmp) / "out.json")))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code, parsed = main(argv), True
+            except SystemExit as exit_:
+                code, parsed = exit_.code, False
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2 and parsed:
+        assert one_line_error(err.getvalue()) and out.getvalue() == ""
+    elif code == 2:
+        lines = err.getvalue().splitlines()
+        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        assert not any(": error: " in line for line in lines[:-1]) and out.getvalue() == ""

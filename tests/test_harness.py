@@ -553,6 +553,7 @@ def _limits_limit_not_x(mp, calls):
 def _tail_late_witness(mp, calls):
     # A^21 loses its eventual witness; 8 modified sequences make one stack.
     filt, base, _ = harmonic_tail_example(64)
+    _spy(mp, calls, "_steps")
     _spy(mp, calls, "_pair_table")
     _spy(mp, calls, "_step_witness", lambda n, out, *args: None if n == 21 else out)
     return check_tail_modification(base, zero(filt.space), filt)
@@ -561,6 +562,7 @@ def _tail_late_witness(mp, calls):
 def _band_witness_order(mp, calls):
     # |A| of trial 70 (the second stack of 64) loses its eventual witness.
     _spy(mp, calls, "random_eventual_martingale")
+    _spy(mp, calls, "_steps")
     _spy(mp, calls, "_pair_table")
     _spy(mp, calls, "_step_witness", lambda n, out, *args: None if n == 2 * 70 + 2 else out)
     return check_band_projection_lattice(build_truncation(16), seed=3, trials=200)
@@ -571,17 +573,19 @@ def _band_analytic_bound(mp, calls):
         return (_alternating(f), None) if n - 1 in (37, 38, 45) else out
 
     _spy(mp, calls, "random_asymptotic_martingale", draw)
+    _spy(mp, calls, "_steps")
     _spy(mp, calls, "_pair_table")
     return check_band_projection_lattice(build_truncation(64), seed=2, trials=100)
 
 
 def _band_abs_pair(mp, calls):
     def bump(n, out, *args):
-        if n == 8:  # the second stack's |A| pair table: trial 64 + 6, pair (3, 6)
+        if n == 4:  # the second stack's |B| pair table: trial 64 + 6, pair (3, 6)
             out[6, 2, 3] += 1.0
         return out
 
     _spy(mp, calls, "random_eventual_martingale")
+    _spy(mp, calls, "_steps")
     _spy(mp, calls, "_pair_table", bump)
     return check_band_projection_lattice(build_truncation(16), seed=3, trials=200)
 

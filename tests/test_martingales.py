@@ -368,7 +368,7 @@ def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(mon
     space, wide = LatticeSpace(2), LatticeSpace(32)
     pair_sums = BlockOperator(wide, np.arange(32) // 2, True, 1.0)  # norm 2
     summing = Filtration(wide, (pair_sums, BlockOperator(wide, np.arange(32), True, 1.0)))
-    assert martingales._plan_source(np.ones((2, 32)), summing, 2) is not None
+    assert martingales._plan_source(np.ones((2, 32)), summing) is not None
     for name in ("_pair_table", "_profiles", "_plan_source"):
         def no_table(*args, name=name, **kwargs):
             raise AssertionError(f"{name} ran")
