@@ -77,8 +77,8 @@ class Filtration(_Frozen):
         block, one with no nonzero coef), then B.T x with c at each ``entries`` (p, j, c) of
         B.T.  Stage n's block l is n * d + l.  A live block starts a column unless its block
         before had its members and was live, and then keeps its coefs: the blocks nest, so
-        K < 2d.  A column whose one nonzero coef is 1 reads its coordinate.  See
-        :func:`lattice_lab.martingales._pair_table`.
+        K < 2d.  A column whose one nonzero coef is 1 reads its coordinate.  ``cols`` is narrow
+        (``np.min_scalar_type``): widen it before arithmetic.  See :mod:`lattice_lab.martingales`.
         """
         ops, d = self.ops, self.space.dim
         if not all(isinstance(e, BlockOperator) for e in ops):

@@ -142,9 +142,9 @@ def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndar
     Each stage applies E_n to its (..., N - n, d) block of terms, subtracts x_n and takes |.|
     in place (on fresh memory), then reduces it.  A table of at least ``_PLAN_ROWS`` rows per
     stage (members times N), or of a chain with a summing stage from d = 32, reads the chain's
-    plan instead (:func:`_plan_source`; below that, per-stage gathers cost less than the
-    plan's set-up): each chunk of consecutive stages (at most ``_CHUNK_FLOATS`` floats with
-    one row more, or one stage) is one gather of their d rows, one subtraction, |.| and
+    plan instead (:func:`_plan_source`, by (width, members, N); below that, per-stage gathers
+    cost less than the plan's set-up): each chunk of consecutive stages (``_CHUNK_FLOATS``
+    floats with one row more, or one stage) is one gather of their d rows, one subtraction, |.| and
     reduction, off whose diagonal each stage reads its row.  A dropped row reads the zero
     row, |x_n,i|, so on a sup space a chain of gathers gives the per-stage table bit for bit.
 
@@ -209,18 +209,22 @@ def _steps(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
     return steps
 
 
-def _plan_source(xs: np.ndarray, filt: Filtration) -> tuple | None:
-    """The plan that a table of a (..., N, d) stack of terms reads by :func:`_pair_table`'s
-    rule (members times N rows per stage), and the (width, members, N) source it reads:
-    their coordinates, a zero row and B.T x (B.T built on each call); None without a plan."""
+def _plan_source(xs: np.ndarray, filt: Filtration, scan: bool = False) -> tuple | None:
+    """The plan a (..., N, d) stack of terms reads by :func:`_pair_table`'s rule, or as a ``scan``
+    also on a chain of gathers at any size, and its source: the coordinates, a zero row, B.T x
+    (B.T built on each call), by (width, N, members) for a scan, else (width, members, N)."""
     *_, n_terms, d = xs.shape
-    sums = d >= 32 and any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
-    plan = filt.plan if sums or xs.size // d >= _PLAN_ROWS else None
+    sums = any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
+    plan = filt.plan if (d >= 32 if sums else scan) or xs.size // d >= _PLAN_ROWS else None
     if plan is None:
         return None
     _, (p, j, coef), width = plan
-    src = np.empty((width, xs.size // (n_terms * d), n_terms))
-    src[:d], src[d] = xs.reshape(-1, n_terms, d).transpose(2, 0, 1), 0.0
+    members = xs.size // (n_terms * d)
+    src = np.empty((width, n_terms, members) if scan else (width, members, n_terms))
+    lanes, per = src if scan else src.transpose(0, 2, 1), max(1, _CHUNK_FLOATS // (d * members))
+    for lo in range(0, n_terms, per):  # the (d, N, members) transpose, by runs kept in cache
+        lanes[:d, lo : lo + per] = xs.reshape(members, n_terms, d).T[:, lo : lo + per]
+    src[d] = 0.0
     if width > d + 1:
         bt = np.zeros((width - d - 1, d))
         bt[p, j] = coef
@@ -232,33 +236,37 @@ def _profiles(terms: VectorSequence | np.ndarray, filt: Filtration) -> tuple[np.
     """The defect profile d_n = max_k T[n, k] and the one-step defects T[n, 1], n < N - 1,
     of one sequence or a (..., N, d) stack, bit for bit those of the full :func:`_pair_table`.
 
-    A sup chain whose full table reads a plan takes no table: row i of E_n x_m is source row
-    ``cols[n, i]`` at term m and rounding is monotone, so d_n = max_i max(|S+ - x_n,i|,
-    |x_n,i - S-|) (the |.| moves no maximum, and keeps -0 out) for the maximum S+ and minimum
-    S- of that row over m >= n: a suffix scan (Blelloch, CMU-CS-90-190, 1990) by one reversed
-    ``np.maximum.accumulate`` of the source and one of its negation, -S- (x - S- is x + (-S-)
-    bit for bit).  Weighted L1 does not split (a max over m of a sum over blocks): a table.
+    A sup chain whose full table reads a plan, or a chain of gathers with a plan, takes no
+    table: row i of E_n x_m is source row ``cols[n, i]`` at term m and rounding is monotone,
+    so d_n = max_i max(|S+ - x_n,i|, |S- - x_n,i|) (the |.| moves no maximum, and keeps -0
+    out) for the maximum S+ and minimum S- of that row over m >= n: a suffix scan (Blelloch,
+    CMU-CS-90-190, 1990).  Each chunk of stages gathers rows ``cols[n, i] * N + n`` (+ 1 for
+    the steps) by an i-major ``np.take``, a run of terms per source row.  Weighted L1 does not
+    split (a max over m of a sum over blocks): a table.
     """
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
     *lead, n_terms, d = xs.shape
     members = math.prod(lead)
-    planned = None if filt.space.weights is not None else _plan_source(xs, filt)
+    planned = None if filt.space.weights is not None else _plan_source(xs, filt, scan=True)
     if planned is None:
         table = _pair_table(xs, filt)
         return table.max(-1), table[..., :-1, 1:2].reshape(*lead, n_terms - 1)  # N = 1: empty
     (cols, *_), src = planned
-    xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
-    out = np.empty((3, members, n_terms))  # the steps, max |S+ - x| and max |x - S-|
+    out = np.empty((3, members, n_terms))  # the steps, max |S+ - x| and max |S- - x|
     top, per = np.empty_like(src), max(1, _CHUNK_FLOATS // (d * members))
-    for k, (combine, step) in enumerate(((np.subtract, 1), (np.subtract, 0), (np.add, 0))):
-        if k:  # S+ off the terms, then -S- off their negation
-            np.maximum.accumulate((np.negative(src, out=src) if k > 1 else src)[..., ::-1],
-                                  axis=-1, out=top[..., ::-1])
-        for lo in range(0, n_terms - step, per):  # (c, d, members) rows of c stages
-            hi = min(lo + per, n_terms - step)
-            rows = (top if k else src)[cols[lo:hi], :, np.arange(lo + step, hi + step)[:, None]]
-            np.abs(combine(rows, xn[lo:hi], out=rows), out=rows)
-            rows.max(axis=1, out=out[k, :, lo:hi].T)
+    lanes, tops = src.reshape(-1, members), top.reshape(-1, members)  # row c * N + m: c at m
+    # S+ with the steps (lanes[1:] at m is term m + 1), then S-: one index per chunk and scan
+    for scan, reads in ((np.maximum, ((lanes[1:], 0), (tops, 1))), (np.minimum, ((tops, 2),))):
+        scan.accumulate(src[:, ::-1], axis=1, out=top[:, ::-1])
+        for lo in range(0, n_terms, per):
+            hi = min(lo + per, n_terms)
+            at = np.multiply(cols[lo:hi].T, n_terms, dtype=np.intp, order="C")
+            at += np.arange(lo, hi)
+            for rows_of, k in reads:
+                c = hi - lo if k else min(hi, n_terms - 1) - lo  # no step from the last term
+                rows = rows_of.take(at[:, :c], axis=0)  # (d, c, members), by runs of terms
+                np.abs(np.subtract(rows, src[:d, lo : lo + c], out=rows), out=rows)
+                rows.max(axis=0, out=out[k, :, lo : lo + c].T)
     profile, steps = np.maximum(out[1], out[2]), out[0, :, :-1]
     bad = ~np.isfinite(xs).all(axis=-1).reshape(members, n_terms)
     profile[np.logical_or.accumulate(bad[:, ::-1], axis=-1)[:, ::-1]] = np.nan

@@ -527,19 +527,45 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(kind, size, lead, 
 @settings(max_examples=1000, deadline=None)
 @given(**{name: PLANNED[name] for name in ("kind", "size", "lead", "bad", "where", "seed")},
        form=st.sampled_from(["blocks", "dense", "unplanned"]),
-       rule=st.sampled_from(["every plan", "as built"]), zeros=st.booleans())
+       rule=st.sampled_from(["every plan", "as built"]), zeros=st.booleans(),
+       chunk=st.sampled_from(["as built", "one stage"]))
 # the same chain at d = 64 as the wide-chain test: planned by its summing stages
 @example(kind="wide-pairing", size=1, lead=(), bad=None, where=0, seed=0, form="blocks",
-         rule="as built", zeros=False)
+         rule="as built", zeros=False, chunk="as built")
 @example(kind="pairing", size=8, lead=(2, 3), bad=np.inf, where=500, seed=3, form="blocks",
-         rule="every plan", zeros=True)
+         rule="every plan", zeros=True, chunk="as built")
+# chains of gathers below _PLAN_ROWS rows: scanned as built, with 0, 1 and 2 leading axes
+@example(kind="truncation", size=8, lead=(), bad=np.nan, where=29, seed=1, form="blocks",
+         rule="as built", zeros=False, chunk="as built")
+@example(kind="copy", size=8, lead=(), bad=-np.inf, where=40, seed=2, form="blocks",
+         rule="as built", zeros=True, chunk="as built")
+@example(kind="truncation", size=7, lead=(3,), bad=np.inf, where=100, seed=3, form="blocks",
+         rule="as built", zeros=False, chunk="as built")
+@example(kind="copy", size=6, lead=(1,), bad=np.nan, where=11, seed=4, form="blocks",
+         rule="as built", zeros=False, chunk="as built")
+@example(kind="truncation", size=5, lead=(2, 3), bad=-np.inf, where=77, seed=5, form="blocks",
+         rule="as built", zeros=True, chunk="as built")
+@example(kind="copy", size=8, lead=(2, 3), bad=np.inf, where=300, seed=6, form="blocks",
+         rule="as built", zeros=False, chunk="as built")
+# one stage per chunk, scanned and tabled alike
+@example(kind="truncation", size=8, lead=(3,), bad=np.nan, where=50, seed=7, form="blocks",
+         rule="as built", zeros=False, chunk="one stage")
+@example(kind="pairing", size=8, lead=(2, 3), bad=np.inf, where=500, seed=3, form="blocks",
+         rule="every plan", zeros=False, chunk="one stage")
+# uint8 cols: the zero row, cols = 16, starts at flat row 16 * 16 = 256
+@example(kind="truncation", size=16, lead=(), bad=None, where=0, seed=8, form="blocks",
+         rule="as built", zeros=False, chunk="as built")
+# uint16 cols: d + K = 256 at d = 128
+@example(kind="truncation", size=128, lead=(), bad=np.nan, where=9000, seed=9, form="blocks",
+         rule="as built", zeros=False, chunk="as built")
 def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
-    kind, size, lead, bad, where, seed, form, rule, zeros
+    kind, size, lead, bad, where, seed, form, rule, zeros, chunk
 ):
-    # a sup chain that reads its plan for the full table is scanned, not tabled, and must
-    # give the table's profile and steps bit for bit, NaN and inf included; every other
-    # chain (weighted L1, dense or unplanned stages, small tables as built) reduces its
-    # table.  Terms set to -0.0 must not make a profile entry -0.0.
+    # a sup chain with a plan is scanned, not tabled, when its full table reads that plan
+    # or when no stage sums (every stage gathers), and must give the table's profile and
+    # steps bit for bit, NaN and inf included; every other chain (weighted L1, dense or
+    # unplanned stages, small summing tables as built) reduces its table.  Terms set to
+    # -0.0 must not make a profile entry -0.0.
     filt, xs, _ = _planned_case(kind, size, lead, bad, where, seed)
     if zeros:
         xs[np.abs(xs) < 0.5] = -0.0
@@ -550,13 +576,15 @@ def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
         vars(filt)["plan"] = None
     n_terms = filt.horizon
     plan_rows = 0 if rule == "every plan" else martingales._PLAN_ROWS
-    with mock.patch.object(martingales, "_PLAN_ROWS", plan_rows), np.errstate(
-            invalid="ignore", over="ignore"):
+    bound = 1 if chunk == "one stage" else martingales._CHUNK_FLOATS
+    with mock.patch.object(martingales, "_PLAN_ROWS", plan_rows), mock.patch.object(
+            martingales, "_CHUNK_FLOATS", bound), np.errstate(invalid="ignore", over="ignore"):
         with mock.patch.object(martingales, "_pair_table", wraps=_pair_table) as tabled:
             profile, steps = martingales._profiles(xs, filt)
         table = _pair_table(xs, filt)
-        planned = martingales._plan_source(xs, filt)
-    scanned = filt.space.norm_kind is NormKind.SUP and planned is not None
+        planned = martingales._plan_source(xs, filt)  # the table's rule
+    gathers = filt.plan is not None and _sup_gathers(filt)
+    scanned = gathers or (filt.space.norm_kind is NormKind.SUP and planned is not None)
     assert tabled.called != scanned
     assert np.array_equal(profile, table.max(-1), equal_nan=True)
     want = table[..., :-1, 1] if n_terms > 1 else np.empty((*lead, 0))
@@ -735,6 +763,20 @@ def test_building_a_plan_holds_few_bytes_per_cell():
         finally:
             tracemalloc.stop()
         assert peak < 28 * 256 * 256, peak
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_fresh_summing_draw_is_tabled_and_a_chain_of_gathers_is_scanned(seed):
+    # the scan's rule: a summing sup chain below the table's rule builds no plan it
+    # would read once, and a chain of gathers reads its plan at any size
+    filt = build_random_nested(16, 8, seed, "sup")
+    x = vector(filt.space, np.random.default_rng(seed).uniform(-1.0, 1.0, 16))
+    classify(terminal_sequence(filt, x), filt)
+    assert "plan" not in vars(filt)
+    harmonic, seq, _ = harmonic_tail_example(64)
+    with mock.patch.object(martingales, "_pair_table", side_effect=AssertionError("tabled")):
+        classify(seq, harmonic)
+    assert "plan" in vars(harmonic)
 
 
 def test_only_wide_tables_or_wide_summing_chains_read_a_plan():
