@@ -45,7 +45,6 @@ from .filtration import (
 )
 from .martingales import (
     ClassificationReport,
-    ClosureReport,
     NonContractiveError,
     VectorSequence,
     Verdict,

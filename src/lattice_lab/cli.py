@@ -197,17 +197,17 @@ def _demo_payload(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "demo": name,
         "size": size,
         "expected": expected,
-        "report": closure.to_dict(),
+        "report": closure,
         "abs_one_step_defects": [float(v) for v in steps_abs],
     }
-    base_rep, abs_rep = closure.base, closure.abs
+    base, abs_ = closure["base"], closure["abs"]
     lines = [
         f"[demo:{name}] {expected}",
-        f"[demo:{name}] A: martingale={base_rep.is_martingale} "
-        f"witness={base_rep.e_witness} verdict={base_rep.x_verdict.value} "
-        f"norm={base_rep.seq_norm:.6g}",
-        f"[demo:{name}] |A|: martingale={abs_rep.is_martingale} "
-        f"witness={abs_rep.e_witness} verdict={abs_rep.x_verdict.value} "
+        f"[demo:{name}] A: martingale={base['is_martingale']} "
+        f"witness={base['e_witness']} verdict={base['x_verdict']} "
+        f"norm={base['seq_norm']:.6g}",
+        f"[demo:{name}] |A|: martingale={abs_['is_martingale']} "
+        f"witness={abs_['e_witness']} verdict={abs_['x_verdict']} "
         f"first one-step defect={steps_abs[0]:.6g}",
     ]
     if name == "pairing":

@@ -48,7 +48,6 @@ from .filtration import (
     is_dense,
 )
 from .martingales import (
-    DEFAULT_EPS_FRACTION,
     VectorSequence,
     Verdict,
     _after_last,
@@ -59,6 +58,7 @@ from .martingales import (
     _steps,
     abs_seq,
     classify,
+    default_eps,
     defect_profile,
     harmonic_tail_example,
     haar_example,
@@ -406,7 +406,7 @@ def _convergent_asymptotic_premises(
     converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||) over
     the tail window.  ``early`` is the INCONCLUSIVE result to return when a
     premise fails, else None."""
-    eps = DEFAULT_EPS_FRACTION * max(1.0, seq_norm(seq), norm(limit_vec))
+    eps = default_eps(seq, max(seq_norm(seq), norm(limit_vec)))
     start = tail_window_start(seq.horizon)
     conv = row_norms(seq.space, seq.coords - limit_vec.coords)
     premises = {

@@ -333,7 +333,9 @@ def defect_profile(seq: VectorSequence, filt: Filtration) -> np.ndarray:
 
 
 def default_eps(seq: VectorSequence, norm: float | None = None) -> float:
-    return DEFAULT_EPS_FRACTION * max(1.0, seq_norm(seq) if norm is None else norm)
+    """5% of max(1, norm), norm ||A|| by default; NaN (no verdict) for a norm not finite."""
+    norm = seq_norm(seq) if norm is None else norm
+    return DEFAULT_EPS_FRACTION * max(1.0, norm) if math.isfinite(norm) else math.nan
 
 
 def tail_window_start(horizon: int, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> int:
@@ -366,6 +368,8 @@ def tail_verdict(
     _require_matching(seq, filt)
     _require_contractive(filt)
     d = defect_profile(seq, filt) if profile is None else np.asarray(profile, dtype=float)
+    if d.shape != (seq.horizon,):
+        raise ValueError(f"profile has shape {d.shape}, expected ({seq.horizon},)")
     if eps is None:
         eps = default_eps(seq)
     n_terms = seq.horizon
@@ -502,44 +506,18 @@ def tail_modify(
     return VectorSequence(seq.space, _frozen(np.vstack((seq.coords[:m], tail))))
 
 
-class ClosureReport(_Record):
-    """Whether |A| stays in each class that A itself belongs to: ``base`` classifies
-    A and ``abs`` classifies |A|."""
-
-    def __init__(self, base: ClassificationReport, abs: ClassificationReport) -> None:
-        self._set(base=base, abs=abs)
-
-    @property
-    def abs_stays_martingale(self) -> bool | None:
-        return self.abs.is_martingale if self.base.is_martingale else None
-
-    @property
-    def abs_stays_eventual(self) -> bool | None:
-        if self.base.e_witness is None:
-            return None
-        return self.abs.e_witness is not None
-
-    @property
-    def abs_stays_asymptotic(self) -> bool | None:
-        if self.base.x_verdict is not Verdict.X_MARTINGALE:
-            return None
-        return self.abs.x_verdict is Verdict.X_MARTINGALE
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "abs": self.abs.to_dict(),
-            "abs_stays_martingale": self.abs_stays_martingale,
-            "abs_stays_eventual": self.abs_stays_eventual,
-            "abs_stays_asymptotic": self.abs_stays_asymptotic,
-        }
-
-
-def check_lattice_closure(
-    seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL
-) -> ClosureReport:
-    """Classify A and |A| and report whether taking absolute values leaves each class."""
-    return ClosureReport(base=classify(seq, filt, tol), abs=classify(abs_seq(seq), filt, tol))
+def check_lattice_closure(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> dict:
+    """Classify A (``base``) and |A| (``abs``) and say whether |A| stays in each
+    class: each ``abs_stays_*`` is None where A itself is not in that class."""
+    base, abs_ = (classify(s, filt, tol).to_dict() for s in (seq, abs_seq(seq)))
+    x = Verdict.X_MARTINGALE.value
+    return {
+        "base": base,
+        "abs": abs_,
+        "abs_stays_martingale": abs_["is_martingale"] if base["is_martingale"] else None,
+        "abs_stays_eventual": None if base["e_witness"] is None else abs_["e_witness"] is not None,
+        "abs_stays_asymptotic": abs_["x_verdict"] == x if base["x_verdict"] == x else None,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """``verify all --seed 0 --json`` against the fixture written before the
-evidence checks built their pair tables as stacks, and five demos on
-planned sup chains against the bytes they printed when their defect
-profiles were the row maxima of a pair table."""
+evidence checks built their pair tables as stacks, five demos on planned
+sup chains against the bytes they printed when their defect profiles were
+the row maxima of a pair table, and every demo at its default size, as text
+and as JSON, against the bytes it printed when its closure report was a
+record class."""
 
 import copy
 import json
@@ -30,6 +32,18 @@ def test_a_scanned_demo_prints_its_golden_bytes(capsys, name, size):
     assert main(["demo", name, *size_args, "--json"]) == 0
     stem = f"demo_{name}" if size is None else f"demo_{name}_{size}"
     golden = Path(__file__).parent / "data" / f"{stem}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+DEMOS = ["haar", "pairing", "harmonic", "null", "scale-head"]
+
+
+# null and harmonic --json at their default size are pinned above
+@pytest.mark.parametrize("name, as_json", [
+    *((name, False) for name in DEMOS), ("haar", True), ("pairing", True), ("scale-head", True)])
+def test_a_demo_at_its_default_size_prints_its_golden_bytes(capsys, name, as_json):
+    assert main(["demo", name, *(["--json"] if as_json else [])]) == 0
+    golden = Path(__file__).parent / "data" / f"demo_{name}.{'json' if as_json else 'txt'}"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

@@ -22,10 +22,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
 #: Every public name of the package before the harness became lazy, less
-#: ``join``, ``meet`` and ``absolute``, which were deleted.
+#: ``join``, ``meet``, ``absolute`` and ``ClosureReport``, which were deleted.
 PUBLIC = (
-    "BlockOperator", "CHECK_IDS", "CheckStatus", "ClassificationReport", "ClosureReport",
-    "DEFAULT_TOL", "Filtration", "LatticeSpace", "LatticeVector", "LawCheck",
+    "BlockOperator", "CHECK_IDS", "CheckStatus", "ClassificationReport", "DEFAULT_TOL",
+    "Filtration", "LatticeSpace", "LatticeVector", "LawCheck",
     "NonContractiveError", "NormKind", "PosOperator", "SpaceMismatchError", "TheoremResult",
     "ValidationReport", "VectorSequence", "Verdict", "abs_commutation_index", "abs_seq",
     "apply", "apply_rows", "basis", "build_copy", "build_dyadic", "build_pairing",

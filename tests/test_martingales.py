@@ -5,6 +5,8 @@ the tests (brute-force double loops over index pairs), independent of the
 library functions they check.
 """
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -48,7 +50,7 @@ from lattice_lab import (
     vector,
     zero,
 )
-from lattice_lab import martingales
+from lattice_lab import cli, martingales
 from lattice_lab.filtration import is_dense
 from lattice_lab.harness import (
     SEQUENCE_GENERATORS,
@@ -362,6 +364,36 @@ def test_tail_verdict_rejects_non_contractive_filtration():
         tail_verdict(seq, filt)
 
 
+def _random_rows_case() -> tuple[Filtration, VectorSequence]:
+    """Eight random terms on the truncation chain of d = 8: NOT_X, eps 0.249."""
+    filt = build_truncation(8)
+    return filt, sequence(filt.space, np.random.default_rng(0).uniform(-5, 5, (8, 8)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_term_that_is_not_finite_leaves_the_tail_undecided(bad):
+    # one infinite coordinate used to make eps infinite, so every tail passed as
+    # X_MARTINGALE; a NaN one left eps at 0.05, since max(1.0, nan) is 1.0
+    filt, seq = _random_rows_case()
+    finite = classify(seq, filt)
+    assert finite.x_verdict is Verdict.NOT_X and finite.eps_x == pytest.approx(0.249, abs=1e-3)
+    rows = seq.coords.copy()
+    rows[0, 0] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf in the pair defects
+        report = classify(sequence(filt.space, rows), filt)
+    assert math.isnan(report.eps_x) and report.x_verdict is Verdict.INCONCLUSIVE
+    assert cli._finite(report.to_dict())["tolerances"]["eps_x"] is None  # --json writes null
+
+
+def test_tail_verdict_refuses_a_profile_of_another_shape():
+    filt, seq = _random_rows_case()
+    assert tail_verdict(seq, filt) is Verdict.NOT_X
+    for profile in (np.zeros(16), np.zeros((8, 8)), [0.0]):
+        want = f"profile has shape {np.shape(profile)}, expected (8,)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            tail_verdict(seq, filt, profile=profile)
+
+
 def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(monkeypatch):
     # neither the table nor the profiles' suffix scan (nor the source it reads) may
     # be built first; the sup chain of pair sums at d = 32 would take the scan
@@ -448,11 +480,42 @@ def test_abs_seq_preserves_seq_norm():
 def test_pairing_closure_fails_for_abs():
     filt, seq = pairing_example(3)
     report = check_lattice_closure(seq, filt)
-    assert report.base.is_martingale
-    assert report.abs_stays_martingale is False
-    assert report.abs_stays_eventual is False
-    assert report.abs.e_witness is None
+    assert report["base"]["is_martingale"]
+    assert report["abs_stays_martingale"] is False
+    assert report["abs_stays_eventual"] is False
+    assert report["abs"]["e_witness"] is None
     assert one_step_defects(abs_seq(seq), filt)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _truncation_case() -> tuple[Filtration, VectorSequence]:
+    filt = build_truncation(10)
+    x = vector(filt.space, np.random.default_rng(17).normal(size=10))
+    return filt, terminal_sequence(filt, x)
+
+
+def _scaled(filt: Filtration, seq: VectorSequence) -> tuple[Filtration, VectorSequence]:
+    return filt, scale_head(seq, 2.0)
+
+
+@pytest.mark.parametrize("build, stays", [
+    (lambda: pairing_example(4), (False, False, False)),
+    (lambda: haar_example(3), (False, False, True)),
+    (lambda: _scaled(*haar_example(3)), (None, False, True)),
+    (lambda: _scaled(*_truncation_case()), (None, True, True)),
+    (_truncation_case, (True, True, True)),
+    (_random_rows_case, (None, None, None)),  # not eventual, and NOT_X
+], ids=["pairing", "haar", "scale-head", "truncation-scale-head", "truncation", "random"])
+def test_abs_stays_in_a_class_only_where_a_is_in_it(build, stays):
+    filt, seq = build()
+    report = check_lattice_closure(seq, filt)
+    base, abs_ = classify(seq, filt), classify(abs_seq(seq), filt)
+    assert (report["base"], report["abs"]) == (base.to_dict(), abs_.to_dict())
+    keys = ("abs_stays_martingale", "abs_stays_eventual", "abs_stays_asymptotic")
+    assert list(report) == ["base", "abs", *keys]
+    assert tuple(report[key] for key in keys) == stays
+    in_class = (base.is_martingale, base.e_witness is not None,
+                base.x_verdict is Verdict.X_MARTINGALE)
+    assert [value is None for value in stays] == [not member for member in in_class]
 
 
 def test_haar_abs_fails_one_step_law_everywhere():
@@ -478,9 +541,9 @@ def test_band_projection_filtration_closure_holds():
         x = vector(filt.space, rng.normal(size=10))
         seq = scale_head(terminal_sequence(filt, x), 2.0)
         report = check_lattice_closure(seq, filt)
-        assert report.abs_stays_eventual is True
-        if report.base.is_martingale:
-            assert report.abs_stays_martingale is True
+        assert report["abs_stays_eventual"] is True
+        if report["base"]["is_martingale"]:
+            assert report["abs_stays_martingale"] is True
 
 
 def test_band_projection_defect_domination():

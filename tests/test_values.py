@@ -1,4 +1,4 @@
-"""The value-class contract: the twelve classes that carry the package's data.
+"""The value-class contract: the eleven classes that carry the package's data.
 
 Each is a plain class whose ``__init__`` is written out.  Construction takes
 the same arguments, by position or keyword, with the same defaults; a built
@@ -17,7 +17,6 @@ import pytest
 from lattice_lab import (
     BlockOperator,
     ClassificationReport,
-    ClosureReport,
     CheckStatus,
     Filtration,
     LatticeSpace,
@@ -51,7 +50,6 @@ BUILD = {
     ValidationReport: lambda: ValidationReport((LAW,)),
     ClassificationReport: lambda: ClassificationReport(
         True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25),
-    ClosureReport: lambda: ClosureReport(REPORT, REPORT),
     Instance: lambda: Instance(SPACE),
     TheoremResult: lambda: TheoremResult("nesting", {"trials": 1}, CheckStatus.CONFIRMED),
 }
@@ -71,20 +69,18 @@ SIGNATURES = {
         ("is_martingale", EMPTY), ("e_witness", EMPTY), ("x_defects", EMPTY),
         ("x_verdict", EMPTY), ("seq_norm", EMPTY), ("tol", EMPTY), ("eps_x", EMPTY),
         ("window_fraction", EMPTY), ("notes", REPORT_NOTES)],
-    ClosureReport: [("base", EMPTY), ("abs", EMPTY)],
     Instance: [("space", EMPTY), ("filtration", None), ("sequence", None)],
     # ``witness`` was a dataclass default factory: None stands for a fresh {}
     TheoremResult: [("check_id", EMPTY), ("descriptor", EMPTY), ("status", EMPTY),
                     ("witness", None), ("seed", None)],
 }
 IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence)
-RECORDS = (LawCheck, ValidationReport, ClassificationReport, ClosureReport, Instance,
-           TheoremResult)
+RECORDS = (LawCheck, ValidationReport, ClassificationReport, Instance, TheoremResult)
 CLASSES = list(BUILD)
 
 
 def test_the_contract_covers_every_value_class():
-    assert len(CLASSES) == 12
+    assert len(CLASSES) == 11
     assert set(SIGNATURES) == set(BUILD) == {LatticeSpace, *IDENTITY, *RECORDS}
 
 
@@ -117,7 +113,6 @@ def test_defaults_by_position_and_keyword():
         is_martingale=True, e_witness=1, x_defects=(0.0, 0.0), x_verdict=Verdict.X_MARTINGALE,
         seq_norm=1.0, tol=1e-9, eps_x=0.05, window_fraction=0.25)
     assert keyword == REPORT
-    assert ClosureReport(base=REPORT, abs=REPORT) == ClosureReport(REPORT, REPORT)
     assert BlockOperator(space=SPACE, labels=np.array([0, 0, 1]), mask=1.0,
                          coef=0.5).matrix.tolist() == STAGE.matrix.tolist()
 
