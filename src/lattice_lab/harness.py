@@ -48,6 +48,7 @@ from .filtration import (
     is_dense,
 )
 from .martingales import (
+    _CHUNK_FLOATS,
     VectorSequence,
     Verdict,
     _after_last,
@@ -89,10 +90,6 @@ from .spaces import (
 
 #: Slack added to analytically exact inequalities to absorb rounding.
 FLOAT_SLACK = 1e-9
-
-#: Floats of terms per stack in one table, step or profile call (256 KB), so memory stays flat
-#: for any ``trials``: stacking whole families raised ``verify closed-limits`` from 39 to 43 MB.
-STACK_FLOATS = 2**15
 
 
 class CheckStatus(str, Enum):
@@ -138,8 +135,9 @@ def _require_horizon(what: str, horizon: int) -> None:
 
 
 def _stacks(count: int, filt: Filtration, sequences: int = 1) -> Iterator[range]:
-    """Ranges of ``count`` items of ``sequences`` sequences: <= STACK_FLOATS floats, or 1 item."""
-    per = max(1, STACK_FLOATS // (sequences * filt.horizon * filt.space.dim))
+    """Ranges of ``count`` items of ``sequences`` sequences: <= _CHUNK_FLOATS floats, or 1 item
+    (stacking whole families raised ``verify closed-limits`` from 39 to 43 MB)."""
+    per = max(1, _CHUNK_FLOATS // (sequences * filt.horizon * filt.space.dim))
     return (range(lo, min(lo + per, count)) for lo in range(0, count, per))
 
 

@@ -53,8 +53,8 @@ from .spaces import (
 
 DEFAULT_EPS_FRACTION = 0.05
 DEFAULT_WINDOW_FRACTION = 0.25
-_PLAN_ROWS = 128  # rows per stage (members times N) from which a table reads a plan
-_CHUNK_FLOATS = 2**15  # floats one planned gather and its reduction hold (256 KB)
+_PLAN_DIM = 32  # d from which a chain with a summing stage reads its plan
+_CHUNK_FLOATS = 2**15  # floats of one planned gather, and of terms in one stack of a check
 
 REPORT_NOTES = (
     "defect entry n is the max over terms m = n..N; the final entry uses only the final term",
@@ -140,11 +140,9 @@ def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndar
     sequence or a (..., N, d) stack, for the laws that read pairs (``band-lattice``).
 
     Each stage applies E_n to its (..., N - n, d) block of terms, subtracts x_n and takes |.|
-    in place (on fresh memory), then reduces it.  A table of at least ``_PLAN_ROWS`` rows per
-    stage (members times N), or of a chain with a summing stage from d = 32, reads the chain's
-    plan instead (:func:`_plan_source`, by (width, members, N); below that, per-stage gathers
-    cost less than the plan's set-up): each chunk of consecutive stages (``_CHUNK_FLOATS``
-    floats with one row more, or one stage) is one gather of their d rows, one subtraction, |.| and
+    in place (on fresh memory), then reduces it.  A chain that reads its plan by the rule of
+    :func:`_plan_source` takes each chunk of consecutive stages (``_CHUNK_FLOATS`` floats with
+    one row more, or one stage) as one gather of their d rows, one subtraction, |.| and
     reduction, off whose diagonal each stage reads its row.  A dropped row reads the zero
     row, |x_n,i|, so on a sup space a chain of gathers gives the per-stage table bit for bit.
 
@@ -170,24 +168,26 @@ def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndar
                 np.matmul(rows, w, out=out)
     else:
         (cols, *_), src = planned
-        xn = xs.reshape(members, n_terms, d).transpose(1, 2, 0)  # x_n: (N, d, members)
+        xn = src[:d, :, None].swapaxes(0, 1)  # x_n: (N, d, 1, members)
         flat, lo = table.reshape(members, n_terms, n_terms), 0
-        while lo < n_terms:  # stages lo..hi-1: stages, rows (one more), members, term columns
+        while lo < n_terms:  # stages lo..hi-1: stages, rows (one more), term columns, members
             b = n_terms - lo
             hi = lo + min(b, max(1, _CHUNK_FLOATS // ((d + 1) * members * b)))
             c = hi - lo
-            rows = src[cols[lo:hi], :, lo:]  # (c, d, members, b)
-            rows -= xn[lo:hi, :, :, None]
+            rows = src[cols[lo:hi], lo:]  # (c, d, b, members)
+            rows -= xn[lo:hi]
             np.abs(rows, out=rows)
-            # stage lo + k's row starts at column k; one stage's is the whole result
-            out = np.zeros((c, members, c - 1 + b)) if c > 1 else flat[:, lo:hi].swapaxes(0, 1)
+            # stage lo + k's row starts at column k; one stage of one sequence is the whole result
+            one = c * members == 1
+            out = flat[:, lo:hi].swapaxes(1, 2) if one else np.zeros((c, c - 1 + b, members))
             if w is None:
-                rows.max(axis=1, out=out[..., :b], initial=0.0)
-            else:
-                np.matmul(rows.transpose(0, 2, 3, 1), w, out=out[..., :b])
-            if c > 1:
+                rows.max(axis=1, out=out[:, :b], initial=0.0)
+            else:  # one product by BLAS, on stacks too
+                lanes = rows.transpose(0, 2, 3, 1).reshape(c, -1, d)  # (c, b * members, d)
+                np.matmul(lanes, w, out=out[:, :b].reshape(c, -1))
+            if not one:
                 s0, s1, s2 = out.strides
-                flat[:, lo:hi, :b] = np.ndarray((members, c, b), float, out, 0, (s1, s0 + s2, s2))
+                flat[:, lo:hi, :b] = np.ndarray((members, c, b), float, out, 0, (s2, s0 + s1, s1))
             lo = hi
     for *member, m in np.argwhere(~np.isfinite(xs).all(axis=-1)):
         n = np.arange(m + 1)
@@ -209,21 +209,23 @@ def _steps(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
     return steps
 
 
-def _plan_source(xs: np.ndarray, filt: Filtration, scan: bool = False) -> tuple | None:
-    """The plan a (..., N, d) stack of terms reads by :func:`_pair_table`'s rule, or as a ``scan``
-    also on a chain of gathers at any size, and its source: the coordinates, a zero row, B.T x
-    (B.T built on each call), by (width, N, members) for a scan, else (width, members, N)."""
+def _plan_source(xs: np.ndarray, filt: Filtration) -> tuple | None:
+    """The plan a (..., N, d) stack of terms reads, or None, and its source by (width, N,
+    members): the coordinates, a zero row and B.T x (B.T built on each call).
+
+    The one rule of every planned read, the table's and the scan's: a nonempty stack on a
+    chain with a plan reads it, unless a stage sums and d < ``_PLAN_DIM`` (a fresh
+    random-nested draw, read about once: below that width its plan costs more than it saves)."""
     *_, n_terms, d = xs.shape
     sums = any(isinstance(e, BlockOperator) and e._scale is None for e in filt.ops)
-    plan = filt.plan if (d >= 32 if sums else scan) or xs.size // d >= _PLAN_ROWS else None
-    if plan is None:
+    plan = None if sums and d < _PLAN_DIM else filt.plan
+    if plan is None or not xs.size:
         return None
     _, (p, j, coef), width = plan
     members = xs.size // (n_terms * d)
-    src = np.empty((width, n_terms, members) if scan else (width, members, n_terms))
-    lanes, per = src if scan else src.transpose(0, 2, 1), max(1, _CHUNK_FLOATS // (d * members))
+    src, per = np.empty((width, n_terms, members)), max(1, _CHUNK_FLOATS // (d * members))
     for lo in range(0, n_terms, per):  # the (d, N, members) transpose, by runs kept in cache
-        lanes[:d, lo : lo + per] = xs.reshape(members, n_terms, d).T[:, lo : lo + per]
+        src[:d, lo : lo + per] = xs.reshape(members, n_terms, d).T[:, lo : lo + per]
     src[d] = 0.0
     if width > d + 1:
         bt = np.zeros((width - d - 1, d))
@@ -236,18 +238,18 @@ def _profiles(terms: VectorSequence | np.ndarray, filt: Filtration) -> tuple[np.
     """The defect profile d_n = max_k T[n, k] and the one-step defects T[n, 1], n < N - 1,
     of one sequence or a (..., N, d) stack, bit for bit those of the full :func:`_pair_table`.
 
-    A sup chain whose full table reads a plan, or a chain of gathers with a plan, takes no
-    table: row i of E_n x_m is source row ``cols[n, i]`` at term m and rounding is monotone,
-    so d_n = max_i max(|S+ - x_n,i|, |S- - x_n,i|) (the |.| moves no maximum, and keeps -0
-    out) for the maximum S+ and minimum S- of that row over m >= n: a suffix scan (Blelloch,
-    CMU-CS-90-190, 1990).  Each chunk of stages gathers rows ``cols[n, i] * N + n`` (+ 1 for
-    the steps) by an i-major ``np.take``, a run of terms per source row.  Weighted L1 does not
-    split (a max over m of a sum over blocks): a table.
+    A sup chain that reads its plan (the rule of :func:`_plan_source`) scans the table's
+    source instead: row i of E_n x_m is source row ``cols[n, i]`` at term m and rounding is
+    monotone, so d_n = max_i max(|S+ - x_n,i|, |S- - x_n,i|) (the |.| moves no maximum, and
+    keeps -0 out) for the maximum S+ and minimum S- of that row over m >= n: a suffix scan
+    (Blelloch, CMU-CS-90-190, 1990).  Each chunk of stages gathers rows ``cols[n, i] * N + n``
+    (+ 1 for the steps) by an i-major ``np.take``, a run of terms per source row.  Weighted L1
+    does not split (a max over m of a sum over blocks): a table.
     """
     xs = terms.coords if isinstance(terms, VectorSequence) else terms
     *lead, n_terms, d = xs.shape
     members = math.prod(lead)
-    planned = None if filt.space.weights is not None else _plan_source(xs, filt, scan=True)
+    planned = None if filt.space.weights is not None else _plan_source(xs, filt)
     if planned is None:
         table = _pair_table(xs, filt)
         return table.max(-1), table[..., :-1, 1:2].reshape(*lead, n_terms - 1)  # N = 1: empty

@@ -14,7 +14,7 @@ here reads it: :func:`apply_rows`, :func:`operator_norm` and
 holds two nonzero coefs, else block sums by one ``bincount``, which adds
 each block in index order.  A pair table or a sup profile reads every
 stage of a refining chain off one source instead, by the rule
-:func:`lattice_lab.martingales._pair_table` states; the one-step defects
+:func:`lattice_lab.martingales._plan_source` states; the one-step defects
 (:func:`lattice_lab.martingales._steps`) apply each stage to one term.
 
 Provides the induced norm (:func:`operator_norm`) and one structural

@@ -494,7 +494,7 @@ def test_a_planned_pair_table_matches_the_table_of_its_stages(kind, size, lead, 
     filt, xs, scale = _planned_case(kind, size, lead, bad, where, seed)
     staged = Filtration(filt.space, filt.ops)
     vars(staged)["plan"] = None  # every stage by apply_rows
-    with mock.patch.object(martingales, "_PLAN_ROWS", 0), np.errstate(invalid="ignore",
+    with mock.patch.object(martingales, "_PLAN_DIM", 0), np.errstate(invalid="ignore",
                                                                       over="ignore"):
         got, want = _pair_table(xs, filt), _pair_table(xs, staged)
     _same_table(got, want, scale, _sup_gathers(filt))
@@ -517,7 +517,7 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(kind, size, lead, 
         return
     tables = []
     for bound in (1, 2**62):
-        with mock.patch.object(martingales, "_PLAN_ROWS", 0), mock.patch.object(
+        with mock.patch.object(martingales, "_PLAN_DIM", 0), mock.patch.object(
             martingales, "_CHUNK_FLOATS", bound
         ), np.errstate(invalid="ignore", over="ignore"):
             tables.append(_pair_table(xs, filt))
@@ -534,7 +534,7 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(kind, size, lead, 
          rule="as built", zeros=False, chunk="as built")
 @example(kind="pairing", size=8, lead=(2, 3), bad=np.inf, where=500, seed=3, form="blocks",
          rule="every plan", zeros=True, chunk="as built")
-# chains of gathers below _PLAN_ROWS rows: scanned as built, with 0, 1 and 2 leading axes
+# chains of gathers of few rows a stage: scanned as built, with 0, 1 and 2 leading axes
 @example(kind="truncation", size=8, lead=(), bad=np.nan, where=29, seed=1, form="blocks",
          rule="as built", zeros=False, chunk="as built")
 @example(kind="copy", size=8, lead=(), bad=-np.inf, where=40, seed=2, form="blocks",
@@ -558,14 +558,17 @@ def test_a_planned_pair_table_is_the_same_whatever_its_chunks(kind, size, lead, 
 # uint16 cols: d + K = 256 at d = 128
 @example(kind="truncation", size=128, lead=(), bad=np.nan, where=9000, seed=9, form="blocks",
          rule="as built", zeros=False, chunk="as built")
+# a stacked summing chain on which B.T x laid out (width, N, members) and (width, members,
+# N) rounds 1 ulp apart: the scan and the table must read one source
+@example(kind="refining", size=3, lead=(2, 3), bad=None, where=0, seed=50486087, form="blocks",
+         rule="every plan", zeros=False, chunk="as built")
 def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
     kind, size, lead, bad, where, seed, form, rule, zeros, chunk
 ):
-    # a sup chain with a plan is scanned, not tabled, when its full table reads that plan
-    # or when no stage sums (every stage gathers), and must give the table's profile and
-    # steps bit for bit, NaN and inf included; every other chain (weighted L1, dense or
-    # unplanned stages, small summing tables as built) reduces its table.  Terms set to
-    # -0.0 must not make a profile entry -0.0.
+    # a sup chain that reads its plan is scanned, not tabled, and must give the table's
+    # profile and steps bit for bit, NaN and inf included; every other chain (weighted L1,
+    # dense or unplanned stages, small summing chains as built) reduces its table.  Terms
+    # set to -0.0 must not make a profile entry -0.0.
     filt, xs, _ = _planned_case(kind, size, lead, bad, where, seed)
     if zeros:
         xs[np.abs(xs) < 0.5] = -0.0
@@ -575,17 +578,17 @@ def test_profiles_are_the_pair_tables_row_maxima_and_step_column(
         filt = Filtration(filt.space, filt.ops)
         vars(filt)["plan"] = None
     n_terms = filt.horizon
-    plan_rows = 0 if rule == "every plan" else martingales._PLAN_ROWS
+    plan_dim = 0 if rule == "every plan" else martingales._PLAN_DIM
     bound = 1 if chunk == "one stage" else martingales._CHUNK_FLOATS
-    with mock.patch.object(martingales, "_PLAN_ROWS", plan_rows), mock.patch.object(
+    with mock.patch.object(martingales, "_PLAN_DIM", plan_dim), mock.patch.object(
             martingales, "_CHUNK_FLOATS", bound), np.errstate(invalid="ignore", over="ignore"):
         with mock.patch.object(martingales, "_pair_table", wraps=_pair_table) as tabled:
             profile, steps = martingales._profiles(xs, filt)
         table = _pair_table(xs, filt)
-        planned = martingales._plan_source(xs, filt)  # the table's rule
-    gathers = filt.plan is not None and _sup_gathers(filt)
-    scanned = gathers or (filt.space.norm_kind is NormKind.SUP and planned is not None)
-    assert tabled.called != scanned
+        planned = martingales._plan_source(xs, filt)  # the one rule, the table's and the scan's
+    if filt.plan is not None and _sup_gathers(filt):
+        assert planned is not None  # a chain of gathers reads its plan at any size
+    assert tabled.called != (filt.space.norm_kind is NormKind.SUP and planned is not None)
     assert np.array_equal(profile, table.max(-1), equal_nan=True)
     want = table[..., :-1, 1] if n_terms > 1 else np.empty((*lead, 0))
     assert np.array_equal(steps, want, equal_nan=True)
@@ -671,7 +674,7 @@ def test_a_stage_that_keeps_no_row_reads_only_the_zero_row():
     xs = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 4))
     staged = Filtration(space, filt.ops)
     vars(staged)["plan"] = None
-    with mock.patch.object(martingales, "_PLAN_ROWS", 0):
+    with mock.patch.object(martingales, "_PLAN_DIM", 0):
         assert np.array_equal(_pair_table(xs, filt), _pair_table(xs, staged))
 
 
@@ -767,8 +770,8 @@ def test_building_a_plan_holds_few_bytes_per_cell():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_fresh_summing_draw_is_tabled_and_a_chain_of_gathers_is_scanned(seed):
-    # the scan's rule: a summing sup chain below the table's rule builds no plan it
-    # would read once, and a chain of gathers reads its plan at any size
+    # the one plan rule: a summing sup chain below d = 32 builds no plan it would
+    # read once, and a chain of gathers reads its plan at any size
     filt = build_random_nested(16, 8, seed, "sup")
     x = vector(filt.space, np.random.default_rng(seed).uniform(-1.0, 1.0, 16))
     classify(terminal_sequence(filt, x), filt)
@@ -779,16 +782,25 @@ def test_a_fresh_summing_draw_is_tabled_and_a_chain_of_gathers_is_scanned(seed):
     assert "plan" in vars(harmonic)
 
 
-def test_only_wide_tables_or_wide_summing_chains_read_a_plan():
-    # the rule of _pair_table: a table of _PLAN_ROWS rows per stage (members
-    # times N) reads its chain's plan, and so does a chain of d >= 32 with a
-    # stage that sums; a table that does not never builds it
+def test_a_chain_reads_its_plan_unless_a_stage_sums_below_the_plan_dim():
+    # the one rule of _plan_source: a chain of gathers reads its plan from one
+    # 2-term sequence, a summing chain from d = _PLAN_DIM = 32, and a summing chain
+    # below that never builds its plan, whatever the number of rows
     xs = np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64))
-    gathers, sums, small = build_truncation(64), build_pairing(32), build_pairing(12)
-    _pair_table(xs, gathers)  # 64 rows
-    _pair_table(xs[:32], sums)  # 32
-    _pair_table(xs[:12, :24], small)  # 12
-    assert "plan" not in vars(gathers) and "plan" in vars(sums) and "plan" not in vars(small)
-    _pair_table(np.stack([xs] * 2), gathers)
-    _pair_table(np.stack([xs[:12, :24]] * 11), small)
-    assert "plan" in vars(gathers) and "plan" in vars(small)
+    gathers, sums, small = build_truncation(2), build_pairing(16), build_pairing(12)
+    assert martingales._PLAN_DIM == 32
+    _pair_table(xs[:2, :2], gathers)  # 2 rows
+    _pair_table(xs[:16, :32], sums)  # 16
+    _pair_table(np.stack([xs[:12, :24]] * 11), small)  # 11 x 12
+    martingales._profiles(np.stack([xs[:12, :24]] * 11), small)
+    assert "plan" in vars(gathers) and "plan" in vars(sums) and "plan" not in vars(small)
+
+
+@pytest.mark.parametrize("build", [build_truncation, build_copy])
+def test_an_empty_stack_reads_no_plan(build):
+    # no members: no source to build, and the per-stage table and scan are empty
+    filt = build(8)
+    xs = np.zeros((0, 8, 8))
+    assert martingales._plan_source(xs, filt) is None
+    assert _pair_table(xs, filt).shape == (0, 8, 8)
+    assert [a.shape for a in martingales._profiles(xs, filt)] == [(0, 8), (0, 7)]

@@ -1,9 +1,10 @@
 """``verify all --seed 0 --json`` against the fixture written before the
 evidence checks built their pair tables as stacks, five demos on planned
 sup chains against the bytes they printed when their defect profiles were
-the row maxima of a pair table, and every demo at its default size, as text
+the row maxima of a pair table, every demo at its default size, as text
 and as JSON, against the bytes it printed when its closure report was a
-record class."""
+record class, and ``demo haar --size 6`` against the bytes it printed when
+planned tables and suffix scans read two source layouts."""
 
 import copy
 import json
@@ -25,13 +26,20 @@ def test_verify_all_seed0_matches_the_fixture(capsys, tmp_path):
 @pytest.mark.parametrize("name, size", [("pairing", 100), ("null", 256), ("harmonic", 256),
                                         ("null", None), ("harmonic", None)])
 def test_a_scanned_demo_prints_its_golden_bytes(capsys, name, size):
-    # each profile comes from the suffix scan, bit for bit the table's row maxima; at
-    # their default size of 64, null and harmonic are chains of gathers below the
-    # table's plan rule, which the scan reads at any size
+    # each profile comes from the suffix scan, bit for bit the table's row maxima; null
+    # and harmonic are chains of gathers, which read their plans at any size
     size_args = [] if size is None else ["--size", str(size)]
     assert main(["demo", name, *size_args, "--json"]) == 0
     stem = f"demo_{name}" if size is None else f"demo_{name}_{size}"
     golden = Path(__file__).parent / "data" / f"{stem}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_a_planned_weighted_l1_table_prints_its_golden_bytes(capsys):
+    # the one CLI path into a planned weighted-L1 pair table: a dyadic chain at d = 64,
+    # whose summing stages read their plan
+    assert main(["demo", "haar", "--size", "6", "--json"]) == 0
+    golden = Path(__file__).parent / "data" / "demo_haar_6.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

@@ -37,7 +37,7 @@ from lattice_lab import (
     vector,
     zero,
 )
-from lattice_lab import harness
+from lattice_lab import harness, martingales
 from lattice_lab.harness import (
     CHECK_IDS,
     check_abs_alignment,
@@ -473,7 +473,7 @@ def test_band_lattice_names_the_first_failing_trial(monkeypatch):
     result = check_band_projection_lattice(filt, seed=2, trials=100)
     assert result.status is CheckStatus.VIOLATED
     assert result.witness == {"trial": 37, "problem": "analytic defect bound failed", "n": 1}
-    per = harness.STACK_FLOATS // (2 * 64 * 64)
+    per = martingales._CHUNK_FLOATS // (2 * 64 * 64)
     assert len(draws) == (37 // per + 1) * per  # no trial drawn past the failing stack
 
 
