@@ -31,8 +31,6 @@ from .operators import (
 )
 from .filtration import (
     Filtration,
-    LawCheck,
-    ValidationReport,
     build_copy,
     build_dyadic,
     build_pairing,

@@ -156,13 +156,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise InstanceFormatError("instance file has no filtration to validate")
     report = validate(instance.filtration, args.contractive, args.tol)
     lines = []
-    for check in report.checks:
-        state = "pass" if check.passed else "FAIL"
-        where = "" if check.witness is None else f" at {check.witness}"
-        lines.append(f"[validate] {check.law}: {state} (worst {check.worst:.3e}{where})")
-    lines.append(f"[validate] overall: {'pass' if report.passed else 'FAIL'}")
-    _emit(report.to_dict(), args.json, lines)
-    return 0 if report.passed else 1
+    for check in report["checks"]:
+        state = "pass" if check["passed"] else "FAIL"
+        where = "" if check["witness"] is None else f" at {check['witness']}"
+        lines.append(f"[validate] {check['law']}: {state} (worst {check['worst']:.3e}{where})")
+    lines.append(f"[validate] overall: {'pass' if report['passed'] else 'FAIL'}")
+    _emit(report, args.json, lines)
+    return 0 if report["passed"] else 1
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

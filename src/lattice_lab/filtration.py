@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import BlockOperator, Operator, is_lattice_homomorphism, operator_norm
-from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, _Frozen, _Record, _frozen, row_norms
+from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, _Frozen, _frozen, row_norms
 
 
 class Filtration(_Frozen):
@@ -129,58 +129,25 @@ class Filtration(_Frozen):
         return f"Filtration(dim={self.space.dim}, horizon={self.horizon})"
 
 
-class LawCheck(_Record):
-    """Outcome of one filtration ``law``: whether it ``passed``, the ``worst``
-    magnitude and the ``witness`` indices where it occurred."""
-
-    def __init__(self, law: str, passed: bool, worst: float,
-                 witness: tuple[int, ...] | None) -> None:
-        self._set(law=law, passed=passed, worst=worst, witness=witness)
-
-    def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "passed": self.passed,
-            "worst": float(self.worst),
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
-
-class ValidationReport(_Record):
-    def __init__(self, checks: tuple[LawCheck, ...]) -> None:
-        self._set(checks=checks)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-
-def _worse(v: float, worst: float) -> bool:
-    """v > worst, but the first NaN is worse than anything, so NaN fails a law."""
-    return v > worst or (math.isnan(v) and not math.isnan(worst))
-
-
-def _law(law: str, values, tol: float) -> LawCheck:
-    """The worst of (witness, value) pairs, first worst in the given order."""
+def _law(law: str, values, tol: float) -> dict:
+    """One law's report from its (witness, value) pairs: the first worst value in the given
+    order, where the first NaN is worse than anything, so NaN fails the law."""
     worst, witness = 0.0, None
     for where, v in values:
-        if _worse(v, worst):
+        if v > worst or (math.isnan(v) and not math.isnan(worst)):
             worst, witness = v, where
-    return LawCheck(law, worst <= tol, worst, witness)
+    return {"law": law, "passed": worst <= tol, "worst": worst, "witness": witness}
 
 
 def validate(
     filt: Filtration,
     require_contractive: bool = False,
     tol: float = DEFAULT_TOL,
-) -> ValidationReport:
+) -> dict:
     """Check every filtration law; failures are reported, not raised.
 
-    Each law's entry records the worst violation magnitude seen and the
-    (1-based) operator index or index pair where it occurred.
+    Returns what ``validate --json`` prints, ``{"passed", "checks"}``: per law its
+    ``law``, ``passed``, ``worst`` violation and 1-based ``witness`` index or pair, or None.
 
     The commuting-order law is checked on adjacent pairs only, scanning
     (n, n), (n, n+1), (n+1, n) for each n: 3N - 2 products instead of N^2.
@@ -218,7 +185,7 @@ def validate(
     if require_contractive:
         norms = (((n,), v - 1.0) for n, v in enumerate(filt.norms, start=1))
         checks.append(_law("contractivity", norms, tol))
-    return ValidationReport(tuple(checks))
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def is_contractive_filtration(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
@@ -379,8 +346,6 @@ def build_random_nested(
 
 __all__ = [
     "Filtration",
-    "LawCheck",
-    "ValidationReport",
     "validate",
     "is_contractive_filtration",
     "is_dense",

@@ -399,12 +399,11 @@ class ClassificationReport(_Record):
         tol: float,
         eps_x: float,
         window_fraction: float,
-        notes: tuple[str, ...] = REPORT_NOTES,
     ) -> None:
         self._set(
             is_martingale=is_martingale, e_witness=e_witness, x_defects=x_defects,
             x_verdict=x_verdict, seq_norm=seq_norm, tol=tol, eps_x=eps_x,
-            window_fraction=window_fraction, notes=notes,
+            window_fraction=window_fraction,
         )
 
     def to_dict(self) -> dict:
@@ -419,7 +418,7 @@ class ClassificationReport(_Record):
                 "eps_x": float(self.eps_x),
                 "window_fraction": float(self.window_fraction),
             },
-            "notes": list(self.notes),
+            "notes": list(REPORT_NOTES),
         }
 
 

@@ -134,8 +134,8 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
     width = d + 1  # the last column stays zero for dropped rows
     flat = rows.reshape(-1, d)
     cells = (np.arange(0, len(flat) * width, width)[:, None] + op.labels).ravel()
-    sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)
-    return sums.reshape(-1, width)[:, op._src].reshape(rows.shape)
+    sums = np.bincount(cells, (flat * op.coef).ravel(), len(flat) * width)  # int64 for no rows
+    return sums.reshape(-1, width)[:, op._src].reshape(rows.shape).astype(float, copy=False)
 
 
 def apply(op: Operator, x: LatticeVector) -> LatticeVector:

@@ -40,7 +40,7 @@ from lattice_lab import (
     operator_norm,
     vector,
 )
-from lattice_lab.filtration import ValidationReport, _law
+from lattice_lab.filtration import _law
 from lattice_lab.jsonio import InstanceFormatError, instance_from_dict
 from lattice_lab.harness import random_eventual_martingale, trial_rng
 from lattice_lab.spaces import DEFAULT_TOL
@@ -129,7 +129,7 @@ def read_instance(path):
     return instance_from_dict(data)
 
 
-def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> ValidationReport:
+def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> dict:
     """``validate`` with the commuting-order law on every pair (n, m) in
     row-major order, idempotence read off its diagonal."""
     mats = [e.matrix for e in filt.ops]
@@ -148,7 +148,7 @@ def order_law_sweep(filt, require_contractive=False, tol=DEFAULT_TOL) -> Validat
     if require_contractive:
         norms = (((n,), operator_norm(e) - 1.0) for n, e in enumerate(filt.ops, start=1))
         checks.append(_law("contractivity", norms, tol))
-    return ValidationReport(tuple(checks))
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def is_band_projection(op, tol=DEFAULT_TOL) -> bool:

@@ -196,7 +196,7 @@ def test_validate_and_the_writer_hold_one_pair_of_stage_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert report["passed"]
     assert peak < 2 * 2**20, peak
 
 
@@ -796,11 +796,17 @@ def test_a_chain_reads_its_plan_unless_a_stage_sums_below_the_plan_dim():
     assert "plan" in vars(gathers) and "plan" in vars(sums) and "plan" not in vars(small)
 
 
-@pytest.mark.parametrize("build", [build_truncation, build_copy])
+@pytest.mark.parametrize("build", [build_truncation, build_copy, build_dyadic, build_pairing])
 def test_an_empty_stack_reads_no_plan(build):
-    # no members: no source to build, and the per-stage table and scan are empty
-    filt = build(8)
-    xs = np.zeros((0, 8, 8))
+    # no members: no source to build, and the per-stage table, scan and steps are empty
+    # float arrays; every stage of the summing chains (dyadic at d = 8, pairing at d = 64)
+    # adds its blocks by np.bincount, which counts in int64 on empty input even when given
+    # weights
+    filt = build({build_dyadic: 3, build_pairing: 32}.get(build, 8))
+    n_terms, d = filt.horizon, filt.space.dim
+    xs = np.zeros((0, n_terms, d))
     assert martingales._plan_source(xs, filt) is None
-    assert _pair_table(xs, filt).shape == (0, 8, 8)
-    assert [a.shape for a in martingales._profiles(xs, filt)] == [(0, 8), (0, 7)]
+    assert apply_rows(filt.op(1), xs[:, 0]).dtype == np.float64
+    got = [_pair_table(xs, filt), *martingales._profiles(xs, filt), _steps(xs, filt)]
+    shapes = [(0, n_terms, n_terms), (0, n_terms), (0, n_terms - 1), (0, n_terms - 1)]
+    assert [(a.shape, a.dtype) for a in got] == [(shape, np.float64) for shape in shapes]

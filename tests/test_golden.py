@@ -3,8 +3,10 @@ evidence checks built their pair tables as stacks, five demos on planned
 sup chains against the bytes they printed when their defect profiles were
 the row maxima of a pair table, every demo at its default size, as text
 and as JSON, against the bytes it printed when its closure report was a
-record class, and ``demo haar --size 6`` against the bytes it printed when
-planned tables and suffix scans read two source layouts."""
+record class, ``demo haar --size 6`` against the bytes it printed when
+planned tables and suffix scans read two source layouts, and ``validate
+--contractive`` on four files, as text and as JSON, against the bytes and
+exit codes it printed when its report was a pair of record classes."""
 
 import copy
 import json
@@ -86,3 +88,36 @@ def test_the_comparison_allows_rounding_and_nothing_else():
     got = copy.deepcopy(want)
     del got["results"][-1]
     assert first_difference(got, want) == "$.results: length 17 != 18"
+
+
+#: hand-made instance files: a dense chain that fails all four laws, and one whose
+#: 1e308 entries overflow every product, so its worst values print as inf and null
+HAND_MADE = {
+    "dense": '{"space":{"dim":2,"norm":"sup"},"filtration":{"operators":['
+             '{"matrix":[[-1.0,2.0],[0.5,3.0]]},{"matrix":[[2.0,0.0],[1.0,-1.0]]}]}}\n',
+    "overflow": '{"space":{"dim":2,"norm":"sup"},"filtration":{"operators":['
+                '{"matrix":[[1e308,1e308],[1e308,1e308]]},'
+                '{"matrix":[[1e308,1e308],[1e308,1e308]]}]}}\n',
+}
+#: name -> gen arguments for the generated files
+GENERATED = {
+    "random-nested": ["random-nested", "--size", "24", "--seed", "3"],
+    "copy": ["copy", "--size", "6"],
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name, code", [
+    ("random-nested", 0), ("copy", 0), ("dense", 1), ("overflow", 1)])
+def test_validate_prints_its_golden_bytes(capsys, tmp_path, name, code, as_json):
+    # the bytes and exit codes validate --contractive printed when its report was a
+    # pair of record classes
+    path = tmp_path / f"{name}.json"
+    if name in GENERATED:
+        assert main(["gen", *GENERATED[name], "--out", str(path)]) == 0
+    else:
+        path.write_text(HAND_MADE[name], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path), "--contractive", *(["--json"] if as_json else [])]) == code
+    golden = Path(__file__).parent / "data" / f"validate_{name}.{'json' if as_json else 'txt'}"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -22,12 +22,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
 #: Every public name of the package before the harness became lazy, less
-#: ``join``, ``meet``, ``absolute`` and ``ClosureReport``, which were deleted.
+#: ``join``, ``meet``, ``absolute``, ``ClosureReport``, ``LawCheck`` and
+#: ``ValidationReport``, which were deleted.
 PUBLIC = (
     "BlockOperator", "CHECK_IDS", "CheckStatus", "ClassificationReport", "DEFAULT_TOL",
-    "Filtration", "LatticeSpace", "LatticeVector", "LawCheck",
+    "Filtration", "LatticeSpace", "LatticeVector",
     "NonContractiveError", "NormKind", "PosOperator", "SpaceMismatchError", "TheoremResult",
-    "ValidationReport", "VectorSequence", "Verdict", "abs_commutation_index", "abs_seq",
+    "VectorSequence", "Verdict", "abs_commutation_index", "abs_seq",
     "apply", "apply_rows", "basis", "build_copy", "build_dyadic", "build_pairing",
     "build_random_nested", "build_truncation", "check_lattice_closure", "classify",
     "defect_profile", "eventual_witness", "eventual_witness_pairwise", "haar_example",

@@ -1,4 +1,4 @@
-"""The value-class contract: the eleven classes that carry the package's data.
+"""The value-class contract: the nine classes that carry the package's data.
 
 Each is a plain class whose ``__init__`` is written out.  Construction takes
 the same arguments, by position or keyword, with the same defaults; a built
@@ -21,11 +21,9 @@ from lattice_lab import (
     Filtration,
     LatticeSpace,
     LatticeVector,
-    LawCheck,
     NormKind,
     PosOperator,
     TheoremResult,
-    ValidationReport,
     VectorSequence,
     Verdict,
     filtration,
@@ -35,7 +33,6 @@ from lattice_lab.martingales import REPORT_NOTES
 
 SPACE = LatticeSpace(3)
 STAGE = BlockOperator(SPACE, np.array([0, 0, 1]), 1.0, 0.5)
-LAW = LawCheck("positivity", True, 0.0, None)
 REPORT = ClassificationReport(True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25)
 
 #: A fresh value of each class, built on each call.
@@ -46,8 +43,6 @@ BUILD = {
     BlockOperator: lambda: BlockOperator(SPACE, np.array([0, 0, 1]), 1.0, 0.5),
     Filtration: lambda: Filtration(SPACE, (STAGE,)),
     VectorSequence: lambda: VectorSequence(SPACE, np.zeros((2, 3))),
-    LawCheck: lambda: LawCheck("positivity", True, 0.0, None),
-    ValidationReport: lambda: ValidationReport((LAW,)),
     ClassificationReport: lambda: ClassificationReport(
         True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25),
     Instance: lambda: Instance(SPACE),
@@ -63,24 +58,22 @@ SIGNATURES = {
     BlockOperator: [("space", EMPTY), ("labels", EMPTY), ("mask", EMPTY), ("coef", EMPTY)],
     Filtration: [("space", EMPTY), ("ops", EMPTY)],
     VectorSequence: [("space", EMPTY), ("coords", EMPTY)],
-    LawCheck: [("law", EMPTY), ("passed", EMPTY), ("worst", EMPTY), ("witness", EMPTY)],
-    ValidationReport: [("checks", EMPTY)],
     ClassificationReport: [
         ("is_martingale", EMPTY), ("e_witness", EMPTY), ("x_defects", EMPTY),
         ("x_verdict", EMPTY), ("seq_norm", EMPTY), ("tol", EMPTY), ("eps_x", EMPTY),
-        ("window_fraction", EMPTY), ("notes", REPORT_NOTES)],
+        ("window_fraction", EMPTY)],
     Instance: [("space", EMPTY), ("filtration", None), ("sequence", None)],
     # ``witness`` was a dataclass default factory: None stands for a fresh {}
     TheoremResult: [("check_id", EMPTY), ("descriptor", EMPTY), ("status", EMPTY),
                     ("witness", None), ("seed", None)],
 }
 IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence)
-RECORDS = (LawCheck, ValidationReport, ClassificationReport, Instance, TheoremResult)
+RECORDS = (ClassificationReport, Instance, TheoremResult)
 CLASSES = list(BUILD)
 
 
 def test_the_contract_covers_every_value_class():
-    assert len(CLASSES) == 11
+    assert len(CLASSES) == 9
     assert set(SIGNATURES) == set(BUILD) == {LatticeSpace, *IDENTITY, *RECORDS}
 
 
@@ -108,7 +101,7 @@ def test_defaults_by_position_and_keyword():
 
     instance = Instance(SPACE)
     assert (instance.space, instance.filtration, instance.sequence) == (SPACE, None, None)
-    assert REPORT.notes == REPORT_NOTES
+    assert REPORT.to_dict()["notes"] == list(REPORT_NOTES)
     keyword = ClassificationReport(
         is_martingale=True, e_witness=1, x_defects=(0.0, 0.0), x_verdict=Verdict.X_MARTINGALE,
         seq_norm=1.0, tol=1e-9, eps_x=0.05, window_fraction=0.25)
@@ -163,13 +156,9 @@ def test_reports_compare_field_by_field(cls):
 
 
 def test_reports_differ_in_any_field_and_show_every_field():
-    assert LawCheck("positivity", True, 0.0, None) != LawCheck("positivity", True, 0.0, (1,))
-    assert ValidationReport((LAW,)) != ValidationReport((LAW, LAW))
     assert TheoremResult("a", {}, CheckStatus.CONFIRMED) != TheoremResult(
         "a", {}, CheckStatus.CONFIRMED, seed=0)
     assert Instance(SPACE) != Instance(LatticeSpace(2))
-    assert repr(LAW) == "LawCheck(law='positivity', passed=True, worst=0.0, witness=None)"
-    assert repr(ValidationReport((LAW,))) == f"ValidationReport(checks=({LAW!r},))"
     assert repr(BUILD[TheoremResult]()) == (
         "TheoremResult(check_id='nesting', descriptor={'trials': 1}, "
         "status=<CheckStatus.CONFIRMED: 'CONFIRMED'>, witness={}, seed=None)")
