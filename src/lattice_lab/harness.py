@@ -339,14 +339,13 @@ def _member_problem(
 
 
 def _limit_family_check(
-    check_id: str,
     filt: Filtration,
     members: Sequence[VectorSequence],
     limit: VectorSequence,
     descriptor: dict,
     seed: int | None,
 ) -> TheoremResult:
-    """Shared core: members must not be NOT_X, nor the limit; replay the
+    """The closed-limits core: members must not be NOT_X, nor the limit; replay the
     triangle bound d(limit)_n <= d(member)_n + 2 ||member - limit||."""
     limit_profile = defect_profile(limit, filt)
     distances: list[float] = []
@@ -360,9 +359,9 @@ def _limit_family_check(
         if verdict is not Verdict.NOT_X:
             witness = {"members": len(distances), "distances": distances,
                        "limit_verdict": verdict.value}
-            return TheoremResult(check_id, descriptor, CheckStatus.CONFIRMED, witness, seed)
+            return TheoremResult("closed-limits", descriptor, CheckStatus.CONFIRMED, witness, seed)
         witness = {"problem": "limit of asymptotic martingales classified NOT_X"}
-    return TheoremResult(check_id, descriptor, CheckStatus.VIOLATED, witness, seed)
+    return TheoremResult("closed-limits", descriptor, CheckStatus.VIOLATED, witness, seed)
 
 
 def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
@@ -383,7 +382,7 @@ def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
         "members": len(family),
         **_filt_descriptor(filt),
     }
-    return _limit_family_check("closed-limits", filt, family, limit, descriptor, seed)
+    return _limit_family_check(filt, family, limit, descriptor, seed)
 
 
 def check_closed_under_limits_harmonic() -> TheoremResult:
@@ -391,7 +390,7 @@ def check_closed_under_limits_harmonic() -> TheoremResult:
     outside the eventual class yet must (and does) stay asymptotic."""
     filt, base, family = harmonic_tail_example(64)
     descriptor = {"family": "harmonic-tail", "size": filt.horizon, **_filt_descriptor(filt)}
-    return _limit_family_check("closed-limits", filt, family, base, descriptor, None)
+    return _limit_family_check(filt, family, base, descriptor, None)
 
 
 def _convergent_asymptotic_premises(

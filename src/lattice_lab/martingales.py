@@ -356,16 +356,15 @@ def tail_verdict(
 
     Over the tail window starting at n* = ceil((1 - window_fraction) * N):
 
-      * X_MARTINGALE  -- every windowed defect is <= eps and the profile is
-        non-increasing across the window up to eps slack;
+      * X_MARTINGALE  -- every windowed defect is <= eps (a NaN one is not);
       * NOT_X         -- every windowed defect before the final entry
         exceeds 10 * eps (the final entry is excluded because it reflects
         only the single term m = N, a convention rather than evidence);
       * INCONCLUSIVE  -- anything in between; a finite window cannot
         confirm a limit, and the verdict says so rather than guessing.
 
-    The defect notion presupposes a contractive filtration; a
-    non-contractive one is rejected.
+    A given ``profile`` must be a defect profile of ``seq`` (N norms, NaN or >= 0).  The
+    defect notion presupposes a contractive filtration; a non-contractive one is rejected.
     """
     _require_matching(seq, filt)
     _require_contractive(filt)
@@ -376,9 +375,7 @@ def tail_verdict(
         eps = default_eps(seq)
     n_terms = seq.horizon
     start = tail_window_start(n_terms, window_fraction)
-    window = d[start - 1 :]
-    monotone = bool(np.all(window[1:] <= window[:-1] + eps))
-    if float(window.max()) <= eps and monotone:
+    if float(d[start - 1 :].max()) <= eps:
         return Verdict.X_MARTINGALE
     strict = d[start - 1 : n_terms - 1]
     if strict.size and float(strict.min()) > 10.0 * eps:

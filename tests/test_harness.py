@@ -482,7 +482,7 @@ def test_a_family_check_names_the_first_failing_member():
     members = list(family)
     for k in (5, 7, 12):
         members[k - 1] = _alternating(filt)
-    result = harness._limit_family_check("closed-limits", filt, members, base, {}, None)
+    result = harness._limit_family_check(filt, members, base, {}, None)
     assert result.status is CheckStatus.VIOLATED
     assert result.witness == {"member": 5, "problem": "family member classified NOT_X"}
 
@@ -532,7 +532,7 @@ def _limits_member_not_x(mp, calls):
         members[k - 1] = _alternating(filt)
     _spy(mp, calls, "_profiles")
     _spy(mp, calls, "tail_verdict")
-    return harness._limit_family_check("closed-limits", filt, members, base, {"n": 64}, 3)
+    return harness._limit_family_check(filt, members, base, {"n": 64}, 3)
 
 
 def _limits_triangle(mp, calls):
@@ -547,7 +547,7 @@ def _limits_limit_not_x(mp, calls):
     _spy(mp, calls, "_profiles")
     _spy(mp, calls, "tail_verdict")
     limit = _alternating(filt)
-    return harness._limit_family_check("closed-limits", filt, family, limit, {"n": 16}, None)
+    return harness._limit_family_check(filt, family, limit, {"n": 16}, None)
 
 
 def _tail_late_witness(mp, calls):

@@ -394,6 +394,43 @@ def test_tail_verdict_refuses_a_profile_of_another_shape():
             tail_verdict(seq, filt, profile=profile)
 
 
+def monotone_tail_rule(d: np.ndarray, eps: float, start: int) -> Verdict:
+    """Reference: the tail rule that also asked the window to be non-increasing up to
+    eps slack, a clause every defect profile (entries NaN or >= 0) meets once the
+    window's maximum is <= eps.  Its sum overflows to inf near 1e308, which only loosens
+    the clause, so the overflow warning is silenced."""
+    window = d[start - 1 :]
+    with np.errstate(over="ignore"):
+        monotone = bool(np.all(window[1:] <= window[:-1] + eps))
+    if float(window.max()) <= eps and monotone:
+        return Verdict.X_MARTINGALE
+    strict = d[start - 1 : len(d) - 1]
+    if strict.size and float(strict.min()) > 10.0 * eps:
+        return Verdict.NOT_X
+    return Verdict.INCONCLUSIVE
+
+
+_DEFECTS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False), st.sampled_from([-0.0, math.inf, math.nan])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    profile=st.lists(_DEFECTS, min_size=1, max_size=12),
+    eps=st.one_of(
+        st.sampled_from([0.0, 5e-324, math.inf, math.nan]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ),
+)
+def test_the_tail_verdict_is_the_monotone_rule_on_every_defect_profile(profile, eps):
+    filt = build_truncation(len(profile))
+    seq = VectorSequence(filt.space, np.zeros((len(profile), len(profile))))
+    d = np.array(profile)
+    want = monotone_tail_rule(d, eps, martingales.tail_window_start(len(d)))
+    assert tail_verdict(seq, filt, eps, profile=d) is want
+
+
 def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(monkeypatch):
     # neither the table nor the profiles' suffix scan (nor the source it reads) may
     # be built first; the sup chain of pair sums at d = 32 would take the scan
