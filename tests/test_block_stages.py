@@ -154,9 +154,10 @@ def test_wide_block_stages_match_the_dense_builders(kind, size, seed):
 
 
 def test_the_smoke_demo_chains_have_plans_of_at_most_2d_columns():
-    # the demos the CLI smoke runs above d = 64 read every stage off one plan:
-    # haar at d = 256 holds 2d - 2 distinct blocks, pairing 3p - 1, and the
-    # truncation chain of ``demo null`` its d coordinates, with no product
+    # the demos that tests/test_cli.py and tests/test_golden.py run above d = 64
+    # (haar at 8 levels, pairing at 40 and 100 pairs, null at 256) read every stage
+    # off one plan: haar at d = 256 holds 2d - 2 distinct blocks, pairing 3p - 1,
+    # and the truncation chain of ``demo null`` its d coordinates, with no product
     for f, k, p in ((build_dyadic(8), 510, 254), (build_pairing(40), 119, 39),
                     (build_pairing(100), 299, 99), (build_truncation(256), 256, 0)):
         assert _columns(f) == (k, p)

@@ -94,13 +94,18 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
-@pytest.mark.parametrize("name", ["haar", "pairing", "harmonic", "null", "scale-head"])
-def test_demo_runs_and_emits_json(capsys, name):
-    code, out, _ = run(capsys, "demo", name, "--json")
+# haar at d = 256 and pairing at d = 80 read their stages off a plan; at their default
+# sizes (d = 8 and 6) they read none
+@pytest.mark.parametrize("args", ["haar", "pairing", "harmonic", "null", "scale-head",
+                                  "haar --size 8", "pairing --size 40"])
+def test_demo_runs_and_emits_json(capsys, args):
+    name = args.split()[0]
+    code, out, _ = run(capsys, "demo", *args.split(), "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["demo"] == name
     assert "report" in doc and "expected" in doc
+    assert doc["report"]["base"]["is_martingale"] is (name in ("haar", "pairing"))
 
 
 def test_demo_human_output_mentions_expectation(capsys):
@@ -227,6 +232,24 @@ def test_gen_writes_what_the_stdlib_encoder_writes(tmp_path, capsys, builder, si
     path = tmp_path / "instance.json"
     code, _, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0 and path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    *((builder, "--size", "4") for builder in GEN_BUILDERS),
+    ("random-nested", "--size", "64", "--seed", "1"),
+], ids=" ".join)
+def test_a_gen_file_validates_and_its_head_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "instance.json"
+    assert run(capsys, "gen", *argv, "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "validate", str(path), "--contractive", "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
+    if "sequence" in json.loads(path.read_text(encoding="utf-8")):
+        assert run(capsys, "classify", str(path), "--json")[0] == 0
+    text = path.read_bytes()
+    head = tmp_path / "head.json"
+    head.write_bytes(text[: min(1000, len(text) // 2)])  # a file cut short, as by a full disk
+    code, out, err = run(capsys, "validate", str(head))
+    assert code == 2 and out == "" and one_line_error(err)
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])

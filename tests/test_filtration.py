@@ -283,10 +283,12 @@ def test_random_nested_stages_are_conditional_expectations(data, dim, norm_kind,
 @pytest.mark.parametrize("dim,depth,seed", [(260, 6, 0), (300, 6, 1), (512, 4, 7)])
 def test_random_nested_sums_blocks_past_the_pairwise_block(dim, depth, seed, norm_kind):
     # np.sum adds more than 128 terms in halves, and the first split of d >= 258
-    # coordinates leaves a part of more than 128, so these sums check that order too
+    # coordinates leaves a part of more than 128, so these sums check that order too,
+    # and the laws must hold at that order
     filt = build_random_nested(dim, depth, seed, norm_kind)
     assert np.bincount(filt.ops[1].labels).max() > 128
     _assert_stages_are_conditional_expectations(filt)
+    assert validate(filt, True)["passed"]
 
 
 def _base_chain(kind: str, size: int, seed: int) -> Filtration:

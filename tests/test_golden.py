@@ -6,7 +6,11 @@ and as JSON, against the bytes it printed when its closure report was a
 record class, ``demo haar --size 6`` against the bytes it printed when
 planned tables and suffix scans read two source layouts, and ``validate
 --contractive`` on four files, as text and as JSON, against the bytes and
-exit codes it printed when its report was a pair of record classes."""
+exit codes it printed when its report was a pair of record classes.
+
+These tests are the one place those outputs are pinned, and every file
+under ``tests/data`` must be read by some test: a fixture that nothing reads
+pins nothing."""
 
 import copy
 import json
@@ -17,6 +21,14 @@ import pytest
 from golden import FIXTURE, first_difference, main as compare
 from lattice_lab.cli import main
 
+DATA = FIXTURE.parent
+
+
+def golden(command: str, name: str, size: int | None = None, as_json: bool = True) -> Path:
+    """The fixture holding what ``command name [--size size] [--json]`` prints."""
+    stem = f"{command}_{name}" if size is None else f"{command}_{name}_{size}"
+    return DATA / f"{stem}.{'json' if as_json else 'txt'}"
+
 
 def test_verify_all_seed0_matches_the_fixture(capsys, tmp_path):
     assert main(["verify", "all", "--seed", "0", "--json"]) == 0
@@ -25,36 +37,36 @@ def test_verify_all_seed0_matches_the_fixture(capsys, tmp_path):
     assert compare([str(out)]) == 0
 
 
-@pytest.mark.parametrize("name, size", [("pairing", 100), ("null", 256), ("harmonic", 256),
-                                        ("null", None), ("harmonic", None)])
+SCANNED = [("pairing", 100), ("null", 256), ("harmonic", 256), ("null", None), ("harmonic", None)]
+
+
+@pytest.mark.parametrize("name, size", SCANNED)
 def test_a_scanned_demo_prints_its_golden_bytes(capsys, name, size):
     # each profile comes from the suffix scan, bit for bit the table's row maxima; null
     # and harmonic are chains of gathers, which read their plans at any size
     size_args = [] if size is None else ["--size", str(size)]
     assert main(["demo", name, *size_args, "--json"]) == 0
-    stem = f"demo_{name}" if size is None else f"demo_{name}_{size}"
-    golden = Path(__file__).parent / "data" / f"{stem}.json"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden("demo", name, size).read_text(encoding="utf-8")
 
 
 def test_a_planned_weighted_l1_table_prints_its_golden_bytes(capsys):
     # the one CLI path into a planned weighted-L1 pair table: a dyadic chain at d = 64,
     # whose summing stages read their plan
     assert main(["demo", "haar", "--size", "6", "--json"]) == 0
-    golden = Path(__file__).parent / "data" / "demo_haar_6.json"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden("demo", "haar", 6).read_text(encoding="utf-8")
 
 
 DEMOS = ["haar", "pairing", "harmonic", "null", "scale-head"]
-
-
 # null and harmonic --json at their default size are pinned above
-@pytest.mark.parametrize("name, as_json", [
-    *((name, False) for name in DEMOS), ("haar", True), ("pairing", True), ("scale-head", True)])
+DEFAULT_SIZE = [*((name, False) for name in DEMOS),
+                ("haar", True), ("pairing", True), ("scale-head", True)]
+
+
+@pytest.mark.parametrize("name, as_json", DEFAULT_SIZE)
 def test_a_demo_at_its_default_size_prints_its_golden_bytes(capsys, name, as_json):
     assert main(["demo", name, *(["--json"] if as_json else [])]) == 0
-    golden = Path(__file__).parent / "data" / f"demo_{name}.{'json' if as_json else 'txt'}"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    want = golden("demo", name, as_json=as_json).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_the_comparison_allows_rounding_and_nothing_else():
@@ -106,9 +118,11 @@ GENERATED = {
 }
 
 
+VALIDATED = [("random-nested", 0), ("copy", 0), ("dense", 1), ("overflow", 1)]
+
+
 @pytest.mark.parametrize("as_json", [False, True])
-@pytest.mark.parametrize("name, code", [
-    ("random-nested", 0), ("copy", 0), ("dense", 1), ("overflow", 1)])
+@pytest.mark.parametrize("name, code", VALIDATED)
 def test_validate_prints_its_golden_bytes(capsys, tmp_path, name, code, as_json):
     # the bytes and exit codes validate --contractive printed when its report was a
     # pair of record classes
@@ -119,5 +133,19 @@ def test_validate_prints_its_golden_bytes(capsys, tmp_path, name, code, as_json)
         path.write_text(HAND_MADE[name], encoding="utf-8")
     capsys.readouterr()
     assert main(["validate", str(path), "--contractive", *(["--json"] if as_json else [])]) == code
-    golden = Path(__file__).parent / "data" / f"validate_{name}.{'json' if as_json else 'txt'}"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    want = golden("validate", name, as_json=as_json).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+def test_tests_data_holds_the_files_tests_read_and_no_other():
+    # the pinned demo and validate outputs above, the verify fixture, and the two
+    # files that tests/test_harness.py and tests/test_imports.py read
+    read = {
+        FIXTURE, DATA / "violated_witnesses.json", DATA / "cli_help.json",
+        golden("demo", "haar", 6),
+        *(golden("demo", name, size) for name, size in SCANNED),
+        *(golden("demo", name, as_json=as_json) for name, as_json in DEFAULT_SIZE),
+        *(golden("validate", name, as_json=as_json)
+          for name, _ in VALIDATED for as_json in (False, True)),
+    }
+    assert {path.name for path in DATA.iterdir()} == {path.name for path in read}

@@ -17,6 +17,7 @@ import pytest
 
 import lattice_lab
 from lattice_lab import cli
+from test_golden import HAND_MADE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -55,10 +56,13 @@ print(json.dumps([code, sorted(loaded)]))
 """
 
 
-def _modules_after(*argv: str) -> set[str]:
+def _env() -> dict[str, str]:
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _modules_after(*argv: str) -> set[str]:
+    done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     code, modules = json.loads(done.stdout.splitlines()[-1])
@@ -97,6 +101,25 @@ def test_each_command_imports_only_what_it_runs(haar_file, tmp_path, command, ha
     assert ("lattice_lab.harness" in modules) is harness
     assert ("lattice_lab.jsonio" in modules) is jsonio
     assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("command", ["gen", "validate", "classify", "demo", "verify"])
+def test_python_m_lattice_lab_prints_what_main_prints(haar_file, tmp_path, capsys, command):
+    # the goldens call cli.main in process; ``python -m lattice_lab`` also runs
+    # __main__.py, which must hand main's exit code to the process
+    broken = tmp_path / "broken.json"
+    broken.write_text(HAND_MADE["dense"], encoding="utf-8")  # fails all four laws: exit 1
+    argv = {
+        "gen": ["gen", "haar", "--size", "3"],
+        "validate": ["validate", str(broken), "--contractive", "--json"],
+        "classify": ["classify", haar_file],
+        "demo": ["demo", "pairing", "--json"],
+        "verify": ["verify", "all", "--seed", "0"],
+    }[command]
+    code = cli.main(argv)
+    done = subprocess.run([sys.executable, "-m", "lattice_lab", *argv], env=_env(),
+                          capture_output=True, timeout=120)
+    assert (done.stdout, done.returncode) == (capsys.readouterr().out.encode("utf-8"), code)
 
 
 @pytest.mark.parametrize("name", PUBLIC)
