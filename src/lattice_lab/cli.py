@@ -114,22 +114,6 @@ CHECK_IDS = (
 )
 
 
-#: numeric argument -> (test, requirement), checked once after parsing;
-#: a value that fails its test (NaN fails every one) exits 2
-_RANGES = {
-    "tol": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "eps_x": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "window": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-}
-
-
-def _check_ranges(args: argparse.Namespace) -> None:
-    for name, (ok, requirement) in _RANGES.items():
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be {requirement}, got {value}")
-
-
 def _finite(value):
     """``value`` with every non-finite float replaced by None, which JSON writes as null."""
     if isinstance(value, float):
@@ -319,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_ranges(args)
         with np.errstate(all="ignore"):  # overflow shows as inf in the report instead
             return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # InstanceFormatError is a ValueError

@@ -40,6 +40,7 @@ import numpy as np
 
 from .operators import BlockOperator, Operator, is_lattice_homomorphism, operator_norm
 from .spaces import DEFAULT_TOL, LatticeSpace, NormKind, _Frozen, _frozen, row_norms
+from .spaces import _require_same_space, _require_tolerance
 
 
 class Filtration(_Frozen):
@@ -55,8 +56,7 @@ class Filtration(_Frozen):
         if not ops:
             raise ValueError("a filtration needs at least one operator")
         for e in ops:
-            if e.space != self.space:
-                raise ValueError("all operators must act on the filtration's space")
+            _require_same_space(e, self, "operator and filtration")
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -166,6 +166,7 @@ def validate(
     law's ``worst`` and ``witness`` describe the adjacent pairs only; the
     full N^2 sweep is kept as a test oracle.
     """
+    _require_tolerance("tol", tol)
     positivity, order = [], {}
     n_ops = filt.horizon
     nxt = filt.ops[0].matrix
@@ -188,11 +189,11 @@ def validate(
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def is_contractive_filtration(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
-    return all(v <= 1.0 + tol for v in filt.norms)
+def is_contractive_filtration(filt: Filtration) -> bool:
+    return all(v <= 1.0 + DEFAULT_TOL for v in filt.norms)
 
 
-def is_dense(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
+def is_dense(filt: Filtration) -> bool:
     """Finite-horizon density surrogate: the last operator acts as the identity.
 
     The ranges of E_1..E_N are nested, so E_N fixing every basis vector is
@@ -200,7 +201,7 @@ def is_dense(filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
     E_N - I is E_N e_i - e_i, so one column-norm reduction checks them all.
     """
     gaps = filt.ops[-1].matrix - np.eye(filt.space.dim)
-    return bool(np.all(row_norms(filt.space, gaps.T) <= tol))
+    return bool(np.all(row_norms(filt.space, gaps.T) <= DEFAULT_TOL))
 
 
 def is_abs_closed(filt: Filtration) -> bool:

@@ -55,6 +55,7 @@ from .martingales import (
     _applied,
     _pair_table,
     _profiles,
+    _require_horizon,
     _step_witness,
     _steps,
     abs_seq,
@@ -81,6 +82,8 @@ from .spaces import (
     LatticeVector,
     NormKind,
     _Record,
+    _require_same_space,
+    _require_tolerance,
     basis,
     norm,
     row_norms,
@@ -126,12 +129,6 @@ def _require_trials(trials: int) -> None:
     """A sampled check with no trial would report CONFIRMED having checked nothing."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-
-
-def _require_horizon(what: str, horizon: int) -> None:
-    """A horizon of one term leaves a tail window of one index: no evidence of decay."""
-    if horizon < 2:
-        raise ValueError(f"{what} needs a horizon of at least 2 terms")
 
 
 def _stacks(count: int, filt: Filtration, sequences: int = 1) -> Iterator[range]:
@@ -639,8 +636,8 @@ def abs_commutation_index(
     filt: Filtration, x: LatticeVector, tol: float = DEFAULT_TOL
 ) -> int | None:
     """Minimal l with | E_n x | = E_n |x| for every n >= l, or None; NaN never aligns."""
-    if x.space != filt.space:
-        raise ValueError("vector and filtration live in different spaces")
+    _require_same_space(x, filt, "vector and filtration")
+    _require_tolerance("tol", tol)
     gaps = np.abs(_applied(filt.ops, x.coords)) - _applied(filt.ops, np.abs(x.coords))
     return _after_last(~(row_norms(filt.space, gaps) <= tol), filt.horizon)
 

@@ -43,11 +43,12 @@ from .spaces import (
     DEFAULT_TOL,
     LatticeSpace,
     LatticeVector,
-    SpaceMismatchError,
     _Frozen,
     _Record,
     _frozen,
     _readonly,
+    _require_same_space,
+    _require_tolerance,
     row_norms,
 )
 
@@ -118,21 +119,25 @@ def seq_norm(seq: VectorSequence) -> float:
 
 def seq_distance(a: VectorSequence, b: VectorSequence) -> float:
     """Sup over n of ||a_n - b_n|| (both sequences must share space and horizon)."""
-    if a.space != b.space:
-        raise SpaceMismatchError("sequences live in different spaces")
+    _require_same_space(a, b, "sequences")
     if a.horizon != b.horizon:
         raise ValueError("sequences have different horizons")
     return float(row_norms(a.space, a.coords - b.coords).max())
 
 
 def _require_matching(seq: VectorSequence, filt: Filtration) -> None:
-    if seq.space != filt.space:
-        raise ValueError("sequence and filtration live in different spaces")
+    _require_same_space(seq, filt, "sequence and filtration")
     if seq.horizon != filt.horizon:
         raise ValueError(
             f"horizon mismatch: sequence has {seq.horizon} terms, "
             f"filtration has {filt.horizon} operators"
         )
+
+
+def _require_horizon(what: str, horizon: int) -> None:
+    """A horizon of one term leaves a tail window of one index: no evidence of decay."""
+    if horizon < 2:
+        raise ValueError(f"{what} needs a horizon of at least 2 terms")
 
 
 def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
@@ -293,9 +298,9 @@ def _step_witness(steps: np.ndarray, tol: float = DEFAULT_TOL) -> int | None:
     return _after_last(~(steps <= tol), len(steps))
 
 
-def is_martingale(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> bool:
-    """Two-index law: ||E_n x_m - x_n|| <= tol for every pair m >= n."""
-    return bool(defect_profile(seq, filt).max() <= tol)
+def is_martingale(seq: VectorSequence, filt: Filtration) -> bool:
+    """Two-index law: ||E_n x_m - x_n|| <= ``DEFAULT_TOL`` for every pair m >= n."""
+    return bool(defect_profile(seq, filt).max() <= DEFAULT_TOL)
 
 
 def eventual_witness(
@@ -306,6 +311,7 @@ def eventual_witness(
     Returns None when no such l exists; a witness equal to N is vacuous
     (no step after it) and is never reported.
     """
+    _require_tolerance("tol", tol)
     return _step_witness(one_step_defects(seq, filt), tol)
 
 
@@ -315,6 +321,7 @@ def eventual_witness_pairwise(
     """Two-index variant: minimal l < N with E_n x_m = x_n for m >= n >= l, read off the
     defect profile, data independent of :func:`eventual_witness`'s one-step defects; that
     the two minimal witnesses agree is a tested property."""
+    _require_tolerance("tol", tol)
     return _after_last(~(defect_profile(seq, filt) <= tol), seq.horizon - 1)
 
 
@@ -341,8 +348,11 @@ def default_eps(seq: VectorSequence, norm: float | None = None) -> float:
 
 
 def tail_window_start(horizon: int, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> int:
-    """First index (1-based) of the tail window used by :func:`tail_verdict`."""
-    return min(horizon, max(1, math.ceil((1.0 - window_fraction) * horizon)))
+    """First index (1-based) of the tail window used by :func:`tail_verdict`; a fraction
+    outside (0, 1], NaN included, raises ``ValueError``."""
+    if not 0.0 < window_fraction <= 1.0:
+        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
+    return max(1, math.ceil((1.0 - window_fraction) * horizon))
 
 
 def tail_verdict(
@@ -365,6 +375,7 @@ def tail_verdict(
 
     A given ``profile`` must be a defect profile of ``seq`` (N norms, NaN or >= 0).  The
     defect notion presupposes a contractive filtration; a non-contractive one is rejected.
+    Any ``eps`` is taken as given, NaN included (:func:`default_eps` of a norm not finite).
     """
     _require_matching(seq, filt)
     _require_contractive(filt)
@@ -429,12 +440,16 @@ def classify(
     """Run all three classifications and bundle the evidence.
 
     Horizons of at least two are required: with a single term every
-    witness would be vacuous and the class nesting degenerates.
+    witness would be vacuous and the class nesting degenerates.  Each bad argument
+    raises ``ValueError`` before any defect is computed.
     """
     _require_matching(seq, filt)
-    if seq.horizon < 2:
-        raise ValueError("classification needs a horizon of at least 2 terms")
-    _require_contractive(filt)  # before the profiles, not after them
+    _require_horizon("classification", seq.horizon)
+    _require_tolerance("tol", tol)
+    if eps is not None:
+        _require_tolerance("eps", eps)
+    tail_window_start(seq.horizon, window_fraction)  # each refusal before the profiles run
+    _require_contractive(filt)
     norm = seq_norm(seq)
     if eps is None:
         eps = default_eps(seq, norm)
@@ -467,8 +482,7 @@ def abs_seq(seq: VectorSequence) -> VectorSequence:
 
 def terminal_sequence(filt: Filtration, x: LatticeVector) -> VectorSequence:
     """x_n = E_n x; a martingale by the commuting-order law."""
-    if x.space != filt.space:
-        raise ValueError("vector and filtration live in different spaces")
+    _require_same_space(x, filt, "vector and filtration")
     return VectorSequence(filt.space, _frozen(_applied(filt.ops, x.coords)))
 
 
@@ -494,8 +508,7 @@ def tail_modify(
     sequence is returned unchanged; m = 0 replaces every term.
     """
     _require_matching(seq, filt)
-    if x.space != seq.space:
-        raise ValueError("replacement vector lives in a different space")
+    _require_same_space(x, seq, "replacement vector and sequence")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m >= seq.horizon:

@@ -34,9 +34,9 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     NormKind,
-    SpaceMismatchError,
     _Frozen,
     _readonly,
+    _require_same_space,
 )
 
 
@@ -139,8 +139,7 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
 
 
 def apply(op: Operator, x: LatticeVector) -> LatticeVector:
-    if op.space != x.space:
-        raise SpaceMismatchError("operator and vector live in different spaces")
+    _require_same_space(op, x, "operator and vector")
     return LatticeVector(x.space, apply_rows(op, x.coords))
 
 

@@ -165,9 +165,15 @@ class LatticeVector(_Frozen):
         return f"LatticeVector({np.array2string(self.coords, max_line_width=70)})"
 
 
-def _require_same_space(x: LatticeVector, y: LatticeVector) -> None:
+def _require_same_space(x: object, y: object, what: str = "vectors") -> None:
     if x.space != y.space:
-        raise SpaceMismatchError(f"vectors live in different spaces: {x.space} vs {y.space}")
+        raise SpaceMismatchError(f"{what} live in different spaces: {x.space} vs {y.space}")
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    """Every tolerance and eps is finite and >= 0: an infinite one passes every law."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def vector(space: LatticeSpace, coords: Sequence[float]) -> LatticeVector:

@@ -361,6 +361,7 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, text):
         ("classify", "{path}", "--window", "0"),
         ("classify", "{path}", "--window", "1.5"),
         ("classify", "{path}", "--window", "nan"),
+        ("classify", "{path}", "--window", "inf"),
         ("classify", "{path}", "--eps-x", "-1"),
         ("classify", "{path}", "--eps-x", "nan"),
         ("classify", "{path}", "--eps-x", "inf"),
@@ -369,7 +370,9 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, text):
         ("classify", "{path}", "--tol", "inf"),
         ("validate", "{path}", "--tol", "nan"),
         ("validate", "{path}", "--tol=-1e-9"),
+        ("validate", "{path}", "--tol", "inf"),
         ("demo", "haar", "--tol", "-1"),
+        ("demo", "pairing", "--tol", "nan"),
         ("verify", "nesting", "--trials", "0"),
         ("verify", "abs-closure", "--trials", "-1"),
     ],

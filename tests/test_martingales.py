@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as ref
@@ -23,9 +23,11 @@ from lattice_lab import (
     NormKind,
     PosOperator,
     Filtration,
+    SpaceMismatchError,
     VectorSequence,
     Verdict,
     abs_seq,
+    apply,
     basis,
     build_random_nested,
     build_truncation,
@@ -47,6 +49,7 @@ from lattice_lab import (
     tail_modify,
     tail_verdict,
     terminal_sequence,
+    validate,
     vector,
     zero,
 )
@@ -451,6 +454,114 @@ def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(mon
         classify(VectorSequence(wide, np.ones((2, 32))), summing)
     with pytest.raises(ValueError, match="horizon of at least 2"):  # the horizon check comes first
         classify(VectorSequence(space, np.ones((1, 2))), Filtration(space, (doubler,)))
+
+
+_PAIRS, _PAIRING = pairing_example(3)
+#: every public function's tol, eps or window parameter -> a call passing it the value
+_BOUNDED_CALLS = {
+    "classify tol": lambda v: classify(_PAIRING, _PAIRS, tol=v),
+    "classify eps": lambda v: classify(_PAIRING, _PAIRS, eps=v),
+    "validate tol": lambda v: validate(_PAIRS, True, v),
+    "eventual_witness tol": lambda v: eventual_witness(_PAIRING, _PAIRS, v),
+    "eventual_witness_pairwise tol": lambda v: eventual_witness_pairwise(_PAIRING, _PAIRS, v),
+    "abs_commutation_index tol": lambda v: abs_commutation_index(_PAIRS, _PAIRING.term(1), v),
+    "check_lattice_closure tol": lambda v: check_lattice_closure(_PAIRING, _PAIRS, v),
+    "classify window_fraction": lambda v: classify(_PAIRING, _PAIRS, window_fraction=v),
+    "tail_window_start window_fraction": lambda v: martingales.tail_window_start(16, v),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value)
+        for name in _BOUNDED_CALLS
+        for value in (
+            (0.0, -1.0, 1.25, math.inf, math.nan) if name.endswith("window_fraction")
+            else (-1.0, math.nan, math.inf)
+        )
+    ],
+)
+def test_each_function_refuses_an_out_of_range_tolerance_eps_or_window(monkeypatch, name, value):
+    # the rule lives in the function that reads the value, so no caller can get past it,
+    # and it refuses before any defect is computed
+    for kernel in ("_pair_table", "_profiles", "_steps"):
+        def no_kernel(*args, kernel=kernel, **kwargs):
+            raise AssertionError(f"{kernel} ran")
+
+        monkeypatch.setattr(martingales, kernel, no_kernel)
+    param = name.split()[-1]
+    rule = r"in \(0, 1\]" if param == "window_fraction" else "finite and >= 0"
+    with pytest.raises(ValueError, match=rf"^{param} must be {rule}, got "):
+        _BOUNDED_CALLS[name](value)
+
+
+def _exact_martingale():
+    filt = build_truncation(16)
+    return filt, terminal_sequence(filt, vector(filt.space, np.arange(1.0, 17.0)))
+
+
+_IN_EVERY_CLASS = {"is_martingale": True, "e_witness": 1, "x_verdict": Verdict.X_MARTINGALE}
+
+
+@pytest.mark.parametrize(
+    "build, bad, want",
+    [
+        (_exact_martingale, {"eps": -1.0}, _IN_EVERY_CLASS),
+        (lambda: pairing_example(3), {"tol": -1.0}, _IN_EVERY_CLASS),
+        (
+            lambda: harmonic_tail_example(16)[:2],
+            {"window_fraction": -1.0},
+            {"is_martingale": False, "e_witness": None, "x_verdict": Verdict.INCONCLUSIVE},
+        ),
+    ],
+    ids=[
+        "eps=-1 called an exact martingale NOT_X",
+        "tol=-1 called the pairing martingale no martingale with no witness",
+        "window_fraction=-1 called the harmonic tail X_MARTINGALE",
+    ],
+)
+def test_regression_an_out_of_range_argument_broke_the_class_nesting(build, bad, want):
+    filt, seq = build()
+    report = classify(seq, filt)
+    assert {key: getattr(report, key) for key in want} == want
+    with pytest.raises(ValueError):
+        classify(seq, filt, **bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon=st.integers(1, 4096), fraction=st.floats(0.0, 1.0, exclude_min=True))
+@example(horizon=4096, fraction=5e-324)
+@example(horizon=4096, fraction=2.0**-53)
+@example(horizon=1, fraction=1.0)
+def test_the_tail_window_start_never_needed_its_clamp(horizon, fraction):
+    # 1 - fraction rounds to at most 1, so the start never passed the horizon
+    clamped = min(horizon, max(1, math.ceil((1.0 - fraction) * horizon)))
+    assert martingales.tail_window_start(horizon, fraction) == clamped
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        "apply", "seq_distance", "_require_matching", "terminal_sequence", "tail_modify",
+        "abs_commutation_index", "Filtration",
+    ],
+)
+def test_every_space_check_raises_space_mismatch(site):
+    filt, seq = pairing_example(2)  # dimension 4, horizon 2
+    x = basis(LatticeSpace(3), 1)
+    other = VectorSequence(x.space, np.ones((2, 3)))
+    calls = {
+        "apply": lambda: apply(filt.op(1), x),
+        "seq_distance": lambda: seq_distance(other, seq),
+        "_require_matching": lambda: defect_profile(other, filt),
+        "terminal_sequence": lambda: terminal_sequence(filt, x),
+        "tail_modify": lambda: tail_modify(seq, filt, x, 1),
+        "abs_commutation_index": lambda: abs_commutation_index(filt, x),
+        "Filtration": lambda: Filtration(x.space, filt.ops),
+    }
+    with pytest.raises(SpaceMismatchError, match="live in different spaces"):
+        calls[site]()
 
 
 def test_classify_takes_the_sequence_norm_once(monkeypatch):
