@@ -210,7 +210,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .harness import TRIAL_IDS, CheckStatus, run_check
+    from .harness import CLAIMS, CheckStatus, run_check
     ids = CHECK_IDS if args.id == "all" else (args.id,)
     results = []
     for check_id in ids:
@@ -222,7 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({json.dumps(r.descriptor, sort_keys=True)})"
         )
     violated = sum(r.status is CheckStatus.VIOLATED for r in results)
-    sampled = [check_id for check_id in ids if check_id in TRIAL_IDS]
+    sampled = [check_id for check_id in ids if CLAIMS[check_id][0]]  # reads trials
     trials = f", trials={args.trials} for {', '.join(sampled)}" if sampled else ""
     lines.append(
         f"[verify] {len(results)} results, {violated} violated (seed={args.seed}{trials})"

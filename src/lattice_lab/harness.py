@@ -30,7 +30,7 @@ E_{N-1} is one, so ``abs-closure`` and ``abs-alignment`` sample nothing.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -138,12 +138,8 @@ def _stacks(count: int, filt: Filtration, sequences: int = 1) -> Iterator[range]
     return (range(lo, min(lo + per, count)) for lo in range(0, count, per))
 
 
-def _filt_descriptor(filt: Filtration, builder: str | None = None, **params) -> dict:
-    d = {"horizon": filt.horizon, "dim": filt.space.dim, "norm": filt.space.norm_kind.value}
-    if builder is not None:
-        d["builder"] = builder
-        d.update(params)
-    return d
+def _filt_descriptor(filt: Filtration) -> dict:
+    return {"horizon": filt.horizon, "dim": filt.space.dim, "norm": filt.space.norm_kind.value}
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +499,7 @@ def check_eventual_not_closed() -> TheoremResult:
     defect profile d_n = 1/n certifies it asymptotic."""
     check_id = "eventual-not-closed"
     filt, base, family = harmonic_tail_example(64)
-    descriptor = {"size": filt.horizon, **_filt_descriptor(filt, "truncation")}
+    descriptor = {"size": filt.horizon, **_filt_descriptor(filt), "builder": "truncation"}
     problems = []
     for chunk in _stacks(len(family), filt):  # only steps, not profiles
         members = family[chunk.start : chunk.stop]
@@ -665,18 +661,6 @@ def check_abs_alignment(filt: Filtration) -> TheoremResult:
 # Default instances per check id
 # ---------------------------------------------------------------------------
 
-def _run_nesting(seed: int, trials: int) -> list[TheoremResult]:
-    return [check_class_nesting(seed, trials)]
-
-
-def _run_closed_limits(seed: int, trials: int) -> list[TheoremResult]:
-    return [
-        check_closed_under_limits(build_truncation(32), seed),
-        check_closed_under_limits(build_dyadic(5), seed),
-        check_closed_under_limits_harmonic(),
-    ]
-
-
 def _harmonic_head_instance(n_terms: int) -> tuple[Filtration, VectorSequence, LatticeVector]:
     """Terminal sequence of the summable-coordinate vector sum e_i / i on the
     truncation filtration: converges to its terminal vector at speed 1/(n+1)."""
@@ -700,99 +684,75 @@ def _perturbed_nested_instance(
     return filt, _plus_null(terminal_sequence(filt, x), z), x
 
 
-def _described(r: TheoremResult, descriptor: dict) -> TheoremResult:
-    """``r`` with ``descriptor`` in place of its own."""
-    return TheoremResult(r.check_id, descriptor, r.status, r.witness, r.seed)
+_Instances = Iterable[tuple[TheoremResult, dict]]
 
 
-def _run_convergent(
-    check: Callable[[VectorSequence, LatticeVector, Filtration], TheoremResult],
-    instances: list[tuple],
-) -> list[TheoremResult]:
-    """``check`` on each (instance, builder, filtration, sequence, limit),
-    with the instance named in the result's descriptor."""
-    return [
-        _described(check(seq, x, filt), _filt_descriptor(filt, builder, instance=name))
-        for name, builder, filt, seq, x in instances
-    ]
-
-
-def _run_limit_defect(seed: int, trials: int) -> list[TheoremResult]:
+def _limit_defect_instances(seed: int, trials: int) -> _Instances:
     trunc = build_truncation(64)
     origin = zero(trunc.space)
     # Does not converge: premises fail, so the claim must stay silent.
     const = VectorSequence(trunc.space, np.tile(basis(trunc.space, 64).coords, (64, 1)))
-    instances = [
-        ("harmonic-head", "truncation", *_harmonic_head_instance(64)),
-        ("perturbed-martingale", "random-nested", *_perturbed_nested_instance(32, seed)),
-        ("null", "truncation", trunc, null_sequence(basis(trunc.space, 1), 64), origin),
-        ("constant-last-basis", "truncation", trunc, const, origin),
-    ]
-    return _run_convergent(check_limit_defect, instances)
+    for name, builder, (filt, seq, x) in (
+        ("harmonic-head", "truncation", _harmonic_head_instance(64)),
+        ("perturbed-martingale", "random-nested", _perturbed_nested_instance(32, seed)),
+        ("null", "truncation", (trunc, null_sequence(basis(trunc.space, 1), 64), origin)),
+        ("constant-last-basis", "truncation", (trunc, const, origin)),
+    ):
+        yield check_limit_defect(seq, x, filt), {"builder": builder, "instance": name}
 
 
-def _run_tail_approx(seed: int, trials: int) -> list[TheoremResult]:
-    filt, base, _ = harmonic_tail_example(64)
-    instances = [
-        ("harmonic-tail", "truncation", filt, base, zero(filt.space)),
-        ("perturbed-martingale", "random-nested", *_perturbed_nested_instance(32, seed)),
-    ]
-    return _run_convergent(check_tail_modification, instances)
+def _tail_approx_instances(seed: int, trials: int) -> _Instances:
+    harmonic, base, _ = harmonic_tail_example(64)
+    for name, builder, (filt, seq, x) in (
+        ("harmonic-tail", "truncation", (harmonic, base, zero(harmonic.space))),
+        ("perturbed-martingale", "random-nested", _perturbed_nested_instance(32, seed)),
+    ):
+        yield check_tail_modification(seq, x, filt), {"builder": builder, "instance": name}
 
 
-def _run_eventual_not_closed(seed: int, trials: int) -> list[TheoremResult]:
-    return [check_eventual_not_closed()]
-
-
-def _run_abs_closure(seed: int, trials: int) -> list[TheoremResult]:
-    return [check_abs_closure(build_truncation(16))]
-
-
-def _run_band_lattice(seed: int, trials: int) -> list[TheoremResult]:
-    copy = build_copy(8)
-    copy_descriptor = _filt_descriptor(copy, "copy", size=8)
-    return [
-        check_band_projection_lattice(build_truncation(16), seed, trials),
+#: The one list of check ids.  Per id: whether its instances read ``trials``, and its
+#: default instances at (seed, trials), each a result and the keys, in order, that
+#: :func:`run_check` appends to the result's descriptor.
+CLAIMS: dict[str, tuple[bool, Callable[[int, int], _Instances]]] = {
+    "nesting": (True, lambda seed, trials: [(check_class_nesting(seed, trials), {})]),
+    "closed-limits": (False, lambda seed, trials: [
+        (check_closed_under_limits(build_truncation(32), seed), {}),
+        (check_closed_under_limits(build_dyadic(5), seed), {}),
+        (check_closed_under_limits_harmonic(), {}),
+    ]),
+    "limit-defect": (False, _limit_defect_instances),
+    "tail-approx": (False, _tail_approx_instances),
+    "eventual-not-closed": (False, lambda seed, trials: [(check_eventual_not_closed(), {})]),
+    "abs-closure": (False, lambda seed, trials: [(check_abs_closure(build_truncation(16)), {})]),
+    "band-lattice": (True, lambda seed, trials: [
+        (check_band_projection_lattice(build_truncation(16), seed, trials), {}),
         # Premise unmet on purpose: averaging operators are not lattice homomorphisms.
-        check_band_projection_lattice(build_dyadic(3), seed, trials),
+        (check_band_projection_lattice(build_dyadic(3), seed, trials), {}),
         # Lattice homomorphisms that are not band projections.
-        _described(check_band_projection_lattice(copy, seed, trials), copy_descriptor),
-    ]
-
-
-def _run_abs_alignment(seed: int, trials: int) -> list[TheoremResult]:
-    return [
-        check_abs_alignment(build_truncation(16)),
-        check_abs_alignment(build_pairing(3)),
-        check_abs_alignment(build_dyadic(3)),
-    ]
-
-
-CHECK_RUNNERS: dict[str, Callable[[int, int], list[TheoremResult]]] = {
-    "nesting": _run_nesting,
-    "closed-limits": _run_closed_limits,
-    "limit-defect": _run_limit_defect,
-    "tail-approx": _run_tail_approx,
-    "eventual-not-closed": _run_eventual_not_closed,
-    "abs-closure": _run_abs_closure,
-    "band-lattice": _run_band_lattice,
-    "abs-alignment": _run_abs_alignment,
+        (check_band_projection_lattice(build_copy(8), seed, trials),
+         {"builder": "copy", "size": 8}),
+    ]),
+    "abs-alignment": (False, lambda seed, trials: [
+        (check_abs_alignment(build_truncation(16)), {}),
+        (check_abs_alignment(build_pairing(3)), {}),
+        (check_abs_alignment(build_dyadic(3)), {}),
+    ]),
 }
 
-CHECK_IDS = tuple(CHECK_RUNNERS)
-
-#: The ids whose runners draw ``trials`` random instances; the others ignore it.
-TRIAL_IDS = ("nesting", "band-lattice")
+CHECK_IDS = tuple(CLAIMS)
 
 
 def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[TheoremResult]:
     """Run one check id on its default instances; ``trials`` must be >= 1."""
     try:
-        runner = CHECK_RUNNERS[check_id]
+        _, instances = CLAIMS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     _require_trials(trials)
-    return runner(seed, trials)
+    return [
+        TheoremResult(r.check_id, {**r.descriptor, **keys}, r.status, r.witness, r.seed)
+        for r, keys in instances(seed, trials)
+    ]
 
 
 def run_all(seed: int = 0, trials: int = 100) -> list[TheoremResult]:

@@ -375,17 +375,20 @@ def tail_verdict(
 
     A given ``profile`` must be a defect profile of ``seq`` (N norms, NaN or >= 0).  The
     defect notion presupposes a contractive filtration; a non-contractive one is rejected.
-    Any ``eps`` is taken as given, NaN included (:func:`default_eps` of a norm not finite).
+    A negative or infinite ``eps`` raises ``ValueError`` before any defect is computed; a
+    NaN one is taken as given (:func:`default_eps` of a norm not finite) and confirms nothing.
     """
     _require_matching(seq, filt)
+    if eps is not None and not math.isnan(eps):
+        _require_tolerance("eps", eps)
+    n_terms = seq.horizon
+    start = tail_window_start(n_terms, window_fraction)
     _require_contractive(filt)
     d = defect_profile(seq, filt) if profile is None else np.asarray(profile, dtype=float)
     if d.shape != (seq.horizon,):
         raise ValueError(f"profile has shape {d.shape}, expected ({seq.horizon},)")
     if eps is None:
         eps = default_eps(seq)
-    n_terms = seq.horizon
-    start = tail_window_start(n_terms, window_fraction)
     if float(d[start - 1 :].max()) <= eps:
         return Verdict.X_MARTINGALE
     strict = d[start - 1 : n_terms - 1]

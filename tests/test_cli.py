@@ -148,7 +148,7 @@ def test_verify_exit_code_on_violation(capsys, monkeypatch):
     from lattice_lab import harness
 
     fake = harness.TheoremResult("nesting", {}, harness.CheckStatus.VIOLATED, {}, 0)
-    monkeypatch.setitem(harness.CHECK_RUNNERS, "nesting", lambda s, t: [fake])
+    monkeypatch.setitem(harness.CLAIMS, "nesting", (True, lambda s, t: [(fake, {})]))
     code, _, _ = run(capsys, "verify", "nesting")
     assert code == 1
 
@@ -164,7 +164,7 @@ def test_an_internal_error_exits_three_with_one_line(capsys, monkeypatch, fault)
     def crash(seed, trials):
         raise fault
 
-    monkeypatch.setitem(harness.CHECK_RUNNERS, "nesting", crash)
+    monkeypatch.setitem(harness.CLAIMS, "nesting", (True, crash))
     code, out, err = run(capsys, "verify", "nesting")
     message = " ".join(str(fault).split())
     assert (code, out) == (3, "")

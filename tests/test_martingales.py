@@ -422,7 +422,7 @@ _DEFECTS = st.one_of(
 @given(
     profile=st.lists(_DEFECTS, min_size=1, max_size=12),
     eps=st.one_of(
-        st.sampled_from([0.0, 5e-324, math.inf, math.nan]),
+        st.sampled_from([0.0, 5e-324, math.nan]),
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     ),
 )
@@ -467,6 +467,8 @@ _BOUNDED_CALLS = {
     "abs_commutation_index tol": lambda v: abs_commutation_index(_PAIRS, _PAIRING.term(1), v),
     "check_lattice_closure tol": lambda v: check_lattice_closure(_PAIRING, _PAIRS, v),
     "classify window_fraction": lambda v: classify(_PAIRING, _PAIRS, window_fraction=v),
+    "tail_verdict eps": lambda v: tail_verdict(_PAIRING, _PAIRS, eps=v),
+    "tail_verdict window_fraction": lambda v: tail_verdict(_PAIRING, _PAIRS, window_fraction=v),
     "tail_window_start window_fraction": lambda v: martingales.tail_window_start(16, v),
 }
 
@@ -478,6 +480,7 @@ _BOUNDED_CALLS = {
         for name in _BOUNDED_CALLS
         for value in (
             (0.0, -1.0, 1.25, math.inf, math.nan) if name.endswith("window_fraction")
+            else (-1.0, math.inf) if name == "tail_verdict eps"  # NaN: see the next test
             else (-1.0, math.nan, math.inf)
         )
     ],
@@ -494,6 +497,11 @@ def test_each_function_refuses_an_out_of_range_tolerance_eps_or_window(monkeypat
     rule = r"in \(0, 1\]" if param == "window_fraction" else "finite and >= 0"
     with pytest.raises(ValueError, match=rf"^{param} must be {rule}, got "):
         _BOUNDED_CALLS[name](value)
+
+
+def test_the_tail_verdict_takes_the_nan_eps_that_classify_passes_for_a_norm_not_finite():
+    # default_eps of a norm not finite is NaN, and a NaN eps confirms nothing
+    assert tail_verdict(_PAIRING, _PAIRS, eps=math.nan) is Verdict.INCONCLUSIVE
 
 
 def _exact_martingale():

@@ -49,3 +49,10 @@ def test_perfbench_reaches_names_in_each_source():
 def test_perfbench_name_resolves(module, name):
     owner = importlib.import_module(f"lattice_lab.{module}") if module else lattice_lab
     assert callable(getattr(owner, name, None)), f"perfbench needs lattice_lab.{module}.{name}"
+
+
+def test_perfbench_times_every_check_id():
+    # tracing.py keeps its own copy of the ids, one `harness.<id>_s` metric each
+    from lattice_lab import harness
+
+    assert _tracing().CHECK_IDS == harness.CHECK_IDS
