@@ -55,9 +55,11 @@ from .martingales import (
     _applied,
     _pair_table,
     _profiles,
+    _require_contractive,
     _require_horizon,
     _step_witness,
     _steps,
+    _tail_rule,
     abs_seq,
     classify,
     default_eps,
@@ -83,7 +85,6 @@ from .spaces import (
     NormKind,
     _Record,
     _require_same_space,
-    _require_tolerance,
     basis,
     norm,
     row_norms,
@@ -314,7 +315,7 @@ def _member_problem(
 ) -> dict | None:
     """The evidence when ``member`` is NOT_X or breaks the triangle bound, else None;
     a member that is not NOT_X appends its distance to the limit to ``distances``."""
-    if tail_verdict(member, filt, profile=profile) is Verdict.NOT_X:
+    if _tail_rule(profile, tail_window_start(filt.horizon), default_eps(member)) is Verdict.NOT_X:
         return {"problem": "family member classified NOT_X"}
     dist = seq_distance(member, limit)
     distances.append(dist)
@@ -340,6 +341,7 @@ def _limit_family_check(
 ) -> TheoremResult:
     """The closed-limits core: members must not be NOT_X, nor the limit; replay the
     triangle bound d(limit)_n <= d(member)_n + 2 ||member - limit||."""
+    _require_contractive(filt)
     limit_profile = defect_profile(limit, filt)
     distances: list[float] = []
     for k, (member, profile) in enumerate(_member_profiles(filt, members), 1):
@@ -348,7 +350,7 @@ def _limit_family_check(
             witness = {"member": k, **problem}
             break
     else:
-        verdict = tail_verdict(limit, filt, profile=limit_profile)
+        verdict = _tail_rule(limit_profile, tail_window_start(filt.horizon), default_eps(limit))
         if verdict is not Verdict.NOT_X:
             witness = {"members": len(distances), "distances": distances,
                        "limit_verdict": verdict.value}
@@ -519,7 +521,7 @@ def check_eventual_not_closed() -> TheoremResult:
         if abs(profile[n - 1] - 1.0 / n) > FLOAT_SLACK:
             problems.append({"n": n, "defect": float(profile[n - 1]), "problem": "defect != 1/n"})
             break
-    verdict = tail_verdict(base, filt, profile=profile)
+    verdict = _tail_rule(profile, tail_window_start(filt.horizon), default_eps(base))
     if verdict is not Verdict.X_MARTINGALE:
         problems.append({"verdict": verdict.value, "problem": "limit not asymptotic"})
 
@@ -628,14 +630,12 @@ def check_band_projection_lattice(
     return TheoremResult("band-lattice", _filt_descriptor(filt), status, witness, seed)
 
 
-def abs_commutation_index(
-    filt: Filtration, x: LatticeVector, tol: float = DEFAULT_TOL
-) -> int | None:
-    """Minimal l with | E_n x | = E_n |x| for every n >= l, or None; NaN never aligns."""
+def abs_commutation_index(filt: Filtration, x: LatticeVector) -> int | None:
+    """Minimal l with | E_n x | = E_n |x| for every n >= l, at ``DEFAULT_TOL``, or None;
+    NaN never aligns."""
     _require_same_space(x, filt, "vector and filtration")
-    _require_tolerance("tol", tol)
     gaps = np.abs(_applied(filt.ops, x.coords)) - _applied(filt.ops, np.abs(x.coords))
-    return _after_last(~(row_norms(filt.space, gaps) <= tol), filt.horizon)
+    return _after_last(~(row_norms(filt.space, gaps) <= DEFAULT_TOL), filt.horizon)
 
 
 def check_abs_alignment(filt: Filtration) -> TheoremResult:

@@ -13,9 +13,10 @@ nested classes, checked by three different rules:
 
 The first two are algebraic and use the exact-law tolerance; the third is
 a limit statement, so at a finite horizon it gets a windowed verdict with
-an explicit INCONCLUSIVE outcome rather than a forced boolean.  Witnesses
-are required strictly below the horizon: a witness at N would be vacuous
-(there is nothing after it to check).
+an explicit INCONCLUSIVE outcome rather than a forced boolean.  Only
+``classify`` takes these knobs (``tol``, ``eps``, ``window_fraction``); each
+single-rule entry is its decision at the defaults.  Witnesses are required
+strictly below the horizon: a witness at N would be vacuous.
 
 Generators for the classic example sequences (dyadic mean-zero indicator
 martingale, alternating-pair martingale, harmonic tail, null sequences)
@@ -303,26 +304,21 @@ def is_martingale(seq: VectorSequence, filt: Filtration) -> bool:
     return bool(defect_profile(seq, filt).max() <= DEFAULT_TOL)
 
 
-def eventual_witness(
-    seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL
-) -> int | None:
-    """Minimal l < N such that the one-step law holds at every m in [l, N-1].
+def eventual_witness(seq: VectorSequence, filt: Filtration) -> int | None:
+    """Minimal l < N such that the one-step law holds at ``DEFAULT_TOL`` at every m in
+    [l, N-1]; ``classify(seq, filt, tol).e_witness`` is the witness at another tol.
 
     Returns None when no such l exists; a witness equal to N is vacuous
     (no step after it) and is never reported.
     """
-    _require_tolerance("tol", tol)
-    return _step_witness(one_step_defects(seq, filt), tol)
+    return _step_witness(one_step_defects(seq, filt))
 
 
-def eventual_witness_pairwise(
-    seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL
-) -> int | None:
+def eventual_witness_pairwise(seq: VectorSequence, filt: Filtration) -> int | None:
     """Two-index variant: minimal l < N with E_n x_m = x_n for m >= n >= l, read off the
-    defect profile, data independent of :func:`eventual_witness`'s one-step defects; that
-    the two minimal witnesses agree is a tested property."""
-    _require_tolerance("tol", tol)
-    return _after_last(~(defect_profile(seq, filt) <= tol), seq.horizon - 1)
+    defect profile at ``DEFAULT_TOL``, data independent of :func:`eventual_witness`'s
+    one-step defects; that the two minimal witnesses agree is a tested property."""
+    return _after_last(~(defect_profile(seq, filt) <= DEFAULT_TOL), seq.horizon - 1)
 
 
 def one_step_defects(seq: VectorSequence, filt: Filtration) -> np.ndarray:
@@ -348,53 +344,41 @@ def default_eps(seq: VectorSequence, norm: float | None = None) -> float:
 
 
 def tail_window_start(horizon: int, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> int:
-    """First index (1-based) of the tail window used by :func:`tail_verdict`; a fraction
-    outside (0, 1], NaN included, raises ``ValueError``."""
+    """First index (1-based) n* = ceil((1 - window_fraction) * N) of the tail window, at
+    least 1; a fraction outside (0, 1], NaN included, raises ``ValueError``."""
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
     return max(1, math.ceil((1.0 - window_fraction) * horizon))
 
 
-def tail_verdict(
-    seq: VectorSequence,
-    filt: Filtration,
-    eps: float | None = None,
-    window_fraction: float = DEFAULT_WINDOW_FRACTION,
-    profile: np.ndarray | None = None,
-) -> Verdict:
-    """Windowed finite-horizon verdict on the decay of the defect profile.
+def _tail_rule(d: np.ndarray, start: int, eps: float) -> Verdict:
+    """The verdict on a defect profile ``d`` over its tail window from index ``start``
+    (1-based), the one rule of :func:`classify` and :func:`tail_verdict`:
 
-    Over the tail window starting at n* = ceil((1 - window_fraction) * N):
-
-      * X_MARTINGALE  -- every windowed defect is <= eps (a NaN one is not);
+      * X_MARTINGALE  -- every windowed defect is <= eps (a NaN defect is not, and a NaN
+        eps, :func:`default_eps` of a norm not finite, confirms nothing);
       * NOT_X         -- every windowed defect before the final entry
         exceeds 10 * eps (the final entry is excluded because it reflects
         only the single term m = N, a convention rather than evidence);
       * INCONCLUSIVE  -- anything in between; a finite window cannot
-        confirm a limit, and the verdict says so rather than guessing.
-
-    A given ``profile`` must be a defect profile of ``seq`` (N norms, NaN or >= 0).  The
-    defect notion presupposes a contractive filtration; a non-contractive one is rejected.
-    A negative or infinite ``eps`` raises ``ValueError`` before any defect is computed; a
-    NaN one is taken as given (:func:`default_eps` of a norm not finite) and confirms nothing.
-    """
-    _require_matching(seq, filt)
-    if eps is not None and not math.isnan(eps):
-        _require_tolerance("eps", eps)
-    n_terms = seq.horizon
-    start = tail_window_start(n_terms, window_fraction)
-    _require_contractive(filt)
-    d = defect_profile(seq, filt) if profile is None else np.asarray(profile, dtype=float)
-    if d.shape != (seq.horizon,):
-        raise ValueError(f"profile has shape {d.shape}, expected ({seq.horizon},)")
-    if eps is None:
-        eps = default_eps(seq)
+        confirm a limit, and the verdict says so rather than guessing."""
     if float(d[start - 1 :].max()) <= eps:
         return Verdict.X_MARTINGALE
-    strict = d[start - 1 : n_terms - 1]
+    strict = d[start - 1 : len(d) - 1]
     if strict.size and float(strict.min()) > 10.0 * eps:
         return Verdict.NOT_X
     return Verdict.INCONCLUSIVE
+
+
+def tail_verdict(seq: VectorSequence, filt: Filtration) -> Verdict:
+    """Windowed verdict on the decay of the defect profile: :func:`_tail_rule` at the
+    default window and eps; ``classify(...).x_verdict`` reads another eps or window.  A
+    horizon below 2 (a one-index window) raises ``ValueError``, and a non-contractive
+    filtration, on which the defect notion rests, :class:`NonContractiveError`."""
+    _require_matching(seq, filt)
+    _require_horizon("tail verdict", seq.horizon)
+    _require_contractive(filt)
+    return _tail_rule(defect_profile(seq, filt), tail_window_start(seq.horizon), default_eps(seq))
 
 
 class ClassificationReport(_Record):
@@ -451,7 +435,7 @@ def classify(
     _require_tolerance("tol", tol)
     if eps is not None:
         _require_tolerance("eps", eps)
-    tail_window_start(seq.horizon, window_fraction)  # each refusal before the profiles run
+    start = tail_window_start(seq.horizon, window_fraction)  # each refusal before the profiles
     _require_contractive(filt)
     norm = seq_norm(seq)
     if eps is None:
@@ -461,7 +445,7 @@ def classify(
         is_martingale=bool(d.max() <= tol),
         e_witness=_step_witness(steps, tol),
         x_defects=tuple(float(v) for v in d),
-        x_verdict=tail_verdict(seq, filt, eps, window_fraction, profile=d),
+        x_verdict=_tail_rule(d, start, eps),
         seq_norm=norm,
         tol=tol,
         eps_x=eps,

@@ -153,9 +153,7 @@ def _suite_instances():
 
 def test_criterion_6_one_step_and_pairwise_witnesses_agree():
     for filt, seq in _suite_instances():
-        assert eventual_witness(seq, filt, 1e-9) == eventual_witness_pairwise(
-            seq, filt, 1e-9
-        )
+        assert eventual_witness(seq, filt) == eventual_witness_pairwise(seq, filt)
 
 
 def test_criterion_7_operator_norm_oracle():
@@ -192,10 +190,10 @@ def test_criterion_7_operator_norm_oracle():
 def test_criterion_8_abs_commutation_indices():
     trunc = build_truncation(16)
     for i in range(1, 17):
-        assert abs_commutation_index(trunc, basis(trunc.space, i), 1e-9) == 1
+        assert abs_commutation_index(trunc, basis(trunc.space, i)) == 1
 
     pairing = build_pairing(3)
     head_pair = vector(pairing.space, [-1, 1, 0, 0, 0, 0])
-    assert abs_commutation_index(pairing, head_pair, 1e-9) == 1
+    assert abs_commutation_index(pairing, head_pair) == 1
     straddling = vector(pairing.space, [0, 0, -1, 1, 0, 0])
-    assert abs_commutation_index(pairing, straddling, 1e-9) == 2
+    assert abs_commutation_index(pairing, straddling) == 2

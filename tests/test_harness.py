@@ -16,6 +16,7 @@ from lattice_lab import (
     ClassificationReport,
     Filtration,
     LatticeSpace,
+    NonContractiveError,
     NormKind,
     PosOperator,
     VectorSequence,
@@ -134,6 +135,35 @@ def test_limit_checks_refuse_a_single_term():
         check_limit_defect(terminal_sequence(filt, x), x, filt)
     with pytest.raises(ValueError, match="closed under limits needs a horizon of at least 2"):
         check_closed_under_limits(filt)
+
+
+_DOUBLER_SPACE = LatticeSpace(2)
+_DOUBLING = Filtration(
+    _DOUBLER_SPACE, (PosOperator(_DOUBLER_SPACE, 2 * np.eye(2)),) * 2
+)  # norm 2: not contractive
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_closed_under_limits(_DOUBLING),
+        lambda: check_limit_defect(
+            VectorSequence(_DOUBLER_SPACE, np.ones((2, 2))), vector(_DOUBLER_SPACE, [1, 1]),
+            _DOUBLING,
+        ),
+        lambda: check_tail_modification(
+            VectorSequence(_DOUBLER_SPACE, np.ones((2, 2))), vector(_DOUBLER_SPACE, [1, 1]),
+            _DOUBLING,
+        ),
+    ],
+    ids=["closed-limits", "limit-defect", "tail-modification"],
+)
+def test_limit_checks_refuse_a_non_contractive_filtration(monkeypatch, check):
+    # the defect notion rests on contractivity; the refusal comes before any defect
+    for module in (harness, martingales):
+        monkeypatch.setattr(module, "_profiles", lambda *args: pytest.fail("_profiles ran"))
+    with pytest.raises(NonContractiveError, match="requires a contractive filtration"):
+        check()
 
 
 def test_eventual_not_closed():
@@ -531,7 +561,7 @@ def _limits_member_not_x(mp, calls):
     for k in (13, 15, 20):
         members[k - 1] = _alternating(filt)
     _spy(mp, calls, "_profiles")
-    _spy(mp, calls, "tail_verdict")
+    _spy(mp, calls, "_tail_rule")
     return harness._limit_family_check(filt, members, base, {"n": 64}, 3)
 
 
@@ -545,7 +575,7 @@ def _limits_triangle(mp, calls):
 def _limits_limit_not_x(mp, calls):
     filt, _, family = harmonic_tail_example(16)
     _spy(mp, calls, "_profiles")
-    _spy(mp, calls, "tail_verdict")
+    _spy(mp, calls, "_tail_rule")
     limit = _alternating(filt)
     return harness._limit_family_check(filt, family, limit, {"n": 16}, None)
 

@@ -6,7 +6,6 @@ library functions they check.
 """
 
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -367,6 +366,45 @@ def test_tail_verdict_rejects_non_contractive_filtration():
         tail_verdict(seq, filt)
 
 
+def test_the_tail_verdict_refuses_a_horizon_below_two(monkeypatch):
+    # a one-term window used to read X_MARTINGALE off the single index N, where
+    # classify refuses the same input
+    filt = build_truncation(1)
+    seq = sequence(filt.space, [[5.0]])
+    monkeypatch.setattr(martingales, "_profiles", lambda *args: pytest.fail("_profiles ran"))
+    for entry in (tail_verdict, classify):
+        with pytest.raises(ValueError, match="needs a horizon of at least 2 terms"):
+            entry(seq, filt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 2**16))
+def test_the_single_law_entries_are_classify_at_its_defaults(seed, trial):
+    rng = trial_rng(seed, trial)
+    filt, _ = random_filtration(rng)
+    assert filt.horizon >= 2
+    seq = random_sequence(filt, str(rng.choice(SEQUENCE_GENERATORS)), rng)
+    report = classify(seq, filt)
+    assert tail_verdict(seq, filt) is report.x_verdict
+    assert eventual_witness(seq, filt) == report.e_witness
+    assert is_martingale(seq, filt) == report.is_martingale
+
+
+def test_classify_runs_each_refusal_once_and_never_the_public_tail_verdict(monkeypatch):
+    calls = {}
+    for name in ("_require_matching", "tail_window_start", "is_contractive_filtration",
+                 "tail_verdict"):
+        def spy(*args, real=getattr(martingales, name), name=name, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(martingales, name, spy)
+    filt, seq = pairing_example(3)
+    assert classify(seq, filt).x_verdict is Verdict.X_MARTINGALE
+    assert calls == {"_require_matching": 1, "tail_window_start": 1,
+                     "is_contractive_filtration": 1}
+
+
 def _random_rows_case() -> tuple[Filtration, VectorSequence]:
     """Eight random terms on the truncation chain of d = 8: NOT_X, eps 0.249."""
     filt = build_truncation(8)
@@ -386,15 +424,6 @@ def test_a_term_that_is_not_finite_leaves_the_tail_undecided(bad):
         report = classify(sequence(filt.space, rows), filt)
     assert math.isnan(report.eps_x) and report.x_verdict is Verdict.INCONCLUSIVE
     assert cli._finite(report.to_dict())["tolerances"]["eps_x"] is None  # --json writes null
-
-
-def test_tail_verdict_refuses_a_profile_of_another_shape():
-    filt, seq = _random_rows_case()
-    assert tail_verdict(seq, filt) is Verdict.NOT_X
-    for profile in (np.zeros(16), np.zeros((8, 8)), [0.0]):
-        want = f"profile has shape {np.shape(profile)}, expected (8,)"
-        with pytest.raises(ValueError, match=re.escape(want)):
-            tail_verdict(seq, filt, profile=profile)
 
 
 def monotone_tail_rule(d: np.ndarray, eps: float, start: int) -> Verdict:
@@ -427,11 +456,9 @@ _DEFECTS = st.one_of(
     ),
 )
 def test_the_tail_verdict_is_the_monotone_rule_on_every_defect_profile(profile, eps):
-    filt = build_truncation(len(profile))
-    seq = VectorSequence(filt.space, np.zeros((len(profile), len(profile))))
     d = np.array(profile)
-    want = monotone_tail_rule(d, eps, martingales.tail_window_start(len(d)))
-    assert tail_verdict(seq, filt, eps, profile=d) is want
+    start = martingales.tail_window_start(len(d))
+    assert martingales._tail_rule(d, start, eps) is monotone_tail_rule(d, eps, start)
 
 
 def test_classify_refuses_a_non_contractive_filtration_before_the_pair_table(monkeypatch):
@@ -462,13 +489,8 @@ _BOUNDED_CALLS = {
     "classify tol": lambda v: classify(_PAIRING, _PAIRS, tol=v),
     "classify eps": lambda v: classify(_PAIRING, _PAIRS, eps=v),
     "validate tol": lambda v: validate(_PAIRS, True, v),
-    "eventual_witness tol": lambda v: eventual_witness(_PAIRING, _PAIRS, v),
-    "eventual_witness_pairwise tol": lambda v: eventual_witness_pairwise(_PAIRING, _PAIRS, v),
-    "abs_commutation_index tol": lambda v: abs_commutation_index(_PAIRS, _PAIRING.term(1), v),
     "check_lattice_closure tol": lambda v: check_lattice_closure(_PAIRING, _PAIRS, v),
     "classify window_fraction": lambda v: classify(_PAIRING, _PAIRS, window_fraction=v),
-    "tail_verdict eps": lambda v: tail_verdict(_PAIRING, _PAIRS, eps=v),
-    "tail_verdict window_fraction": lambda v: tail_verdict(_PAIRING, _PAIRS, window_fraction=v),
     "tail_window_start window_fraction": lambda v: martingales.tail_window_start(16, v),
 }
 
@@ -480,7 +502,6 @@ _BOUNDED_CALLS = {
         for name in _BOUNDED_CALLS
         for value in (
             (0.0, -1.0, 1.25, math.inf, math.nan) if name.endswith("window_fraction")
-            else (-1.0, math.inf) if name == "tail_verdict eps"  # NaN: see the next test
             else (-1.0, math.nan, math.inf)
         )
     ],
@@ -499,9 +520,66 @@ def test_each_function_refuses_an_out_of_range_tolerance_eps_or_window(monkeypat
         _BOUNDED_CALLS[name](value)
 
 
-def test_the_tail_verdict_takes_the_nan_eps_that_classify_passes_for_a_norm_not_finite():
-    # default_eps of a norm not finite is NaN, and a NaN eps confirms nothing
-    assert tail_verdict(_PAIRING, _PAIRS, eps=math.nan) is Verdict.INCONCLUSIVE
+@pytest.mark.parametrize(
+    "entry, knob",
+    [
+        (tail_verdict, "eps"),
+        (tail_verdict, "window_fraction"),
+        (tail_verdict, "profile"),
+        (eventual_witness, "tol"),
+        (eventual_witness_pairwise, "tol"),
+        (lambda filt, seq, **knob: abs_commutation_index(filt, seq.term(1), **knob), "tol"),
+    ],
+    ids=[
+        "tail_verdict eps", "tail_verdict window_fraction", "tail_verdict profile",
+        "eventual_witness tol", "eventual_witness_pairwise tol", "abs_commutation_index tol",
+    ],
+)
+def test_a_single_rule_entry_takes_no_knob(entry, knob):
+    # classify is the one public home of tol, eps and the window; a knob passed to a
+    # single-rule entry is refused, not silently read at its default
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+        entry(_PAIRS, _PAIRING, **{knob: 0.5})
+
+
+_HARMONIC_FILT, _HARMONIC, _ = harmonic_tail_example(64)
+
+
+@pytest.mark.parametrize(
+    "eps, window_fraction, want",
+    [
+        # d_n = 1/n for n < 64, ||A|| = 1, so default eps = 0.05; window from n* = ceil((1 - w) 64)
+        (None, 0.25, Verdict.X_MARTINGALE),  # max over n >= 48 is 1/48 <= 0.05
+        (0.01, 0.25, Verdict.INCONCLUSIVE),  # 1/48 > 0.01, and 1/63 <= 0.1
+        (0.001, 0.25, Verdict.NOT_X),  # 1/63 > 0.01 over the whole strict window
+        (0.05, 1.0, Verdict.INCONCLUSIVE),  # the window holds d_1 = 1
+        (0.04, 0.5, Verdict.X_MARTINGALE),  # max over n >= 32 is 1/32 <= 0.04
+        (0.02, 0.5, Verdict.INCONCLUSIVE),  # 1/32 > 0.02, and 1/63 <= 0.2
+        (0.0015, 0.5, Verdict.NOT_X),  # 1/63 > 0.015
+    ],
+)
+def test_classify_reads_the_harmonic_tail_at_any_eps_and_window(eps, window_fraction, want):
+    report = classify(_HARMONIC, _HARMONIC_FILT, eps=eps, window_fraction=window_fraction)
+    assert report.x_verdict is want
+    if eps is None and window_fraction == 0.25:
+        assert tail_verdict(_HARMONIC, _HARMONIC_FILT) is want
+
+
+@pytest.mark.parametrize(
+    "tol, want",
+    [
+        # the one-step defects of the harmonic tail are 1/m for m = 1..63
+        (1e-9, None),  # the default: every step is flagged, up to m = N - 1
+        (0.021, 48),  # 1/47 > 0.021 >= 1/48
+        (0.105, 10),  # 1/9 > 0.105 >= 1/10
+        (0.6, 2),  # only 1/1 exceeds it
+        (1.5, 1),  # no step exceeds it
+    ],
+)
+def test_classify_reads_the_harmonic_eventual_witness_at_any_tol(tol, want):
+    assert classify(_HARMONIC, _HARMONIC_FILT, tol=tol).e_witness == want
+    if tol == 1e-9:
+        assert eventual_witness(_HARMONIC, _HARMONIC_FILT) == want
 
 
 def _exact_martingale():
