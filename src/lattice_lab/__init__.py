@@ -69,9 +69,7 @@ from .martingales import (
 
 #: The evidence harness's names, imported on first use (PEP 562), so that
 #: ``import lattice_lab`` and every CLI command but ``verify`` skip it.
-_HARNESS_NAMES = (
-    "CHECK_IDS", "CheckStatus", "TheoremResult", "abs_commutation_index", "run_all", "run_check",
-)
+_HARNESS_NAMES = ("CHECK_IDS", "CheckStatus", "abs_commutation_index", "run_all", "run_check")
 __all__ = [
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)

@@ -171,11 +171,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_payload(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def cmd_demo(args: argparse.Namespace) -> int:
     name, size = args.name, args.size
     default_size, build, expected = BUILDERS[name]
     filt, seq = build(default_size if size is None else size, args)
-    closure = check_lattice_closure(seq, filt, args.tol)
+    closure = check_lattice_closure(seq, filt)
     steps_abs = one_step_defects(abs_seq(seq), filt)
     payload = {
         "demo": name,
@@ -200,11 +200,6 @@ def _demo_payload(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "the all-averaging stage and the zero initial term of the raw "
             "construction are both omitted, so indices here start at 1"
         )
-    return payload, lines
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
-    payload, lines = _demo_payload(args)
     _emit(payload, args.json, lines)
     return 0
 
@@ -218,16 +213,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     for r in results:
         lines.append(
-            f"[verify:{r.check_id}] {r.status.value} "
-            f"({json.dumps(r.descriptor, sort_keys=True)})"
+            f"[verify:{r['id']}] {r['status'].value} "
+            f"({json.dumps(r['descriptor'], sort_keys=True)})"
         )
-    violated = sum(r.status is CheckStatus.VIOLATED for r in results)
+    violated = sum(r["status"] is CheckStatus.VIOLATED for r in results)
     sampled = [check_id for check_id in ids if CLAIMS[check_id][0]]  # reads trials
     trials = f", trials={args.trials} for {', '.join(sampled)}" if sampled else ""
     lines.append(
         f"[verify] {len(results)} results, {violated} violated (seed={args.seed}{trials})"
     )
-    _emit({"results": [r.to_dict() for r in results]}, args.json, lines)
+    _emit({"results": results}, args.json, lines)
     return 1 if violated else 0
 
 
@@ -277,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="reproduce a named example construction")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_demo, factor=2.0)  # scale-head doubles the head, as in gen
 

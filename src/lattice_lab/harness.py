@@ -1,7 +1,9 @@
 """Executable evidence for the structural claims about martingale-like classes.
 
 Each check exercises one claim on concrete and randomized instances and
-returns a :class:`TheoremResult` with status
+returns the dict that ``verify --json`` prints, keyed ``id``, ``descriptor``,
+``status``, ``witness`` and ``seed`` in that order; the status is a
+:class:`CheckStatus`, a ``str`` enum that JSON writes as its value:
 
   * CONFIRMED    -- every instance satisfying the claim's premises showed
                     the claimed conclusion;
@@ -83,7 +85,6 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     NormKind,
-    _Record,
     _require_same_space,
     basis,
     norm,
@@ -102,23 +103,11 @@ class CheckStatus(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class TheoremResult(_Record):
-    """Outcome of one claim check on one instance; ``witness`` defaults to a fresh ``{}``."""
-
-    def __init__(self, check_id: str, descriptor: dict, status: CheckStatus,
-                 witness: dict | None = None, seed: int | None = None) -> None:
-        witness = {} if witness is None else witness
-        self._set(check_id=check_id, descriptor=descriptor, status=status,
-                  witness=witness, seed=seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.check_id,
-            "descriptor": self.descriptor,
-            "status": self.status.value,
-            "witness": self.witness,
-            "seed": self.seed,
-        }
+def _result(check_id: str, descriptor: dict, status: CheckStatus, witness: dict,
+            seed: int | None) -> dict:
+    """Outcome of one claim check on one instance, the dict ``verify --json`` prints."""
+    return {"id": check_id, "descriptor": descriptor, "status": status, "witness": witness,
+            "seed": seed}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -285,7 +274,7 @@ def _nesting_problem(seed: int, trial: int) -> dict | None:
     return {"filtration": f_desc, "generator": gen, "report": report.to_dict()}
 
 
-def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
+def check_class_nesting(seed: int = 0, trials: int = 100) -> dict:
     """Martingale => eventual witness 1 => asymptotic; never the converses.
 
     Each trial draws a filtration and a sequence from the full generator
@@ -299,7 +288,7 @@ def check_class_nesting(seed: int = 0, trials: int = 100) -> TheoremResult:
         if problem is not None:
             status, witness = CheckStatus.VIOLATED, {"trial": trial, **problem}
             break
-    return TheoremResult("nesting", {"trials": trials}, status, witness, seed)
+    return _result("nesting", {"trials": trials}, status, witness, seed)
 
 
 def _member_profiles(filt: Filtration, members: Sequence[VectorSequence]) -> Iterator[tuple]:
@@ -338,7 +327,7 @@ def _limit_family_check(
     limit: VectorSequence,
     descriptor: dict,
     seed: int | None,
-) -> TheoremResult:
+) -> dict:
     """The closed-limits core: members must not be NOT_X, nor the limit; replay the
     triangle bound d(limit)_n <= d(member)_n + 2 ||member - limit||."""
     _require_contractive(filt)
@@ -354,12 +343,12 @@ def _limit_family_check(
         if verdict is not Verdict.NOT_X:
             witness = {"members": len(distances), "distances": distances,
                        "limit_verdict": verdict.value}
-            return TheoremResult("closed-limits", descriptor, CheckStatus.CONFIRMED, witness, seed)
+            return _result("closed-limits", descriptor, CheckStatus.CONFIRMED, witness, seed)
         witness = {"problem": "limit of asymptotic martingales classified NOT_X"}
-    return TheoremResult("closed-limits", descriptor, CheckStatus.VIOLATED, witness, seed)
+    return _result("closed-limits", descriptor, CheckStatus.VIOLATED, witness, seed)
 
 
-def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
+def check_closed_under_limits(filt: Filtration, seed: int = 0) -> dict:
     """A sequence-space limit of asymptotic martingales stays asymptotic.
 
     Builds A^k = A + z/(k n) around a random martingale A, so
@@ -380,7 +369,7 @@ def check_closed_under_limits(filt: Filtration, seed: int = 0) -> TheoremResult:
     return _limit_family_check(filt, family, limit, descriptor, seed)
 
 
-def check_closed_under_limits_harmonic() -> TheoremResult:
+def check_closed_under_limits_harmonic() -> dict:
     """Same claim on the 64-term harmonic-tail family, whose limit lies
     outside the eventual class yet must (and does) stay asymptotic."""
     filt, base, family = harmonic_tail_example(64)
@@ -393,7 +382,7 @@ def _convergent_asymptotic_premises(
     seq: VectorSequence,
     limit_vec: LatticeVector,
     filt: Filtration,
-) -> tuple[float, int, dict, TheoremResult | None]:
+) -> tuple[float, int, dict, dict | None]:
     """Shared premises of limit-defect and tail-approx: A is asymptotic and
     converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||) over
     the tail window.  ``early`` is the INCONCLUSIVE result to return when a
@@ -407,7 +396,7 @@ def _convergent_asymptotic_premises(
     }
     early = None
     if not all(premises.values()):
-        early = TheoremResult(
+        early = _result(
             check_id,
             _filt_descriptor(filt),
             CheckStatus.INCONCLUSIVE,
@@ -419,7 +408,7 @@ def _convergent_asymptotic_premises(
 
 def check_limit_defect(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
-) -> TheoremResult:
+) -> dict:
     """For a convergent asymptotic martingale, e_n = max_{m>=n} ||E_m x - x_m||
     must decay over the tail window (x the limit vector).  A horizon below 2:
     ValueError."""
@@ -433,7 +422,7 @@ def check_limit_defect(
     step = row_norms(filt.space, _applied(filt.ops, limit_vec.coords) - seq.coords)
     tail_sup = np.maximum.accumulate(step[::-1])[::-1]
     ok = bool(tail_sup[start - 1 :].max() <= eps)
-    return TheoremResult(
+    return _result(
         check_id,
         _filt_descriptor(filt),
         CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED,
@@ -472,7 +461,7 @@ def _tail_modifications(
 
 def check_tail_modification(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
-) -> TheoremResult:
+) -> dict:
     """Replacing the tail by E_n x yields eventual martingales converging
     back to the original sequence (witness <= m+1, the last distance within
     eps).  ||A^m - A|| is the largest of the same rows over n > m, so the
@@ -492,10 +481,10 @@ def check_tail_modification(
     else:
         status = CheckStatus.CONFIRMED if distances[-1] <= eps else CheckStatus.VIOLATED
         witness = {"premises": premises, "eps": float(eps), "distances": distances}
-    return TheoremResult("tail-approx", _filt_descriptor(filt), status, witness, None)
+    return _result("tail-approx", _filt_descriptor(filt), status, witness, None)
 
 
-def check_eventual_not_closed() -> TheoremResult:
+def check_eventual_not_closed() -> dict:
     """The 64-term harmonic-tail family: eventual martingales A^m with
     ||A^m - A|| = 1/m whose limit A has no eventual witness, while its
     defect profile d_n = 1/n certifies it asymptotic."""
@@ -529,10 +518,10 @@ def check_eventual_not_closed() -> TheoremResult:
     witness_data: dict = {"members": len(family), "limit_verdict": verdict.value}
     if problems:
         witness_data["problems"] = problems
-    return TheoremResult(check_id, descriptor, status, witness_data, None)
+    return _result(check_id, descriptor, status, witness_data, None)
 
 
-def check_abs_closure(filt: Filtration) -> TheoremResult:
+def check_abs_closure(filt: Filtration) -> dict:
     """Closure of the eventual class under absolute value, two modes.
 
     Counterexample mode reproduces the two instances where |A| must fail
@@ -571,7 +560,7 @@ def check_abs_closure(filt: Filtration) -> TheoremResult:
     witness["closure_runs"] = closure_runs
     if problems:
         witness["problems"] = problems
-    return TheoremResult("abs-closure", _filt_descriptor(filt), status, witness, None)
+    return _result("abs-closure", _filt_descriptor(filt), status, witness, None)
 
 
 def _band_tables(filt: Filtration, seed: int, trials: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -611,7 +600,7 @@ def _band_problem(
 
 def check_band_projection_lattice(
     filt: Filtration, seed: int = 0, trials: int = 100
-) -> TheoremResult:
+) -> dict:
     """When every stage is a lattice homomorphism (a band projection is one)
     the classes are lattices: |A| keeps an eventual witness no later than
     A's, and ||E_n |x_m| - |x_n||| <= ||E_n x_m - x_n|| pairwise.  Both need
@@ -627,7 +616,7 @@ def check_band_projection_lattice(
     else:
         status = CheckStatus.INCONCLUSIVE
         witness = {"note": "premise unmet: some stage is not a lattice homomorphism"}
-    return TheoremResult("band-lattice", _filt_descriptor(filt), status, witness, seed)
+    return _result("band-lattice", _filt_descriptor(filt), status, witness, seed)
 
 
 def abs_commutation_index(filt: Filtration, x: LatticeVector) -> int | None:
@@ -638,7 +627,7 @@ def abs_commutation_index(filt: Filtration, x: LatticeVector) -> int | None:
     return _after_last(~(row_norms(filt.space, gaps) <= DEFAULT_TOL), filt.horizon)
 
 
-def check_abs_alignment(filt: Filtration) -> TheoremResult:
+def check_abs_alignment(filt: Filtration) -> dict:
     """On a dense filtration whose eventual class is closed under absolute
     values, every vector has an index from which |E_n x| = E_n |x|.
 
@@ -654,7 +643,7 @@ def check_abs_alignment(filt: Filtration) -> TheoremResult:
         status = CheckStatus.CONFIRMED if index is not None else CheckStatus.VIOLATED
     else:
         status, witness["note"] = CheckStatus.INCONCLUSIVE, "premises unmet; index is data only"
-    return TheoremResult("abs-alignment", _filt_descriptor(filt), status, witness, None)
+    return _result("abs-alignment", _filt_descriptor(filt), status, witness, None)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +673,7 @@ def _perturbed_nested_instance(
     return filt, _plus_null(terminal_sequence(filt, x), z), x
 
 
-_Instances = Iterable[tuple[TheoremResult, dict]]
+_Instances = Iterable[tuple[dict, dict]]
 
 
 def _limit_defect_instances(seed: int, trials: int) -> _Instances:
@@ -742,7 +731,7 @@ CLAIMS: dict[str, tuple[bool, Callable[[int, int], _Instances]]] = {
 CHECK_IDS = tuple(CLAIMS)
 
 
-def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[TheoremResult]:
+def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[dict]:
     """Run one check id on its default instances; ``trials`` must be >= 1."""
     try:
         _, instances = CLAIMS[check_id]
@@ -750,12 +739,11 @@ def run_check(check_id: str, seed: int = 0, trials: int = 100) -> list[TheoremRe
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     _require_trials(trials)
     return [
-        TheoremResult(r.check_id, {**r.descriptor, **keys}, r.status, r.witness, r.seed)
-        for r, keys in instances(seed, trials)
+        {**r, "descriptor": {**r["descriptor"], **keys}} for r, keys in instances(seed, trials)
     ]
 
 
-def run_all(seed: int = 0, trials: int = 100) -> list[TheoremResult]:
+def run_all(seed: int = 0, trials: int = 100) -> list[dict]:
     results = []
     for check_id in CHECK_IDS:
         results.extend(run_check(check_id, seed, trials))

@@ -378,7 +378,7 @@ def tail_verdict(seq: VectorSequence, filt: Filtration) -> Verdict:
     _require_matching(seq, filt)
     _require_horizon("tail verdict", seq.horizon)
     _require_contractive(filt)
-    return _tail_rule(defect_profile(seq, filt), tail_window_start(seq.horizon), default_eps(seq))
+    return _tail_rule(_profiles(seq, filt)[0], tail_window_start(seq.horizon), default_eps(seq))
 
 
 class ClassificationReport(_Record):
@@ -504,10 +504,10 @@ def tail_modify(
     return VectorSequence(seq.space, _frozen(np.vstack((seq.coords[:m], tail))))
 
 
-def check_lattice_closure(seq: VectorSequence, filt: Filtration, tol: float = DEFAULT_TOL) -> dict:
-    """Classify A (``base``) and |A| (``abs``) and say whether |A| stays in each
-    class: each ``abs_stays_*`` is None where A itself is not in that class."""
-    base, abs_ = (classify(s, filt, tol).to_dict() for s in (seq, abs_seq(seq)))
+def check_lattice_closure(seq: VectorSequence, filt: Filtration) -> dict:
+    """Classify A (``base``) and |A| (``abs``) at the default knobs and say whether |A|
+    stays in each class: each ``abs_stays_*`` is None where A itself is not in that class."""
+    base, abs_ = (classify(s, filt).to_dict() for s in (seq, abs_seq(seq)))
     x = Verdict.X_MARTINGALE.value
     return {
         "base": base,

@@ -101,8 +101,8 @@ def test_criterion_3_eventual_class_not_closed():
 
 def test_criterion_4_nesting_property_500_instances():
     result = check_class_nesting(seed=2026, trials=500)
-    assert result.status is CheckStatus.CONFIRMED, result.to_dict()
-    assert result.witness["checked"] == 500
+    assert result["status"] is CheckStatus.CONFIRMED, result
+    assert result["witness"]["checked"] == 500
 
 
 def test_criterion_5_band_projection_propositions():

@@ -143,11 +143,20 @@ def test_verify_footer_names_trials_only_where_they_were_read(capsys, check_id, 
     assert out.splitlines()[-1].endswith(" violated " + footer)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_verify_json_results_are_run_all(capsys, seed):
+    from lattice_lab import run_all
+
+    code, out, _ = run(capsys, "verify", "all", "--seed", str(seed), "--json")
+    assert code == 0 and json.loads(out)["results"] == run_all(seed, 100)
+
+
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
     # exit-code mapping only; a real VIOLATED would mean a library bug
     from lattice_lab import harness
 
-    fake = harness.TheoremResult("nesting", {}, harness.CheckStatus.VIOLATED, {}, 0)
+    fake = {"id": "nesting", "descriptor": {}, "status": harness.CheckStatus.VIOLATED,
+            "witness": {}, "seed": 0}
     monkeypatch.setitem(harness.CLAIMS, "nesting", (True, lambda s, t: [(fake, {})]))
     code, _, _ = run(capsys, "verify", "nesting")
     assert code == 1
@@ -371,8 +380,6 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, text):
         ("validate", "{path}", "--tol", "nan"),
         ("validate", "{path}", "--tol=-1e-9"),
         ("validate", "{path}", "--tol", "inf"),
-        ("demo", "haar", "--tol", "-1"),
-        ("demo", "pairing", "--tol", "nan"),
         ("verify", "nesting", "--trials", "0"),
         ("verify", "abs-closure", "--trials", "-1"),
     ],
@@ -382,6 +389,16 @@ def test_out_of_range_arguments_exit_two(tmp_path, capsys, argv):
     run(capsys, "gen", "harmonic", "--size", "16", "--out", str(path))
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2 and out == "" and one_line_error(err)
+
+
+@pytest.mark.parametrize("name", ["haar", "pairing"])
+def test_demo_takes_no_tol(capsys, name):
+    # classification knobs live in ``classify``; ``demo`` runs it at the defaults
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", name, "--tol", "1e-9"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --tol 1e-9")
 
 
 def test_range_edges_are_accepted(tmp_path, capsys):

@@ -59,23 +59,23 @@ from lattice_lab.harness import (
 
 def test_nesting_confirmed_on_mixed_instances():
     result = check_class_nesting(seed=1, trials=60)
-    assert result.status is CheckStatus.CONFIRMED
-    assert result.witness["checked"] == 60
+    assert result["status"] is CheckStatus.CONFIRMED
+    assert result["witness"]["checked"] == 60
 
 
 def test_closed_under_limits_confirmed():
     for filt in (build_truncation(32), build_dyadic(5)):
         result = check_closed_under_limits(filt, seed=3)
-        assert result.status is CheckStatus.CONFIRMED
-        dist = result.witness["distances"]
+        assert result["status"] is CheckStatus.CONFIRMED
+        dist = result["witness"]["distances"]
         assert all(b <= a + 1e-12 for a, b in zip(dist, dist[1:]))
 
 
 def test_closed_under_limits_harmonic_family():
     result = check_closed_under_limits_harmonic()
-    assert result.status is CheckStatus.CONFIRMED
-    assert result.witness["limit_verdict"] == "X_MARTINGALE"
-    assert result.witness["distances"][0] == pytest.approx(1.0, abs=1e-12)
+    assert result["status"] is CheckStatus.CONFIRMED
+    assert result["witness"]["limit_verdict"] == "X_MARTINGALE"
+    assert result["witness"]["distances"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_limit_defect_terminal_and_null():
@@ -84,14 +84,14 @@ def test_limit_defect_terminal_and_null():
     from lattice_lab import terminal_sequence
 
     r1 = check_limit_defect(terminal_sequence(filt, x), x, filt)
-    assert r1.status is CheckStatus.CONFIRMED
-    assert max(r1.witness["tail_sup_profile"]) == 0.0  # E_m x equals x_m exactly
+    assert r1["status"] is CheckStatus.CONFIRMED
+    assert max(r1["witness"]["tail_sup_profile"]) == 0.0  # E_m x equals x_m exactly
 
     seq = null_sequence(basis(filt.space, 1), 64)
     r2 = check_limit_defect(seq, zero(filt.space), filt)
-    assert r2.status is CheckStatus.CONFIRMED
+    assert r2["status"] is CheckStatus.CONFIRMED
     # e_n = max_{m >= n} ||x_m|| = 1/n for the null sequence
-    prof = r2.witness["tail_sup_profile"]
+    prof = r2["witness"]["tail_sup_profile"]
     assert prof[0] == pytest.approx(1.0, abs=1e-12)
     assert prof[47] == pytest.approx(1.0 / 48, abs=1e-12)
 
@@ -104,18 +104,18 @@ def test_limit_defect_inapplicable_without_convergence():
     result = check_limit_defect(
         sequence(filt.space, seq_rows), zero(filt.space), filt
     )
-    assert result.status is CheckStatus.INCONCLUSIVE
-    assert result.witness["premises"]["asymptotic"] is False
+    assert result["status"] is CheckStatus.INCONCLUSIVE
+    assert result["witness"]["premises"]["asymptotic"] is False
 
 
 def test_tail_modification_on_harmonic():
     filt, base, _ = harmonic_tail_example(64)
     result = check_tail_modification(base, zero(filt.space), filt)
-    assert result.status is CheckStatus.CONFIRMED
-    dist = result.witness["distances"]
+    assert result["status"] is CheckStatus.CONFIRMED
+    dist = result["witness"]["distances"]
     assert dist[0] == pytest.approx(1.0 / 2, abs=1e-12)  # max tail norm beyond m=1
     assert all(b <= a for a, b in zip(dist, dist[1:]))  # a max over fewer of the same rows
-    assert list(result.witness) == ["premises", "eps", "distances"]
+    assert list(result["witness"]) == ["premises", "eps", "distances"]
 
 
 def test_tail_modification_refuses_a_single_term():
@@ -168,16 +168,16 @@ def test_limit_checks_refuse_a_non_contractive_filtration(monkeypatch, check):
 
 def test_eventual_not_closed():
     result = check_eventual_not_closed()
-    assert result.status is CheckStatus.CONFIRMED
-    assert result.witness["limit_verdict"] == "X_MARTINGALE"
+    assert result["status"] is CheckStatus.CONFIRMED
+    assert result["witness"]["limit_verdict"] == "X_MARTINGALE"
 
 
 def test_abs_closure_counterexamples_and_fractions():
     result = check_abs_closure(build_truncation(16))
-    assert result.status is CheckStatus.CONFIRMED
-    assert result.witness["pairing_first_abs_defect"] == pytest.approx(1.0, abs=1e-12)
-    assert result.witness["haar_first_abs_defect"] == pytest.approx(0.5, abs=1e-12)
-    runs = {r["filtration"]: r for r in result.witness["closure_runs"]}
+    assert result["status"] is CheckStatus.CONFIRMED
+    assert result["witness"]["pairing_first_abs_defect"] == pytest.approx(1.0, abs=1e-12)
+    assert result["witness"]["haar_first_abs_defect"] == pytest.approx(0.5, abs=1e-12)
+    runs = {r["filtration"]: r for r in result["witness"]["closure_runs"]}
     assert runs["given"]["closed"] is True  # band projections close
     assert runs["pairing-3"]["closed"] is False
     assert runs["haar-3"]["closed"] is False
@@ -186,29 +186,29 @@ def test_abs_closure_counterexamples_and_fractions():
 def test_abs_closure_is_violated_when_a_counterexample_is_decided_closed(monkeypatch):
     monkeypatch.setattr(harness, "is_abs_closed", lambda filt: True)
     result = check_abs_closure(build_truncation(4))
-    assert result.status is CheckStatus.VIOLATED
-    assert [p["instance"] for p in result.witness["problems"]] == ["pairing-3", "haar-3"]
+    assert result["status"] is CheckStatus.VIOLATED
+    assert [p["instance"] for p in result["witness"]["problems"]] == ["pairing-3", "haar-3"]
 
 
 def test_band_projection_lattice_statuses():
     confirmed = check_band_projection_lattice(build_truncation(12), seed=4, trials=30)
-    assert confirmed.status is CheckStatus.CONFIRMED
+    assert confirmed["status"] is CheckStatus.CONFIRMED
     # lattice homomorphisms that are not band projections meet the premise
     copies = check_band_projection_lattice(build_copy(8), seed=4, trials=30)
-    assert copies.status is CheckStatus.CONFIRMED
+    assert copies["status"] is CheckStatus.CONFIRMED
     unmet = check_band_projection_lattice(build_dyadic(3), seed=4, trials=5)
-    assert unmet.status is CheckStatus.INCONCLUSIVE
+    assert unmet["status"] is CheckStatus.INCONCLUSIVE
 
 
 def test_abs_alignment_statuses_and_indices():
     confirmed = check_abs_alignment(build_truncation(12))
-    assert confirmed.status is CheckStatus.CONFIRMED
-    assert confirmed.witness["index"] == 1
+    assert confirmed["status"] is CheckStatus.CONFIRMED
+    assert confirmed["witness"]["index"] == 1
 
     filt = build_pairing(3)
     pairing = check_abs_alignment(filt)
-    assert pairing.status is CheckStatus.INCONCLUSIVE  # closure premise fails
-    assert pairing.witness["premises"]["abs_closed"] is False
+    assert pairing["status"] is CheckStatus.INCONCLUSIVE  # closure premise fails
+    assert pairing["witness"]["premises"]["abs_closed"] is False
     # positive vectors always align immediately
     assert all(abs_commutation_index(filt, basis(filt.space, i)) == 1 for i in range(1, 7))
 
@@ -276,7 +276,7 @@ def test_exact_closure_premise_matches_the_sampled_closure(kind, size, signed, s
     if signed:
         filt = _signs_flipped(filt, seed)
     assert is_abs_closed(filt) == (closure_fraction(filt, seed, 30) == 1.0)
-    index = check_abs_alignment(filt).witness["index"]
+    index = check_abs_alignment(filt)["witness"]["index"]
     rng = np.random.default_rng(seed)
     for _ in range(5):
         got = abs_commutation_index(filt, vector(filt.space, rng.uniform(-1, 1, filt.space.dim)))
@@ -418,20 +418,20 @@ def test_sampled_checks_refuse_fewer_than_one_trial(check, trials):
 
 def test_only_the_trial_ids_read_trials():
     for check_id in CHECK_IDS:
-        one, two = ([r.to_dict() for r in run_check(check_id, 3, t)] for t in (1, 2))
+        one, two = (run_check(check_id, 3, t) for t in (1, 2))
         assert (one != two) == harness.CLAIMS[check_id][0], check_id
 
 
 def test_run_all_statuses_and_reproducibility():
     first = run_all(seed=11, trials=25)
     second = run_all(seed=11, trials=25)
-    assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
-    assert {r.check_id for r in first} == set(CHECK_IDS)
-    assert not any(r.status is CheckStatus.VIOLATED for r in first)
-    # every result serializes to the wire shape
+    assert first == second
+    assert {r["id"] for r in first} == set(CHECK_IDS)
+    assert not any(r["status"] is CheckStatus.VIOLATED for r in first)
+    # every result is the wire shape: its keys in order, and equal to its JSON round trip
     for r in first:
-        doc = json.loads(json.dumps(r.to_dict()))
-        assert set(doc) == {"id", "descriptor", "status", "witness", "seed"}
+        assert list(r) == ["id", "descriptor", "status", "witness", "seed"]
+        assert json.loads(json.dumps(r)) == r
 
 
 def test_run_all_builds_the_perturbed_instance_once():
@@ -475,7 +475,7 @@ def test_run_all_descriptors_are_pinned():
         ("abs-alignment", "INCONCLUSIVE", None, filt(3, 8, "l1")),
     ]
     got = [
-        (r.check_id, r.status.value, r.seed, list(r.descriptor.items()))
+        (r["id"], r["status"].value, r["seed"], list(r["descriptor"].items()))
         for r in run_all(seed=0, trials=5)
     ]
     assert got == expected
@@ -501,8 +501,8 @@ def test_band_lattice_names_the_first_failing_trial(monkeypatch):
 
     monkeypatch.setattr(harness, "random_asymptotic_martingale", draw)
     result = check_band_projection_lattice(filt, seed=2, trials=100)
-    assert result.status is CheckStatus.VIOLATED
-    assert result.witness == {"trial": 37, "problem": "analytic defect bound failed", "n": 1}
+    assert result["status"] is CheckStatus.VIOLATED
+    assert result["witness"] == {"trial": 37, "problem": "analytic defect bound failed", "n": 1}
     per = martingales._CHUNK_FLOATS // (2 * 64 * 64)
     assert len(draws) == (37 // per + 1) * per  # no trial drawn past the failing stack
 
@@ -513,8 +513,8 @@ def test_a_family_check_names_the_first_failing_member():
     for k in (5, 7, 12):
         members[k - 1] = _alternating(filt)
     result = harness._limit_family_check(filt, members, base, {}, None)
-    assert result.status is CheckStatus.VIOLATED
-    assert result.witness == {"member": 5, "problem": "family member classified NOT_X"}
+    assert result["status"] is CheckStatus.VIOLATED
+    assert result["witness"] == {"member": 5, "problem": "family member classified NOT_X"}
 
 
 @pytest.mark.parametrize(
@@ -641,6 +641,6 @@ def test_each_violated_exit_keeps_its_bytes_and_stops_at_the_first_problem(monke
     calls: dict = {}
     result = VIOLATIONS[case](monkeypatch, calls)
     pinned = json.loads(PINNED_VIOLATIONS.read_text(encoding="utf-8"))[case]
-    assert result.status is CheckStatus.VIOLATED
-    assert json.dumps(result.to_dict()) == json.dumps(pinned["result"])
+    assert result["status"] is CheckStatus.VIOLATED
+    assert json.dumps(result) == json.dumps(pinned["result"])
     assert calls == pinned["calls"]

@@ -390,19 +390,34 @@ def test_the_single_law_entries_are_classify_at_its_defaults(seed, trial):
     assert is_martingale(seq, filt) == report.is_martingale
 
 
-def test_classify_runs_each_refusal_once_and_never_the_public_tail_verdict(monkeypatch):
+_REFUSALS = ("_require_matching", "tail_window_start", "is_contractive_filtration")
+
+
+def _spied_calls(monkeypatch, names) -> dict:
+    """The counts, filled as they run, of the calls to each ``martingales.<name>``."""
     calls = {}
-    for name in ("_require_matching", "tail_window_start", "is_contractive_filtration",
-                 "tail_verdict"):
+    for name in names:
         def spy(*args, real=getattr(martingales, name), name=name, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(martingales, name, spy)
+    return calls
+
+
+def test_classify_runs_each_refusal_once_and_never_the_public_tail_verdict(monkeypatch):
+    calls = _spied_calls(monkeypatch, _REFUSALS + ("tail_verdict",))
     filt, seq = pairing_example(3)
     assert classify(seq, filt).x_verdict is Verdict.X_MARTINGALE
-    assert calls == {"_require_matching": 1, "tail_window_start": 1,
-                     "is_contractive_filtration": 1}
+    assert calls == dict.fromkeys(_REFUSALS, 1)
+
+
+def test_tail_verdict_runs_each_refusal_once(monkeypatch):
+    # the profile is read past the refusals, not through defect_profile, which refuses again
+    calls = _spied_calls(monkeypatch, _REFUSALS)
+    filt, seq = pairing_example(3)
+    assert tail_verdict(seq, filt) is Verdict.X_MARTINGALE
+    assert calls == dict.fromkeys(_REFUSALS, 1)
 
 
 def _random_rows_case() -> tuple[Filtration, VectorSequence]:
@@ -489,7 +504,6 @@ _BOUNDED_CALLS = {
     "classify tol": lambda v: classify(_PAIRING, _PAIRS, tol=v),
     "classify eps": lambda v: classify(_PAIRING, _PAIRS, eps=v),
     "validate tol": lambda v: validate(_PAIRS, True, v),
-    "check_lattice_closure tol": lambda v: check_lattice_closure(_PAIRING, _PAIRS, v),
     "classify window_fraction": lambda v: classify(_PAIRING, _PAIRS, window_fraction=v),
     "tail_window_start window_fraction": lambda v: martingales.tail_window_start(16, v),
 }
@@ -529,15 +543,17 @@ def test_each_function_refuses_an_out_of_range_tolerance_eps_or_window(monkeypat
         (eventual_witness, "tol"),
         (eventual_witness_pairwise, "tol"),
         (lambda filt, seq, **knob: abs_commutation_index(filt, seq.term(1), **knob), "tol"),
+        (lambda filt, seq, **knob: check_lattice_closure(seq, filt, **knob), "tol"),
     ],
     ids=[
         "tail_verdict eps", "tail_verdict window_fraction", "tail_verdict profile",
         "eventual_witness tol", "eventual_witness_pairwise tol", "abs_commutation_index tol",
+        "check_lattice_closure tol",
     ],
 )
 def test_a_single_rule_entry_takes_no_knob(entry, knob):
     # classify is the one public home of tol, eps and the window; a knob passed to a
-    # single-rule entry is refused, not silently read at its default
+    # single-rule entry or to check_lattice_closure is refused, not silently read at its default
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
         entry(_PAIRS, _PAIRING, **{knob: 0.5})
 

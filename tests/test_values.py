@@ -1,4 +1,4 @@
-"""The value-class contract: the nine classes that carry the package's data.
+"""The value-class contract: the eight classes that carry the package's data.
 
 Each is a plain class whose ``__init__`` is written out.  Construction takes
 the same arguments, by position or keyword, with the same defaults; a built
@@ -17,13 +17,11 @@ import pytest
 from lattice_lab import (
     BlockOperator,
     ClassificationReport,
-    CheckStatus,
     Filtration,
     LatticeSpace,
     LatticeVector,
     NormKind,
     PosOperator,
-    TheoremResult,
     VectorSequence,
     Verdict,
     filtration,
@@ -46,7 +44,6 @@ BUILD = {
     ClassificationReport: lambda: ClassificationReport(
         True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25),
     Instance: lambda: Instance(SPACE),
-    TheoremResult: lambda: TheoremResult("nesting", {"trials": 1}, CheckStatus.CONFIRMED),
 }
 
 #: Constructor parameters and defaults (``inspect.Parameter.empty`` for none).
@@ -63,17 +60,14 @@ SIGNATURES = {
         ("x_verdict", EMPTY), ("seq_norm", EMPTY), ("tol", EMPTY), ("eps_x", EMPTY),
         ("window_fraction", EMPTY)],
     Instance: [("space", EMPTY), ("filtration", None), ("sequence", None)],
-    # ``witness`` was a dataclass default factory: None stands for a fresh {}
-    TheoremResult: [("check_id", EMPTY), ("descriptor", EMPTY), ("status", EMPTY),
-                    ("witness", None), ("seed", None)],
 }
 IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence)
-RECORDS = (ClassificationReport, Instance, TheoremResult)
+RECORDS = (ClassificationReport, Instance)
 CLASSES = list(BUILD)
 
 
 def test_the_contract_covers_every_value_class():
-    assert len(CLASSES) == 9
+    assert len(CLASSES) == 8
     assert set(SIGNATURES) == set(BUILD) == {LatticeSpace, *IDENTITY, *RECORDS}
 
 
@@ -90,14 +84,6 @@ def test_defaults_by_position_and_keyword():
     assert weighted.norm_kind is NormKind.WEIGHTED_L1
     assert weighted.weights.tolist() == [1.0, 2.0] and not weighted.weights.flags.writeable
     assert LatticeSpace(2, NormKind.SUP, [1.0, 2.0]).weights is None  # sup ignores weights
-
-    first, second = BUILD[TheoremResult](), BUILD[TheoremResult]()
-    assert first.witness == {} and first.seed is None
-    assert first.witness is not second.witness
-    given = {"checked": 3}
-    kw = TheoremResult(check_id="x", descriptor={}, status=CheckStatus.VIOLATED, witness=given,
-                       seed=7)
-    assert (kw.witness, kw.seed) == (given, 7) and kw.witness is given
 
     instance = Instance(SPACE)
     assert (instance.space, instance.filtration, instance.sequence) == (SPACE, None, None)
@@ -147,21 +133,18 @@ def test_reports_compare_field_by_field(cls):
     a, b = BUILD[cls](), BUILD[cls]()
     assert a is not b and a == b and not a != b
     assert a.__eq__(object()) is NotImplemented
-    if cls is TheoremResult:  # a dict field: unhashable, as a frozen dataclass was
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(a)
-    else:
-        assert hash(a) == hash(b) == hash(tuple(vars(a).values()))
+    assert hash(a) == hash(b) == hash(tuple(vars(a).values()))
     assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_reports_differ_in_any_field_and_show_every_field():
-    assert TheoremResult("a", {}, CheckStatus.CONFIRMED) != TheoremResult(
-        "a", {}, CheckStatus.CONFIRMED, seed=0)
+    assert ClassificationReport(
+        True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.5) != REPORT
     assert Instance(SPACE) != Instance(LatticeSpace(2))
-    assert repr(BUILD[TheoremResult]()) == (
-        "TheoremResult(check_id='nesting', descriptor={'trials': 1}, "
-        "status=<CheckStatus.CONFIRMED: 'CONFIRMED'>, witness={}, seed=None)")
+    assert repr(REPORT) == (
+        "ClassificationReport(is_martingale=True, e_witness=1, x_defects=(0.0, 0.0), "
+        "x_verdict=<Verdict.X_MARTINGALE: 'X_MARTINGALE'>, seq_norm=1.0, tol=1e-09, "
+        "eps_x=0.05, window_fraction=0.25)")
 
 
 def test_filtration_norms_are_a_cached_property_computed_once(monkeypatch):
