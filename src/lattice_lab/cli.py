@@ -49,29 +49,24 @@ from .martingales import (
 from .spaces import DEFAULT_TOL, basis
 
 
-def _random_nested(dim: int, args: argparse.Namespace) -> tuple[Filtration, None]:
-    depth = dim if args.depth is None else args.depth
-    return build_random_nested(dim, depth, args.seed), None
-
-
 def _null_example(n: int, _args: argparse.Namespace) -> tuple[Filtration, VectorSequence]:
     filt = build_truncation(n)
     return filt, null_sequence(basis(filt.space, 1), n)
 
 
 def _scale_head_example(
-    levels: int, args: argparse.Namespace
+    levels: int, _args: argparse.Namespace
 ) -> tuple[Filtration, VectorSequence]:
     filt, base = haar_example(levels)
-    return filt, scale_head(base, args.factor)
+    return filt, scale_head(base, 2.0)
 
 
-#: name -> (default size, builder(size, parsed args), what the demo shows
-#: or None for a builder that gen alone offers)
+#: name -> (default size, builder(size, parsed args; only random-nested reads its --seed),
+#: what the demo shows or None for a builder that gen alone offers)
 BUILDERS = {
     "truncation": (16, lambda n, _args: (build_truncation(n), None), None),
     "dyadic": (3, lambda n, _args: (build_dyadic(n), None), None),
-    "random-nested": (16, _random_nested, None),
+    "random-nested": (16, lambda n, args: (build_random_nested(n, n, args.seed), None), None),
     "copy": (16, lambda n, _args: (build_copy(n), None), None),
     "haar": (
         3,
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_demo, factor=2.0)  # scale-head doubles the head, as in gen
+    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("verify", help="run theorem-evidence checks")
     p.add_argument("id", choices=CHECK_IDS + ("all",))
@@ -285,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write an instance file for a builder")
     p.add_argument("builder", choices=GEN_BUILDERS)
     p.add_argument("--size", type=int, default=None, help="primary size parameter")
-    p.add_argument("--depth", type=int, default=None, help="random-nested depth")
-    p.add_argument("--factor", type=float, default=2.0, help="scale-head factor")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_gen)

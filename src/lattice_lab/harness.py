@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from functools import lru_cache
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -223,40 +224,44 @@ def _asymptotic_bound_violation(profile: np.ndarray) -> int | None:
 # Claim checks
 # ---------------------------------------------------------------------------
 
-SEQUENCE_GENERATORS = (
-    "terminal",
-    "scaled-head",
-    "null",
-    "eventual",
-    "asymptotic",
-    "constant",
-    "abs-of-terminal",
-)
+def _terminal(filt: Filtration, rng: np.random.Generator) -> VectorSequence:
+    return terminal_sequence(filt, _random_vector(filt.space, rng))
 
 
-def random_sequence(
-    filt: Filtration, gen: str, rng: np.random.Generator
-) -> VectorSequence:
+#: The sequence generators by name, each ``(filt, rng) -> VectorSequence``; scaled-head
+#: draws its terminal vector, then its factor.
+_GENERATORS: dict[str, Callable[[Filtration, np.random.Generator], VectorSequence]] = {
+    "terminal": _terminal,
+    "scaled-head": lambda filt, rng: scale_head(_terminal(filt, rng), float(rng.uniform(1.5, 3.0))),
+    "null": lambda filt, rng: null_sequence(_random_vector(filt.space, rng), filt.horizon),
+    "eventual": lambda filt, rng: random_eventual_martingale(filt, rng)[0],
+    "asymptotic": lambda filt, rng: random_asymptotic_martingale(filt, rng)[0],
+    "constant": lambda filt, rng: VectorSequence(
+        filt.space, np.tile(_random_vector(filt.space, rng).coords, (filt.horizon, 1))
+    ),
+    "abs-of-terminal": lambda filt, rng: abs_seq(_terminal(filt, rng)),
+}
+SEQUENCE_GENERATORS = tuple(_GENERATORS)
+
+
+def random_sequence(filt: Filtration, gen: str, rng: np.random.Generator) -> VectorSequence:
     """One sequence from the named generator of :data:`SEQUENCE_GENERATORS`."""
-    if gen == "terminal":
-        return terminal_sequence(filt, _random_vector(filt.space, rng))
-    if gen == "scaled-head":
-        return scale_head(
-            terminal_sequence(filt, _random_vector(filt.space, rng)),
-            float(rng.uniform(1.5, 3.0)),
-        )
-    if gen == "null":
-        return null_sequence(_random_vector(filt.space, rng), filt.horizon)
-    if gen == "eventual":
-        return random_eventual_martingale(filt, rng)[0]
-    if gen == "asymptotic":
-        return random_asymptotic_martingale(filt, rng)[0]
-    if gen == "constant":
-        v = _random_vector(filt.space, rng)
-        return VectorSequence(filt.space, np.tile(v.coords, (filt.horizon, 1)))
-    if gen == "abs-of-terminal":
-        return abs_seq(terminal_sequence(filt, _random_vector(filt.space, rng)))
-    raise ValueError(f"unknown generator {gen!r}; known: {', '.join(SEQUENCE_GENERATORS)}")
+    if gen not in _GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}; known: {', '.join(SEQUENCE_GENERATORS)}")
+    return _GENERATORS[gen](filt, rng)
+
+
+def _first(key: str, problems: Iterable[dict | None], start: int = 0) -> dict | None:
+    """The first problem that is not None, as ``{key: its index, **problem}`` with indices
+    from ``start``, else None; nothing past that problem is drawn from ``problems``."""
+    return next(({key: k, **p} for k, p in enumerate(problems, start) if p is not None), None)
+
+
+def _stacked(kernel: Callable, filt: Filtration, members: Sequence[VectorSequence]) -> Iterator:
+    """Each member with its row of ``kernel(stack, filt)``, one :func:`_stacks` chunk at a time."""
+    for chunk in _stacks(len(members), filt):
+        batch = members[chunk.start : chunk.stop]
+        yield from zip(batch, kernel(np.stack([m.coords for m in batch]), filt))
 
 
 def _nesting_problem(seed: int, trial: int) -> dict | None:
@@ -282,20 +287,9 @@ def check_class_nesting(seed: int = 0, trials: int = 100) -> dict:
     eventual martingale is additionally required not to classify NOT_X.
     """
     _require_trials(trials)
-    status, witness = CheckStatus.CONFIRMED, {"checked": trials}
-    for trial in range(trials):
-        problem = _nesting_problem(seed, trial)
-        if problem is not None:
-            status, witness = CheckStatus.VIOLATED, {"trial": trial, **problem}
-            break
-    return _result("nesting", {"trials": trials}, status, witness, seed)
-
-
-def _member_profiles(filt: Filtration, members: Sequence[VectorSequence]) -> Iterator[tuple]:
-    """Each member with its defect profile, the profiles built one stack at a time."""
-    for chunk in _stacks(len(members), filt):
-        batch = members[chunk.start : chunk.stop]
-        yield from zip(batch, _profiles(np.stack([m.coords for m in batch]), filt)[0])
+    problem = _first("trial", (_nesting_problem(seed, trial) for trial in range(trials)))
+    status = CheckStatus.CONFIRMED if problem is None else CheckStatus.VIOLATED
+    return _result("nesting", {"trials": trials}, status, problem or {"checked": trials}, seed)
 
 
 def _member_problem(
@@ -333,12 +327,12 @@ def _limit_family_check(
     _require_contractive(filt)
     limit_profile = defect_profile(limit, filt)
     distances: list[float] = []
-    for k, (member, profile) in enumerate(_member_profiles(filt, members), 1):
-        problem = _member_problem(filt, member, profile, limit, limit_profile, distances)
-        if problem is not None:
-            witness = {"member": k, **problem}
-            break
-    else:
+    profiles = _stacked(lambda terms, f: _profiles(terms, f)[0], filt, members)
+    witness = _first("member", (
+        _member_problem(filt, member, profile, limit, limit_profile, distances)
+        for member, profile in profiles
+    ), 1)
+    if witness is None:
         verdict = _tail_rule(limit_profile, tail_window_start(filt.horizon), default_eps(limit))
         if verdict is not Verdict.NOT_X:
             witness = {"members": len(distances), "distances": distances,
@@ -378,32 +372,24 @@ def check_closed_under_limits_harmonic() -> dict:
 
 
 def _convergent_asymptotic_premises(
-    check_id: str,
-    seq: VectorSequence,
-    limit_vec: LatticeVector,
-    filt: Filtration,
-) -> tuple[float, int, dict, dict | None]:
-    """Shared premises of limit-defect and tail-approx: A is asymptotic and
-    converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||) over
-    the tail window.  ``early`` is the INCONCLUSIVE result to return when a
-    premise fails, else None."""
+    seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
+) -> tuple[float, int, dict]:
+    """Shared premises of limit-defect and tail-approx, with their eps and window start:
+    A is asymptotic and converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||)
+    over the tail window."""
     eps = default_eps(seq, max(seq_norm(seq), norm(limit_vec)))
     start = tail_window_start(seq.horizon)
     conv = row_norms(seq.space, seq.coords - limit_vec.coords)
-    premises = {
+    return eps, start, {
         "asymptotic": tail_verdict(seq, filt) is Verdict.X_MARTINGALE,
         "convergent": bool(conv[start - 1 :].max() <= eps),
     }
-    early = None
-    if not all(premises.values()):
-        early = _result(
-            check_id,
-            _filt_descriptor(filt),
-            CheckStatus.INCONCLUSIVE,
-            {"premises": premises, "note": "claim inapplicable on this instance"},
-            None,
-        )
-    return eps, start, premises, early
+
+
+def _inapplicable(check_id: str, filt: Filtration, premises: dict) -> dict:
+    """The INCONCLUSIVE result of a limit check whose premises fail on the instance."""
+    witness = {"premises": premises, "note": "claim inapplicable on this instance"}
+    return _result(check_id, _filt_descriptor(filt), CheckStatus.INCONCLUSIVE, witness, None)
 
 
 def check_limit_defect(
@@ -414,11 +400,9 @@ def check_limit_defect(
     ValueError."""
     check_id = "limit-defect"
     _require_horizon("limit defect", seq.horizon)
-    eps, start, premises, early = _convergent_asymptotic_premises(
-        check_id, seq, limit_vec, filt
-    )
-    if early is not None:
-        return early
+    eps, start, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
+    if not all(premises.values()):
+        return _inapplicable(check_id, filt, premises)
     step = row_norms(filt.space, _applied(filt.ops, limit_vec.coords) - seq.coords)
     tail_sup = np.maximum.accumulate(step[::-1])[::-1]
     ok = bool(tail_sup[start - 1 :].max() <= eps)
@@ -467,9 +451,9 @@ def check_tail_modification(
     eps).  ||A^m - A|| is the largest of the same rows over n > m, so the
     distances cannot increase.  A horizon below 2 leaves no tail: ValueError."""
     _require_horizon("tail modification", seq.horizon)
-    eps, _, premises, early = _convergent_asymptotic_premises("tail-approx", seq, limit_vec, filt)
-    if early is not None:
-        return early
+    eps, _, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
+    if not all(premises.values()):
+        return _inapplicable("tail-approx", filt, premises)
     distances: list[float] = []
     for m, (table, gap) in enumerate(_tail_modifications(seq, limit_vec, filt), 1):
         late = _late_witness(table, m)
@@ -492,16 +476,13 @@ def check_eventual_not_closed() -> dict:
     filt, base, family = harmonic_tail_example(64)
     descriptor = {"size": filt.horizon, **_filt_descriptor(filt), "builder": "truncation"}
     problems = []
-    for chunk in _stacks(len(family), filt):  # only steps, not profiles
-        members = family[chunk.start : chunk.stop]
-        steps = _steps(np.stack([a.coords for a in members]), filt)
-        for m, member, step in zip(range(chunk.start + 1, chunk.stop + 1), members, steps):
-            late = _late_witness(step, m)
-            if late is not None:
-                problems.append({**late, "problem": "missing witness"})
-            dist = seq_distance(member, base)
-            if abs(dist - 1.0 / m) > FLOAT_SLACK:
-                problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
+    for m, (member, step) in enumerate(_stacked(_steps, filt, family), 1):  # _profiles: 2x slower
+        late = _late_witness(step, m)
+        if late is not None:
+            problems.append({**late, "problem": "missing witness"})
+        dist = seq_distance(member, base)
+        if abs(dist - 1.0 / m) > FLOAT_SLACK:
+            problems.append({"m": m, "distance": dist, "problem": "distance != 1/m"})
 
     profile, steps = _profiles(base, filt)
     if _step_witness(steps) is not None:
@@ -607,12 +588,9 @@ def check_band_projection_lattice(
     only ||a| - |b|| <= |a - b| and E_n |x| = |E_n x|."""
     _require_trials(trials)
     if all(is_lattice_homomorphism(e) for e in filt.ops):
-        status, witness = CheckStatus.CONFIRMED, {"trials": trials}
-        for trial, tables in enumerate(_band_tables(filt, seed, trials)):
-            problem = _band_problem(*tables)
-            if problem is not None:
-                status, witness = CheckStatus.VIOLATED, {"trial": trial, **problem}
-                break
+        problem = _first("trial", starmap(_band_problem, _band_tables(filt, seed, trials)))
+        status = CheckStatus.CONFIRMED if problem is None else CheckStatus.VIOLATED
+        witness = problem or {"trials": trials}
     else:
         status = CheckStatus.INCONCLUSIVE
         witness = {"note": "premise unmet: some stage is not a lattice homomorphism"}

@@ -96,16 +96,27 @@ def test_limit_defect_terminal_and_null():
     assert prof[47] == pytest.approx(1.0 / 48, abs=1e-12)
 
 
-def test_limit_defect_inapplicable_without_convergence():
+@pytest.mark.parametrize(
+    "check_id, check",
+    [("limit-defect", check_limit_defect), ("tail-approx", check_tail_modification)],
+    ids=["limit-defect", "tail-approx"],
+)
+def test_limit_defect_inapplicable_without_convergence(monkeypatch, check_id, check):
+    # the constant last basis vector neither converges to 0 nor is asymptotic: the
+    # claim says nothing there, and no one-step defect is computed
+    monkeypatch.setattr(harness, "_steps", lambda *args: pytest.fail("_steps ran"))
     filt = build_truncation(16)
-    seq_rows = [basis(filt.space, 16).coords] * 16
-    from lattice_lab import sequence
-
-    result = check_limit_defect(
-        sequence(filt.space, seq_rows), zero(filt.space), filt
-    )
-    assert result["status"] is CheckStatus.INCONCLUSIVE
-    assert result["witness"]["premises"]["asymptotic"] is False
+    seq = VectorSequence(filt.space, np.tile(basis(filt.space, 16).coords, (16, 1)))
+    assert check(seq, zero(filt.space), filt) == {
+        "id": check_id,
+        "descriptor": {"horizon": 16, "dim": 16, "norm": "sup"},
+        "status": CheckStatus.INCONCLUSIVE,
+        "witness": {
+            "premises": {"asymptotic": False, "convergent": False},
+            "note": "claim inapplicable on this instance",
+        },
+        "seed": None,
+    }
 
 
 def test_tail_modification_on_harmonic():
@@ -620,6 +631,13 @@ def _band_abs_pair(mp, calls):
     return check_band_projection_lattice(build_truncation(16), seed=3, trials=200)
 
 
+def _not_closed_distance(mp, calls):
+    # A^5 claims distance 0 to the limit: one problem, and every member is still checked.
+    _spy(mp, calls, "_steps")
+    _spy(mp, calls, "seq_distance", lambda n, out, *args: 0.0 if n == 5 else out)
+    return check_eventual_not_closed()
+
+
 #: Each VIOLATED exit of the scanning checks, reached by one injected failure.
 VIOLATIONS = {
     "nesting": _nesting_broken_chain,
@@ -630,6 +648,7 @@ VIOLATIONS = {
     "band-lattice-witness-order": _band_witness_order,
     "band-lattice-analytic-bound": _band_analytic_bound,
     "band-lattice-abs-pair": _band_abs_pair,
+    "eventual-not-closed-distance": _not_closed_distance,
 }
 
 PINNED_VIOLATIONS = Path(__file__).parent / "data" / "violated_witnesses.json"

@@ -163,7 +163,7 @@ CLI_ARGUMENTS = {
     "classify": ["path", "--tol", "--eps-x", "--window", "--json"],
     "demo": ["name", "--size", "--json"],
     "verify": ["id", "--seed", "--trials", "--json"],
-    "gen": ["builder", "--size", "--depth", "--factor", "--seed", "--out"],
+    "gen": ["builder", "--size", "--seed", "--out"],
 }
 
 
@@ -186,7 +186,7 @@ def test_the_subcommands_take_the_pinned_arguments():
         for command, parser in sub.choices.items()
     }
     assert arguments == CLI_ARGUMENTS
-    assert sum(map(len, arguments.values())) == 22
+    assert sum(map(len, arguments.values())) == 20
 
 
 def test_verify_choices_are_the_harness_check_ids():

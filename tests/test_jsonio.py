@@ -230,7 +230,7 @@ def _builder_instances() -> list[Instance]:
     sizes = {"dyadic": 2, "haar": 2, "pairing": 2, "scale-head": 2}
     built = []
     for name, (_, build, _) in cli.BUILDERS.items():
-        args = argparse.Namespace(seed=3, depth=None, factor=2.0)
+        args = argparse.Namespace(seed=3)
         filt, seq = build(sizes.get(name, 5), args)
         built.append(Instance(filt.space, filt, seq))
     return built
