@@ -393,6 +393,32 @@ def test_demo_takes_no_tol(capsys, name):
     assert err.splitlines()[-1].endswith("error: unrecognized arguments: --tol 1e-9")
 
 
+@pytest.mark.parametrize("argv", [("random-nested", "--depth", "3"),
+                                  ("scale-head", "--factor", "3")], ids=" ".join)
+def test_gen_takes_no_depth_or_factor(capsys, argv):
+    # random-nested builds depth = size and scale-head doubles the head
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *argv])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}")
+
+
+def test_gen_random_nested_is_size_levels_deep(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    assert run(capsys, "gen", "random-nested", "--size", "8", "--seed", "9", "--out", str(path))[0] == 0
+    filt = load_instance(path).filtration
+    assert filt.space.dim == 8 and len(filt.ops) == 8
+
+
+def test_gen_scale_head_doubles_only_the_head(tmp_path, capsys):
+    path = tmp_path / "scaled.json"
+    assert run(capsys, "gen", "scale-head", "--size", "3", "--out", str(path))[0] == 0
+    got = load_instance(path).sequence.coords
+    base = haar_example(3)[1].coords
+    assert np.array_equal(got[0], 2.0 * base[0]) and np.array_equal(got[1:], base[1:])
+
+
 def test_range_edges_are_accepted(tmp_path, capsys):
     path = tmp_path / "harmonic.json"
     run(capsys, "gen", "harmonic", "--size", "16", "--out", str(path))
