@@ -239,8 +239,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # each refused argument is main's one ``error:`` line
+        raise ValueError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lattice-lab",
         description=(
             "Classify martingale-like sequences on finite-dimensional "
@@ -288,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # overflow shows as inf in the report instead
             return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # InstanceFormatError is a ValueError

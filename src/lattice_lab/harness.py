@@ -54,6 +54,7 @@ from .martingales import (
     _CHUNK_FLOATS,
     VectorSequence,
     Verdict,
+    _TailFamily,
     _after_last,
     _applied,
     _pair_table,
@@ -431,18 +432,6 @@ def _late_witness(steps: np.ndarray, m: int) -> dict | None:
     return None
 
 
-def _tail_modifications(
-    seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
-) -> Iterator[tuple[np.ndarray, float]]:
-    """For m = 1..N-1, the one-step defects of A^m, which keeps terms 1..m of A and
-    takes E_n x after (as tail_modify builds it), and ||A^m - A||, one stack at a time."""
-    tail = _applied(filt.ops, limit_vec.coords)
-    for chunk in _stacks(seq.horizon - 1, filt):
-        modified = np.stack([np.vstack((seq.coords[: k + 1], tail[k + 1 :])) for k in chunk])
-        steps = _steps(modified, filt)
-        yield from zip(steps, row_norms(filt.space, modified - seq.coords).max(axis=-1))
-
-
 def check_tail_modification(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> dict:
@@ -454,14 +443,16 @@ def check_tail_modification(
     eps, _, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
     if not all(premises.values()):
         return _inapplicable("tail-approx", filt, premises)
+    tail = _applied(filt.ops, limit_vec.coords)  # A^m as tail_modify builds it
+    family = _TailFamily(seq.space, seq.coords, lambda m: tail[m:])
     distances: list[float] = []
-    for m, (table, gap) in enumerate(_tail_modifications(seq, limit_vec, filt), 1):
-        late = _late_witness(table, m)
+    for m, (member, steps) in enumerate(_stacked(_steps, filt, family), 1):
+        late = _late_witness(steps, m)
         if late is not None:
             status = CheckStatus.VIOLATED
             witness = {**late, "problem": "tail modification not eventual"}
             break
-        distances.append(float(gap))
+        distances.append(seq_distance(member, seq))
     else:
         status = CheckStatus.CONFIRMED if distances[-1] <= eps else CheckStatus.VIOLATED
         witness = {"premises": premises, "eps": float(eps), "distances": distances}

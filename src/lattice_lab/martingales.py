@@ -27,7 +27,7 @@ classification outcomes hold to rounding error.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
 
 import numpy as np
@@ -553,24 +553,25 @@ def pairing_example(pairs: int) -> tuple[Filtration, VectorSequence]:
     return filt, sequence(filt.space, rows)
 
 
-class _HarmonicFamily(Sequence):
-    """The approximants A^1..A^{N-1} of the harmonic tail, each built from
-    the two (N, d) row tables when it is read and never stored."""
+class _TailFamily(Sequence):
+    """The tail modifications A^1..A^{N-1} of the rows ``head``: A^m keeps rows 1..m and
+    takes ``tail(m)`` as its rows m+1..N.  Each member is built when it is read and never
+    stored, so a family holds O(N d) floats, not the N x N x d of its members."""
 
-    def __init__(self, space: LatticeSpace, x_tail: np.ndarray, y_head: np.ndarray) -> None:
-        self._space, self._x_tail, self._y_head = space, x_tail, y_head
+    def __init__(self, space: LatticeSpace, head: np.ndarray, tail: Callable) -> None:
+        self._space, self._head, self._tail = space, head, tail
 
     def __len__(self) -> int:
-        return len(self._x_tail) - 1
+        return len(self._head) - 1
 
     def __getitem__(self, k: int | slice) -> VectorSequence | list[VectorSequence]:
-        m = range(1, len(self._x_tail))[k]  # negative indices, slices and IndexError
+        m = range(1, len(self._head))[k]  # negative indices, slices and IndexError
         if isinstance(m, range):
             return [self._member(i) for i in m]
         return self._member(m)
 
     def _member(self, m: int) -> VectorSequence:
-        return sequence(self._space, _frozen(np.vstack((self._x_tail[:m], self._y_head[m:] / m))))
+        return sequence(self._space, _frozen(np.vstack((self._head[:m], self._tail(m)))))
 
 
 def harmonic_tail_example(
@@ -580,13 +581,13 @@ def harmonic_tail_example(
 
     On the truncation filtration of dimension N, x_n = sum_{i=n..N} e_i / i
     is never an eventual martingale, yet the approximants A^m (terms 1..m
-    kept, tail replaced by (sum_{i<=n} e_i / i) / m) all are, and
+    kept, tail replaced by (sum_{i<=n} e_i / i) / m, the E_n x of
+    :func:`tail_modify` for x = (sum_i e_i / i) / m) all are, and
     ||A^m - A|| = 1/m.  The family witnesses that the eventual class is
     not closed under the sequence-space norm while the asymptotic class is.
 
-    ``family[m - 1]`` is A^m for m = 1..N-1.  Each member is built on each
-    access, so the example holds O(N d) floats, not the N x N x d of the
-    whole family.
+    ``family[m - 1]`` is A^m for m = 1..N-1, a :class:`_TailFamily`: each
+    member is built on each access, so the example holds O(N d) floats.
     """
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
@@ -594,4 +595,5 @@ def harmonic_tail_example(
     space = filt.space
     inv = np.tile(1.0 / np.arange(1, n_terms + 1), (n_terms, 1))
     x_tail, y_head = np.triu(inv), np.tril(inv)  # row n-1 is x_n resp. sum_{i<=n} e_i / i
-    return filt, sequence(space, _frozen(x_tail)), _HarmonicFamily(space, x_tail, y_head)
+    family = _TailFamily(space, x_tail, lambda m: y_head[m:] / m)
+    return filt, sequence(space, _frozen(x_tail)), family

@@ -204,9 +204,16 @@ def test_zero_size_is_rejected_not_defaulted(capsys, argv):
 
 
 def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 2 and out == "" and one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", [(), ("gen",), ("verify", "all", "--trials", "x"),
+                                  ("demo", "haar", "a\nb")], ids=repr)
+def test_each_argument_argparse_rejects_is_one_error_line(capsys, argv):
+    # a missing argument, a number that does not parse, and an unknown one with a newline
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and one_line_error(err)
 
 
 def test_classify_pairing_instance(tmp_path, capsys):
@@ -386,22 +393,18 @@ def test_out_of_range_arguments_exit_two(tmp_path, capsys, argv):
 @pytest.mark.parametrize("name", ["haar", "pairing"])
 def test_demo_takes_no_tol(capsys, name):
     # classification knobs live in ``classify``; ``demo`` runs it at the defaults
-    with pytest.raises(SystemExit) as exc:
-        main(["demo", name, "--tol", "1e-9"])
-    _, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --tol 1e-9")
+    code, out, err = run(capsys, "demo", name, "--tol", "1e-9")
+    assert code == 2 and out == "" and one_line_error(err)
+    assert err == "error: unrecognized arguments: --tol 1e-9\n"
 
 
 @pytest.mark.parametrize("argv", [("random-nested", "--depth", "3"),
                                   ("scale-head", "--factor", "3")], ids=" ".join)
 def test_gen_takes_no_depth_or_factor(capsys, argv):
     # random-nested builds depth = size and scale-head doubles the head
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", *argv])
-    _, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}")
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2 and out == "" and one_line_error(err)
+    assert err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
 def test_gen_random_nested_is_size_levels_deep(tmp_path, capsys):
@@ -628,23 +631,15 @@ def mutated_arguments(draw, path: str, out: str):
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_gen_document(), data=st.data())
 def test_mutated_gen_documents_and_arguments_exit_zero_one_or_two(text, data):
-    # the exit-code contract: 0, 1 or 2, never 3 or a traceback; an error past argument
-    # parsing is one ``error:`` line, and one that argparse itself rejects is its usage
-    # (pinned in tests/data/cli_help.json), then one ``<prog>: error:`` line
+    # the exit-code contract: 0, 1 or 2, never 3 or a traceback; every exit 2, one that
+    # argparse rejects included, is one ``error:`` line and nothing on stdout
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(text, encoding="utf-8")
         argv = data.draw(mutated_arguments(str(path), str(Path(tmp) / "out.json")))
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code, parsed = main(argv), True
-            except SystemExit as exit_:
-                code, parsed = exit_.code, False
+            code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
-    if code == 2 and parsed:
+    if code == 2:
         assert one_line_error(err.getvalue()) and out.getvalue() == ""
-    elif code == 2:
-        lines = err.getvalue().splitlines()
-        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
-        assert not any(": error: " in line for line in lines[:-1]) and out.getvalue() == ""

@@ -34,6 +34,8 @@ from lattice_lab import (
     null_sequence,
     run_all,
     run_check,
+    seq_distance,
+    tail_modify,
     terminal_sequence,
     vector,
     zero,
@@ -127,6 +129,24 @@ def test_tail_modification_on_harmonic():
     assert dist[0] == pytest.approx(1.0 / 2, abs=1e-12)  # max tail norm beyond m=1
     assert all(b <= a for a, b in zip(dist, dist[1:]))  # a max over fewer of the same rows
     assert list(result["witness"]) == ["premises", "eps", "distances"]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345, 3901])
+def test_tail_approx_walks_the_members_tail_modify_builds(monkeypatch, seed):
+    # Each A^m the check walks on the perturbed-nested instance is tail_modify's, to the
+    # bit, and each distance is read off that member.
+    filt, seq, x = harness._perturbed_nested_instance(32, seed)
+    walked = []
+    real = harness._stacked
+    monkeypatch.setattr(harness, "_stacked", lambda *args: walked.append(args[2]) or real(*args))
+    result = check_tail_modification(seq, x, filt)
+    assert result["status"] is CheckStatus.CONFIRMED
+    (family,) = walked
+    want = [tail_modify(seq, filt, x, m) for m in range(1, filt.horizon)]
+    assert len(family) == len(want) == 31
+    for member, modified in zip(family, want):
+        assert member.coords.tobytes() == modified.coords.tobytes()
+    assert result["witness"]["distances"] == [seq_distance(a, seq) for a in want]
 
 
 def test_tail_modification_refuses_a_single_term():
@@ -600,6 +620,15 @@ def _tail_late_witness(mp, calls):
     return check_tail_modification(base, zero(filt.space), filt)
 
 
+def _tail_last_distance(mp, calls):
+    # Every A^m keeps its witness, but eps = 0.01 lies below the last distance 1/64.
+    filt, base, _ = harmonic_tail_example(64)
+    _spy(mp, calls, "_convergent_asymptotic_premises", lambda n, out, *args: (0.01, *out[1:]))
+    _spy(mp, calls, "_steps")
+    _spy(mp, calls, "_step_witness")
+    return check_tail_modification(base, zero(filt.space), filt)
+
+
 def _band_witness_order(mp, calls):
     # |A| of trial 70 (the second stack of 64) loses its eventual witness.
     _spy(mp, calls, "random_eventual_martingale")
@@ -645,6 +674,7 @@ VIOLATIONS = {
     "closed-limits-triangle": _limits_triangle,
     "closed-limits-limit-not-x": _limits_limit_not_x,
     "tail-approx-late-witness": _tail_late_witness,
+    "tail-approx-last-distance": _tail_last_distance,
     "band-lattice-witness-order": _band_witness_order,
     "band-lattice-analytic-bound": _band_analytic_bound,
     "band-lattice-abs-pair": _band_abs_pair,

@@ -210,6 +210,16 @@ def test_harmonic_rows_match_the_row_builders(n_terms):
         family[0].coords[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n_terms", [2, 16, 64])
+def test_harmonic_members_are_tail_modify_bit_for_bit(n_terms):
+    # A^m keeps terms 1..m and takes E_n x for x = (sum_i e_i / i) / m after.
+    filt, base, family = harmonic_tail_example(n_terms)
+    inv = 1.0 / np.arange(1, n_terms + 1)
+    for m, member in enumerate(family, 1):
+        modified = tail_modify(base, filt, vector(filt.space, inv / m), m)
+        assert member.coords.tobytes() == modified.coords.tobytes()
+
+
 def test_harmonic_family_is_built_on_access():
     # Holding all 255 approximants at once peaked at 137 MB traced.
     tracemalloc.start()
