@@ -374,17 +374,21 @@ def check_closed_under_limits_harmonic() -> dict:
 
 def _convergent_asymptotic_premises(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
-) -> tuple[float, int, dict]:
-    """Shared premises of limit-defect and tail-approx, with their eps and window start:
-    A is asymptotic and converges to ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||)
-    over the tail window."""
+) -> tuple[float, int, np.ndarray | None, np.ndarray | None, dict]:
+    """Shared premises of limit-defect and tail-approx (A is asymptotic and converges to x =
+    ``limit_vec`` within eps = 5% of max(1, ||A||, ||x||) over the tail window), eps, the window
+    start and, when both hold, the rows E_n x and e_n = max_{m>=n} ||E_m x - x_m||, computed
+    once: A^m agrees with A up to m and has rows E_n x after it, so ||A^m - A|| = e_{m+1}."""
     eps = default_eps(seq, max(seq_norm(seq), norm(limit_vec)))
     start = tail_window_start(seq.horizon)
     conv = row_norms(seq.space, seq.coords - limit_vec.coords)
-    return eps, start, {
-        "asymptotic": tail_verdict(seq, filt) is Verdict.X_MARTINGALE,
-        "convergent": bool(conv[start - 1 :].max() <= eps),
-    }
+    asymptotic = tail_verdict(seq, filt) is Verdict.X_MARTINGALE
+    premises = {"asymptotic": asymptotic, "convergent": bool(conv[start - 1 :].max() <= eps)}
+    if not all(premises.values()):
+        return eps, start, None, None, premises  # the claim says nothing: E_n x is not needed
+    rows = _applied(filt.ops, limit_vec.coords)
+    tail_sup = np.maximum.accumulate(row_norms(filt.space, rows - seq.coords)[::-1])[::-1]
+    return eps, start, rows, tail_sup, premises
 
 
 def _inapplicable(check_id: str, filt: Filtration, premises: dict) -> dict:
@@ -401,24 +405,13 @@ def check_limit_defect(
     ValueError."""
     check_id = "limit-defect"
     _require_horizon("limit defect", seq.horizon)
-    eps, start, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
+    eps, start, _, tail_sup, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
     if not all(premises.values()):
         return _inapplicable(check_id, filt, premises)
-    step = row_norms(filt.space, _applied(filt.ops, limit_vec.coords) - seq.coords)
-    tail_sup = np.maximum.accumulate(step[::-1])[::-1]
-    ok = bool(tail_sup[start - 1 :].max() <= eps)
-    return _result(
-        check_id,
-        _filt_descriptor(filt),
-        CheckStatus.CONFIRMED if ok else CheckStatus.VIOLATED,
-        {
-            "premises": premises,
-            "eps": float(eps),
-            "window_start": start,
-            "tail_sup_profile": [float(v) for v in tail_sup],
-        },
-        None,
-    )
+    status = CheckStatus.CONFIRMED if tail_sup[start - 1 :].max() <= eps else CheckStatus.VIOLATED
+    witness = {"premises": premises, "eps": float(eps), "window_start": start,
+               "tail_sup_profile": tail_sup.tolist()}
+    return _result(check_id, _filt_descriptor(filt), status, witness, None)
 
 
 def _late_witness(steps: np.ndarray, m: int) -> dict | None:
@@ -435,27 +428,23 @@ def _late_witness(steps: np.ndarray, m: int) -> dict | None:
 def check_tail_modification(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> dict:
-    """Replacing the tail by E_n x yields eventual martingales converging
-    back to the original sequence (witness <= m+1, the last distance within
-    eps).  ||A^m - A|| is the largest of the same rows over n > m, so the
-    distances cannot increase.  A horizon below 2 leaves no tail: ValueError."""
+    """Replacing the tail by E_n x yields eventual martingales converging back to the
+    original sequence (witness <= m+1, the last distance within eps).  ||A^m - A|| is the
+    largest of the same rows over n > m, the premises' e_{m+1}, so the distances e_2..e_N
+    cannot increase.  A horizon below 2 leaves no tail: ValueError."""
     _require_horizon("tail modification", seq.horizon)
-    eps, _, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
+    eps, _, rows, tail_sup, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
     if not all(premises.values()):
         return _inapplicable("tail-approx", filt, premises)
-    tail = _applied(filt.ops, limit_vec.coords)  # A^m as tail_modify builds it
-    family = _TailFamily(seq.space, seq.coords, lambda m: tail[m:])
-    distances: list[float] = []
-    for m, (member, steps) in enumerate(_stacked(_steps, filt, family), 1):
-        late = _late_witness(steps, m)
-        if late is not None:
-            status = CheckStatus.VIOLATED
-            witness = {**late, "problem": "tail modification not eventual"}
-            break
-        distances.append(seq_distance(member, seq))
+    family = _TailFamily(seq.space, seq.coords, lambda m: rows[m:])  # as tail_modify builds
+    members = enumerate(_stacked(_steps, filt, family), 1)  # walked only for a late witness
+    late = next(filter(None, (_late_witness(steps, m) for m, (_, steps) in members)), None)
+    if late is not None:
+        status = CheckStatus.VIOLATED
+        witness = {**late, "problem": "tail modification not eventual"}
     else:
-        status = CheckStatus.CONFIRMED if distances[-1] <= eps else CheckStatus.VIOLATED
-        witness = {"premises": premises, "eps": float(eps), "distances": distances}
+        status = CheckStatus.CONFIRMED if tail_sup[-1] <= eps else CheckStatus.VIOLATED
+        witness = {"premises": premises, "eps": float(eps), "distances": tail_sup[1:].tolist()}
     return _result("tail-approx", _filt_descriptor(filt), status, witness, None)
 
 

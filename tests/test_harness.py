@@ -121,6 +121,43 @@ def test_limit_defect_inapplicable_without_convergence(monkeypatch, check_id, ch
     }
 
 
+@pytest.mark.parametrize("where", ["head", "last", "limit"])
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_limit_checks_are_inconclusive_on_non_finite_inputs(monkeypatch, where, value):
+    # Both checks confirm the null sequence (limit 0); one infinity or NaN in its head
+    # term, its last term or the limit vector leaves eps NaN or a convergence row NaN,
+    # so a premise fails before any distance or one-step defect is computed.
+    monkeypatch.setattr(harness, "_steps", lambda *args: pytest.fail("_steps ran"))
+    filt = build_truncation(64)
+    coords = null_sequence(basis(filt.space, 1), 64).coords.copy()
+    limit = zero(filt.space).coords.copy()
+    if where == "limit":
+        limit[0] = value
+    else:
+        coords[0 if where == "head" else -1, 0] = value
+    seq, x = VectorSequence(filt.space, coords), vector(filt.space, limit)
+    for check in (check_limit_defect, check_tail_modification):
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = check(seq, x, filt)
+        assert result["status"] is CheckStatus.INCONCLUSIVE
+        assert not all(result["witness"]["premises"].values())
+
+
+@pytest.mark.parametrize("instance", [0, 7, 12345, 3901, "harmonic-tail"])
+def test_tail_approx_distances_are_the_limit_defect_profile(instance):
+    # A^m agrees with A up to m and has rows E_n x after it, so ||A^m - A|| = e_{m+1}:
+    # tail-approx's distances are limit-defect's tail_sup_profile from index 2, to the bit.
+    if instance == "harmonic-tail":
+        filt, seq, _ = harmonic_tail_example(64)
+        x = zero(filt.space)
+    else:
+        filt, seq, x = harness._perturbed_nested_instance(32, instance)
+    defect, approx = check_limit_defect(seq, x, filt), check_tail_modification(seq, x, filt)
+    assert defect["status"] is approx["status"] is CheckStatus.CONFIRMED
+    distances = np.array(approx["witness"]["distances"])
+    assert distances.tobytes() == np.array(defect["witness"]["tail_sup_profile"][1:]).tobytes()
+
+
 def test_tail_modification_on_harmonic():
     filt, base, _ = harmonic_tail_example(64)
     result = check_tail_modification(base, zero(filt.space), filt)
@@ -134,7 +171,7 @@ def test_tail_modification_on_harmonic():
 @pytest.mark.parametrize("seed", [0, 7, 12345, 3901])
 def test_tail_approx_walks_the_members_tail_modify_builds(monkeypatch, seed):
     # Each A^m the check walks on the perturbed-nested instance is tail_modify's, to the
-    # bit, and each distance is read off that member.
+    # bit, and each distance equals that member's distance to A.
     filt, seq, x = harness._perturbed_nested_instance(32, seed)
     walked = []
     real = harness._stacked
@@ -242,6 +279,15 @@ def test_abs_alignment_statuses_and_indices():
     assert pairing["witness"]["premises"]["abs_closed"] is False
     # positive vectors always align immediately
     assert all(abs_commutation_index(filt, basis(filt.space, i)) == 1 for i in range(1, 7))
+
+
+@pytest.mark.xfail(reason=(
+    "vacuous check (ROADMAP item 19): abs-alignment's CONFIRMED follows from its two "
+    "premises, and it never reads a vector's abs_commutation_index"))
+def test_abs_alignment_fails_when_no_vector_aligns(monkeypatch):
+    monkeypatch.setattr(harness, "abs_commutation_index", lambda filt, x: None)
+    results = run_check("abs-alignment", 0, 1)
+    assert any(r["status"] is CheckStatus.VIOLATED for r in results)
 
 
 def _copy_chain(dim: int, depth: int, rng: np.random.Generator) -> Filtration:
