@@ -54,7 +54,6 @@ from .martingales import (
     _CHUNK_FLOATS,
     VectorSequence,
     Verdict,
-    _TailFamily,
     _after_last,
     _applied,
     _pair_table,
@@ -415,12 +414,11 @@ def check_limit_defect(
 
 
 def _late_witness(steps: np.ndarray, m: int) -> dict | None:
-    """The evidence when A^m, given by its one-step defects, lacks an eventual
-    witness <= m + 1, else None; m = N - 1 is skipped, as a witness at N is vacuous."""
-    if m > len(steps) - 1:
-        return None
+    """The evidence when A^m, given by one-step defects whose steps m + 1.. are its own (the
+    earlier ones move no witness past m + 1), lacks an eventual witness <= m + 1, else None;
+    m = N - 1 is never late, as a witness at N is vacuous."""
     witness = _step_witness(steps)
-    if witness is None or witness > m + 1:
+    if m < len(steps) and (witness is None or witness > m + 1):
         return {"m": m, "witness": witness}
     return None
 
@@ -429,16 +427,16 @@ def check_tail_modification(
     seq: VectorSequence, limit_vec: LatticeVector, filt: Filtration
 ) -> dict:
     """Replacing the tail by E_n x yields eventual martingales converging back to the
-    original sequence (witness <= m+1, the last distance within eps).  ||A^m - A|| is the
-    largest of the same rows over n > m, the premises' e_{m+1}, so the distances e_2..e_N
-    cannot increase.  A horizon below 2 leaves no tail: ValueError."""
+    original sequence (witness <= m+1, the last distance within eps); ||A^m - A|| is the
+    premises' e_{m+1}, so the distances e_2..e_N cannot increase.  No A^m is built: A^m has
+    rows E_n x after m, so it lacks a witness <= m + 1 iff E_n x's one-step law fails at some
+    l >= m + 1.  The first such m is 1, and A^1's witness is read off the same floats as E_n
+    x's one-step defects.  A horizon below 2 leaves no tail: ValueError."""
     _require_horizon("tail modification", seq.horizon)
     eps, _, rows, tail_sup, premises = _convergent_asymptotic_premises(seq, limit_vec, filt)
     if not all(premises.values()):
         return _inapplicable("tail-approx", filt, premises)
-    family = _TailFamily(seq.space, seq.coords, lambda m: rows[m:])  # as tail_modify builds
-    members = enumerate(_stacked(_steps, filt, family), 1)  # walked only for a late witness
-    late = next(filter(None, (_late_witness(steps, m) for m, (_, steps) in members)), None)
+    late = _late_witness(_steps(rows, filt), 1)
     if late is not None:
         status = CheckStatus.VIOLATED
         witness = {**late, "problem": "tail modification not eventual"}

@@ -141,6 +141,7 @@ def _require_horizon(what: str, horizon: int) -> None:
         raise ValueError(f"{what} needs a horizon of at least 2 terms")
 
 
+@np.errstate(invalid="ignore")  # a non-finite term is NaN by the stated rule
 def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
     """The pair-defect table T[n, k] = ||E_n x_{n+k} - x_n||, zero past the horizon, of one
     sequence or a (..., N, d) stack, for the laws that read pairs (``band-lattice``).
@@ -201,6 +202,7 @@ def _pair_table(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndar
     return table
 
 
+@np.errstate(invalid="ignore")  # a non-finite term is NaN by the stated rule
 def _steps(terms: VectorSequence | np.ndarray, filt: Filtration) -> np.ndarray:
     """The one-step defects ||E_n x_{n+1} - x_n||, n < N - 1, of one sequence or a
     (..., N, d) stack: each stage applied to the next term only, then one ``row_norms``.
@@ -240,6 +242,7 @@ def _plan_source(xs: np.ndarray, filt: Filtration) -> tuple | None:
     return plan, src
 
 
+@np.errstate(invalid="ignore")  # a non-finite term is NaN by the stated rule
 def _profiles(terms: VectorSequence | np.ndarray, filt: Filtration) -> tuple[np.ndarray, ...]:
     """The defect profile d_n = max_k T[n, k] and the one-step defects T[n, 1], n < N - 1,
     of one sequence or a (..., N, d) stack, bit for bit those of the full :func:`_pair_table`.

@@ -29,6 +29,7 @@ from lattice_lab import (
     build_random_nested,
     build_truncation,
     defect_profile,
+    eventual_witness,
     harmonic_tail_example,
     is_abs_closed,
     null_sequence,
@@ -137,8 +138,7 @@ def test_limit_checks_are_inconclusive_on_non_finite_inputs(monkeypatch, where, 
         coords[0 if where == "head" else -1, 0] = value
     seq, x = VectorSequence(filt.space, coords), vector(filt.space, limit)
     for check in (check_limit_defect, check_tail_modification):
-        with np.errstate(invalid="ignore", over="ignore"):
-            result = check(seq, x, filt)
+        result = check(seq, x, filt)
         assert result["status"] is CheckStatus.INCONCLUSIVE
         assert not all(result["witness"]["premises"].values())
 
@@ -168,22 +168,62 @@ def test_tail_modification_on_harmonic():
     assert list(result["witness"]) == ["premises", "eps", "distances"]
 
 
+def _first_late_member(seq, filt, rows):
+    """Brute force: the first m in 1..N-2 whose A^m = (x_1..x_m, rows m+1..N) has no
+    eventual witness or one past m + 1, as ``{"m", "witness"}``, else None."""
+    for m in range(1, seq.horizon - 1):
+        member = VectorSequence(seq.space, np.vstack((seq.coords[:m], rows[m:])))
+        witness = eventual_witness(member, filt)
+        if witness is None or witness > m + 1:
+            return {"m": m, "witness": witness}
+    return None
+
+
+def _agrees_with_the_walk(result, seq, filt, rows):
+    late = _first_late_member(seq, filt, rows)
+    if late is None:
+        assert result["status"] is not CheckStatus.INCONCLUSIVE
+        assert "m" not in result["witness"]
+    else:
+        assert result["status"] is CheckStatus.VIOLATED
+        assert result["witness"] == {**late, "problem": "tail modification not eventual"}
+    return late
+
+
 @pytest.mark.parametrize("seed", [0, 7, 12345, 3901])
-def test_tail_approx_walks_the_members_tail_modify_builds(monkeypatch, seed):
-    # Each A^m the check walks on the perturbed-nested instance is tail_modify's, to the
-    # bit, and each distance equals that member's distance to A.
+def test_tail_approx_agrees_with_a_walk_of_tail_modify_members(monkeypatch, seed):
+    # Each distance is that of tail_modify's A^m to A, and a brute-force walk of the
+    # members finds no late witness, as the check's one read of E_n x's steps does.
+    monkeypatch.setattr(harness, "_stacked", lambda *args: pytest.fail("an A^m family walked"))
     filt, seq, x = harness._perturbed_nested_instance(32, seed)
-    walked = []
-    real = harness._stacked
-    monkeypatch.setattr(harness, "_stacked", lambda *args: walked.append(args[2]) or real(*args))
     result = check_tail_modification(seq, x, filt)
     assert result["status"] is CheckStatus.CONFIRMED
-    (family,) = walked
     want = [tail_modify(seq, filt, x, m) for m in range(1, filt.horizon)]
-    assert len(family) == len(want) == 31
-    for member, modified in zip(family, want):
-        assert member.coords.tobytes() == modified.coords.tobytes()
     assert result["witness"]["distances"] == [seq_distance(a, seq) for a in want]
+    rows = tail_modify(seq, filt, x, 0).coords  # every term replaced: E_n x
+    assert _agrees_with_the_walk(result, seq, filt, rows) is None
+
+
+@pytest.mark.parametrize("norm_kind", ["sup", "l1"])
+@pytest.mark.parametrize("size", [2, 3, 8, 32])
+def test_tail_approx_late_witness_is_the_walks_on_perturbed_rows(monkeypatch, size, norm_kind):
+    # E_n x with one row moved: the check's A^1 read must carry the m and witness of the
+    # first late member found by walking every A^m (m = 1 with the witness, or none).
+    filt = build_random_nested(size, size, 11, norm_kind)
+    rng = trial_rng(11, 0)
+    x = filt.op(max(1, size // 2)).matrix @ rng.uniform(-1.0, 1.0, size)
+    seq = harness._plus_null(terminal_sequence(filt, vector(filt.space, x)),
+                             vector(filt.space, rng.uniform(-1.0, 1.0, size)), 100)
+    clean, bump = harness._applied(filt.ops, x), rng.uniform(-1.0, 1.0, size)
+    lates = []
+    for row in range(size):
+        rows = clean.copy()
+        rows[row] += bump
+        monkeypatch.setattr(harness, "_applied", lambda ops, v: rows)
+        result = check_tail_modification(seq, vector(filt.space, x), filt)
+        lates.append(_agrees_with_the_walk(result, seq, filt, rows))
+    if size > 2:  # a moved row past the first makes A^1 late; row 1 of each A^m is A's
+        assert lates[0] is None and all(late["m"] == 1 for late in lates[1:])
 
 
 def test_tail_modification_refuses_a_single_term():
@@ -658,11 +698,14 @@ def _limits_limit_not_x(mp, calls):
 
 
 def _tail_late_witness(mp, calls):
-    # A^21 loses its eventual witness; 8 modified sequences make one stack.
+    # Step 41 of E_n x fails its one-step law, so A^1's witness is 42, past m + 1 = 2.
+    def bump(n, out, *args):
+        out[40] += 1.0
+        return out
+
     filt, base, _ = harmonic_tail_example(64)
-    _spy(mp, calls, "_steps")
-    _spy(mp, calls, "_pair_table")
-    _spy(mp, calls, "_step_witness", lambda n, out, *args: None if n == 21 else out)
+    _spy(mp, calls, "_steps", bump)
+    _spy(mp, calls, "_step_witness")
     return check_tail_modification(base, zero(filt.space), filt)
 
 

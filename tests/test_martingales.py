@@ -28,6 +28,7 @@ from lattice_lab import (
     abs_seq,
     apply,
     basis,
+    build_dyadic,
     build_random_nested,
     build_truncation,
     check_lattice_closure,
@@ -57,6 +58,8 @@ from lattice_lab.filtration import is_dense
 from lattice_lab.harness import (
     SEQUENCE_GENERATORS,
     abs_commutation_index,
+    check_limit_defect,
+    check_tail_modification,
     random_filtration,
     random_sequence,
     trial_rng,
@@ -906,6 +909,45 @@ def test_pairing_sequence_terms():
     _, seq = pairing_example(2)
     assert np.array_equal(seq.term(1).coords, [-1, 1, 0, 0])
     assert np.array_equal(seq.term(2).coords, [-1, 1, -1, 1])
+
+
+_NON_FINITE_CHAINS = {
+    "truncation": lambda: build_truncation(16),
+    "dyadic": lambda: build_dyadic(4),
+    "nested-l1-40": lambda: build_random_nested(40, 40, 3, NormKind.WEIGHTED_L1),
+    "nested-l1-12": lambda: build_random_nested(12, 12, 3, NormKind.WEIGHTED_L1),
+    "nested-sup-40": lambda: build_random_nested(40, 40, 3, NormKind.SUP),
+    "nested-sup-12": lambda: build_random_nested(12, 12, 3, NormKind.SUP),
+}
+_NON_FINITE_CALLS = (
+    lambda seq, x, filt: classify(seq, filt).to_dict(),
+    lambda seq, x, filt: defect_profile(seq, filt),
+    lambda seq, x, filt: one_step_defects(seq, filt),
+    lambda seq, x, filt: tail_verdict(seq, filt),
+    check_limit_defect,
+    check_tail_modification,
+)
+
+
+@pytest.mark.parametrize("chain", sorted(_NON_FINITE_CHAINS))
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_term_raises_no_warning(chain, bad):
+    # The kernels write NaN for a non-finite term by their stated rule, so none may warn
+    # (tier-1 turns warnings into errors) and each answer is the one given with every
+    # floating-point warning silenced; covers the table, scan, B.T product and step reads.
+    filt = _NON_FINITE_CHAINS[chain]()
+    x = vector(filt.space, np.random.default_rng(0).uniform(-1.0, 1.0, filt.space.dim))
+    for term in (0, filt.horizon - 1):
+        for coord in (0, filt.space.dim - 1):
+            rows = terminal_sequence(filt, x).coords.copy()
+            rows[term, coord] = bad
+            seq = sequence(filt.space, rows)
+            for call in _NON_FINITE_CALLS:
+                got = call(seq, x, filt)
+                with np.errstate(all="ignore"):
+                    assert repr(got) == repr(call(seq, x, filt))
+            assert np.isnan(defect_profile(seq, filt)[: term + 1]).all()
+            assert not np.isfinite(one_step_defects(seq, filt)[max(term - 1, 0)])
 
 
 def test_scale_head_only_touches_first_term():

@@ -56,3 +56,24 @@ def test_perfbench_times_every_check_id():
     from lattice_lab import harness
 
     assert _tracing().CHECK_IDS == harness.CHECK_IDS
+
+
+def test_perfbench_reads_what_classify_returns():
+    # classify-ladder calls report.<method>() on what L.classify returns and hands the
+    # dict to oracle.compare_classification, so a change to either fails here, not as
+    # a failed op when the benchmark runs
+    workloads = (PERFBENCH / "workloads.py").read_text(encoding="utf-8")
+    oracle = (PERFBENCH / "oracle.py").read_text(encoding="utf-8")
+    methods = set(re.findall(r"\breport\.(\w+)\(", workloads))
+    compare = oracle[oracle.index("def compare_classification") :]
+    compare = compare[: compare.index("\ndef ")]
+    keys = set(re.findall(r"""got\[["'](\w+)["']\]""", compare))
+    for listed in re.findall(r"for key in \(([^)]*)\)", compare):
+        keys |= set(re.findall(r'"(\w+)"', listed))
+    assert methods >= {"to_dict"}  # the parse still finds what it found when written
+    assert keys >= {"is_martingale", "e_witness", "x_verdict", "x_defects", "seq_norm"}
+    filt, seq = lattice_lab.harmonic_tail_example(8)[:2]
+    report = lattice_lab.classify(seq, filt)
+    for method in methods:
+        assert callable(getattr(report, method, None)), f"perfbench calls report.{method}()"
+    assert keys <= set(report.to_dict())
