@@ -153,16 +153,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
     report = classify(instance.sequence, instance.filtration, tol=args.tol, eps=args.eps_x,
                       window_fraction=args.window)
-    d = report.to_dict()
     lines = [
-        f"[classify] martingale: {report.is_martingale}",
-        f"[classify] eventual witness: {report.e_witness}",
-        f"[classify] tail verdict: {report.x_verdict.value}",
-        f"[classify] sequence norm: {report.seq_norm:.6g}",
-        f"[classify] defects: head {report.x_defects[0]:.3e}, "
-        f"tail {report.x_defects[-1]:.3e}",
+        f"[classify] martingale: {report['is_martingale']}",
+        f"[classify] eventual witness: {report['e_witness']}",
+        f"[classify] tail verdict: {report['x_verdict'].value}",
+        f"[classify] sequence norm: {report['seq_norm']:.6g}",
+        f"[classify] defects: head {report['x_defects'][0]:.3e}, "
+        f"tail {report['x_defects'][-1]:.3e}",
     ]
-    _emit(d, args.json, lines)
+    _emit(report, args.json, lines)
     return 0
 
 
@@ -183,10 +182,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     lines = [
         f"[demo:{name}] {expected}",
         f"[demo:{name}] A: martingale={base['is_martingale']} "
-        f"witness={base['e_witness']} verdict={base['x_verdict']} "
+        f"witness={base['e_witness']} verdict={base['x_verdict'].value} "
         f"norm={base['seq_norm']:.6g}",
         f"[demo:{name}] |A|: martingale={abs_['is_martingale']} "
-        f"witness={abs_['e_witness']} verdict={abs_['x_verdict']} "
+        f"witness={abs_['e_witness']} verdict={abs_['x_verdict'].value} "
         f"first one-step defect={steps_abs[0]:.6g}",
     ]
     if name == "pairing":

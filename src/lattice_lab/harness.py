@@ -271,12 +271,12 @@ def _nesting_problem(seed: int, trial: int) -> dict | None:
     gen = str(rng.choice(SEQUENCE_GENERATORS))
     report = classify(random_sequence(filt, gen, rng), filt)
     if (
-        (not report.is_martingale or report.e_witness == 1)
-        and (report.e_witness != 1 or report.x_verdict is Verdict.X_MARTINGALE)
-        and (report.e_witness is None or report.x_verdict is not Verdict.NOT_X)
+        (not report["is_martingale"] or report["e_witness"] == 1)
+        and (report["e_witness"] != 1 or report["x_verdict"] is Verdict.X_MARTINGALE)
+        and (report["e_witness"] is None or report["x_verdict"] is not Verdict.NOT_X)
     ):
         return None
-    return {"filtration": f_desc, "generator": gen, "report": report.to_dict()}
+    return {"filtration": f_desc, "generator": gen, "report": report}
 
 
 def check_class_nesting(seed: int = 0, trials: int = 100) -> dict:

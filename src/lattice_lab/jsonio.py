@@ -44,7 +44,7 @@ import numpy as np
 from .filtration import Filtration
 from .martingales import VectorSequence, sequence as make_sequence
 from .operators import PosOperator, is_finite
-from .spaces import LatticeSpace, NormKind, _Record, _frozen
+from .spaces import LatticeSpace, NormKind, _Frozen, _frozen
 
 
 class InstanceFormatError(ValueError):
@@ -135,7 +135,7 @@ def sequence_from_dict(space: LatticeSpace, d: dict) -> VectorSequence:
         raise InstanceFormatError(f"bad sequence: {exc}") from exc
 
 
-class Instance(_Record):
+class Instance(_Frozen):
     """One ``space`` plus whatever a command needs: maybe operators, maybe terms."""
 
     def __init__(self, space: LatticeSpace, filtration: Filtration | None = None,

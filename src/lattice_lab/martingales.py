@@ -45,7 +45,6 @@ from .spaces import (
     LatticeSpace,
     LatticeVector,
     _Frozen,
-    _Record,
     _frozen,
     _readonly,
     _require_same_space,
@@ -309,7 +308,7 @@ def is_martingale(seq: VectorSequence, filt: Filtration) -> bool:
 
 def eventual_witness(seq: VectorSequence, filt: Filtration) -> int | None:
     """Minimal l < N such that the one-step law holds at ``DEFAULT_TOL`` at every m in
-    [l, N-1]; ``classify(seq, filt, tol).e_witness`` is the witness at another tol.
+    [l, N-1]; ``classify(seq, filt, tol)["e_witness"]`` is the witness at another tol.
 
     Returns None when no such l exists; a witness equal to N is vacuous
     (no step after it) and is never reported.
@@ -375,7 +374,7 @@ def _tail_rule(d: np.ndarray, start: int, eps: float) -> Verdict:
 
 def tail_verdict(seq: VectorSequence, filt: Filtration) -> Verdict:
     """Windowed verdict on the decay of the defect profile: :func:`_tail_rule` at the
-    default window and eps; ``classify(...).x_verdict`` reads another eps or window.  A
+    default window and eps; ``classify(...)["x_verdict"]`` reads another eps or window.  A
     horizon below 2 (a one-index window) raises ``ValueError``, and a non-contractive
     filtration, on which the defect notion rests, :class:`NonContractiveError`."""
     _require_matching(seq, filt)
@@ -384,40 +383,11 @@ def tail_verdict(seq: VectorSequence, filt: Filtration) -> Verdict:
     return _tail_rule(_profiles(seq, filt)[0], tail_window_start(seq.horizon), default_eps(seq))
 
 
-class ClassificationReport(_Record):
-    """Verdicts and defect data for one sequence against one filtration."""
-
-    def __init__(
-        self,
-        is_martingale: bool,
-        e_witness: int | None,
-        x_defects: tuple[float, ...],
-        x_verdict: Verdict,
-        seq_norm: float,
-        tol: float,
-        eps_x: float,
-        window_fraction: float,
-    ) -> None:
-        self._set(
-            is_martingale=is_martingale, e_witness=e_witness, x_defects=x_defects,
-            x_verdict=x_verdict, seq_norm=seq_norm, tol=tol, eps_x=eps_x,
-            window_fraction=window_fraction,
-        )
+class ClassificationReport(dict):
+    """The dict :func:`classify` returns; ``to_dict()`` is the dict itself."""
 
     def to_dict(self) -> dict:
-        return {
-            "is_martingale": self.is_martingale,
-            "e_witness": self.e_witness,
-            "x_defects": [float(d) for d in self.x_defects],
-            "x_verdict": self.x_verdict.value,
-            "seq_norm": float(self.seq_norm),
-            "tolerances": {
-                "tol": float(self.tol),
-                "eps_x": float(self.eps_x),
-                "window_fraction": float(self.window_fraction),
-            },
-            "notes": list(REPORT_NOTES),
-        }
+        return self
 
 
 def classify(
@@ -427,7 +397,8 @@ def classify(
     eps: float | None = None,
     window_fraction: float = DEFAULT_WINDOW_FRACTION,
 ) -> ClassificationReport:
-    """Run all three classifications and bundle the evidence.
+    """Run all three classifications: the dict ``classify --json`` prints, whose
+    ``x_verdict`` is a :class:`Verdict`, a ``str`` enum that JSON writes as its value.
 
     Horizons of at least two are required: with a single term every
     witness would be vacuous and the class nesting degenerates.  Each bad argument
@@ -447,12 +418,12 @@ def classify(
     return ClassificationReport(
         is_martingale=bool(d.max() <= tol),
         e_witness=_step_witness(steps, tol),
-        x_defects=tuple(float(v) for v in d),
+        x_defects=d.tolist(),
         x_verdict=_tail_rule(d, start, eps),
         seq_norm=norm,
-        tol=tol,
-        eps_x=eps,
-        window_fraction=window_fraction,
+        tolerances={"tol": float(tol), "eps_x": float(eps),
+                    "window_fraction": float(window_fraction)},
+        notes=list(REPORT_NOTES),
     )
 
 
@@ -460,6 +431,7 @@ def classify(
 # Sequence constructions
 # ---------------------------------------------------------------------------
 
+@np.errstate(invalid="ignore")  # a non-finite x gives NaN rows, as in :func:`operators.apply`
 def _applied(ops: Sequence[Operator], x: np.ndarray) -> np.ndarray:
     """The stack of E x over ``ops``, one row per operator."""
     return np.stack([apply_rows(e, x) for e in ops])
@@ -510,14 +482,14 @@ def tail_modify(
 def check_lattice_closure(seq: VectorSequence, filt: Filtration) -> dict:
     """Classify A (``base``) and |A| (``abs``) at the default knobs and say whether |A|
     stays in each class: each ``abs_stays_*`` is None where A itself is not in that class."""
-    base, abs_ = (classify(s, filt).to_dict() for s in (seq, abs_seq(seq)))
-    x = Verdict.X_MARTINGALE.value
+    base, abs_ = (classify(s, filt) for s in (seq, abs_seq(seq)))
+    x = Verdict.X_MARTINGALE
     return {
         "base": base,
         "abs": abs_,
         "abs_stays_martingale": abs_["is_martingale"] if base["is_martingale"] else None,
         "abs_stays_eventual": None if base["e_witness"] is None else abs_["e_witness"] is not None,
-        "abs_stays_asymptotic": abs_["x_verdict"] == x if base["x_verdict"] == x else None,
+        "abs_stays_asymptotic": abs_["x_verdict"] is x if base["x_verdict"] is x else None,
     }
 
 

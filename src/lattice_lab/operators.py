@@ -138,7 +138,12 @@ def apply_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
     return sums.reshape(-1, width)[:, op._src].reshape(rows.shape).astype(float, copy=False)
 
 
+@np.errstate(invalid="ignore")
 def apply(op: Operator, x: LatticeVector) -> LatticeVector:
+    """T x.  A coordinate that is not finite gives NaN, as ``0 * inf`` does, with no
+    warning: a block stage is NaN only in the row it drops (stage 2 of
+    ``build_truncation(4)`` takes [1, 2, 3, inf] to [1, 2, 0, nan]), while a dense
+    product is NaN in every row."""
     _require_same_space(op, x, "operator and vector")
     return LatticeVector(x.space, apply_rows(op, x.coords))
 

@@ -68,23 +68,6 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _Record(_Frozen):
-    """A report: equal to a report of its own class with equal fields, hashed and
-    shown by them.  Its fields are the attributes ``__init__`` sets, in order."""
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple(vars(self).values()) == tuple(vars(other).values())
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
-
-
 class LatticeSpace(_Frozen):
     """Coordinate model of a normed lattice: ``dim``, ``norm_kind`` and cell ``weights``.
 

@@ -44,7 +44,7 @@ def sweep() -> dict:
                         seq = VectorSequence(filt.space, rng.uniform(-1.0, 1.0, (n, n)))
                     else:
                         seq = random_sequence(filt, gen, rng)
-                    cell[family][classify(seq, filt).x_verdict] += 1
+                    cell[family][classify(seq, filt)["x_verdict"]] += 1
     return counts
 
 

@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import dump_text, instance_doc
-from lattice_lab import build_copy, build_truncation, classify, haar_example
+from lattice_lab import (
+    build_copy, build_truncation, classify, haar_example, null_sequence, vector,
+)
 from lattice_lab import cli
 from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
-from lattice_lab.jsonio import Instance, instance_text, load_instance
+from lattice_lab.jsonio import Instance, dump_instance, instance_text, load_instance
 
 
 def run(capsys, *argv):
@@ -56,13 +58,24 @@ def test_classify_harmonic_instance(tmp_path, capsys):
     assert doc["x_verdict"] == "X_MARTINGALE"
 
 
-def test_gen_classify_round_trip_is_bit_exact(tmp_path, capsys):
-    path = tmp_path / "haar.json"
-    run(capsys, "gen", "haar", "--size", "3", "--out", str(path))
+@pytest.mark.parametrize("builder", GEN_BUILDERS)
+def test_gen_classify_round_trip_is_bit_exact(tmp_path, capsys, builder):
+    # classify --json prints the dict classify returns on the file; a chain that gen writes
+    # alone gets a null sequence written beside it
+    path = tmp_path / f"{builder}.json"
+    run(capsys, "gen", builder, "--size", "3", "--out", str(path))
+    built = _gen_instance(build_parser().parse_args(["gen", builder, "--size", "3"]))
+    if built.sequence is None:
+        x = vector(built.space, np.linspace(-1.0, 2.0, built.space.dim))
+        chain = load_instance(path).filtration
+        dump_instance(Instance(built.space, chain, null_sequence(x, chain.horizon)), path)
     code, out, _ = run(capsys, "classify", str(path), "--json")
     assert code == 0
-    filt, seq = haar_example(3)
-    assert json.loads(out) == classify(seq, filt).to_dict()
+    loaded = load_instance(path)
+    want = classify(loaded.sequence, loaded.filtration)
+    assert json.loads(out) == want
+    if built.sequence is not None:  # exact arithmetic: the dense chain read back classifies
+        assert want == classify(built.sequence, built.filtration)  # as the block chain built
 
 
 def test_gen_copy_round_trips_and_validates(tmp_path, capsys):

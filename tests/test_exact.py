@@ -130,10 +130,11 @@ def test_classify_reads_the_exact_defects(name, size):
     n_terms = filt.horizon
     for rows in _sequences(filt, np.random.default_rng([size, n_terms, 1])):
         report = classify(VectorSequence(filt.space, rows), filt)
+        tols = report["tolerances"]
         profile, steps = exact_profiles(exact_table(rows, filt))
-        assert [Fraction(v) for v in report.x_defects] == profile
-        assert report.is_martingale == (max(profile) <= Fraction(report.tol))
-        flagged = [n for n, s in enumerate(steps, 1) if s > Fraction(report.tol)]
+        assert [Fraction(v) for v in report["x_defects"]] == profile
+        assert report["is_martingale"] == (max(profile) <= Fraction(tols["tol"]))
+        flagged = [n for n, s in enumerate(steps, 1) if s > Fraction(tols["tol"])]
         last = flagged[-1] if flagged else 0
-        assert report.e_witness == (last + 1 if last < n_terms - 1 else None)
-        assert report.x_verdict is exact_verdict(profile, report.eps_x, report.window_fraction)
+        assert report["e_witness"] == (last + 1 if last < n_terms - 1 else None)
+        assert report["x_verdict"] is exact_verdict(profile, tols["eps_x"], tols["window_fraction"])

@@ -665,7 +665,9 @@ def _spy(mp, calls: dict, name: str, inject=None) -> None:
 def _nesting_broken_chain(mp, calls):
     # Trial 3 reports a martingale whose eventual witness is 2, not 1.
     report = ClassificationReport(
-        True, 2, (0.0,), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25
+        is_martingale=True, e_witness=2, x_defects=[0.0], x_verdict=Verdict.X_MARTINGALE,
+        seq_norm=1.0, tolerances={"tol": 1e-9, "eps_x": 0.05, "window_fraction": 0.25},
+        notes=list(martingales.REPORT_NOTES),
     )
     _spy(mp, calls, "random_filtration")
     _spy(mp, calls, "classify", lambda n, out, *args: report if n == 4 else out)

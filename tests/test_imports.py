@@ -7,6 +7,7 @@ No command imports ``dataclasses``: the value classes are plain classes,
 so no import generates and compiles methods.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -146,6 +147,24 @@ def test_verify_results_have_no_record_class():
         lattice_lab.TheoremResult
     with pytest.raises(ImportError):
         exec("from lattice_lab import TheoremResult", {})
+
+
+def test_the_readme_quick_start_runs_and_prints_its_comments():
+    # each expression line's comment starts with its value; every other line only runs
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        try:
+            expr = compile(code.strip(), "README", "eval")
+        except SyntaxError:
+            exec(code, scope)
+            continue
+        got, want = eval(expr, scope), ast.literal_eval(comment.split(":")[0].strip())
+        assert got == want and type(got) is type(want), line
+        checked += 1
+    assert checked == 4
 
 
 #: Each public function's defaulted parameters (ROADMAP aim 2 counts them as it counts

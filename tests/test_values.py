@@ -1,14 +1,15 @@
-"""The value-class contract: the eight classes that carry the package's data.
+"""The value-class contract: the seven classes that carry the package's data,
+and the report contract of ``classify``.
 
-Each is a plain class whose ``__init__`` is written out.  Construction takes
-the same arguments, by position or keyword, with the same defaults; a built
-value cannot be assigned to or deleted from; stages, filtrations, vectors
-and sequences compare by identity, spaces by their own rules and reports
-field by field.
+Each value class is a plain class whose ``__init__`` is written out.
+Construction takes the same arguments, by position or keyword, with the same
+defaults; a built value cannot be assigned to or deleted from; stages,
+filtrations, vectors, sequences and instances compare by identity, and spaces
+by their own rules.  A classification report is the dict ``classify --json``
+prints.
 """
 
 import inspect
-import pickle
 from functools import cached_property
 
 import numpy as np
@@ -24,14 +25,15 @@ from lattice_lab import (
     PosOperator,
     VectorSequence,
     Verdict,
+    classify,
     filtration,
+    pairing_example,
 )
 from lattice_lab.jsonio import Instance
 from lattice_lab.martingales import REPORT_NOTES
 
 SPACE = LatticeSpace(3)
 STAGE = BlockOperator(SPACE, np.array([0, 0, 1]), 1.0, 0.5)
-REPORT = ClassificationReport(True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25)
 
 #: A fresh value of each class, built on each call.
 BUILD = {
@@ -41,8 +43,6 @@ BUILD = {
     BlockOperator: lambda: BlockOperator(SPACE, np.array([0, 0, 1]), 1.0, 0.5),
     Filtration: lambda: Filtration(SPACE, (STAGE,)),
     VectorSequence: lambda: VectorSequence(SPACE, np.zeros((2, 3))),
-    ClassificationReport: lambda: ClassificationReport(
-        True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.25),
     Instance: lambda: Instance(SPACE),
 }
 
@@ -55,20 +55,15 @@ SIGNATURES = {
     BlockOperator: [("space", EMPTY), ("labels", EMPTY), ("mask", EMPTY), ("coef", EMPTY)],
     Filtration: [("space", EMPTY), ("ops", EMPTY)],
     VectorSequence: [("space", EMPTY), ("coords", EMPTY)],
-    ClassificationReport: [
-        ("is_martingale", EMPTY), ("e_witness", EMPTY), ("x_defects", EMPTY),
-        ("x_verdict", EMPTY), ("seq_norm", EMPTY), ("tol", EMPTY), ("eps_x", EMPTY),
-        ("window_fraction", EMPTY)],
     Instance: [("space", EMPTY), ("filtration", None), ("sequence", None)],
 }
-IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence)
-RECORDS = (ClassificationReport, Instance)
+IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence, Instance)
 CLASSES = list(BUILD)
 
 
 def test_the_contract_covers_every_value_class():
-    assert len(CLASSES) == 8
-    assert set(SIGNATURES) == set(BUILD) == {LatticeSpace, *IDENTITY, *RECORDS}
+    assert len(CLASSES) == 7
+    assert set(SIGNATURES) == set(BUILD) == {LatticeSpace, *IDENTITY}
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -87,11 +82,6 @@ def test_defaults_by_position_and_keyword():
 
     instance = Instance(SPACE)
     assert (instance.space, instance.filtration, instance.sequence) == (SPACE, None, None)
-    assert REPORT.to_dict()["notes"] == list(REPORT_NOTES)
-    keyword = ClassificationReport(
-        is_martingale=True, e_witness=1, x_defects=(0.0, 0.0), x_verdict=Verdict.X_MARTINGALE,
-        seq_norm=1.0, tol=1e-9, eps_x=0.05, window_fraction=0.25)
-    assert keyword == REPORT
     assert BlockOperator(space=SPACE, labels=np.array([0, 0, 1]), mask=1.0,
                          coef=0.5).matrix.tolist() == STAGE.matrix.tolist()
 
@@ -111,7 +101,7 @@ def test_values_refuse_assignment_and_deletion(cls):
 
 
 @pytest.mark.parametrize("cls", IDENTITY, ids=lambda cls: cls.__name__)
-def test_stages_vectors_sequences_and_filtrations_compare_by_identity(cls):
+def test_values_other_than_spaces_compare_by_identity(cls):
     a, b = BUILD[cls](), BUILD[cls]()
     assert a == a and a != b
     assert hash(a) == object.__hash__(a)
@@ -128,23 +118,18 @@ def test_spaces_compare_by_dimension_kind_and_weights():
     assert repr(weighted()) == "LatticeSpace(dim=3, norm_kind='l1')"
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_reports_compare_field_by_field(cls):
-    a, b = BUILD[cls](), BUILD[cls]()
-    assert a is not b and a == b and not a != b
-    assert a.__eq__(object()) is NotImplemented
-    assert hash(a) == hash(b) == hash(tuple(vars(a).values()))
-    assert pickle.loads(pickle.dumps(a)) == a
-
-
-def test_reports_differ_in_any_field_and_show_every_field():
-    assert ClassificationReport(
-        True, 1, (0.0, 0.0), Verdict.X_MARTINGALE, 1.0, 1e-9, 0.05, 0.5) != REPORT
-    assert Instance(SPACE) != Instance(LatticeSpace(2))
-    assert repr(REPORT) == (
-        "ClassificationReport(is_martingale=True, e_witness=1, x_defects=(0.0, 0.0), "
-        "x_verdict=<Verdict.X_MARTINGALE: 'X_MARTINGALE'>, seq_norm=1.0, tol=1e-09, "
-        "eps_x=0.05, window_fraction=0.25)")
+def test_classify_returns_the_dict_classify_json_prints():
+    filt, seq = pairing_example(3)
+    report = classify(seq, filt)
+    assert isinstance(report, dict) and isinstance(report, ClassificationReport)
+    assert list(report) == [
+        "is_martingale", "e_witness", "x_defects", "x_verdict", "seq_norm", "tolerances", "notes"]
+    assert list(report["tolerances"]) == ["tol", "eps_x", "window_fraction"]
+    assert report.to_dict() is report
+    assert report["x_verdict"] is Verdict.X_MARTINGALE and report["notes"] == list(REPORT_NOTES)
+    assert report == dict(report) and repr(report) == repr(dict(report))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
 
 
 def test_filtration_norms_are_a_cached_property_computed_once(monkeypatch):
