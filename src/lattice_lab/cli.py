@@ -130,10 +130,10 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     from .jsonio import InstanceFormatError, load_instance
-    instance = load_instance(args.path)
-    if instance.filtration is None:
+    _, filt, _ = load_instance(args.path)
+    if filt is None:
         raise InstanceFormatError("instance file has no filtration to validate")
-    report = validate(instance.filtration, args.contractive, args.tol)
+    report = validate(filt, args.contractive, args.tol)
     lines = []
     for check in report["checks"]:
         state = "pass" if check["passed"] else "FAIL"
@@ -146,13 +146,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     from .jsonio import InstanceFormatError, load_instance
-    instance = load_instance(args.path)
-    if instance.filtration is None or instance.sequence is None:
+    _, filt, seq = load_instance(args.path)
+    if filt is None or seq is None:
         raise InstanceFormatError(
             "classification needs both a filtration and a sequence in the file"
         )
-    report = classify(instance.sequence, instance.filtration, tol=args.tol, eps=args.eps_x,
-                      window_fraction=args.window)
+    report = classify(seq, filt, tol=args.tol, eps=args.eps_x, window_fraction=args.window)
     lines = [
         f"[classify] martingale: {report['is_martingale']}",
         f"[classify] eventual witness: {report['e_witness']}",
@@ -220,11 +219,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
-def _gen_instance(args: argparse.Namespace) -> "Instance":
-    from .jsonio import Instance
+def _gen_instance(args: argparse.Namespace) -> tuple:
     default_size, build, _ = BUILDERS[args.builder]
     filt, seq = build(default_size if args.size is None else args.size, args)
-    return Instance(filt.space, filt, seq)
+    return filt.space, filt, seq
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -14,7 +14,8 @@ An instance file parses iff ``dim`` is an integer, every weight, matrix
 entry and vector coordinate is a finite number (not ``NaN`` or
 ``Infinity``, which ``json`` reads, and not ``true`` or ``false``), and
 all dimensions are mutually consistent; anything else raises
-:class:`InstanceFormatError`.
+:class:`InstanceFormatError`.  An instance is returned and taken as the
+triple ``(space, filtration, sequence)``, None for a part the file lacks.
 
 One writer makes every instance file: :func:`instance_text` yields its
 text and :func:`dump_instance` writes that text to a path.  The text is
@@ -26,9 +27,10 @@ lays the text out one matrix at a time straight from the arrays, and it
 holds finite floats only: a NaN or infinity raises ``ValueError`` before
 anything is written.
 Floats round-trip exactly (they are written as ``float.__repr__``, the
-shortest repr, as ``json`` writes them).  Each distinct row is parsed and
-formatted once: a chain of conditional expectations repeats its rows within
-and across stages (191 distinct of 9,217 rows in random-nested at 96).
+shortest repr, as ``json`` writes them).  Each distinct row is parsed once,
+and formatted once while it repeats from one matrix to the next: a chain of
+conditional expectations repeats its rows within a stage and from one stage
+to the next (191 distinct of 9,217 rows in random-nested at 96).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from .filtration import Filtration
 from .martingales import VectorSequence, sequence as make_sequence
 from .operators import PosOperator, is_finite
-from .spaces import LatticeSpace, NormKind, _Frozen, _frozen
+from .spaces import LatticeSpace, NormKind, _frozen
 
 
 class InstanceFormatError(ValueError):
@@ -80,7 +82,7 @@ def _numbers(value, what: str) -> np.ndarray | None:
     if value is None:
         return None
     rows = type(value) is list and all(type(row) is _Row for row in value)
-    arr = np.array([row.array for row in value] if rows else value)  # no __array__ per row
+    arr = np.array([row.array for row in value] if rows else value)  # rows stack their arrays
     if arr.dtype.kind not in "iuf" or _has_bool_leaf(value, arr.ndim):
         raise InstanceFormatError(f"{what} must hold numbers only")
     if not np.isfinite(arr).all():
@@ -135,30 +137,18 @@ def sequence_from_dict(space: LatticeSpace, d: dict) -> VectorSequence:
         raise InstanceFormatError(f"bad sequence: {exc}") from exc
 
 
-class Instance(_Frozen):
-    """One ``space`` plus whatever a command needs: maybe operators, maybe terms."""
-
-    def __init__(self, space: LatticeSpace, filtration: Filtration | None = None,
-                 sequence: VectorSequence | None = None) -> None:
-        self._set(space=space, filtration=filtration, sequence=sequence)
-
-
-def instance_from_dict(d: dict) -> Instance:
+def instance_from_dict(d: dict) -> tuple:
     if not isinstance(d, dict) or "space" not in d:
         raise InstanceFormatError("instance must be an object with a 'space' field")
     space = space_from_dict(d["space"])
-    filt = None
-    if "filtration" in d:
-        filt = filtration_from_dict(d["filtration"], space)
-    seq = None
-    if "sequence" in d:
-        seq = sequence_from_dict(space, d["sequence"])
+    filt = filtration_from_dict(d["filtration"], space) if "filtration" in d else None
+    seq = sequence_from_dict(space, d["sequence"]) if "sequence" in d else None
     if filt is not None and seq is not None and filt.horizon != seq.horizon:
         raise InstanceFormatError(
             f"sequence has {seq.horizon} terms but filtration has "
             f"{filt.horizon} operators"
         )
-    return Instance(space, filt, seq)
+    return space, filt, seq
 
 
 #: A string token, escapes stepped over (an unterminated one runs to the end
@@ -199,17 +189,14 @@ def _parse(text: str):
 
 
 class _Row(list):
-    """A row as ``json.loads`` reads it, read by numpy from its one array."""
+    """A row as ``json.loads`` reads it, with its values as one array."""
 
     def __init__(self, values: list) -> None:
         super().__init__(values)
         self.array = np.asarray(values)
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self.array.astype(self.array.dtype if dtype is None else dtype, copy=bool(copy))
 
-
-def load_instance(path: str | Path) -> Instance:
+def load_instance(path: str | Path) -> tuple:
     """Read and check an instance file: what ``instance_from_dict`` accepts of
     ``json.loads(text)``, each distinct row parsed once."""
     try:
@@ -226,40 +213,46 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(data)
 
 
-def _layout(instance: Instance) -> Iterator[str]:
+def _layout(space: LatticeSpace, filt: Filtration | None,
+            seq: VectorSequence | None) -> Iterator[str]:
     """The text pieces of an instance whose values are known to be finite.
 
-    ``texts`` maps each distinct row's bytes to its text, so a repeated row
-    costs one lookup, and -0.0 keeps its own text apart from 0.0.
+    ``texts`` maps each row's bytes to its text for the matrix being laid
+    out and ``last`` for the one before, so a row repeated within a matrix
+    or from one to the next costs a lookup, and at most two matrices' texts
+    are held; -0.0 keeps its own text apart from 0.0.
     """
     texts: dict[bytes, str] = {}
+    last: dict[bytes, str] = {}
 
     def row(values: np.ndarray) -> str:
         key = values.tobytes()
         text = texts.get(key)
         if text is None:
-            text = texts[key] = "[" + ",".join(map(float.__repr__, values.tolist())) + "]"
+            text = texts[key] = last.get(key) or (
+                "[" + ",".join(map(float.__repr__, values.tolist())) + "]")
         return text
 
     def rows(table: np.ndarray) -> str:
+        nonlocal texts, last
+        last, texts = texts, {}
         return "[" + ",".join(map(row, table)) + "]"
 
-    space = instance.space
     yield f'{{"space":{{"dim":{space.dim},"norm":"{space.norm_kind.value}"'
     if space.weights is not None:
         yield ',"weights":' + row(space.weights)
     yield "}"
-    if instance.filtration is not None:
+    if filt is not None:
         yield ',"filtration":{"operators":['
-        for k, e in enumerate(instance.filtration.ops):
+        for k, e in enumerate(filt.ops):
             yield ("," if k else "") + '{"matrix":' + rows(e.matrix) + "}"
         yield "]}"
-    if instance.sequence is not None:
-        yield ',"sequence":{"vectors":' + rows(instance.sequence.coords) + "}"
+    if seq is not None:
+        yield ',"sequence":{"vectors":' + rows(seq.coords) + "}"
     yield "}\n"
 
 
-def instance_text(instance: Instance) -> Iterator[str]:
+def instance_text(instance: tuple) -> Iterator[str]:
     """The pieces of the instance file: compact JSON plus a newline.
 
     They are built from the arrays one matrix at a time, without nested
@@ -268,17 +261,17 @@ def instance_text(instance: Instance) -> Iterator[str]:
     checked first, so a non-finite one raises ``ValueError`` before any
     piece exists: JSON has no token for it.
     """
-    space, filt, seq = instance.space, instance.filtration, instance.sequence
+    space, filt, seq = instance
     if not (
         (space.weights is None or np.isfinite(space.weights).all())
         and (filt is None or all(is_finite(e) for e in filt.ops))
         and (seq is None or np.isfinite(seq.coords).all())
     ):
         raise ValueError("the instance holds a NaN or infinite value, which JSON cannot store")
-    return _layout(instance)
+    return _layout(space, filt, seq)
 
 
-def dump_instance(instance: Instance, path: str | Path) -> None:
+def dump_instance(instance: tuple, path: str | Path) -> None:
     pieces = instance_text(instance)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(pieces)

@@ -99,17 +99,16 @@ def pair_table(seq, filt) -> np.ndarray:
 
 
 def instance_doc(instance) -> dict:
-    """The instance's JSON document, nested lists built from the raw arrays."""
-    space = {"dim": instance.space.dim, "norm": instance.space.norm_kind.value}
-    if instance.space.weights is not None:
-        space["weights"] = instance.space.weights.tolist()
-    doc = {"space": space}
-    if instance.filtration is not None:
-        doc["filtration"] = {
-            "operators": [{"matrix": e.matrix.tolist()} for e in instance.filtration.ops]
-        }
-    if instance.sequence is not None:
-        doc["sequence"] = {"vectors": instance.sequence.coords.tolist()}
+    """The JSON document of ``(space, filtration, sequence)``, nested lists
+    built from the raw arrays."""
+    space, filt, seq = instance
+    doc = {"space": {"dim": space.dim, "norm": space.norm_kind.value}}
+    if space.weights is not None:
+        doc["space"]["weights"] = space.weights.tolist()
+    if filt is not None:
+        doc["filtration"] = {"operators": [{"matrix": e.matrix.tolist()} for e in filt.ops]}
+    if seq is not None:
+        doc["sequence"] = {"vectors": seq.coords.tolist()}
     return doc
 
 

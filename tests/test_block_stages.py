@@ -33,7 +33,7 @@ from lattice_lab import (
 )
 from lattice_lab import martingales
 from lattice_lab.harness import random_filtration
-from lattice_lab.jsonio import Instance, instance_text
+from lattice_lab.jsonio import instance_text
 from lattice_lab.martingales import _pair_table, _steps
 from lattice_lab.spaces import row_norms
 
@@ -192,7 +192,7 @@ def test_validate_and_the_writer_hold_one_pair_of_stage_matrices():
     tracemalloc.start()
     try:
         report = validate(filt, require_contractive=True)
-        for _ in instance_text(Instance(filt.space, filt)):
+        for _ in instance_text((filt.space, filt, None)):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

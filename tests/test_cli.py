@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from _oracles import dump_text, instance_doc
 from lattice_lab import (
-    build_copy, build_truncation, classify, haar_example, null_sequence, vector,
+    build_truncation, classify, haar_example, null_sequence, validate, vector,
 )
 from lattice_lab import cli
 from lattice_lab.cli import GEN_BUILDERS, _gen_instance, build_parser, main
-from lattice_lab.jsonio import Instance, dump_instance, instance_text, load_instance
+from lattice_lab.jsonio import dump_instance, instance_text, load_instance
 
 
 def run(capsys, *argv):
@@ -39,7 +39,7 @@ def test_validate_passes_on_generated_dyadic(tmp_path, capsys):
 
 def test_validate_fails_on_broken_filtration(tmp_path, capsys):
     filt = build_truncation(3)
-    doc = instance_doc(Instance(filt.space, filt))
+    doc = instance_doc((filt.space, filt, None))
     doc["filtration"]["operators"][0]["matrix"][0][0] = 2.0  # breaks idempotence
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -64,31 +64,44 @@ def test_gen_classify_round_trip_is_bit_exact(tmp_path, capsys, builder):
     # alone gets a null sequence written beside it
     path = tmp_path / f"{builder}.json"
     run(capsys, "gen", builder, "--size", "3", "--out", str(path))
-    built = _gen_instance(build_parser().parse_args(["gen", builder, "--size", "3"]))
-    if built.sequence is None:
-        x = vector(built.space, np.linspace(-1.0, 2.0, built.space.dim))
-        chain = load_instance(path).filtration
-        dump_instance(Instance(built.space, chain, null_sequence(x, chain.horizon)), path)
+    space, built_filt, built_seq = _gen_instance(
+        build_parser().parse_args(["gen", builder, "--size", "3"]))
+    if built_seq is None:
+        x = vector(space, np.linspace(-1.0, 2.0, space.dim))
+        _, chain, _ = load_instance(path)
+        dump_instance((space, chain, null_sequence(x, chain.horizon)), path)
     code, out, _ = run(capsys, "classify", str(path), "--json")
     assert code == 0
-    loaded = load_instance(path)
-    want = classify(loaded.sequence, loaded.filtration)
+    _, filt, seq = load_instance(path)
+    want = classify(seq, filt)
     assert json.loads(out) == want
-    if built.sequence is not None:  # exact arithmetic: the dense chain read back classifies
-        assert want == classify(built.sequence, built.filtration)  # as the block chain built
+    if built_seq is not None:  # exact arithmetic: the dense chain read back classifies
+        assert want == classify(built_seq, built_filt)  # as the block chain built
 
 
-def test_gen_copy_round_trips_and_validates(tmp_path, capsys):
-    path = tmp_path / "copy.json"
-    code, _, _ = run(capsys, "gen", "copy", "--size", "8", "--out", str(path))
-    assert code == 0
-    loaded, built = load_instance(path), build_copy(8)
-    assert loaded.sequence is None and loaded.space == built.space
-    assert len(loaded.filtration.ops) == 8
-    for a, b in zip(loaded.filtration.ops, built.ops):
-        assert np.array_equal(a.matrix, b.matrix)
+@pytest.mark.parametrize("size", ["3", "6"])
+@pytest.mark.parametrize("builder", GEN_BUILDERS)
+def test_gen_round_trips_and_validates(tmp_path, capsys, builder, size):
+    # the file holds the built stages bit for bit and validates as the built chain, but for
+    # contractivity's worst and witness: the block closed form and the dense column sums
+    # add in different orders (0.0 against 2.2e-16 at random-nested --size 3)
+    argv = ["gen", builder, "--size", size]
+    path = tmp_path / f"{builder}.json"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    space, built, built_seq = _gen_instance(build_parser().parse_args(argv))
+    loaded_space, loaded, loaded_seq = load_instance(path)
+    assert loaded_space == space and len(loaded.ops) == len(built.ops)
+    for a, b in zip(loaded.ops, built.ops):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert (loaded_seq is None) == (built_seq is None)
+    if built_seq is not None:
+        assert loaded_seq.coords.tobytes() == built_seq.coords.tobytes()
     code, out, _ = run(capsys, "validate", str(path), "--contractive", "--json")
-    assert code == 0 and json.loads(out)["passed"] is True
+    got, want = json.loads(out), validate(built, True)
+    assert code == 0 and got["passed"] is want["passed"] is True
+    assert got["checks"][:3] == json.loads(json.dumps(want["checks"][:3]))
+    assert [c["law"] for c in got["checks"]] == [c["law"] for c in want["checks"]]
+    assert got["checks"][3]["passed"] is want["checks"][3]["passed"]
 
 
 def test_classify_requires_sequence(tmp_path, capsys):
@@ -328,7 +341,7 @@ def test_gen_into_unwritable_path_exits_two(tmp_path, capsys, target):
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_malformed_instance_exits_two(tmp_path, capsys, field, value, command):
     filt, seq = haar_example(1)
-    doc = instance_doc(Instance(filt.space, filt, seq))
+    doc = instance_doc((filt.space, filt, seq))
     if field == "dim":
         doc["space"]["dim"] = value
     else:
@@ -344,7 +357,7 @@ def test_malformed_instance_exits_two(tmp_path, capsys, field, value, command):
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_non_finite_tokens_in_a_file_exit_two(tmp_path, capsys, where, value, command):
     filt, seq = haar_example(1)
-    doc = instance_doc(Instance(filt.space, filt, seq))
+    doc = instance_doc((filt.space, filt, seq))
     if where == "weights":
         doc["space"]["weights"][0] = value
     elif where == "matrix":
@@ -423,14 +436,14 @@ def test_gen_takes_no_depth_or_factor(capsys, argv):
 def test_gen_random_nested_is_size_levels_deep(tmp_path, capsys):
     path = tmp_path / "nested.json"
     assert run(capsys, "gen", "random-nested", "--size", "8", "--seed", "9", "--out", str(path))[0] == 0
-    filt = load_instance(path).filtration
+    _, filt, _ = load_instance(path)
     assert filt.space.dim == 8 and len(filt.ops) == 8
 
 
 def test_gen_scale_head_doubles_only_the_head(tmp_path, capsys):
     path = tmp_path / "scaled.json"
     assert run(capsys, "gen", "scale-head", "--size", "3", "--out", str(path))[0] == 0
-    got = load_instance(path).sequence.coords
+    got = load_instance(path)[2].coords
     base = haar_example(3)[1].coords
     assert np.array_equal(got[0], 2.0 * base[0]) and np.array_equal(got[1:], base[1:])
 

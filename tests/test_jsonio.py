@@ -33,18 +33,18 @@ from lattice_lab import (
 )
 from lattice_lab import cli, jsonio
 from lattice_lab.jsonio import (
-    Instance,
     InstanceFormatError,
     dump_instance,
     filtration_from_dict,
     instance_from_dict,
+    instance_text,
     load_instance,
     sequence_from_dict,
     space_from_dict,
 )
 
 
-def _round_trip(instance, tmp_path) -> tuple[Instance, str]:
+def _round_trip(instance, tmp_path) -> tuple[tuple, str]:
     """``instance`` through ``dump_instance`` and ``load_instance``, and the file's text."""
     path = tmp_path / "instance.json"
     dump_instance(instance, path)
@@ -53,17 +53,17 @@ def _round_trip(instance, tmp_path) -> tuple[Instance, str]:
 
 def test_space_round_trip_sup(tmp_path):
     space = LatticeSpace(4)
-    again, text = _round_trip(Instance(space), tmp_path)
-    assert again.space == space and again.space.weights is None
-    assert again.filtration is None and again.sequence is None
+    (again, filt, seq), text = _round_trip((space, None, None), tmp_path)
+    assert again == space and again.weights is None
+    assert filt is None and seq is None
     assert "weights" not in text
 
 
 def test_space_round_trip_weighted(tmp_path):
     space = LatticeSpace(3, NormKind.WEIGHTED_L1, [0.2, 0.3, 5e-324])
-    again, _ = _round_trip(Instance(space), tmp_path)
-    assert again.space == space
-    assert np.array_equal(again.space.weights.view(np.int64), space.weights.view(np.int64))
+    (again, _, _), _ = _round_trip((space, None, None), tmp_path)
+    assert again == space
+    assert np.array_equal(again.weights.view(np.int64), space.weights.view(np.int64))
 
 
 def test_space_rejects_bad_documents():
@@ -79,7 +79,7 @@ def test_space_rejects_bad_documents():
 
 def _filtration_doc(filt):
     """The standalone filtration document: a space and its operators."""
-    doc = instance_doc(Instance(filt.space, filt))
+    doc = instance_doc((filt.space, filt, None))
     return {"space": doc["space"], **doc["filtration"]}
 
 
@@ -108,9 +108,9 @@ def test_sequence_round_trip_and_errors(tmp_path):
     filt, seq = haar_example(2)
     rows = np.vstack((seq.coords, [-0.0, 5e-324, 1 / 3, -1e308]))
     seq = VectorSequence(filt.space, rows)
-    again, _ = _round_trip(Instance(filt.space, sequence=seq), tmp_path)
-    assert again.space == filt.space and again.filtration is None
-    assert np.array_equal(again.sequence.coords.view(np.int64), rows.view(np.int64))
+    (space, again_filt, again), _ = _round_trip((filt.space, None, seq), tmp_path)
+    assert space == filt.space and again_filt is None
+    assert np.array_equal(again.coords.view(np.int64), rows.view(np.int64))
     with pytest.raises(InstanceFormatError):
         sequence_from_dict(filt.space, {"vectors": [[1.0, 2.0]]})  # wrong width
 
@@ -118,17 +118,17 @@ def test_sequence_round_trip_and_errors(tmp_path):
 def test_instance_round_trip(tmp_path):
     filt, seq = haar_example(3)
     path = tmp_path / "instance.json"
-    dump_instance(Instance(filt.space, filt, seq), path)
-    inst = load_instance(path)
-    assert inst.space == filt.space
-    assert inst.filtration is not None and inst.sequence is not None
-    for a, b in zip(inst.sequence.vectors, seq.vectors):
+    dump_instance((filt.space, filt, seq), path)
+    space, again_filt, again = load_instance(path)
+    assert space == filt.space
+    assert again_filt is not None and again is not None
+    for a, b in zip(again.vectors, seq.vectors):
         assert np.array_equal(a.coords, b.coords)
 
 
 def test_instance_horizon_mismatch_rejected():
     filt, seq = haar_example(3)
-    doc = instance_doc(Instance(filt.space, filt, seq))
+    doc = instance_doc((filt.space, filt, seq))
     doc["sequence"]["vectors"] = doc["sequence"]["vectors"][:2]
     with pytest.raises(InstanceFormatError):
         instance_from_dict(doc)
@@ -175,7 +175,7 @@ def instances(draw):
     if parts != "filtration":
         rows = draw(arrays(float, (horizon, dim), elements=FINITE))
         seq = VectorSequence(space, rows)
-    return Instance(space, filt, seq)
+    return space, filt, seq
 
 
 def gen_stdout(instance) -> str:
@@ -199,11 +199,12 @@ def test_writers_match_the_stdlib_encoder_byte_for_byte(instance):
 
 def _bits(instance) -> list:
     """Every float of an instance as ``int64`` views, so ``-0.0`` counts."""
-    arrays = [instance.space.weights if instance.space.weights is not None else np.empty(0)]
-    if instance.filtration is not None:
-        arrays += [e.matrix for e in instance.filtration.ops]
-    if instance.sequence is not None:
-        arrays.append(instance.sequence.coords)
+    space, filt, seq = instance
+    arrays = [space.weights if space.weights is not None else np.empty(0)]
+    if filt is not None:
+        arrays += [e.matrix for e in filt.ops]
+    if seq is not None:
+        arrays.append(seq.coords)
     return [a.view(np.int64).tolist() for a in arrays]
 
 
@@ -219,20 +220,20 @@ def test_indented_and_compact_files_load_bit_identically(instance):
             path.write_text(text, encoding="utf-8")
             loaded.append(load_instance(path))
     indented, compact = loaded
-    assert indented.space == compact.space == instance.space
-    assert (indented.filtration is None) == (instance.filtration is None)
-    assert (indented.sequence is None) == (instance.sequence is None)
+    assert indented[0] == compact[0] == instance[0]
+    assert (indented[1] is None) == (instance[1] is None)
+    assert (indented[2] is None) == (instance[2] is None)
     assert _bits(indented) == _bits(compact) == _bits(instance)
 
 
-def _builder_instances() -> list[Instance]:
+def _builder_instances() -> list[tuple]:
     """Every ``gen`` builder at a small size, as ``gen`` builds it."""
     sizes = {"dyadic": 2, "haar": 2, "pairing": 2, "scale-head": 2}
     built = []
     for name, (_, build, _) in cli.BUILDERS.items():
         args = argparse.Namespace(seed=3)
         filt, seq = build(sizes.get(name, 5), args)
-        built.append(Instance(filt.space, filt, seq))
+        built.append((filt.space, filt, seq))
     return built
 
 
@@ -308,7 +309,7 @@ def test_strings_are_stepped_over_in_linear_time_and_memory(tmp_path):
     path.write_text('{"note": "' + "x" * 2**21 + '", "space": {"dim": 1}}', encoding="utf-8")
     tracemalloc.start()
     try:
-        assert load_instance(path).space.dim == 1
+        assert load_instance(path)[0].dim == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -321,9 +322,8 @@ def _read(read, path):
         instance = read(path)
     except InstanceFormatError as exc:
         return "refused", str(exc)
-    space = instance.space
-    return "read", (space.dim, space.norm_kind, instance.filtration is None,
-                    instance.sequence is None, _bits(instance))
+    space, filt, seq = instance
+    return "read", (space.dim, space.norm_kind, filt is None, seq is None, _bits(instance))
 
 
 #: A dim-1 file of integer rows, each shaped like a row reference, after
@@ -353,7 +353,7 @@ def test_reader_matches_the_stdlib_reader(text):
 def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     space = LatticeSpace(5, NormKind.WEIGHTED_L1, [v for v in EDGE_FLOATS if v > 0] + [7.5])
     row = np.array(EDGE_FLOATS)
-    instance = Instance(
+    instance = (
         space,
         Filtration(space, (PosOperator(space, np.tile(row, (5, 1))),)),
         VectorSequence(space, row[None, :]),
@@ -362,8 +362,8 @@ def test_edge_floats_are_written_as_json_writes_them(tmp_path):
     text = (tmp_path / "edge.json").read_text(encoding="utf-8")
     assert text == dump_text(instance)
     assert "-0.0," in text and "5e-324" in text and "1e+308" in text
-    again = load_instance(tmp_path / "edge.json")
-    assert np.array_equal(again.filtration.ops[0].matrix, instance.filtration.ops[0].matrix)
+    _, again, _ = load_instance(tmp_path / "edge.json")
+    assert np.array_equal(again.ops[0].matrix, instance[1].ops[0].matrix)
 
 
 def test_repeated_values_and_signed_zeros_keep_their_own_text(tmp_path):
@@ -383,7 +383,7 @@ def test_repeated_values_and_signed_zeros_keep_their_own_text(tmp_path):
     flipped = np.where(matrix == 0.0, -matrix, matrix)
     space = LatticeSpace(4)
     stages = (matrix, matrix[::-1], flipped)
-    instance = Instance(
+    instance = (
         space,
         Filtration(space, tuple(PosOperator(space, m) for m in stages)),
         VectorSequence(space, np.vstack((matrix[:2], flipped[:1]))),
@@ -397,6 +397,21 @@ def test_repeated_values_and_signed_zeros_keep_their_own_text(tmp_path):
     assert text.count("-0.0") == 5 + 5 + 4 + 3 + 2
 
 
+def test_the_writer_holds_the_row_texts_of_two_matrices_at_most():
+    # No row repeats: a writer that kept every distinct row's text for the
+    # whole dump would hold the file's 2.5 MB of text (4 MB traced).
+    space = LatticeSpace(64)
+    mats = np.random.default_rng(5).uniform(size=(32, 64, 64))
+    filt = Filtration(space, tuple(PosOperator(space, m) for m in mats))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, instance_text((space, filt, None))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 2 * 2**20 and peak < 2**20, (size, peak)
+
+
 @pytest.mark.parametrize(
     "where, bad",
     [("weights", np.inf)]  # a space admits +inf weights, never NaN or negative ones
@@ -406,7 +421,7 @@ def test_writer_refuses_non_finite_values(tmp_path, where, bad):
     weights, m, x = np.full(2, 0.5), np.eye(2), np.ones(2)
     {"weights": weights, "matrix": m, "vector": x}[where].flat[1] = bad
     space = LatticeSpace(2, NormKind.WEIGHTED_L1, weights)
-    instance = Instance(
+    instance = (
         space,
         Filtration(space, (PosOperator(space, m),)),
         VectorSequence(space, x[None, :]),
@@ -462,7 +477,7 @@ def test_each_distinct_row_is_parsed_once_and_scanned_by_no_leaf(tmp_path):
     filt = build_random_nested(24, 24, 5)
     seq = terminal_sequence(filt, basis(filt.space, 1))
     path = tmp_path / "nested.json"
-    dump_instance(Instance(filt.space, filt, seq), path)
+    dump_instance((filt.space, filt, seq), path)
     tables = [filt.space.weights[None, :], *(e.matrix for e in filt.ops), seq.coords]
     rows = [row.tobytes() for table in tables for row in table]
     with mock.patch.object(jsonio.json, "loads", wraps=json.loads) as loads, \
@@ -476,7 +491,7 @@ def test_each_distinct_row_is_parsed_once_and_scanned_by_no_leaf(tmp_path):
     for call in scan.call_args_list:
         value = call.args[0]
         assert isinstance(value, jsonio._Row) or all(isinstance(r, jsonio._Row) for r in value)
-    assert _bits(loaded) == _bits(Instance(filt.space, filt, seq))
+    assert _bits(loaded) == _bits((filt.space, filt, seq))
     with pytest.raises(InstanceFormatError, match="numbers only"):
         sequence_from_dict(LatticeSpace(2), {"vectors": [[True, 1.5]]})  # the dict path still scans
 
@@ -499,7 +514,8 @@ def test_a_matrix_of_rows_is_one_array_of_the_rows_arrays(rows):
     # and no ``__array__`` call per row.
     plain = json.loads(rows)
     read = [jsonio._Row(row) for row in plain]
-    with mock.patch.object(jsonio._Row, "__array__", side_effect=AssertionError("per row")):
+    with mock.patch.object(jsonio._Row, "__array__", create=True,
+                           side_effect=AssertionError("per row")):
         assert _numbers_or_error(read) == _numbers_or_error(plain)
 
 
@@ -511,7 +527,7 @@ def test_true_or_false_in_a_key_or_string_still_loads(tmp_path, extra):
     doc = {"space": {"dim": 2, "norm": "sup"}, "sequence": {"vectors": [[1, 1.5]]}, **extra}
     path = tmp_path / "words.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_instance(path).sequence.coords.tolist() == [[1.0, 1.5]]
+    assert load_instance(path)[2].coords.tolist() == [[1.0, 1.5]]
 
 
 @pytest.mark.parametrize("vectors", ["[[true, 1.5]]", "[[1.5, false]]"])

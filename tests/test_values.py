@@ -1,11 +1,11 @@
-"""The value-class contract: the seven classes that carry the package's data,
+"""The value-class contract: the six classes that carry the package's data,
 and the report contract of ``classify``.
 
 Each value class is a plain class whose ``__init__`` is written out.
 Construction takes the same arguments, by position or keyword, with the same
 defaults; a built value cannot be assigned to or deleted from; stages,
-filtrations, vectors, sequences and instances compare by identity, and spaces
-by their own rules.  A classification report is the dict ``classify --json``
+filtrations, vectors and sequences compare by identity, and spaces by their
+own rules.  A classification report is the dict ``classify --json``
 prints.
 """
 
@@ -29,7 +29,6 @@ from lattice_lab import (
     filtration,
     pairing_example,
 )
-from lattice_lab.jsonio import Instance
 from lattice_lab.martingales import REPORT_NOTES
 
 SPACE = LatticeSpace(3)
@@ -43,7 +42,6 @@ BUILD = {
     BlockOperator: lambda: BlockOperator(SPACE, np.array([0, 0, 1]), 1.0, 0.5),
     Filtration: lambda: Filtration(SPACE, (STAGE,)),
     VectorSequence: lambda: VectorSequence(SPACE, np.zeros((2, 3))),
-    Instance: lambda: Instance(SPACE),
 }
 
 #: Constructor parameters and defaults (``inspect.Parameter.empty`` for none).
@@ -55,14 +53,13 @@ SIGNATURES = {
     BlockOperator: [("space", EMPTY), ("labels", EMPTY), ("mask", EMPTY), ("coef", EMPTY)],
     Filtration: [("space", EMPTY), ("ops", EMPTY)],
     VectorSequence: [("space", EMPTY), ("coords", EMPTY)],
-    Instance: [("space", EMPTY), ("filtration", None), ("sequence", None)],
 }
-IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence, Instance)
+IDENTITY = (LatticeVector, PosOperator, BlockOperator, Filtration, VectorSequence)
 CLASSES = list(BUILD)
 
 
 def test_the_contract_covers_every_value_class():
-    assert len(CLASSES) == 7
+    assert len(CLASSES) == 6
     assert set(SIGNATURES) == set(BUILD) == {LatticeSpace, *IDENTITY}
 
 
@@ -80,8 +77,6 @@ def test_defaults_by_position_and_keyword():
     assert weighted.weights.tolist() == [1.0, 2.0] and not weighted.weights.flags.writeable
     assert LatticeSpace(2, NormKind.SUP, [1.0, 2.0]).weights is None  # sup ignores weights
 
-    instance = Instance(SPACE)
-    assert (instance.space, instance.filtration, instance.sequence) == (SPACE, None, None)
     assert BlockOperator(space=SPACE, labels=np.array([0, 0, 1]), mask=1.0,
                          coef=0.5).matrix.tolist() == STAGE.matrix.tolist()
 
